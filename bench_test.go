@@ -416,12 +416,19 @@ func BenchmarkGraphBuild1MEdges(b *testing.B) {
 // cached paper graph, plus the equivalent batch sample.
 func streamBenchRecords(b *testing.B, n int) ([]sample.NodeObservation, *sample.Sample, *graph.Graph) {
 	b.Helper()
+	return scenarioBenchRecords(b, n, true)
+}
+
+// scenarioBenchRecords is streamBenchRecords for either scenario: with star
+// false the records carry induced peers instead of star data.
+func scenarioBenchRecords(b *testing.B, n int, star bool) ([]sample.NodeObservation, *sample.Sample, *graph.Graph) {
+	b.Helper()
 	g := getPaperGraph(b)
 	s, err := sample.NewRW(500).Sample(randx.New(101), g, n)
 	if err != nil {
 		b.Fatal(err)
 	}
-	so, err := sample.NewStreamObserver(g, true)
+	so, err := sample.NewStreamObserver(g, star)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -824,14 +831,15 @@ func BenchmarkStreamSnapshot(b *testing.B) {
 // BenchmarkStreamIngestBootstrap quantifies what the streaming bootstrap
 // costs on the write path: ingesting the same 10k-record star stream with
 // B replicate sums updated per draw (B=0 is the no-bootstrap baseline; 50
-// buys standard errors, 200 stable 95% percentile CIs).
+// buys standard errors, 200 stable 95% percentile CIs). The induced rows
+// ingest a 10k-record induced RW stream, where every re-draw also replays
+// the mass of each incident observed edge into the replicates.
 func BenchmarkStreamIngestBootstrap(b *testing.B) {
-	recs, _, g := streamBenchRecords(b, 10_000)
-	for _, B := range []int{0, 50, 200} {
-		b.Run(fmt.Sprintf("B=%d", B), func(b *testing.B) {
+	run := func(name string, recs []sample.NodeObservation, g *graph.Graph, star bool, B int) {
+		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				acc, err := stream.NewAccumulator(stream.Config{
-					K: g.NumCategories(), Star: true, N: float64(g.N()),
+					K: g.NumCategories(), Star: star, N: float64(g.N()),
 					Replicates: uncert.Config{B: B, Seed: 1},
 				})
 				if err != nil {
@@ -842,6 +850,14 @@ func BenchmarkStreamIngestBootstrap(b *testing.B) {
 				}
 			}
 		})
+	}
+	recs, _, g := streamBenchRecords(b, 10_000)
+	for _, B := range []int{0, 50, 200} {
+		run(fmt.Sprintf("B=%d", B), recs, g, true, B)
+	}
+	induced, _, g := scenarioBenchRecords(b, 10_000, false)
+	for _, B := range []int{0, 200} {
+		run(fmt.Sprintf("induced/B=%d", B), induced, g, false, B)
 	}
 }
 

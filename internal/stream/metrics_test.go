@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/sample"
+	"repro/internal/uncert"
 )
 
 // TestIngestCountersMove checks the process-wide ingest counters: applied
@@ -46,6 +47,32 @@ func TestIngestCountersMove(t *testing.T) {
 	}
 	if got := IngestedTotal() - ingBefore; got != 4 {
 		t.Errorf("IngestedTotal advanced by %d after partial batch, want 4", got)
+	}
+}
+
+// TestBootstrapIngestBatchObserved checks that a bootstrap-enabled batch
+// ingest observes the per-record bootstrap latency histogram once per
+// applied record, like Ingest does.
+func TestBootstrapIngestBatchObserved(t *testing.T) {
+	a, err := NewAccumulator(Config{K: 2, Replicates: uncert.Config{B: 8, Seed: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := mBootIngestSec.Count()
+	recs := []sample.NodeObservation{{Node: 1, Cat: 0}, {Node: 2, Cat: 1, Peers: []int32{1}}, {Node: 1, Cat: 0}}
+	if n, err := a.IngestBatch(recs); err != nil || n != 3 {
+		t.Fatalf("batch: n=%d err=%v", n, err)
+	}
+	if got := mBootIngestSec.Count() - before; got != 3 {
+		t.Errorf("stream_bootstrap_ingest_seconds count advanced by %d, want 3", got)
+	}
+	// An invalid record stops the batch; only the applied prefix is observed.
+	before = mBootIngestSec.Count()
+	if n, _ := a.IngestBatch([]sample.NodeObservation{{Node: 3, Cat: 1}, {Node: 4, Cat: 5}}); n != 1 {
+		t.Fatalf("batch prefix: n=%d, want 1", n)
+	}
+	if got := mBootIngestSec.Count() - before; got != 1 {
+		t.Errorf("count advanced by %d after a 1-record prefix, want 1", got)
 	}
 }
 

@@ -62,9 +62,9 @@ type Config struct {
 	// Poisson(1) weights, and snapshots carry percentile confidence
 	// intervals for every estimand (Snapshot.Boot). Ingest cost grows by
 	// O(B · record size); snapshots by O(B·K² + B·pairs). The replicate
-	// weights depend only on (Seed, node, replicate), so sharded
-	// accumulators with the same configuration produce identical replicate
-	// snapshots to the single-lock accumulator.
+	// weights depend only on (Seed, node, replicate), so the epoch-merged
+	// accumulator and Pool merges of workers with the same configuration
+	// produce the same replicate snapshots as the single-lock accumulator.
 	Replicates uncert.Config
 }
 
@@ -255,10 +255,21 @@ func (a *Accumulator) Ingest(rec sample.NodeObservation) error {
 func (a *Accumulator) IngestBatch(recs []sample.NodeObservation) (int, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	// With replicates on, each applied record's latency is observed as in
+	// Ingest; one clock read per record chains the records' intervals.
+	var t0 time.Time
+	if a.reps != nil {
+		t0 = time.Now()
+	}
 	for i, rec := range recs {
 		if err := a.ingestLocked(rec); err != nil {
 			mIngested.Add(int64(i))
 			return i, err
+		}
+		if a.reps != nil {
+			t1 := time.Now()
+			mBootIngestSec.Observe(t1.Sub(t0).Seconds())
+			t0 = t1
 		}
 	}
 	mIngested.Add(int64(len(recs)))
@@ -546,7 +557,7 @@ func (a *Accumulator) convergeLocked(res *core.Result) Convergence {
 
 // convergeFrom compares an estimate against the previous snapshot's sizes
 // and weights (nil on the first snapshot). It is shared by the single-lock
-// and sharded accumulators.
+// and epoch-merged accumulators.
 func convergeFrom(res *core.Result, lastSizes []float64, lastW *core.PairWeights, drawsSince int) Convergence {
 	c := Convergence{DrawsSince: drawsSince}
 	if lastSizes == nil {

@@ -29,7 +29,9 @@ import (
 // probability, so each node caches its nonzero replicate indices split into
 // a weight==1 list (walked with constants hoisted out of the loop — no
 // per-iteration multiply) and a weight≥2 remainder; zero-weight replicates
-// are never touched.
+// are never touched. Only one node's weights are held: an induced edge's
+// other endpoint is hashed at the cached node's nonzero replicates only,
+// never expanded into a dense B-vector.
 //
 // Replicates is not safe for concurrent use; internal/stream drives it under
 // the accumulator lock (or inside a writer-private epoch local).
@@ -61,16 +63,16 @@ type Replicates struct {
 	dirtyCats []int32
 
 	// One-node sparse weight cache: ingest touches the same node several
-	// times per record (draw + star terms, or both endpoints of an edge),
-	// and the B hash evaluations dominate the replicate update cost. ones
-	// holds the replicate indices with weight exactly 1, big/bigVal the
-	// indices and values of weights ≥ 2.
+	// times per record (draw + star terms, or the drawn endpoint of every
+	// incident edge), and the B hash evaluations dominate the replicate
+	// update cost. ones holds the replicate indices with weight exactly 1,
+	// big/bigVal the indices and values of weights ≥ 2. An induced edge's
+	// other endpoint is hashed only at these indices (AddEdgeMass).
 	wNode  int32
 	wValid bool
 	ones   []int32
 	big    []int32
 	bigVal []float64
-	wBuf2  []float64 // dense weights of an induced edge's second endpoint
 
 	// arena is the ReservePairs backing store: pre-allocated B-vectors for
 	// pairs not materialized yet, so CopyFrom under a publish mutex can hand
@@ -108,7 +110,6 @@ func NewReplicates(k int, star bool, cfg Config) (*Replicates, error) {
 		ones:      make([]int32, 0, B),
 		big:       make([]int32, 0, B),
 		bigVal:    make([]float64, 0, B),
-		wBuf2:     make([]float64, B),
 	}
 	if star {
 		rs.degNum = make([]float64, B)
@@ -152,14 +153,15 @@ func (rs *Replicates) sparseWeights(node int32) {
 	rs.ones = rs.ones[:0]
 	rs.big = rs.big[:0]
 	rs.bigVal = rs.bigVal[:0]
+	hn := nodeHash(rs.cfg.Seed, node)
 	for b := 0; b < rs.cfg.B; b++ {
-		switch c := PoissonWeight(rs.cfg.Seed, node, b); {
+		switch c := poissonK(hn, b); {
 		case c == 0:
 		case c == 1:
 			rs.ones = append(rs.ones, int32(b))
 		default:
 			rs.big = append(rs.big, int32(b))
-			rs.bigVal = append(rs.bigVal, c)
+			rs.bigVal = append(rs.bigVal, float64(c))
 		}
 	}
 	rs.wNode, rs.wValid = node, true
@@ -314,17 +316,15 @@ func (rs *Replicates) AddStar(node, cat int32, weight, count, deg float64, nbrCa
 // increment between nodes a and b: every primary increment is a product of
 // the two endpoint multiplicities' changes, so replicate r scales it by
 // c_a(r)·c_b(r) — nonzero only where BOTH endpoints resampled, so the sparse
-// iteration runs over endpoint a's nonzero replicates.
+// iteration runs over endpoint a's nonzero replicates and hashes endpoint b's
+// weight only there. Pass the node whose record is being ingested as nodeA:
+// its weights stay cached across all of its incident edges.
 func (rs *Replicates) AddEdgeMass(nodeA, nodeB, catA, catB int32, mass float64) {
 	if catA == graph.None || catB == graph.None {
 		return
 	}
 	rs.sparseWeights(nodeA)
-	// The one-node cache cannot hold both endpoints; fill the dense second
-	// buffer directly (an edge's endpoints are distinct by construction).
-	for b := range rs.wBuf2 {
-		rs.wBuf2[b] = PoissonWeight(rs.cfg.Seed, nodeB, b)
-	}
+	hb := nodeHash(rs.cfg.Seed, nodeB)
 	var tgt []float64
 	if catA == catB {
 		rs.mark(catA)
@@ -334,10 +334,10 @@ func (rs *Replicates) AddEdgeMass(nodeA, nodeB, catA, catB int32, mass float64) 
 		tgt = rs.pairVec(catA, catB)
 	}
 	for _, b := range rs.ones {
-		tgt[b] += mass * rs.wBuf2[b]
+		tgt[b] += mass * float64(poissonK(hb, int(b)))
 	}
 	for j, b := range rs.big {
-		tgt[b] += mass * rs.bigVal[j] * rs.wBuf2[b]
+		tgt[b] += mass * rs.bigVal[j] * float64(poissonK(hb, int(b)))
 	}
 }
 
@@ -512,10 +512,14 @@ func ReplicatesFromObservation(o *sample.Observation, cfg Config) (*Replicates, 
 	}
 	clone := *o
 	mult := make([]float64, len(o.Mult))
+	hn := make([]uint64, len(o.Nodes))
+	for i, v := range o.Nodes {
+		hn[i] = nodeHash(cfg.Seed, v)
+	}
 	for b := 0; b < cfg.B; b++ {
 		var psi1, psiInv, coll float64
-		for i, v := range o.Nodes {
-			c := PoissonWeight(cfg.Seed, v, b)
+		for i := range o.Nodes {
+			c := float64(poissonK(hn[i], b))
 			m := o.Mult[i] * c
 			mult[i] = m
 			psi1 += m * o.Weight[i]

@@ -11,7 +11,7 @@
 //     online counterpart of the Efron–Tibshirani resampling the paper
 //     recommends in §5.3.2 for Eq. (16). Weights are hash-seeded on
 //     (seed, node, replicate), so re-deliveries of a node's records fold in
-//     consistently and hash-partitioned shards reproduce the single-lock
+//     consistently and node-partitioned workers reproduce the single-lock
 //     replicates exactly. Snapshots yield percentile CIs for all K×K
 //     category-graph entries, the within-category densities, and the §4.3
 //     population-size estimate at O(B·K²) cost. This is the general-purpose
@@ -54,8 +54,8 @@ type Config struct {
 	B int
 	// Seed seeds the deterministic per-(node, replicate) Poisson weights.
 	// Two accumulators with the same Seed assign every node the same
-	// replicate weights, which is what makes sharded replicate sums merge
-	// exactly into the single-lock ones.
+	// replicate weights, which is what makes the replicate sums of epoch
+	// locals and of Pool-merged workers equal the single-lock ones.
 	Seed uint64
 }
 
@@ -96,6 +96,19 @@ var poissonCum = func() [20]float64 {
 	return cum
 }()
 
+// poissonThresh[k] = ⌈poissonCum[k]·2⁵³⌉, the integer form of the inverse-CDF
+// test. For the 53-bit variate x the float test float64(x)/2⁵³ < cum is
+// exact arithmetic (x < 2⁵³ converts exactly, and dividing by a power of two
+// only shifts the exponent), so it holds iff the real x < cum·2⁵³, i.e. iff
+// x < ⌈cum·2⁵³⌉ — the same classification without any float conversion.
+var poissonThresh = func() [len(poissonCum)]uint64 {
+	var t [len(poissonCum)]uint64
+	for k := range t {
+		t[k] = uint64(math.Ceil(poissonCum[k] * (1 << 53)))
+	}
+	return t
+}()
+
 // mix64 is the SplitMix64 finalizer — a full-avalanche 64-bit mix.
 func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -103,20 +116,35 @@ func mix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
+// nodeHash is the per-node half of the weight hash. Loops over a node's
+// replicates compute it once and call poissonK per replicate.
+func nodeHash(seed uint64, node int32) uint64 {
+	return mix64((seed ^ 0x5851f42d4c957f2d) + uint64(uint32(node)))
+}
+
+// poissonK returns the Poisson(1) weight, as an integer, of the node with
+// hash hn in replicate rep. Weights 0–2 (≈92% of draws) are classified
+// without branches: x−t wraps to a value with the top bit set iff x < t.
+func poissonK(hn uint64, rep int) uint64 {
+	x := mix64(hn+uint64(rep)) >> 11
+	if x < poissonThresh[2] {
+		return 2 - (x-poissonThresh[0])>>63 - (x-poissonThresh[1])>>63
+	}
+	for k := 3; k < len(poissonThresh); k++ {
+		if x < poissonThresh[k] {
+			return uint64(k)
+		}
+	}
+	return uint64(len(poissonThresh))
+}
+
 // PoissonWeight returns the deterministic Poisson(1) bootstrap weight of
 // node in replicate rep under seed. The weight is a pure function of its
 // arguments: every draw of a node carries the same per-replicate weight, so
-// replicate sums accumulated in any order, across any shard partition of the
-// node id space, agree exactly.
+// replicate sums accumulated in any order, across any partition of the node
+// id space, agree exactly.
 func PoissonWeight(seed uint64, node int32, rep int) float64 {
-	h := mix64(mix64((seed^0x5851f42d4c957f2d)+uint64(uint32(node))) + uint64(rep))
-	u := float64(h>>11) / (1 << 53)
-	for k, cum := range poissonCum {
-		if u < cum {
-			return float64(k)
-		}
-	}
-	return float64(len(poissonCum))
+	return float64(poissonK(nodeHash(seed, node), rep))
 }
 
 // percentile returns the Efron percentile interval of the replicate values

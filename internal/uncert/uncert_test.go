@@ -86,6 +86,93 @@ func TestPoissonWeightDeterministicAndPoisson(t *testing.T) {
 	}
 }
 
+// poissonWeightFloat is the reference form of PoissonWeight: the two-level
+// hash evaluated per call and the uniform variate classified against
+// poissonCum in floating point.
+func poissonWeightFloat(seed uint64, node int32, rep int) float64 {
+	h := mix64(mix64((seed^0x5851f42d4c957f2d)+uint64(uint32(node))) + uint64(rep))
+	u := float64(h>>11) / (1 << 53)
+	for k := range poissonCum {
+		if u < poissonCum[k] {
+			return float64(k)
+		}
+	}
+	return float64(len(poissonCum))
+}
+
+// TestPoissonWeightGolden pins the weight values themselves. The streaming
+// and offline bootstrap paths, checkpoints and merged worker sums all share
+// PoissonWeight, so a change to it would move every replicate in lockstep
+// and no parity test would notice; this table and the float reference
+// catch it.
+func TestPoissonWeightGolden(t *testing.T) {
+	reps := [6]int{0, 1, 2, 199, 256, 1000}
+	golden := []struct {
+		seed uint64
+		node int32
+		w    [6]float64 // at reps
+	}{
+		{0x0, 0, [6]float64{0, 2, 0, 0, 2, 1}},
+		{0x0, 1, [6]float64{1, 1, 0, 0, 2, 0}},
+		{0x0, -1, [6]float64{2, 0, 0, 2, 1, 2}},
+		{0x0, -2147483648, [6]float64{1, 2, 0, 1, 2, 2}},
+		{0x0, 2147483647, [6]float64{3, 0, 0, 0, 1, 1}},
+		{0x0, 123456, [6]float64{0, 0, 1, 1, 0, 2}},
+		{0x2a, 0, [6]float64{0, 1, 1, 0, 0, 1}},
+		{0x2a, 1, [6]float64{0, 0, 0, 1, 2, 0}},
+		{0x2a, -1, [6]float64{4, 0, 1, 2, 2, 2}},
+		{0x2a, -2147483648, [6]float64{1, 3, 1, 1, 1, 1}},
+		{0x2a, 2147483647, [6]float64{1, 0, 0, 2, 0, 0}},
+		{0x2a, 123456, [6]float64{0, 0, 1, 1, 1, 1}},
+		{0xdeadbeefcafef00d, 0, [6]float64{2, 4, 0, 1, 1, 2}},
+		{0xdeadbeefcafef00d, 1, [6]float64{1, 0, 1, 1, 1, 1}},
+		{0xdeadbeefcafef00d, -1, [6]float64{2, 0, 3, 0, 0, 1}},
+		{0xdeadbeefcafef00d, -2147483648, [6]float64{0, 1, 1, 0, 1, 1}},
+		{0xdeadbeefcafef00d, 2147483647, [6]float64{2, 2, 1, 2, 2, 1}},
+		{0xdeadbeefcafef00d, 123456, [6]float64{2, 1, 2, 1, 0, 1}},
+	}
+	for _, g := range golden {
+		for i, rep := range reps {
+			if got := PoissonWeight(g.seed, g.node, rep); got != g.w[i] {
+				t.Errorf("PoissonWeight(%#x, %d, %d) = %v, want %v", g.seed, g.node, rep, got, g.w[i])
+			}
+		}
+	}
+	// Weights ≥ 3 take poissonK's loop; pin a few from the far tail.
+	for _, g := range []struct {
+		node int32
+		rep  int
+		w    float64
+	}{{32, 2, 5}, {1, 0, 6}, {3967, 3, 7}} {
+		if got := PoissonWeight(7, g.node, g.rep); got != g.w {
+			t.Errorf("PoissonWeight(7, %d, %d) = %v, want %v", g.node, g.rep, got, g.w)
+		}
+	}
+
+	r := randx.New(5)
+	for i := 0; i < 1_000_000; i++ {
+		seed, node, rep := r.Uint64(), int32(r.Uint32()), r.IntN(4096)
+		if got, want := PoissonWeight(seed, node, rep), poissonWeightFloat(seed, node, rep); got != want {
+			t.Fatalf("PoissonWeight(%#x, %d, %d) = %v, float reference %v", seed, node, rep, got, want)
+		}
+	}
+}
+
+// TestPoissonThresholdsMatchFloat checks the integer thresholds against the
+// float test they replace, on both sides of every boundary.
+func TestPoissonThresholdsMatchFloat(t *testing.T) {
+	for k, tk := range poissonThresh {
+		for _, x := range []uint64{tk - 1, tk, tk + 1} {
+			if x >= 1<<53 {
+				continue // the variate has 53 bits
+			}
+			if got, want := x < tk, float64(x)/(1<<53) < poissonCum[k]; got != want {
+				t.Errorf("k=%d x=%d: integer test %v, float test %v", k, x, got, want)
+			}
+		}
+	}
+}
+
 func TestIntervalHelpers(t *testing.T) {
 	iv := Interval{1, 3}
 	if !iv.Contains(1) || !iv.Contains(3) || iv.Contains(0.5) {
