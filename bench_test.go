@@ -535,10 +535,10 @@ func BenchmarkStreamIngestLocal(b *testing.B) {
 // BenchmarkStreamIngestBootstrapSparse measures the bootstrap overhead of
 // the write path: one writer-local epoch over an accumulator with B
 // replicate sums. The epoch design batches each node's replicate update
-// (one pass per distinct node per flush instead of one dense B-loop per
-// record) and the sparse Poisson weights skip the ~37% zero replicates, so
-// B=200 costs a small multiple of B=0 rather than the ~50x of the
-// per-record design. ns/op is per ingested record, flushes included.
+// (one pass per distinct node per flush instead of one B-loop per record),
+// and that pass walks the node's dense weight row without a per-replicate
+// branch, so B=200 costs a small multiple of B=0 rather than the ~50x of
+// the per-record design. ns/op is per ingested record, flushes included.
 func BenchmarkStreamIngestBootstrapSparse(b *testing.B) {
 	recs, _, g := streamBenchRecords(b, 100_000)
 	for _, B := range []int{0, 50, 200} {
@@ -903,22 +903,49 @@ func BenchmarkSamplerStudy(b *testing.B) {
 }
 
 // BenchmarkCrawlWalkers measures the adaptive crawl controller end to end:
-// W concurrent walkers stream a fixed 20k-draw budget (no CI target, so
-// every configuration does identical estimation work) into an accumulator
-// with S shards, checkpointing every 5000 draws. The 1-walker/1-shard row
-// is the serialized baseline; the 4/4 and 8/8 rows show how far walker
-// parallelism carries once per-shard locks remove ingest contention (run
-// with -cpu 4,8 on a multi-core machine).
+// W concurrent walkers stream a fixed draw budget (no CI target, so every
+// configuration does identical estimation work) into an accumulator,
+// checkpointing on a fixed cadence. The 1-walker/1-shard row is the
+// serialized single-lock baseline; shards>1 builds an epoch-merged
+// accumulator, where each walker ingests into its own writer-local epoch,
+// and the 4/4 and 8/8 rows show how far walker parallelism carries once
+// ingest takes no shared lock (run with -cpu 4,8 on a multi-core machine).
+// Those rows run without bootstrap replicates. The bootstrap=100 row
+// mirrors topobench's crawl-budget workload — 2 RW walkers, burn-in 1000,
+// 10k draws, B=100, a checkpoint every 2000 draws — so it prices the
+// replicate kernel and the star observer on the crawl's per-draw path.
 func BenchmarkCrawlWalkers(b *testing.B) {
 	g := getPaperGraph(b)
-	for _, ws := range []struct{ walkers, shards int }{{1, 1}, {4, 4}, {8, 8}} {
-		b.Run(fmt.Sprintf("walkers=%d/shards=%d", ws.walkers, ws.shards), func(b *testing.B) {
+	for _, ws := range []struct{ walkers, shards, boot, burnIn, draws, check int }{
+		{1, 1, 0, 100, 20_000, 5000},
+		{4, 4, 0, 100, 20_000, 5000},
+		{8, 8, 0, 100, 20_000, 5000},
+		{2, 2, 100, 1000, 10_000, 2000},
+	} {
+		name := fmt.Sprintf("walkers=%d/shards=%d", ws.walkers, ws.shards)
+		if ws.boot > 0 {
+			name += fmt.Sprintf("/bootstrap=%d", ws.boot)
+		}
+		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				c, err := crawl.Start(g, nil, crawl.Config{
+				// Without CI targets the crawl builds its accumulator
+				// without replicates, so the bootstrap row passes one.
+				var acc stream.Ingester
+				if ws.boot > 0 {
+					ea, err := stream.NewEpochAccumulator(stream.Config{
+						K: g.NumCategories(), Star: true, N: float64(g.N()),
+						Replicates: uncert.Config{B: ws.boot, Seed: uint64(i + 1)},
+					}, 0)
+					if err != nil {
+						b.Fatal(err)
+					}
+					acc = ea
+				}
+				c, err := crawl.Start(g, acc, crawl.Config{
 					Walkers: ws.walkers, Shards: ws.shards,
 					Star: true, N: float64(g.N()),
-					Seed: uint64(i + 1), BurnIn: 100,
-					MaxDraws: 20_000, CheckEvery: 5000,
+					Seed: uint64(i + 1), BurnIn: ws.burnIn,
+					MaxDraws: ws.draws, CheckEvery: ws.check,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -927,11 +954,11 @@ func BenchmarkCrawlWalkers(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if res.Draws != 20_000 {
+				if res.Draws != ws.draws {
 					b.Fatalf("draws = %d", res.Draws)
 				}
 			}
-			b.ReportMetric(20_000*float64(b.N)/b.Elapsed().Seconds(), "draws/s")
+			b.ReportMetric(float64(ws.draws*b.N)/b.Elapsed().Seconds(), "draws/s")
 		})
 	}
 }

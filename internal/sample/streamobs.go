@@ -3,6 +3,7 @@ package sample
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -190,11 +191,12 @@ func ReconcileStarData(node int32, recDeg float64, recCat []int32, recCnt []floa
 type StreamObserver struct {
 	src  graph.Source
 	star bool
-	seen map[int32]bool
+	// seen is a bitset over the dense node ids [0, NumNodes).
+	seen []uint64
 
-	// Scratch for star records, reused across Observe calls so the batch
-	// path allocates one map total, not one per distinct node.
-	counts map[int32]float64
+	// Scratch for star records, reused across Observe calls: per-category
+	// neighbor counts (all zero between calls) and the categories touched.
+	counts []float64
 	cats   []int32
 }
 
@@ -204,10 +206,15 @@ type StreamObserver struct {
 // pipeline that pays neighbor queries, so over a RateLimited source it is
 // metered exactly like a real crawler.
 func NewStreamObserver(src graph.Source, star bool) (*StreamObserver, error) {
-	if src.NumCategories() == 0 {
+	k := src.NumCategories()
+	if k == 0 {
 		return nil, fmt.Errorf("sample: observation requires a categorized graph")
 	}
-	return &StreamObserver{src: src, star: star, seen: make(map[int32]bool)}, nil
+	so := &StreamObserver{src: src, star: star, seen: make([]uint64, (src.NumNodes()+63)/64)}
+	if star {
+		so.counts = make([]float64, k)
+	}
+	return so, nil
 }
 
 // K returns the number of categories of the underlying partition.
@@ -222,40 +229,44 @@ func (so *StreamObserver) NewObservation() *Observation {
 	return &Observation{K: so.src.NumCategories(), Star: so.star}
 }
 
+// seenNode reports whether node v has been observed.
+func (so *StreamObserver) seenNode(v int32) bool { return so.seen[v>>6]&(1<<(v&63)) != 0 }
+
 // Observe reveals what drawing node v with sampling weight weight shows
 // under the observer's scenario. Star records carry degree and neighbor
-// categories on the node's first observation; induced records list the edges
-// to previously observed nodes (each edge exactly once).
+// categories on the node's first observation (ascending, nil when no
+// neighbor is categorized); induced records list the edges to previously
+// observed nodes (each edge exactly once).
 func (so *StreamObserver) Observe(v int32, weight float64) NodeObservation {
 	rec := NodeObservation{Node: v, Weight: weight, Cat: so.src.Category(v)}
-	first := !so.seen[v]
-	so.seen[v] = true
-	if !first {
+	if so.seenNode(v) {
 		return rec
 	}
+	so.seen[v>>6] |= 1 << (v & 63)
 	if so.star {
 		rec.Deg = float64(so.src.Degree(v))
-		if so.counts == nil {
-			so.counts = make(map[int32]float64)
-		}
-		clear(so.counts)
+		cats := so.cats[:0]
 		for _, u := range so.src.Neighbors(v) {
 			if c := so.src.Category(u); c != graph.None {
+				if so.counts[c] == 0 {
+					cats = append(cats, c)
+				}
 				so.counts[c]++
 			}
 		}
-		so.cats = so.cats[:0]
-		for c := range so.counts {
-			so.cats = append(so.cats, c)
+		if len(cats) > 0 {
+			slices.Sort(cats)
+			rec.NbrCat = make([]int32, len(cats))
+			rec.NbrCnt = make([]float64, len(cats))
+			for j, c := range cats {
+				rec.NbrCat[j], rec.NbrCnt[j] = c, so.counts[c]
+				so.counts[c] = 0
+			}
 		}
-		sort.Slice(so.cats, func(a, b int) bool { return so.cats[a] < so.cats[b] })
-		for _, c := range so.cats {
-			rec.NbrCat = append(rec.NbrCat, c)
-			rec.NbrCnt = append(rec.NbrCnt, so.counts[c])
-		}
+		so.cats = cats
 	} else {
 		for _, u := range so.src.Neighbors(v) {
-			if u != v && so.seen[u] {
+			if u != v && so.seenNode(u) {
 				rec.Peers = append(rec.Peers, u)
 			}
 		}

@@ -81,7 +81,7 @@ func (rs *Replicates) CopyFrom(src *Replicates) error {
 		}
 		copy(v, sv)
 	}
-	// The one-node weight cache is keyed on rs's own ingest history; a copied
+	// The one-node weight row is keyed on rs's own ingest history; a copied
 	// state starts it cold.
 	rs.wValid = false
 	return nil

@@ -19,19 +19,21 @@ import (
 // are order-independent exactly where the primary sums are, partition by
 // node id, and Merge exactly like the primary sums.
 //
-// Layout and sparsity: the replicates are stored structure-of-arrays — one
-// B-length vector per scalar statistic and one K×B grid per per-category
-// statistic — instead of B independent core.Sums objects. A replicate update
-// for one field then walks a contiguous vector rather than hopping across B
-// heap objects, which is what used to make B=200 ingest ~50× the base path.
-// On top of the layout, updates are sparse in the replicates themselves:
-// Poisson(1) weights are 0 with probability e⁻¹ ≈ 36.8% and 1 with the same
-// probability, so each node caches its nonzero replicate indices split into
-// a weight==1 list (walked with constants hoisted out of the loop — no
-// per-iteration multiply) and a weight≥2 remainder; zero-weight replicates
-// are never touched. Only one node's weights are held: an induced edge's
-// other endpoint is hashed at the cached node's nonzero replicates only,
-// never expanded into a dense B-vector.
+// Layout and weight rows: the replicates are stored structure-of-arrays —
+// one B-length vector per scalar statistic and one K×B grid per
+// per-category statistic — instead of B independent core.Sums objects. A
+// replicate update for one field then walks a contiguous vector rather than
+// hopping across B heap objects, which is what used to make B=200 ingest
+// ~50× the base path. Each node's B Poisson weights are expanded once into
+// a dense uint8 row plus the ascending list of its nonzero indices. The
+// per-node updates (draws, star terms) make one straight-line pass over the
+// row: an increment depends on the replicate only through its integer
+// weight c, so each call tabulates it for c = 0…max (entry 0 exactly zero)
+// and replicate b adds its table entry. There is no per-replicate branch:
+// a sparse walk split by weight 0 / 1 / ≥2 mispredicts on most indices.
+// Induced edge mass stays sparse: it is nonzero only where both endpoints
+// resampled, so the other endpoint is hashed at the cached row's nonzero
+// indices only, never expanded into a row of its own.
 //
 // Replicates is not safe for concurrent use; internal/stream drives it under
 // the accumulator lock (or inside a writer-private epoch local).
@@ -62,17 +64,19 @@ type Replicates struct {
 	dirty     []bool
 	dirtyCats []int32
 
-	// One-node sparse weight cache: ingest touches the same node several
-	// times per record (draw + star terms, or the drawn endpoint of every
-	// incident edge), and the B hash evaluations dominate the replicate
-	// update cost. ones holds the replicate indices with weight exactly 1,
-	// big/bigVal the indices and values of weights ≥ 2. An induced edge's
-	// other endpoint is hashed only at these indices (AddEdgeMass).
+	// One-node weight row: ingest touches the same node several times per
+	// record (draw + star terms, or the drawn endpoint of every incident
+	// edge), and the B hash evaluations dominate the replicate update cost,
+	// so the node's weights are expanded once (weightRow). w is the dense
+	// row of integer weights, nz the indices of its nonzero entries in
+	// ascending order, and wMax an upper bound on the largest weight (the
+	// bitwise OR of the row), which bounds the per-weight term tables. An
+	// induced edge's other endpoint is hashed only at nz (AddEdgeMass).
 	wNode  int32
 	wValid bool
-	ones   []int32
-	big    []int32
-	bigVal []float64
+	w      []uint8
+	nz     []int32
+	wMax   uint8
 
 	// arena is the ReservePairs backing store: pre-allocated B-vectors for
 	// pairs not materialized yet, so CopyFrom under a publish mutex can hand
@@ -107,9 +111,8 @@ func NewReplicates(k int, star bool, cfg Config) (*Replicates, error) {
 		withinNum: make([]float64, k*B),
 		pairNum:   make(map[[2]int32][]float64),
 		dirty:     make([]bool, k),
-		ones:      make([]int32, 0, B),
-		big:       make([]int32, 0, B),
-		bigVal:    make([]float64, 0, B),
+		w:         make([]uint8, B),
+		nz:        make([]int32, 0, B),
 	}
 	if star {
 		rs.degNum = make([]float64, B)
@@ -143,27 +146,35 @@ func (rs *Replicates) markAll() {
 	}
 }
 
-// sparseWeights fills the one-node cache with node's nonzero replicate
-// weights, split into the weight==1 fast path and the ≥2 remainder.
-// Consecutive calls with the same node are free.
-func (rs *Replicates) sparseWeights(node int32) {
+// weightRow expands node's replicate weights into the one-node row: the
+// dense weights w, the nonzero indices nz and the bound wMax. Weights 0–3
+// are classified without branches — (t_j−1−x)>>63 is 1 iff x ≥ t_j, so the
+// three terms count the thresholds at or below x — and the nonzero list is
+// compacted without branches too: every index is written and the length
+// advances only past nonzero weights. The rare weights ≥ 4 (≈1.9%) take
+// poissonK's loop. Consecutive calls with the same node are free.
+func (rs *Replicates) weightRow(node int32) {
 	if rs.wValid && rs.wNode == node {
 		return
 	}
-	rs.ones = rs.ones[:0]
-	rs.big = rs.big[:0]
-	rs.bigVal = rs.bigVal[:0]
 	hn := nodeHash(rs.cfg.Seed, node)
-	for b := 0; b < rs.cfg.B; b++ {
-		switch c := poissonK(hn, b); {
-		case c == 0:
-		case c == 1:
-			rs.ones = append(rs.ones, int32(b))
-		default:
-			rs.big = append(rs.big, int32(b))
-			rs.bigVal = append(rs.bigVal, float64(c))
+	t0, t1, t2, t3 := poissonThresh[0]-1, poissonThresh[1]-1, poissonThresh[2]-1, poissonThresh[3]
+	w := rs.w
+	nz := rs.nz[:len(w)]
+	n := 0
+	var mx uint64
+	for b := range w {
+		x := mix64(hn+uint64(b)) >> 11
+		k := (t0-x)>>63 + (t1-x)>>63 + (t2-x)>>63
+		if x >= t3 {
+			k = poissonK(hn, b)
 		}
+		w[b] = uint8(k)
+		nz[n] = int32(b)
+		n += int((0 - k) >> 63)
+		mx |= k
 	}
+	rs.nz, rs.wMax = nz[:n], uint8(mx)
 	rs.wNode, rs.wValid = node, true
 }
 
@@ -187,6 +198,12 @@ func (rs *Replicates) AddDraw(node, cat int32, weight, prev float64) {
 	rs.AddDraws(node, cat, weight, 1, prev)
 }
 
+// drawTerms are the increments one replicate of weight c receives from
+// AddDraws.
+type drawTerms struct {
+	m, mw, mw2, psi1, coll, rew2 float64
+}
+
 // AddDraws folds count fresh draws of node in one pass: replicate b's
 // multiplicity advances prev·c → (prev+count)·c for c = PoissonWeight(node,
 // b). It is the batched form epoch flushes use — one replicate pass per
@@ -201,36 +218,44 @@ func (rs *Replicates) AddDraw(node, cat int32, weight, prev float64) {
 // count·c·((2·prev+count)·c − 1)/2 (the cancellation-free factored form);
 // Rew2's per-node square (m/w)² likewise adds the factored difference
 // (count·c/w)·((2·prev+count)·c/w).
+//
+// The increments depend on the replicate only through c, so they are
+// tabulated once per call for c = 0…wMax and the replicate pass is one
+// table lookup per replicate. At c = 1 the formulas reduce exactly to
+// count, count/weight, … (multiplying by 1 is exact). Entry 0 is zero, and
+// adding +0 leaves every accumulator unchanged (sums started at +0 never
+// reach −0), so weight-0 replicates need no branch.
 func (rs *Replicates) AddDraws(node, cat int32, weight, count, prev float64) {
-	rs.sparseWeights(node)
-	B := rs.cfg.B
-	// Weight==1 constants, hoisted: every c==1 replicate adds the same
-	// values.
-	dm := count
-	dmw := count / weight
-	dmw2 := count / (weight * weight)
-	dpsi1 := count * weight
-	dcoll1 := count * (2*prev + count - 1) / 2
-	drew21 := (count / weight) * ((2*prev + count) / weight)
-	for _, b := range rs.ones {
-		rs.draws[b] += dm
-		rs.totalRew[b] += dmw
-		rs.rewSq[b] += dmw2
-		rs.psi1[b] += dpsi1
-		rs.psiInv[b] += dmw
-		rs.coll[b] += dcoll1
-	}
-	for j, b := range rs.big {
-		c := rs.bigVal[j]
+	rs.weightRow(node)
+	var tab [32]drawTerms
+	for k := 1; k <= int(rs.wMax); k++ {
+		c := float64(k)
 		m := count * c
-		rs.draws[b] += m
-		rs.totalRew[b] += m / weight
-		rs.rewSq[b] += m / (weight * weight)
-		rs.psi1[b] += m * weight
-		rs.psiInv[b] += m / weight
-		rs.coll[b] += m * ((2*prev+count)*c - 1) / 2
+		tab[k] = drawTerms{
+			m:    m,
+			mw:   m / weight,
+			mw2:  m / (weight * weight),
+			psi1: m * weight,
+			coll: m * ((2*prev+count)*c - 1) / 2,
+			rew2: (m / weight) * ((2*prev + count) * c / weight),
+		}
 	}
+	w := rs.w
+	B := len(w)
+	draws, totalRew, rewSq := rs.draws[:B], rs.totalRew[:B], rs.rewSq[:B]
+	psi1, psiInv, coll := rs.psi1[:B], rs.psiInv[:B], rs.coll[:B]
+	// Weights are at most len(poissonThresh) = 20; the k&31 masks below only
+	// let the compiler drop the table bounds checks.
 	if cat == graph.None {
+		for b, k := range w {
+			t := &tab[k&31]
+			draws[b] += t.m
+			totalRew[b] += t.mw
+			rewSq[b] += t.mw2
+			psi1[b] += t.psi1
+			psiInv[b] += t.mw
+			coll[b] += t.coll
+		}
 		return
 	}
 	rs.mark(cat)
@@ -239,19 +264,26 @@ func (rs *Replicates) AddDraws(node, cat int32, weight, count, prev float64) {
 	rew := rs.rew[off : off+B]
 	rewSqA := rs.rewSqA[off : off+B]
 	rew2 := rs.rew2[off : off+B]
-	for _, b := range rs.ones {
-		drawsA[b] += dm
-		rew[b] += dmw
-		rewSqA[b] += dmw2
-		rew2[b] += drew21
+	for b, k := range w {
+		t := &tab[k&31]
+		draws[b] += t.m
+		totalRew[b] += t.mw
+		rewSq[b] += t.mw2
+		psi1[b] += t.psi1
+		psiInv[b] += t.mw
+		coll[b] += t.coll
+		drawsA[b] += t.m
+		rew[b] += t.mw
+		rewSqA[b] += t.mw2
+		rew2[b] += t.rew2
 	}
-	for j, b := range rs.big {
-		c := rs.bigVal[j]
-		m := count * c
-		drawsA[b] += m
-		rew[b] += m / weight
-		rewSqA[b] += m / (weight * weight)
-		rew2[b] += (m / weight) * ((2*prev + count) * c / weight)
+}
+
+// scale fills vt[c] = v·c for c = 1…wMax (vt[0] stays zero): a replicate
+// of weight c adds vt[c] to a term linear in the node's multiplicity.
+func (rs *Replicates) scale(vt *[32]float64, v float64) {
+	for k := 1; k <= int(rs.wMax); k++ {
+		vt[k] = v * float64(k)
 	}
 }
 
@@ -259,41 +291,37 @@ func (rs *Replicates) AddDraws(node, cat int32, weight, count, prev float64) {
 // node scale to count·c in replicate b. Like its core counterpart it is
 // linear in count and deg, so the accumulator's late-star backfill and
 // degree-retrofit calls replay here unchanged. Loops run neighbor-outer,
-// replicate-inner, so each neighbor's update walks one contiguous grid row.
+// replicate-inner, so each neighbor's update walks contiguous grid rows: its
+// nbrNum row and its within/pair target in the same pass.
 func (rs *Replicates) AddStar(node, cat int32, weight, count, deg float64, nbrCat []int32, nbrCnt []float64) {
-	rs.sparseWeights(node)
-	B := rs.cfg.B
-	t := count * deg / weight
-	for _, b := range rs.ones {
-		rs.degNum[b] += t
-	}
-	for j, b := range rs.big {
-		rs.degNum[b] += t * rs.bigVal[j]
-	}
-	var degNumA []float64
-	if cat != graph.None {
+	rs.weightRow(node)
+	w := rs.w
+	B := len(w)
+	var tt, vt [32]float64
+	rs.scale(&tt, count*deg/weight)
+	degNum := rs.degNum[:B]
+	if cat == graph.None {
+		for b, k := range w {
+			degNum[b] += tt[k&31]
+		}
+	} else {
 		rs.mark(cat)
 		off := int(cat) * B
-		degNumA = rs.degNumA[off : off+B]
-		for _, b := range rs.ones {
-			degNumA[b] += t
-		}
-		for j, b := range rs.big {
-			degNumA[b] += t * rs.bigVal[j]
+		degNumA := rs.degNumA[off : off+B]
+		for b, k := range w {
+			degNum[b] += tt[k&31]
+			degNumA[b] += tt[k&31]
 		}
 	}
 	for j, nb := range nbrCat {
-		v := count / weight * nbrCnt[j]
+		rs.scale(&vt, count/weight*nbrCnt[j])
 		rs.mark(nb)
 		noff := int(nb) * B
 		nbrNum := rs.nbrNum[noff : noff+B]
-		for _, b := range rs.ones {
-			nbrNum[b] += v
-		}
-		for jj, b := range rs.big {
-			nbrNum[b] += v * rs.bigVal[jj]
-		}
 		if cat == graph.None {
+			for b, k := range w {
+				nbrNum[b] += vt[k&31]
+			}
 			continue
 		}
 		var tgt []float64
@@ -303,11 +331,10 @@ func (rs *Replicates) AddStar(node, cat int32, weight, count, deg float64, nbrCa
 		} else {
 			tgt = rs.pairVec(cat, nb)
 		}
-		for _, b := range rs.ones {
-			tgt[b] += v
-		}
-		for jj, b := range rs.big {
-			tgt[b] += v * rs.bigVal[jj]
+		tgt = tgt[:B]
+		for b, k := range w {
+			nbrNum[b] += vt[k&31]
+			tgt[b] += vt[k&31]
 		}
 	}
 }
@@ -315,15 +342,16 @@ func (rs *Replicates) AddStar(node, cat int32, weight, count, deg float64, nbrCa
 // AddEdgeMass mirrors Sums.AddEdgeMass for an induced-scenario edge-mass
 // increment between nodes a and b: every primary increment is a product of
 // the two endpoint multiplicities' changes, so replicate r scales it by
-// c_a(r)·c_b(r) — nonzero only where BOTH endpoints resampled, so the sparse
-// iteration runs over endpoint a's nonzero replicates and hashes endpoint b's
-// weight only there. Pass the node whose record is being ingested as nodeA:
-// its weights stay cached across all of its incident edges.
+// c_a(r)·c_b(r) — nonzero only where BOTH endpoints resampled, so the
+// iteration runs over endpoint a's nonzero replicates and hashes endpoint
+// b's weight only there (classified inline as in weightRow). Pass the node
+// whose record is being ingested as nodeA: its row stays cached across all
+// of its incident edges.
 func (rs *Replicates) AddEdgeMass(nodeA, nodeB, catA, catB int32, mass float64) {
 	if catA == graph.None || catB == graph.None {
 		return
 	}
-	rs.sparseWeights(nodeA)
+	rs.weightRow(nodeA)
 	hb := nodeHash(rs.cfg.Seed, nodeB)
 	var tgt []float64
 	if catA == catB {
@@ -333,11 +361,16 @@ func (rs *Replicates) AddEdgeMass(nodeA, nodeB, catA, catB int32, mass float64) 
 	} else {
 		tgt = rs.pairVec(catA, catB)
 	}
-	for _, b := range rs.ones {
-		tgt[b] += mass * float64(poissonK(hb, int(b)))
-	}
-	for j, b := range rs.big {
-		tgt[b] += mass * rs.bigVal[j] * float64(poissonK(hb, int(b)))
+	w := rs.w
+	tgt = tgt[:len(w)]
+	t0, t1, t2, t3 := poissonThresh[0]-1, poissonThresh[1]-1, poissonThresh[2]-1, poissonThresh[3]
+	for _, b := range rs.nz {
+		x := mix64(hb+uint64(b)) >> 11
+		kb := (t0-x)>>63 + (t1-x)>>63 + (t2-x)>>63
+		if x >= t3 {
+			kb = poissonK(hb, int(b))
+		}
+		tgt[b] += mass * float64(w[b]) * float64(kb)
 	}
 }
 
@@ -394,8 +427,8 @@ func (rs *Replicates) Merge(o *Replicates) error {
 }
 
 // Reset zeroes the replicate statistics in place for reuse, keeping every
-// allocation (grids, pair vectors, the weight cache). Like Merge it walks
-// only the dirty category rows. The weight cache survives: Poisson weights
+// allocation (grids, pair vectors, the weight row). Like Merge it walks
+// only the dirty category rows. The weight row survives: Poisson weights
 // are pure functions of (Seed, node, replicate), so a cached node stays
 // valid across epochs.
 func (rs *Replicates) Reset() {
