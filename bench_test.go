@@ -735,6 +735,57 @@ func BenchmarkIngestDecode(b *testing.B) {
 	})
 }
 
+// BenchmarkIngestDecodeBodies mirrors the daemon's star-binary-ingest
+// traffic in process: 500-record TOPOREC1 bodies cut from one random walk
+// on the paper graph, each decoded into a reused Local and flushed — one
+// POST /ingest per op. Star data rides only on a node's first draw, and the
+// directory is warmed with every body first, so each timed body is mostly
+// distinct re-drawn nodes whose published entries are already star-seen:
+// the steady state of a long crawl, where the per-node directory work
+// dominates.
+func BenchmarkIngestDecodeBodies(b *testing.B) {
+	const batch, bodies = 500, 100
+	recs, _, g := streamBenchRecords(b, batch*bodies)
+	encoded := make([][]byte, 0, bodies)
+	for lo := 0; lo < len(recs); lo += batch {
+		body, err := wire.EncodeRecords(recs[lo : lo+batch])
+		if err != nil {
+			b.Fatal(err)
+		}
+		encoded = append(encoded, body)
+	}
+	ea, err := stream.NewEpochAccumulator(stream.Config{
+		K: g.NumCategories(), Star: true, N: float64(g.N()),
+	}, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	l := ea.NewLocal()
+	defer l.Close()
+	it := new(wire.RecordIter)
+	var rec sample.NodeObservation
+	ingest := func(body []byte) {
+		if err := it.Reset(body); err != nil {
+			b.Fatal(err)
+		}
+		for it.Next(&rec) {
+			if err := l.Ingest(rec); err != nil {
+				b.Fatal(err)
+			}
+		}
+		l.Flush()
+	}
+	for _, body := range encoded {
+		ingest(body)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ingest(encoded[i%len(encoded)])
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/record")
+}
+
 // TestBinaryDecodeToLocalZeroAlloc pins the acceptance bar of the TOPOREC1
 // fast path: once the iterator scratch, the Local's epoch table and the
 // shared directory have warmed up, decoding a full batch and ingesting

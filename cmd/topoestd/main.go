@@ -197,7 +197,9 @@
 // pre-validation failures (a record missing "cat"), which are detected
 // before anything is applied: there "ingested" is 0 while "index" points
 // at the offender. Malformed JSON is rejected whole with HTTP 400 and body
-// {"error":"…"} — nothing was applied and no record indices exist.
+// {"error":"…"} — nothing was applied and no record indices exist. A body
+// over the 64 MiB ingest cap is rejected whole with HTTP 413, naming the
+// cap.
 //
 // A retrying client MUST NOT resend the whole batch after a 422 — that
 // would double-ingest the applied prefix and silently skew the estimate.
@@ -998,13 +1000,38 @@ type wireRecord struct {
 	Peers  []int32   `json:"peers"`
 }
 
+// maxIngestBody caps one POST /ingest body; a larger body is a 413.
+const maxIngestBody = 64 << 20
+
+// maxPooledBody is the largest body buffer returned to ingestBodyPool, so
+// one oversized request cannot pin its buffer for the process lifetime.
+const maxPooledBody = 1 << 20
+
+// ingestBodyPool recycles request-body buffers across ingest requests.
+// Nothing reads a body past its request: JSON decoding copies, TOPOREC1
+// records decode into the iterator's scratch, and a pooled iterator is
+// Reset onto its next body before use.
+var ingestBodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 func (s *server) handleIngest(w http.ResponseWriter, r *http.Request, j *job.Job) {
 	t0 := time.Now()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
-	if err != nil {
+	buf := ingestBodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			ingestBodyPool.Put(buf)
+		}
+	}()
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxIngestBody)); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			httpError(w, http.StatusRequestEntityTooLarge, "ingest body exceeds the %d-byte limit", tooBig.Limit)
+			return
+		}
 		httpError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
+	body := buf.Bytes()
 	if isRecordsContentType(r.Header.Get("Content-Type")) {
 		s.handleIngestBinary(w, j, body, t0)
 		return

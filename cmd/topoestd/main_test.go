@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -89,6 +90,46 @@ func TestIngestSingleAndArray(t *testing.T) {
 	}
 	if w = get(t, srv, "/ingest"); w.Code != 405 {
 		t.Fatalf("GET /ingest: %d", w.Code)
+	}
+}
+
+// spaceReader yields an endless run of JSON whitespace.
+type spaceReader struct{}
+
+func (spaceReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestIngestOversizedBody posts one byte over the ingest body cap: the
+// answer is a 413 naming the cap, the daemon keeps serving (the next normal
+// ingest succeeds), and the oversized read buffer is not pooled.
+func TestIngestOversizedBody(t *testing.T) {
+	srv, acc := testServer(t, 3, true, 0)
+	req := httptest.NewRequest("POST", "/ingest", io.LimitReader(spaceReader{}, maxIngestBody+1))
+	w := httptest.NewRecorder()
+	srv.ServeHTTP(w, req)
+	if w.Code != http.StatusRequestEntityTooLarge || !strings.Contains(w.Body.String(), strconv.Itoa(maxIngestBody)) {
+		t.Fatalf("oversized body: %d %s, want 413 naming the %d-byte cap", w.Code, w.Body, maxIngestBody)
+	}
+	if w := post(t, srv, "/ingest", `{"node":1,"cat":0,"deg":2,"nbr_cat":[1],"nbr_cnt":[2]}`); w.Code != 200 {
+		t.Fatalf("ingest after the oversized body: %d %s", w.Code, w.Body)
+	}
+	if acc.Draws() != 1 {
+		t.Fatalf("draws = %d, want 1", acc.Draws())
+	}
+	// Drain the pool (a fresh buffer means it is empty): nothing over the
+	// pooling cap may have gone back.
+	for i := 0; i < 64; i++ {
+		buf := ingestBodyPool.Get().(*bytes.Buffer)
+		if buf.Cap() > maxPooledBody {
+			t.Fatalf("a %d-byte body buffer went back to the pool (cap %d)", buf.Cap(), maxPooledBody)
+		}
+		if buf.Cap() == 0 {
+			break
+		}
 	}
 }
 

@@ -31,12 +31,17 @@ func (s *Sums) CopyFrom(src *Sums) error {
 }
 
 // CopyFrom overwrites p with the pairs of o. The scalar pair table is the
-// cheap part of a sums copy (at most K(K−1)/2 entries, no replicate factor);
-// existing map storage is reused.
+// cheap part of a sums copy (at most K(K−1)/2 entries, no replicate factor):
+// both flat slices are copied slot for slot, reusing p's storage when it is
+// large enough.
 func (p *PairWeights) CopyFrom(o *PairWeights) {
-	clear(p.m)
-	for k, w := range o.m {
-		p.m[k] = w
+	if cap(p.keys) < len(o.keys) {
+		p.keys = make([]uint64, len(o.keys))
+		p.vals = make([]float64, len(o.keys))
 	}
-	p.K = o.K
+	p.keys = p.keys[:len(o.keys)]
+	p.vals = p.vals[:len(o.keys)]
+	copy(p.keys, o.keys)
+	copy(p.vals, o.vals)
+	p.n, p.shift, p.K = o.n, o.shift, o.K
 }

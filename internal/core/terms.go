@@ -112,15 +112,17 @@ func (s *Sums) AddStar(cat int32, weight, count, deg float64, nbrCat []int32, nb
 	if cat != graph.None {
 		s.DegNumA[cat] += t
 	}
+	r := count / weight
 	for j, b := range nbrCat {
-		s.NbrNum[b] += count / weight * nbrCnt[j]
+		x := r * nbrCnt[j]
+		s.NbrNum[b] += x
 		if cat == graph.None {
 			continue
 		}
 		if b == cat {
-			s.WithinNum[cat] += count / weight * nbrCnt[j]
+			s.WithinNum[cat] += x
 		} else {
-			s.PairNum.Add(cat, b, count/weight*nbrCnt[j])
+			s.PairNum.Add(cat, b, x)
 		}
 	}
 }

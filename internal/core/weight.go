@@ -2,20 +2,34 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/sample"
 )
 
 // PairWeights holds estimated (or exact) category-graph edge weights for
 // unordered category pairs {A,B}, A ≠ B. Missing pairs weigh 0.
+//
+// The table is flat, not a Go map: open addressing with linear probing over
+// power-of-two parallel key/value slices, a multiplicative hash of the
+// packed pair key, and at most 3/4 load. A star flush adds a handful of pair
+// numerators per node it credits, so the probe is on the ingest path; Reset
+// and CopyFrom keep the storage and move only flat memory.
 type PairWeights struct {
-	K int
-	m map[uint64]float64
+	K     int
+	keys  []uint64 // pairEmpty marks a free slot
+	vals  []float64
+	n     int
+	shift uint8 // 64 − log2(len(keys))
 }
+
+// pairEmpty marks a free slot. pairKey yields it only for a = b = −1,
+// which is not a category pair.
+const pairEmpty = ^uint64(0)
 
 // NewPairWeights returns an empty weight table over k categories.
 func NewPairWeights(k int) *PairWeights {
-	return &PairWeights{K: k, m: make(map[uint64]float64)}
+	return &PairWeights{K: k}
 }
 
 func pairKey(a, b int32) uint64 {
@@ -25,21 +39,93 @@ func pairKey(a, b int32) uint64 {
 	return uint64(uint32(a))<<32 | uint64(uint32(b))
 }
 
+// slot returns the index holding key, or the free slot where it belongs.
+// The table must be allocated.
+func (p *PairWeights) slot(key uint64) int {
+	mask := len(p.keys) - 1
+	i := int((key * 0x9e3779b97f4a7c15) >> p.shift)
+	for p.keys[i] != key && p.keys[i] != pairEmpty {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// ref returns a pointer to key's value, inserting it with value 0 when
+// absent.
+func (p *PairWeights) ref(key uint64) *float64 {
+	if p.n > 0 {
+		if i := p.slot(key); p.keys[i] == key && key != pairEmpty {
+			return &p.vals[i]
+		}
+	}
+	return p.insert(key)
+}
+
+// insert adds key with value 0 (growing the table past 3/4 load) and
+// returns a pointer to its value. key must be absent.
+func (p *PairWeights) insert(key uint64) *float64 {
+	if key == pairEmpty {
+		panic("core: pair (-1,-1) is not a category pair")
+	}
+	if 4*(p.n+1) > 3*len(p.keys) {
+		p.grow()
+	}
+	i := p.slot(key)
+	p.keys[i], p.vals[i] = key, 0
+	p.n++
+	return &p.vals[i]
+}
+
+// grow doubles the table (8 slots at first use) and reinserts every pair.
+func (p *PairWeights) grow() {
+	keys, vals := p.keys, p.vals
+	size := max(8, 2*len(keys))
+	p.keys = make([]uint64, size)
+	for i := range p.keys {
+		p.keys[i] = pairEmpty
+	}
+	p.vals = make([]float64, size)
+	p.shift = uint8(64 - bits.TrailingZeros(uint(size)))
+	for i, k := range keys {
+		if k != pairEmpty {
+			j := p.slot(k)
+			p.keys[j], p.vals[j] = k, vals[i]
+		}
+	}
+}
+
 // Get returns w(a,b) (0 when the pair was never observed).
-func (p *PairWeights) Get(a, b int32) float64 { return p.m[pairKey(a, b)] }
+func (p *PairWeights) Get(a, b int32) float64 {
+	key := pairKey(a, b)
+	if p.n == 0 || key == pairEmpty {
+		return 0
+	}
+	if i := p.slot(key); p.keys[i] == key {
+		return p.vals[i]
+	}
+	return 0
+}
 
 // Set stores w(a,b).
-func (p *PairWeights) Set(a, b int32, w float64) { p.m[pairKey(a, b)] = w }
+func (p *PairWeights) Set(a, b int32, w float64) { *p.ref(pairKey(a, b)) = w }
 
 // Add accumulates into w(a,b).
-func (p *PairWeights) Add(a, b int32, w float64) { p.m[pairKey(a, b)] += w }
+func (p *PairWeights) Add(a, b int32, w float64) { *p.ref(pairKey(a, b)) += w }
 
 // Len returns the number of stored pairs.
-func (p *PairWeights) Len() int { return len(p.m) }
+func (p *PairWeights) Len() int { return p.n }
 
-// Reset removes every stored pair, keeping the map's storage for reuse
+// Reset removes every stored pair, keeping the table's storage for reuse
 // (the pair-table half of Sums.Reset).
-func (p *PairWeights) Reset() { clear(p.m) }
+func (p *PairWeights) Reset() {
+	if p.n == 0 {
+		return
+	}
+	for i := range p.keys {
+		p.keys[i] = pairEmpty
+	}
+	p.n = 0
+}
 
 // Merge adds every pair of o into p entrywise: p(a,b) += o(a,b). It is the
 // pair-table half of Sums.Merge — when both tables hold Hansen–Hurwitz pair
@@ -52,16 +138,20 @@ func (p *PairWeights) Merge(o *PairWeights) error {
 	if p.K != o.K {
 		return fmt.Errorf("core: cannot merge pair weights over %d categories into %d", o.K, p.K)
 	}
-	for k, w := range o.m {
-		p.m[k] += w
+	for i, k := range o.keys {
+		if k != pairEmpty {
+			*p.ref(k) += o.vals[i]
+		}
 	}
 	return nil
 }
 
-// ForEach visits every stored pair (a < b) with its weight.
+// ForEach visits every stored pair (a < b) with its weight, in table order.
 func (p *PairWeights) ForEach(fn func(a, b int32, w float64)) {
-	for k, w := range p.m {
-		fn(int32(k>>32), int32(k&0xffffffff), w)
+	for i, k := range p.keys {
+		if k != pairEmpty {
+			fn(int32(k>>32), int32(k&0xffffffff), p.vals[i])
+		}
 	}
 }
 

@@ -22,16 +22,23 @@ import (
 // cross-core cache-line traffic on the shard locks and counters cost more
 // than the partition saved. This design removes shared state from the
 // per-record path entirely. Each writer owns a Local that records draws
-// into private, writer-owned memory; a Flush (every FlushEvery records, at
-// a crawl round barrier, or at the end of an HTTP batch) folds the epoch
-// into the published view in two short phases:
+// into private, writer-owned memory; the directory is resolved once per
+// DISTINCT node per epoch — at the node's first touch, one striped map
+// lookup whose entry pointer the epoch keeps (entries are insert-only and
+// their constants immutable, so the pointer and its category/weight stay
+// valid). A Flush (every FlushEvery records, at a crawl round barrier, or
+// at the end of an HTTP batch) folds the epoch into the published view in
+// two short phases:
 //
-//  1. Per node, under a striped lock on the shared node directory: validate
-//     the node's constants (category, weight) against the directory,
-//     reserve the node's draw interval [m, m+c) by advancing its published
-//     multiplicity, and reconcile star data both ways (late-star backfill,
-//     degree retrofit). Stripes are padded to a cache line and touched once
-//     per DISTINCT node per epoch, not once per record.
+//  1. Per node, under a striped lock on the shared node directory: reserve
+//     the node's draw interval [m, m+c) by advancing its published
+//     multiplicity through the kept pointer. Only a node that was absent at
+//     first touch is looked up again, and its constants (category, weight)
+//     checked against whatever a racing writer inserted. Star data is
+//     reconciled (late-star backfill, degree retrofit) only when the epoch
+//     carried star data of its own that adds to the directory's view;
+//     otherwise the epoch's draws are credited with the directory's current
+//     view. Stripes are padded to a cache line.
 //  2. Under the accumulator's single mutex: merge the epoch's core.Sums and
 //     bootstrap replicates (core.Sums.Merge / uncert.Replicates.Merge) and
 //     the collision scalars, then advance Gen by the number of applied
@@ -70,19 +77,29 @@ const epochStripes = 64
 // epoch's node map cache-resident.
 const defaultFlushEvery = 1024
 
+// starData is one node's reconciled star data: its (possibly counts-derived)
+// degree and canonical neighbor-category counts. seen marks that any star
+// data arrived at all.
+type starData struct {
+	seen   bool
+	deg    float64
+	nbrCat []int32
+	nbrCnt []float64
+}
+
 // sharedNode is the published per-node state in the accumulator's striped
 // directory: the per-node constants every epoch must agree on, the flushed
-// multiplicity, and the reconciled star data. Slices are replaced, never
-// mutated in place, so a reference read under the stripe lock stays valid
-// after release.
+// multiplicity, and the reconciled star data. Entries are insert-only and
+// cat/weight never change after insert, so a *sharedNode taken under the
+// stripe lock stays valid — and its constants readable without the lock —
+// for the accumulator's lifetime. mult and star change under the stripe
+// lock; star's slices are replaced, never mutated in place, so a reference
+// read under the lock stays valid after release.
 type sharedNode struct {
-	mult     float64
-	weight   float64
-	cat      int32
-	starSeen bool
-	deg      float64
-	nbrCat   []int32
-	nbrCnt   []float64
+	mult   float64
+	weight float64
+	cat    int32
+	star   starData
 }
 
 // nodeStripe is one lock-striped slice of the node directory, padded so
@@ -296,24 +313,27 @@ func (ea *EpochAccumulator) Snapshot() (*Snapshot, error) {
 }
 
 // localNode is one node's epoch-private state: the draw count of this
-// epoch, the node's constants (snapshotted from the shared directory at
-// first touch, or fixed by the epoch's first record), and the epoch's
-// merged star view. nbrCat/nbrCnt reuse their backing arrays across epochs.
+// epoch, the node's constants (from the directory entry at first touch, or
+// fixed by the epoch's first record), and the directory entry itself when
+// the node was already published at first touch (sh; nil otherwise — Flush
+// then looks it up once more, since a racing writer may have inserted it).
+// own holds star data the epoch ADDS to the directory's view (late star
+// data, a degree upgrade, adopted counts); when own.seen is false the
+// epoch's draws agree with the directory and are credited with its view at
+// flush. own's slices reuse their backing arrays across epochs.
 type localNode struct {
-	node        int32
-	cat         int32
-	count       float64
-	weight      float64
-	sharedKnown bool
-	starSeen    bool
-	deg         float64
-	nbrCat      []int32
-	nbrCnt      []float64
+	node   int32
+	cat    int32
+	count  float64
+	weight float64
+	sh     *sharedNode
+	own    starData
 }
 
 // Local is a writer-private accumulator over one EpochAccumulator: Ingest
 // touches only writer-owned memory (plus one striped directory read per
-// distinct node per epoch), and Flush publishes the epoch. A Local is NOT
+// distinct node per epoch, and one per re-draw carrying star data the epoch
+// does not own yet), and Flush publishes the epoch. A Local is NOT
 // safe for concurrent use — it is the "one per walker / one per connection"
 // half of the design; concurrency lives across Locals, not within one.
 // Flush and the accumulator's snapshots may race freely with other Locals.
@@ -403,33 +423,32 @@ func (l *Local) Close() (applied, dropped int) {
 	return applied, dropped
 }
 
-// lookupShared snapshots a node's published constants (ok=false when the
-// node is not in the directory yet). The snapshot is returned by value —
-// not as a fresh heap copy, which would cost one allocation per distinct
-// node per epoch on the ingest hot path — and its slices are safe to
-// reference after the stripe lock is released: directory slices are
-// replaced, never mutated.
-func (ea *EpochAccumulator) lookupShared(node int32) (sharedNode, bool) {
+// resolve returns node's directory entry — sh when the epoch already holds
+// it, else a map lookup (nil when the node is unpublished) — and the
+// entry's current star view, under one stripe lock. The view's slices stay
+// valid after release (replace-not-mutate).
+func (ea *EpochAccumulator) resolve(node int32, sh *sharedNode) (*sharedNode, starData) {
 	st := ea.stripeFor(node)
 	st.mu.Lock()
-	sh := st.nodes[node]
 	if sh == nil {
-		st.mu.Unlock()
-		return sharedNode{}, false
+		sh = st.nodes[node]
 	}
-	cp := *sh
+	var view starData
+	if sh != nil {
+		view = sh.star
+	}
 	st.mu.Unlock()
-	return cp, true
+	return sh, view
 }
 
 // Ingest folds one node observation into the epoch. Validation matches the
 // single-lock accumulator record for record — invalid categories, weights
 // and star fields, scenario mismatches, and conflicts with the node's
 // constants as known to this epoch (its own earlier records, or the
-// published directory at the node's first touch) are rejected without
-// changing any state. Conflicts created by writers racing AFTER the first
-// touch surface at Flush instead (the epoch's draws of that node are
-// dropped and counted); see IngestBatch on the EpochAccumulator.
+// published directory) are rejected without changing any state. Conflicts
+// created by writers racing with this epoch surface at Flush instead (the
+// epoch's draws of that node are dropped and counted); see IngestBatch on
+// the EpochAccumulator.
 func (l *Local) Ingest(rec sample.NodeObservation) error {
 	cfg := &l.ea.cfg
 	if rec.Cat != graph.None && (rec.Cat < 0 || int(rec.Cat) >= cfg.K) {
@@ -445,25 +464,31 @@ func (l *Local) Ingest(rec sample.NodeObservation) error {
 	if w == 0 {
 		w = 1
 	}
+	carries := len(rec.NbrCat) > 0 || len(rec.NbrCnt) > 0 || rec.Deg != 0
+	// The node's constants and star view as this epoch knows them: its
+	// earlier records (own star data first), else the directory entry. The
+	// directory is consulted at most once per record, and not at all for a
+	// re-drawn node whose record carries no star data.
 	var ln *localNode
-	var shared sharedNode
-	var sharedOK bool
+	var sh *sharedNode
+	var view starData
 	if idx, known := l.epoch[rec.Node]; known {
 		ln = &l.nodes[idx]
+		sh, view = ln.sh, ln.own
+		if carries && !view.seen && sh != nil {
+			_, view = l.ea.resolve(rec.Node, sh)
+		}
 	} else {
-		shared, sharedOK = l.ea.lookupShared(rec.Node)
+		sh, view = l.ea.resolve(rec.Node, nil)
 	}
-	// The node's constants as this epoch knows them: from its earlier
-	// records, or from the directory snapshot just taken.
 	knownCat, knownWeight := rec.Cat, w
-	constrained := false
 	switch {
 	case ln != nil:
-		knownCat, knownWeight, constrained = ln.cat, ln.weight, true
-	case sharedOK:
-		knownCat, knownWeight, constrained = shared.cat, shared.weight, true
+		knownCat, knownWeight = ln.cat, ln.weight
+	case sh != nil:
+		knownCat, knownWeight = sh.cat, sh.weight
 	}
-	if constrained {
+	if ln != nil || sh != nil {
 		if rec.Cat != knownCat {
 			return reject("redraw_conflict", "stream: node %d re-drawn with category %d, conflicting with its first observation (category %d)", rec.Node, rec.Cat, knownCat)
 		}
@@ -471,39 +496,24 @@ func (l *Local) Ingest(rec sample.NodeObservation) error {
 			return reject("redraw_conflict", "stream: node %d re-drawn with sampling weight %g, conflicting with its first observation (weight %g)", rec.Node, w, knownWeight)
 		}
 	}
-	// Star data: validate and reconcile against the epoch's merged view
-	// BEFORE mutating anything, so a rejected record leaves the epoch
-	// unchanged.
-	carries := len(rec.NbrCat) > 0 || len(rec.NbrCnt) > 0 || rec.Deg != 0
-	var newDeg float64
-	var newCat []int32
-	var newCnt []float64
-	upgrade := false
+	// Star data: validate and reconcile against the view BEFORE mutating
+	// anything, so a rejected record leaves the epoch unchanged.
+	var upgrade starData
 	if carries {
 		if err := sample.ValidateStarFields(cfg.K, rec); err != nil {
 			return reject("bad_star", "stream: %w", err)
 		}
 		cat, cnt := sample.CanonicalStarCounts(rec.NbrCat, rec.NbrCnt)
-		viewSeen := (ln != nil && ln.starSeen) || (ln == nil && sharedOK && shared.starSeen)
-		if viewSeen {
-			var vDeg float64
-			var vCat []int32
-			var vCnt []float64
-			if ln != nil {
-				vDeg, vCat, vCnt = ln.deg, ln.nbrCat, ln.nbrCnt
-			} else {
-				vDeg, vCat, vCnt = shared.deg, shared.nbrCat, shared.nbrCnt
-			}
-			d, ct, cn, err := sample.ReconcileStarData(rec.Node, rec.Deg, cat, cnt, vDeg, vCat, vCnt)
+		if view.seen {
+			d, ct, cn, err := sample.ReconcileStarData(rec.Node, rec.Deg, cat, cnt, view.deg, view.nbrCat, view.nbrCnt)
 			if err != nil {
 				return reject("star_conflict", "stream: %w", err)
 			}
-			if d != vDeg || len(ct) != len(vCat) {
-				newDeg, newCat, newCnt, upgrade = d, ct, cn, true
+			if d != view.deg || len(ct) != len(view.nbrCat) {
+				upgrade = starData{seen: true, deg: d, nbrCat: ct, nbrCnt: cn}
 			}
 		} else {
-			newDeg = sample.EffectiveStarDegree(rec.Deg, cnt)
-			newCat, newCnt, upgrade = cat, cnt, true
+			upgrade = starData{seen: true, deg: sample.EffectiveStarDegree(rec.Deg, cnt), nbrCat: cat, nbrCnt: cnt}
 		}
 	}
 	// All checks passed: mutate the epoch.
@@ -515,27 +525,16 @@ func (l *Local) Ingest(rec sample.NodeObservation) error {
 			l.nodes = append(l.nodes, localNode{})
 		}
 		ln = &l.nodes[n]
-		ln.node, ln.cat, ln.weight = rec.Node, knownCat, knownWeight
+		ln.node, ln.cat, ln.weight, ln.sh = rec.Node, knownCat, knownWeight, sh
 		ln.count = 0
-		ln.sharedKnown = sharedOK
-		ln.starSeen = false
-		if sharedOK && shared.starSeen {
-			ln.starSeen = true
-			ln.deg = shared.deg
-			ln.nbrCat = append(ln.nbrCat[:0], shared.nbrCat...)
-			ln.nbrCnt = append(ln.nbrCnt[:0], shared.nbrCnt...)
-		} else {
-			ln.deg = 0
-			ln.nbrCat = ln.nbrCat[:0]
-			ln.nbrCnt = ln.nbrCnt[:0]
-		}
+		ln.own.seen = false
 		l.epoch[rec.Node] = int32(n)
 	}
-	if upgrade {
-		ln.starSeen = true
-		ln.deg = newDeg
-		ln.nbrCat = append(ln.nbrCat[:0], newCat...)
-		ln.nbrCnt = append(ln.nbrCnt[:0], newCnt...)
+	if upgrade.seen {
+		ln.own.seen = true
+		ln.own.deg = upgrade.deg
+		ln.own.nbrCat = append(ln.own.nbrCat[:0], upgrade.nbrCat...)
+		ln.own.nbrCnt = append(ln.own.nbrCnt[:0], upgrade.nbrCnt...)
 	}
 	ln.count++
 	l.recs++
@@ -551,9 +550,9 @@ func (l *Local) Ingest(rec sample.NodeObservation) error {
 // statistics against the reserved intervals in writer-private memory, and
 // merges them into the published view under one short critical section
 // (phase 2). It returns how many records were applied and how many were
-// dropped because their node's constants lost a first-writer race since the
-// epoch validated them (counted under reason "flush_conflict"). Flushing an
-// empty epoch is a cheap no-op.
+// dropped because their node's constants or star data lost a first-writer
+// race since the epoch validated them (counted under reason
+// "flush_conflict"). Flushing an empty epoch is a cheap no-op.
 func (l *Local) Flush() (applied, dropped int) {
 	if l.recs == 0 {
 		return 0, 0
@@ -565,87 +564,59 @@ func (l *Local) Flush() (applied, dropped int) {
 	for i := range l.nodes {
 		ln := &l.nodes[i]
 		c := ln.count
-		st := ea.stripeFor(ln.node)
 
-		// Phase 1 for this node: validate, reserve [m, m+c), reconcile
-		// star data. Slices referenced out of the directory stay valid
-		// after unlock (replace-not-mutate discipline).
-		var m float64
-		var viewSeen bool
-		var viewDeg float64
-		var viewCat []int32
-		var viewCnt []float64
-		var retroDeg float64
-		var retroCat []int32
-		var retroCnt []float64
+		// Phase 1 for this node: reserve [m, m+c) and, when the epoch
+		// brought its own star data, reconcile it into the directory.
+		// retro is the upgrade owed to the m earlier draws; view is the
+		// star data the epoch's c draws are credited with.
+		var retro starData
+		st := ea.stripeFor(ln.node)
 		st.mu.Lock()
-		sh, ok := st.nodes[ln.node]
-		if !ok {
-			sh = &sharedNode{mult: c, weight: ln.weight, cat: ln.cat}
-			if ln.starSeen {
-				sh.starSeen = true
-				sh.deg = ln.deg
-				sh.nbrCat = append([]int32(nil), ln.nbrCat...)
-				sh.nbrCnt = append([]float64(nil), ln.nbrCnt...)
-			}
-			st.nodes[ln.node] = sh
-			ea.distinct.Add(1)
-			viewSeen, viewDeg, viewCat, viewCnt = sh.starSeen, sh.deg, sh.nbrCat, sh.nbrCnt
-			st.mu.Unlock()
-		} else {
-			if ln.cat != sh.cat || ln.weight != sh.weight {
+		sh := ln.sh
+		if sh == nil {
+			// Unpublished at first touch: insert, or check the constants
+			// a racing writer published in the meantime.
+			if sh = st.nodes[ln.node]; sh == nil {
+				sh = &sharedNode{weight: ln.weight, cat: ln.cat}
+				st.nodes[ln.node] = sh
+				ea.distinct.Add(1)
+			} else if ln.cat != sh.cat || ln.weight != sh.weight {
 				st.mu.Unlock()
 				dropped += int(c)
 				mRejected.With("flush_conflict").Add(int64(c))
 				continue
 			}
-			m = sh.mult
-			conflict := false
-			switch {
-			case ln.starSeen && sh.starSeen:
-				d, ct, cn, err := sample.ReconcileStarData(ln.node, ln.deg, ln.nbrCat, ln.nbrCnt, sh.deg, sh.nbrCat, sh.nbrCnt)
-				if err != nil {
-					conflict = true
-					break
-				}
-				if d != sh.deg || len(ct) != len(sh.nbrCat) {
-					// Retrofit the directory's m earlier draws with the
-					// upgraded information: the degree delta, plus the
-					// adopted counts when the stored list grew.
-					retroDeg = d - sh.deg
-					if len(ct) != len(sh.nbrCat) {
-						retroCat, retroCnt = ct, cn
-					}
-					sh.deg = d
-					sh.nbrCat = append([]int32(nil), ct...)
-					sh.nbrCnt = append([]float64(nil), cn...)
-				}
-				viewSeen, viewDeg, viewCat, viewCnt = true, sh.deg, sh.nbrCat, sh.nbrCnt
-			case ln.starSeen && !sh.starSeen:
-				// Late-star backfill across epochs: the directory's m
-				// draws contributed zero star mass; credit them with the
-				// epoch's star data.
-				sh.starSeen = true
-				sh.deg = ln.deg
-				sh.nbrCat = append([]int32(nil), ln.nbrCat...)
-				sh.nbrCnt = append([]float64(nil), ln.nbrCnt...)
-				retroDeg = sh.deg
-				retroCat, retroCnt = sh.nbrCat, sh.nbrCnt
-				viewSeen, viewDeg, viewCat, viewCnt = true, sh.deg, sh.nbrCat, sh.nbrCnt
-			case !ln.starSeen && sh.starSeen:
-				// The epoch's draws carried no star data but the
-				// directory has it: credit them with the published view.
-				viewSeen, viewDeg, viewCat, viewCnt = true, sh.deg, sh.nbrCat, sh.nbrCnt
-			}
-			if conflict {
-				st.mu.Unlock()
-				dropped += int(c)
-				mRejected.With("flush_conflict").Add(int64(c))
-				continue
-			}
-			sh.mult += c
-			st.mu.Unlock()
 		}
+		m := sh.mult
+		if own := &ln.own; own.seen {
+			old := sh.star
+			d, ct, cn := own.deg, own.nbrCat, own.nbrCnt
+			if old.seen {
+				var err error
+				d, ct, cn, err = sample.ReconcileStarData(ln.node, d, ct, cn, old.deg, old.nbrCat, old.nbrCnt)
+				if err != nil {
+					st.mu.Unlock()
+					dropped += int(c)
+					mRejected.With("flush_conflict").Add(int64(c))
+					continue
+				}
+			}
+			if !old.seen || d != old.deg || len(ct) != len(old.nbrCat) {
+				// Late-star backfill or retrofit: credit the m earlier
+				// draws with the degree delta, plus the adopted counts
+				// when the stored list grew.
+				retro.deg = d - old.deg
+				if len(ct) != len(old.nbrCat) {
+					retro.nbrCat, retro.nbrCnt = ct, cn
+				}
+				sh.star = starData{seen: true, deg: d,
+					nbrCat: append([]int32(nil), ct...),
+					nbrCnt: append([]float64(nil), cn...)}
+			}
+		}
+		view := sh.star
+		sh.mult += c
+		st.mu.Unlock()
 
 		// Batched epoch math against the reserved interval, in private
 		// memory — the nonlinear statistics telescope exactly from prev=m
@@ -658,16 +629,16 @@ func (l *Local) Flush() (applied, dropped int) {
 		if l.reps != nil {
 			l.reps.AddDraws(ln.node, cat, w, c, m)
 		}
-		if viewSeen {
-			l.sums.AddStar(cat, w, c, viewDeg, viewCat, viewCnt)
+		if view.seen {
+			l.sums.AddStar(cat, w, c, view.deg, view.nbrCat, view.nbrCnt)
 			if l.reps != nil {
-				l.reps.AddStar(ln.node, cat, w, c, viewDeg, viewCat, viewCnt)
+				l.reps.AddStar(ln.node, cat, w, c, view.deg, view.nbrCat, view.nbrCnt)
 			}
 		}
-		if m > 0 && (retroDeg != 0 || retroCat != nil) {
-			l.sums.AddStar(cat, w, m, retroDeg, retroCat, retroCnt)
+		if m > 0 && (retro.deg != 0 || retro.nbrCat != nil) {
+			l.sums.AddStar(cat, w, m, retro.deg, retro.nbrCat, retro.nbrCnt)
 			if l.reps != nil {
-				l.reps.AddStar(ln.node, cat, w, m, retroDeg, retroCat, retroCnt)
+				l.reps.AddStar(ln.node, cat, w, m, retro.deg, retro.nbrCat, retro.nbrCnt)
 			}
 		}
 		applied += int(c)

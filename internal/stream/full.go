@@ -118,9 +118,9 @@ func (ea *EpochAccumulator) ExportFull() (*FullState, error) {
 		for id, sh := range stp.nodes {
 			nodes = append(nodes, NodeRecord{
 				Node: id, Cat: sh.cat, Mult: sh.mult, Weight: sh.weight,
-				StarSeen: sh.starSeen, Deg: sh.deg,
-				NbrCat: append([]int32(nil), sh.nbrCat...),
-				NbrCnt: append([]float64(nil), sh.nbrCnt...),
+				StarSeen: sh.star.seen, Deg: sh.star.deg,
+				NbrCat: append([]int32(nil), sh.star.nbrCat...),
+				NbrCnt: append([]float64(nil), sh.star.nbrCnt...),
 			})
 		}
 		stp.mu.Unlock()
@@ -253,9 +253,9 @@ func RestoreEpochAccumulator(cfg Config, flushEvery int, fs *FullState) (*EpochA
 		}
 		stp.nodes[nr.Node] = &sharedNode{
 			mult: nr.Mult, weight: nr.Weight, cat: nr.Cat,
-			starSeen: nr.StarSeen, deg: nr.Deg,
-			nbrCat: append([]int32(nil), nr.NbrCat...),
-			nbrCnt: append([]float64(nil), nr.NbrCnt...),
+			star: starData{seen: nr.StarSeen, deg: nr.Deg,
+				nbrCat: append([]int32(nil), nr.NbrCat...),
+				nbrCnt: append([]float64(nil), nr.NbrCnt...)},
 		}
 	}
 	ea.distinct.Store(int64(len(fs.Nodes)))
