@@ -908,6 +908,19 @@ func TestSnapshotFreshAfterAckedIngest(t *testing.T) {
 // started via POST /crawl runs against the server's graph, streams into the
 // server's accumulator, reports live CI widths on GET /crawl/status, stops
 // on its size target, and rejects a second concurrent start with 409.
+// gatedSource is a graph.Source whose Neighbors blocks until gate is
+// closed: a crawl over it cannot step, let alone finish, while the test
+// holds the gate.
+type gatedSource struct {
+	graph.Source
+	gate chan struct{}
+}
+
+func (s gatedSource) Neighbors(v int32) []int32 {
+	<-s.gate
+	return s.Source.Neighbors(v)
+}
+
 func TestCrawlEndpoints(t *testing.T) {
 	g := mustDemoGraph(t)
 	N := float64(g.N())
@@ -919,7 +932,10 @@ func TestCrawlEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := newServer(acc, g.CategoryNames())
-	srv.crawlSource = g
+	// The gate holds every walker at its first step until the test has
+	// asserted the 409 below, so the first job cannot finish meanwhile.
+	gate := make(chan struct{})
+	srv.crawlSource = gatedSource{Source: g, gate: gate}
 	srv.crawlDefaults = crawl.Config{
 		Walkers: 2, Sampler: crawl.SamplerRW, Star: true, N: N,
 		Bootstrap: uncert.Config{B: 60, Seed: 3},
@@ -945,14 +961,15 @@ func TestCrawlEndpoints(t *testing.T) {
 	if w.Code != http.StatusAccepted {
 		t.Fatalf("POST /crawl: %d %s", w.Code, w.Body)
 	}
-	// A second start while the job runs is a 409 — or the job already
-	// finished, in which case a restart is legitimate; only assert the 409
-	// when the job reports running.
+	// A second start while the job runs is a 409.
 	mustDecode(t, get(t, srv, "/crawl/status").Body.Bytes(), &st)
-	if st.State == "running" {
-		if w := post(t, srv, "/crawl", "{}"); w.Code != http.StatusConflict {
-			t.Fatalf("concurrent POST /crawl: %d, want 409", w.Code)
-		}
+	w = post(t, srv, "/crawl", "{}")
+	close(gate)
+	if st.State != "running" {
+		t.Fatalf("state = %q while the gate holds the walkers", st.State)
+	}
+	if w.Code != http.StatusConflict {
+		t.Fatalf("concurrent POST /crawl: %d, want 409", w.Code)
 	}
 	// Wait for completion via the job handle (the HTTP surface is polled).
 	job := srv.def.Crawl()

@@ -142,18 +142,10 @@ type EpochAccumulator struct {
 	// directory reservation whose sums merge is still mid-flight.
 	flushGate sync.RWMutex
 
-	// mu guards the published view: the merged sums and replicates, the
-	// collision scalars, and the convergence baseline.
-	mu         sync.Mutex
-	sums       *core.Sums
-	reps       *uncert.Replicates
-	psi1       float64
-	psiInv     float64
-	collisions float64
-	lastSizes  []float64
-	lastW      *core.PairWeights
-	lastDraws  float64
-	seq        int64
+	// view is the published state: the merged sums and replicates, the
+	// collision scalars, and the convergence baseline (Local.Flush phase 2
+	// merges into it under view.mu).
+	view
 
 	// pool recycles the internal Locals behind Ingest/IngestBatch so the
 	// compatibility path does not allocate an epoch (sums + replicate
@@ -167,11 +159,9 @@ type EpochAccumulator struct {
 // 1024): larger epochs amortize the merge further, smaller ones publish
 // sooner.
 func NewEpochAccumulator(cfg Config, flushEvery int) (*EpochAccumulator, error) {
-	if cfg.K < 1 {
-		return nil, fmt.Errorf("stream: config needs K ≥ 1 categories, got %d", cfg.K)
-	}
-	if cfg.Replicates.B < 0 {
-		return nil, fmt.Errorf("stream: config needs ≥ 0 bootstrap replicates, got %d", cfg.Replicates.B)
+	ea := &EpochAccumulator{cfg: cfg, flushEvery: flushEvery}
+	if err := ea.init(cfg); err != nil {
+		return nil, err
 	}
 	if !cfg.Star {
 		return nil, fmt.Errorf("stream: epoch-merged ingest requires the star scenario (induced edge masses couple nodes across epochs); use the single-lock Accumulator for induced streams")
@@ -180,19 +170,7 @@ func NewEpochAccumulator(cfg Config, flushEvery int) (*EpochAccumulator, error) 
 		return nil, fmt.Errorf("stream: need flushEvery ≥ 0, got %d", flushEvery)
 	}
 	if flushEvery == 0 {
-		flushEvery = defaultFlushEvery
-	}
-	ea := &EpochAccumulator{
-		cfg:        cfg,
-		flushEvery: flushEvery,
-		sums:       core.NewSums(cfg.K, true),
-	}
-	if cfg.Replicates.Enabled() {
-		reps, err := uncert.NewReplicates(cfg.K, true, cfg.Replicates)
-		if err != nil {
-			return nil, err
-		}
-		ea.reps = reps
+		ea.flushEvery = defaultFlushEvery
 	}
 	for i := range ea.stripes {
 		ea.stripes[i].nodes = make(map[int32]*sharedNode)
@@ -279,37 +257,7 @@ func (ea *EpochAccumulator) IngestBatch(recs []sample.NodeObservation) (int, err
 // O(K² + pairs). It sees exactly the flushed epochs — see the
 // flush-visibility contract.
 func (ea *EpochAccumulator) Snapshot() (*Snapshot, error) {
-	defer mSnapshotSec.ObserveSince(time.Now())
-	ea.mu.Lock()
-	defer ea.mu.Unlock()
-	if ea.sums.Draws == 0 {
-		return nil, fmt.Errorf("stream: empty accumulator")
-	}
-	res, err := ea.sums.Estimate(core.Options{N: ea.cfg.N, Size: ea.cfg.Size})
-	if err != nil {
-		return nil, err
-	}
-	within, err := ea.sums.WithinWeightsStar(res.Sizes)
-	if err != nil {
-		return nil, err
-	}
-	ea.seq++
-	snap := &Snapshot{
-		Seq:         ea.seq,
-		Draws:       int(ea.sums.Draws),
-		Distinct:    int(ea.distinct.Load()),
-		Result:      res,
-		Within:      within,
-		PopEstimate: core.PopulationSizeFromSums(ea.sums.Draws, ea.psi1, ea.psiInv, ea.collisions),
-		Converge:    convergeFrom(res, ea.lastSizes, ea.lastW, int(ea.sums.Draws-ea.lastDraws)),
-	}
-	if ea.reps != nil {
-		snap.Boot = ea.reps.Snapshot(core.Options{N: ea.cfg.N, Size: ea.cfg.Size})
-	}
-	ea.lastSizes = append([]float64(nil), res.Sizes...)
-	ea.lastW = res.Weights
-	ea.lastDraws = ea.sums.Draws
-	return snap, nil
+	return ea.snapshot(ea.cfg, ea.Distinct)
 }
 
 // localNode is one node's epoch-private state: the draw count of this

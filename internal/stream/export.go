@@ -39,89 +39,20 @@ type State struct {
 	Reps *uncert.Replicates
 }
 
-// stateShell is the pre-allocated destination of a two-phase export: every
-// buffer a State copy needs, built OUTSIDE the accumulator's publish mutex
-// so the critical section only moves bytes. Deep-copying a B=200 replicate
-// set allocates and zeroes O(K·B + pairs·B) float64s and builds maps — work
-// that used to run under the publish mutex and stall every concurrent
-// ingest for the whole copy. The shell pulls all of it off the lock: the
-// locked half (copyFrom) is flat memcpys plus a map fill whose vectors come
-// from a reserved arena.
-type stateShell struct {
-	st   *State
-	reps *uncert.Replicates
-}
-
-// newStateShell allocates the destination buffers for an export of the
-// given shape. repPairs is the pair count observed under a brief peek at
-// the source; headroom covers pairs created between the peek and the copy
-// (the locked copy falls back to the heap for rare growth past it).
-func newStateShell(cfg Config, withReps bool, repPairs int) (*stateShell, error) {
-	sh := &stateShell{st: &State{
-		K:    cfg.K,
-		Star: cfg.Star,
-		Sums: core.NewSums(cfg.K, cfg.Star),
-	}}
-	if withReps {
-		reps, err := uncert.NewReplicates(cfg.K, cfg.Star, cfg.Replicates)
-		if err != nil {
-			return nil, err
-		}
-		reps.ReservePairs(repPairs + repPairs/8 + 4)
-		sh.reps = reps
-	}
-	return sh, nil
-}
-
-// copyFrom is the locked half: flat copies of the source sums, scalars and
-// replicate state into the pre-allocated shell. The caller holds whatever
-// mutex makes (sums, reps, scalars, gen) mutually consistent.
-func (sh *stateShell) copyFrom(sums *core.Sums, reps *uncert.Replicates, gen uint64, distinct int64, psi1, psiInv, collisions float64) error {
-	sh.st.Gen = gen
-	sh.st.Distinct = distinct
-	sh.st.Psi1, sh.st.PsiInv, sh.st.Collisions = psi1, psiInv, collisions
-	if err := sh.st.Sums.CopyFrom(sums); err != nil {
-		return err
-	}
-	if sh.reps != nil && reps != nil {
-		if err := sh.reps.CopyFrom(reps); err != nil {
-			return err
-		}
-		sh.st.Reps = sh.reps
-	}
-	return nil
-}
-
 // Export implements Ingester: a consistent cut of the accumulator's state,
 // with the (sums, collision scalars, replicates, generation) all describing
 // the same set of applied records. Exporting an empty accumulator succeeds —
 // the zero state merges as a no-op, which is exactly what a coordinator
-// wants from a worker that has not ingested yet.
-//
-// The copy is two-phase so concurrent ingest is stalled only for the flat
-// byte moves: a brief lock reads the replicate pair count, the destination
-// buffers (fresh sums, B replicate vectors and grids, the pair arena) are
-// allocated unlocked, and a second short critical section memcpys the state
-// across (see stateShell).
+// wants from a worker that has not ingested yet. The copy is two-phase, so
+// concurrent ingest is stalled only for the flat byte moves (see view.export).
 func (a *Accumulator) Export() (*State, error) {
-	repPairs := 0
-	if a.reps != nil {
-		a.mu.Lock()
-		repPairs = a.reps.PairCount()
-		a.mu.Unlock()
-	}
-	sh, err := newStateShell(a.cfg, a.reps != nil, repPairs)
-	if err != nil {
-		return nil, err
-	}
-	a.mu.Lock()
-	err = sh.copyFrom(a.sums, a.reps, a.gen.Load(), int64(len(a.nodes)), a.psi1, a.psiInv, a.collisions)
-	a.mu.Unlock()
-	if err != nil {
-		// Impossible by construction: the shell shares cfg.K and scenario.
-		panic(err)
-	}
-	return sh.st, nil
+	return a.export(a.cfg, a.cutLocked)
+}
+
+// cutLocked fills the generation and distinct count of an export cut; the
+// caller holds a.mu.
+func (a *Accumulator) cutLocked(st *State) {
+	st.Gen, st.Distinct = a.gen.Load(), int64(len(a.nodes))
 }
 
 // Export implements Ingester for the epoch-merged accumulator. The cut is
@@ -131,25 +62,9 @@ func (a *Accumulator) Export() (*State, error) {
 // are mutually consistent — a flush is either fully in the cut or fully
 // outside it. Records sitting in unflushed Locals are not exported, matching
 // the flush-visibility contract of Snapshot. Distinct is informational (see
-// State.Distinct). Like the single-lock accumulator, the copy is two-phase:
-// allocation outside the publish mutex, flat byte moves inside, so flushes
-// racing an export wait only for the memcpy.
+// State.Distinct).
 func (ea *EpochAccumulator) Export() (*State, error) {
-	repPairs := 0
-	if ea.reps != nil {
-		ea.mu.Lock()
-		repPairs = ea.reps.PairCount()
-		ea.mu.Unlock()
-	}
-	sh, err := newStateShell(ea.cfg, ea.reps != nil, repPairs)
-	if err != nil {
-		return nil, err
-	}
-	ea.mu.Lock()
-	err = sh.copyFrom(ea.sums, ea.reps, ea.gen.Load(), ea.distinct.Load(), ea.psi1, ea.psiInv, ea.collisions)
-	ea.mu.Unlock()
-	if err != nil {
-		panic(err)
-	}
-	return sh.st, nil
+	return ea.export(ea.cfg, func(st *State) {
+		st.Gen, st.Distinct = ea.gen.Load(), ea.distinct.Load()
+	})
 }

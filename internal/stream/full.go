@@ -63,35 +63,25 @@ type FullExporter interface {
 // node copies happen under the lock, which Export deliberately avoids; use
 // Export when only the mergeable statistics are needed.
 func (a *Accumulator) ExportFull() (*FullState, error) {
-	repPairs := 0
-	if a.reps != nil {
-		a.mu.Lock()
-		repPairs = a.reps.PairCount()
-		a.mu.Unlock()
-	}
-	sh, err := newStateShell(a.cfg, a.reps != nil, repPairs)
+	var nodes []NodeRecord
+	st, err := a.export(a.cfg, func(st *State) {
+		a.cutLocked(st)
+		nodes = make([]NodeRecord, 0, len(a.nodes))
+		for id, ns := range a.nodes {
+			nodes = append(nodes, NodeRecord{
+				Node: id, Cat: ns.cat, Mult: ns.mult, Weight: ns.weight,
+				StarSeen: ns.starSeen, Deg: ns.deg,
+				NbrCat: append([]int32(nil), ns.nbrCat...),
+				NbrCnt: append([]float64(nil), ns.nbrCnt...),
+				Peers:  append([]int32(nil), ns.peers...),
+			})
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	a.mu.Lock()
-	err = sh.copyFrom(a.sums, a.reps, a.gen.Load(), int64(len(a.nodes)), a.psi1, a.psiInv, a.collisions)
-	if err != nil {
-		a.mu.Unlock()
-		panic(err)
-	}
-	nodes := make([]NodeRecord, 0, len(a.nodes))
-	for id, ns := range a.nodes {
-		nodes = append(nodes, NodeRecord{
-			Node: id, Cat: ns.cat, Mult: ns.mult, Weight: ns.weight,
-			StarSeen: ns.starSeen, Deg: ns.deg,
-			NbrCat: append([]int32(nil), ns.nbrCat...),
-			NbrCnt: append([]float64(nil), ns.nbrCnt...),
-			Peers:  append([]int32(nil), ns.peers...),
-		})
-	}
-	a.mu.Unlock()
 	sortNodeRecords(nodes)
-	return &FullState{State: sh.st, Nodes: nodes}, nil
+	return &FullState{State: st, Nodes: nodes}, nil
 }
 
 // ExportFull returns the epoch-merged accumulator's complete resumable
@@ -197,15 +187,9 @@ func RestoreAccumulator(cfg Config, fs *FullState) (*Accumulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := a.sums.CopyFrom(fs.State.Sums); err != nil {
+	if err := a.restore(fs.State); err != nil {
 		return nil, err
 	}
-	if a.reps != nil {
-		if err := a.reps.CopyFrom(fs.State.Reps); err != nil {
-			return nil, err
-		}
-	}
-	a.psi1, a.psiInv, a.collisions = fs.State.Psi1, fs.State.PsiInv, fs.State.Collisions
 	for i := range fs.Nodes {
 		nr := &fs.Nodes[i]
 		if _, dup := a.nodes[nr.Node]; dup {
@@ -236,15 +220,9 @@ func RestoreEpochAccumulator(cfg Config, flushEvery int, fs *FullState) (*EpochA
 	if err != nil {
 		return nil, err
 	}
-	if err := ea.sums.CopyFrom(fs.State.Sums); err != nil {
+	if err := ea.restore(fs.State); err != nil {
 		return nil, err
 	}
-	if ea.reps != nil {
-		if err := ea.reps.CopyFrom(fs.State.Reps); err != nil {
-			return nil, err
-		}
-	}
-	ea.psi1, ea.psiInv, ea.collisions = fs.State.Psi1, fs.State.PsiInv, fs.State.Collisions
 	for i := range fs.Nodes {
 		nr := &fs.Nodes[i]
 		stp := ea.stripeFor(nr.Node)

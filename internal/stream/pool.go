@@ -3,9 +3,7 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/sample"
@@ -41,18 +39,11 @@ type Pool struct {
 	// the per-record generation of the live accumulators.
 	gen atomic.Uint64
 
-	mu         sync.Mutex
-	sums       *core.Sums
-	reps       *uncert.Replicates
-	repCfg     uncert.Config
-	psi1       float64
-	psiInv     float64
-	collisions float64
-	distinct   int64
-	lastSizes  []float64
-	lastW      *core.PairWeights
-	lastDraws  float64
-	seq        int64
+	// view is the merged state Rebuild swaps in; its replicates (nil
+	// unless the last Rebuild carried them) fix the bootstrap configuration
+	// Config reports. distinct is guarded by view.mu.
+	view
+	distinct int64
 }
 
 // NewPool returns an empty coordinator pool. cfg fixes the partition,
@@ -61,14 +52,12 @@ type Pool struct {
 // the worker states at Rebuild (workers decide B and the seed, and all must
 // agree for replicates to merge).
 func NewPool(cfg Config) (*Pool, error) {
-	if cfg.K < 1 {
-		return nil, fmt.Errorf("stream: config needs K ≥ 1 categories, got %d", cfg.K)
-	}
 	cfg.Replicates = uncert.Config{}
-	return &Pool{
-		cfg:  cfg,
-		sums: core.NewSums(cfg.K, cfg.Star),
-	}, nil
+	p := &Pool{cfg: cfg}
+	if err := p.init(cfg); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // Rebuild replaces the pool's state with the merge of the given worker
@@ -128,13 +117,13 @@ func (p *Pool) Rebuild(states []*State) error {
 		}
 	}
 	p.mu.Lock()
-	p.sums = sums
-	p.reps = reps
-	if reps != nil {
-		p.repCfg = repCfg
-	} else {
-		p.repCfg = uncert.Config{}
+	if sums.Draws < p.lastDraws {
+		// The merged view shrank (a worker went stale, or restarted empty):
+		// a delta against the old baseline would be negative, so restart
+		// convergence tracking as after a restore.
+		p.lastSizes, p.lastW, p.lastDraws = nil, nil, 0
 	}
+	p.sums, p.reps = sums, reps
 	p.psi1, p.psiInv, p.collisions = psi1, psiInv, collisions
 	p.distinct = distinct
 	p.mu.Unlock()
@@ -150,7 +139,9 @@ func (p *Pool) Config() Config {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	cfg := p.cfg
-	cfg.Replicates = p.repCfg
+	if p.reps != nil {
+		cfg.Replicates = p.reps.Config()
+	}
 	return cfg
 }
 
@@ -185,81 +176,18 @@ func (p *Pool) IngestBatch(recs []sample.NodeObservation) (int, error) { return 
 // the last Rebuild carried replicates, so /estimate?ci= on a coordinator
 // serves exact merged-replicate CIs.
 func (p *Pool) Snapshot() (*Snapshot, error) {
-	defer mSnapshotSec.ObserveSince(time.Now())
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.sums.Draws == 0 {
-		return nil, fmt.Errorf("stream: empty pool (no worker state merged yet)")
-	}
-	res, err := p.sums.Estimate(core.Options{N: p.cfg.N, Size: p.cfg.Size})
-	if err != nil {
-		return nil, err
-	}
-	var within []float64
-	if p.cfg.Star {
-		within, err = p.sums.WithinWeightsStar(res.Sizes)
-	} else {
-		within, err = p.sums.WithinWeightsInduced()
-	}
-	if err != nil {
-		return nil, err
-	}
-	p.seq++
-	snap := &Snapshot{
-		Seq:         p.seq,
-		Draws:       int(p.sums.Draws),
-		Distinct:    int(p.distinct),
-		Result:      res,
-		Within:      within,
-		PopEstimate: core.PopulationSizeFromSums(p.sums.Draws, p.psi1, p.psiInv, p.collisions),
-		Converge:    convergeFrom(res, p.lastSizes, p.lastW, int(p.sums.Draws-p.lastDraws)),
-	}
-	if p.reps != nil {
-		snap.Boot = p.reps.Snapshot(core.Options{N: p.cfg.N, Size: p.cfg.Size})
-	}
-	p.lastSizes = append([]float64(nil), res.Sizes...)
-	p.lastW = res.Weights
-	p.lastDraws = p.sums.Draws
-	return snap, nil
+	return p.snapshot(p.cfg, func() int { return int(p.distinct) })
 }
 
 // Export implements Ingester: the merged view as a State of its own, which
 // is what lets coordinators stack — a higher tier can pull /sums from a
-// coordinator exactly as the coordinator pulls from its workers.
-//
-// Like the live accumulators, the copy is two-phase (allocate outside the
-// mutex, memcpy inside — see stateShell), so /sums requests racing a
-// Rebuild block it only for the flat byte moves. The pool's bootstrap
-// configuration is adopted from the workers and can change between
-// Rebuilds; if it changes between the shape peek and the copy, the export
-// re-peeks and retries with a matching shell.
+// coordinator exactly as the coordinator pulls from its workers. Like the
+// live accumulators' exports the copy is two-phase (see view.export), so
+// /sums requests racing a Rebuild block it only for the flat byte moves; a
+// Rebuild that changes the bootstrap configuration in between makes the
+// export retry with a matching destination.
 func (p *Pool) Export() (*State, error) {
-	for {
-		p.mu.Lock()
-		repCfg := p.repCfg
-		repPairs := 0
-		if p.reps != nil {
-			repPairs = p.reps.PairCount()
-		}
-		p.mu.Unlock()
-
-		cfg := p.cfg
-		cfg.Replicates = repCfg
-		sh, err := newStateShell(cfg, repCfg.Enabled(), repPairs)
-		if err != nil {
-			return nil, err
-		}
-
-		p.mu.Lock()
-		if p.repCfg != repCfg {
-			p.mu.Unlock()
-			continue // a Rebuild swapped the bootstrap shape; re-size the shell
-		}
-		err = sh.copyFrom(p.sums, p.reps, p.gen.Load(), p.distinct, p.psi1, p.psiInv, p.collisions)
-		p.mu.Unlock()
-		if err != nil {
-			panic(err)
-		}
-		return sh.st, nil
-	}
+	return p.export(p.cfg, func(st *State) {
+		st.Gen, st.Distinct = p.gen.Load(), p.distinct
+	})
 }

@@ -3,6 +3,8 @@ package stream
 import (
 	"errors"
 	"math"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -294,4 +296,100 @@ func TestPoolDropsReplicatesOnConfigMismatch(t *testing.T) {
 			t.Errorf("%s: pool has %d draws, want %d", name, snap.Draws, len(s.Nodes))
 		}
 	}
+}
+
+// TestPoolShrinkingRebuildResetsConvergence: when a worker drops out of the
+// merge (stale or dead), the next Rebuild carries fewer draws than the last
+// snapshot saw. Convergence must then restart as after a restore — DrawsSince
+// equal to Draws and +Inf deltas — instead of reporting negative progress.
+func TestPoolShrinkingRebuildResetsConvergence(t *testing.T) {
+	workers, _ := splitStream(t, 2, 400, uncert.Config{})
+	p, err := NewPool(Config{K: workers[0].cfg.K, Star: true, N: workers[0].cfg.N})
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := exportAll(t, workers)
+	snapAfter := func(states []*State) *Snapshot {
+		t.Helper()
+		if err := p.Rebuild(states); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := p.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	if c := snapAfter(states).Converge; c.DrawsSince != 400 {
+		t.Fatalf("first snapshot: DrawsSince = %d, want 400", c.DrawsSince)
+	}
+	even := snapAfter(states[:1])
+	if even.Draws != int(states[0].Sums.Draws) || even.Draws >= 400 {
+		t.Fatalf("even-only pool has %d draws, want %g < 400", even.Draws, states[0].Sums.Draws)
+	}
+	if c := even.Converge; c.DrawsSince != even.Draws || !math.IsInf(c.SizeDelta, 1) || !math.IsInf(c.WeightDelta, 1) {
+		t.Fatalf("after a shrinking rebuild: %+v, want DrawsSince %d and +Inf deltas", c, even.Draws)
+	}
+	// The reset baseline is the even-only snapshot: the worker rejoining
+	// is measured against it.
+	if c := snapAfter(states).Converge; c.DrawsSince != 400-even.Draws || math.IsInf(c.SizeDelta, 0) || math.IsInf(c.WeightDelta, 0) {
+		t.Fatalf("after the worker rejoined: %+v, want DrawsSince %d and finite deltas", c, 400-even.Draws)
+	}
+}
+
+// TestPoolExportRacesReplicateToggle runs exports against Rebuilds that
+// alternate between a replicate-carrying and a replicate-free merge, so the
+// bootstrap shape can change between an export's peek and its copy. Every
+// exported State must be one of the two published views, whole: replicates
+// under the workers' configuration with the full draw total, or none with
+// the even worker's total.
+func TestPoolExportRacesReplicateToggle(t *testing.T) {
+	boot := uncert.Config{B: 50, Seed: 3}
+	workers, _ := splitStream(t, 2, 400, boot)
+	withReps := exportAll(t, workers)
+	evenOnly := *withReps[0]
+	evenOnly.Reps = nil
+	noReps := []*State{&evenOnly}
+	all, even := withReps[0].Sums.Draws+withReps[1].Sums.Draws, evenOnly.Sums.Draws
+
+	p, err := NewPool(Config{K: workers[0].cfg.K, Star: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Rebuild(withReps); err != nil {
+		t.Fatal(err)
+	}
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !done.Load() {
+				st, err := p.Export()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				switch {
+				case st.Reps != nil && (st.Reps.Config() != boot || st.Sums.Draws != all):
+					t.Errorf("export with replicates %+v carries %g draws, want %+v and %g", st.Reps.Config(), st.Sums.Draws, boot, all)
+				case st.Reps == nil && st.Sums.Draws != even:
+					t.Errorf("export without replicates carries %g draws, want %g", st.Sums.Draws, even)
+				}
+			}
+		}()
+	}
+	for i := range 400 {
+		states := withReps
+		if i%2 == 0 {
+			states = noReps
+		}
+		if err := p.Rebuild(states); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	done.Store(true)
+	wg.Wait()
 }

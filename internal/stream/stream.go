@@ -30,9 +30,7 @@
 package stream
 
 import (
-	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -133,23 +131,11 @@ type Ingester interface {
 
 // Accumulator ingests a stream of node observations and serves estimates.
 type Accumulator struct {
-	mu    sync.Mutex
+	// view is the published state; its mutex also guards nodes, so a
+	// record is applied in one critical section.
+	view
 	cfg   Config
-	sums  *core.Sums
 	nodes map[int32]*nodeState
-
-	// reps holds the bootstrap replicate sums (nil when Config.Replicates
-	// is off); every mutation of sums has a mirrored call on reps.
-	reps *uncert.Replicates
-
-	// Collision statistics for the §4.3 population-size estimator.
-	psi1, psiInv, collisions float64
-
-	// Convergence tracking: the previous snapshot's estimate.
-	lastSizes []float64
-	lastW     *core.PairWeights
-	lastDraws float64
-	seq       int64
 
 	// gen advances once per successfully applied record, inside the
 	// critical section, so an Ingest call that returned has published its
@@ -159,23 +145,9 @@ type Accumulator struct {
 
 // NewAccumulator returns an empty accumulator for the given configuration.
 func NewAccumulator(cfg Config) (*Accumulator, error) {
-	if cfg.K < 1 {
-		return nil, fmt.Errorf("stream: config needs K ≥ 1 categories, got %d", cfg.K)
-	}
-	if cfg.Replicates.B < 0 {
-		return nil, fmt.Errorf("stream: config needs ≥ 0 bootstrap replicates, got %d", cfg.Replicates.B)
-	}
-	a := &Accumulator{
-		cfg:   cfg,
-		sums:  core.NewSums(cfg.K, cfg.Star),
-		nodes: make(map[int32]*nodeState),
-	}
-	if cfg.Replicates.Enabled() {
-		reps, err := uncert.NewReplicates(cfg.K, cfg.Star, cfg.Replicates)
-		if err != nil {
-			return nil, err
-		}
-		a.reps = reps
+	a := &Accumulator{cfg: cfg, nodes: make(map[int32]*nodeState)}
+	if err := a.init(cfg); err != nil {
+		return nil, err
 	}
 	return a, nil
 }
@@ -512,52 +484,11 @@ func (s *Snapshot) Weights() *core.PairWeights { return s.Result.Weights }
 // accumulator and propagates estimator errors (e.g. a star size method on an
 // induced stream).
 func (a *Accumulator) Snapshot() (*Snapshot, error) {
-	defer mSnapshotSec.ObserveSince(time.Now())
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.sums.Draws == 0 {
-		return nil, fmt.Errorf("stream: empty accumulator")
-	}
-	res, err := a.sums.Estimate(core.Options{N: a.cfg.N, Size: a.cfg.Size})
-	if err != nil {
-		return nil, err
-	}
-	var within []float64
-	if a.cfg.Star {
-		within, err = a.sums.WithinWeightsStar(res.Sizes)
-	} else {
-		within, err = a.sums.WithinWeightsInduced()
-	}
-	if err != nil {
-		return nil, err
-	}
-	a.seq++
-	snap := &Snapshot{
-		Seq:         a.seq,
-		Draws:       int(a.sums.Draws),
-		Distinct:    len(a.nodes),
-		Result:      res,
-		Within:      within,
-		PopEstimate: core.PopulationSizeFromSums(a.sums.Draws, a.psi1, a.psiInv, a.collisions),
-		Converge:    a.convergeLocked(res),
-	}
-	if a.reps != nil {
-		snap.Boot = a.reps.Snapshot(core.Options{N: a.cfg.N, Size: a.cfg.Size})
-	}
-	a.lastSizes = append([]float64(nil), res.Sizes...)
-	a.lastW = res.Weights
-	a.lastDraws = a.sums.Draws
-	return snap, nil
-}
-
-// convergeLocked measures the estimate movement since the last snapshot.
-func (a *Accumulator) convergeLocked(res *core.Result) Convergence {
-	return convergeFrom(res, a.lastSizes, a.lastW, int(a.sums.Draws-a.lastDraws))
+	return a.snapshot(a.cfg, func() int { return len(a.nodes) })
 }
 
 // convergeFrom compares an estimate against the previous snapshot's sizes
-// and weights (nil on the first snapshot). It is shared by the single-lock
-// and epoch-merged accumulators.
+// and weights (nil on the first snapshot, or after a reset baseline).
 func convergeFrom(res *core.Result, lastSizes []float64, lastW *core.PairWeights, drawsSince int) Convergence {
 	c := Convergence{DrawsSince: drawsSince}
 	if lastSizes == nil {
