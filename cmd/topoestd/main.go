@@ -23,7 +23,8 @@
 //	             accumulator (default); > 1 builds the epoch-merged
 //	             accumulator, whose writers fill private local epochs and
 //	             fold them into the published view exactly at flush
-//	             (multi-core ingest, star scenario only)
+//	             (multi-core ingest, star scenario only); below 1 fails
+//	             startup
 //	-flush-interval  with -shards > 1, defer publishing ingested records
 //	             to a background flusher with this period (e.g. 200ms).
 //	             The default 0 flushes before every /ingest response, so
@@ -346,22 +347,6 @@ func main() {
 	}
 }
 
-// newIngester builds the configured accumulator: the single-lock one at
-// exactly 1 shard, the epoch-merged one above that (writers accumulate in
-// private local epochs folded into the published view exactly at flush —
-// the exact shard count is irrelevant there, only the mode switch
-// matters). A shard count below 1 is a misconfiguration and fails startup
-// loudly rather than silently degrading to the single lock.
-func newIngester(cfg stream.Config, shards int) (stream.Ingester, error) {
-	switch {
-	case shards < 1:
-		return nil, fmt.Errorf("need -shards ≥ 1, got %d", shards)
-	case shards == 1:
-		return stream.NewAccumulator(cfg)
-	}
-	return stream.NewEpochAccumulator(cfg, 0)
-}
-
 func (c *cli) run() error {
 	logger, err := newLogger(c.logFormat, c.logLevel)
 	if err != nil {
@@ -372,88 +357,156 @@ func (c *cli) run() error {
 	if err != nil {
 		return err
 	}
-	bc := uncert.Config{B: c.boot, Seed: c.bootSeed}
-	if bc.B < 0 {
-		return fmt.Errorf("need -bootstrap ≥ 0, got %d", bc.B)
+	if err := c.validate(); err != nil {
+		return err
 	}
-	if c.qps < 0 {
-		return fmt.Errorf("need -qps ≥ 0, got %g", c.qps)
-	}
-	if c.queryCost < 0 {
-		return fmt.Errorf("need -query-cost ≥ 0, got %v", c.queryCost)
-	}
-	if c.flushEvery < 0 {
-		return fmt.Errorf("need -flush-interval ≥ 0, got %v", c.flushEvery)
-	}
-	if c.flushEvery > 0 && c.shards <= 1 {
-		return fmt.Errorf("-flush-interval needs the epoch-merged accumulator; combine it with -shards > 1")
-	}
-	if c.checkpointInterval <= 0 {
-		return fmt.Errorf("need -checkpoint-interval > 0, got %v", c.checkpointInterval)
-	}
-	if c.checkpointMaxF < 0 {
-		return fmt.Errorf("need -checkpoint-max-frames ≥ 0, got %d", c.checkpointMaxF)
-	}
-	if c.checkpointDir == "" && (c.restoreJobs || c.checkpointMaxF > 0) {
-		return fmt.Errorf("-restore-jobs and -checkpoint-max-frames operate on checkpoint files; combine them with -checkpoint-dir")
-	}
+	boot := c.jobServer
 	if c.mergeFrom != "" {
-		if c.demo || c.crawlMode {
-			return fmt.Errorf("-merge-from is a read-only coordinator; it cannot be combined with -demo or -crawl")
-		}
-		if c.boot != 0 {
-			return fmt.Errorf("-bootstrap has no effect on a coordinator: it adopts the workers' bootstrap configuration (drop the flag)")
-		}
-		if c.shards > 1 || c.flushEvery > 0 {
-			return fmt.Errorf("-shards and -flush-interval configure the ingest path; a coordinator does not ingest")
-		}
-		if c.checkpointDir != "" {
-			return fmt.Errorf("-checkpoint-dir has no effect on a coordinator: its durable state lives on the workers it polls")
-		}
-		return c.runMergeMode(method)
+		boot = c.coordinator
 	}
-	if c.demo || c.crawlMode {
-		return c.runCrawlMode(method, bc)
-	}
-	if c.graphFile != "" || c.qps > 0 || c.queryCost > 0 {
-		return fmt.Errorf("-graph-file, -qps and -query-cost configure the crawl backend; combine them with -crawl or -demo")
-	}
-	k, names, err := c.categories()
+	srv, attrs, err := boot(method)
 	if err != nil {
 		return err
+	}
+	if c.pprofOn {
+		registerPprof(srv.mux)
+	}
+	slog.Info("topoestd serving", append([]any{"addr", c.addr, "scenario", scenarioName(c.star)}, attrs...)...)
+	return listenAndServe(c.addr, srv, srv.shutdown)
+}
+
+// validate rejects the flag combinations no mode can serve, before
+// anything is built.
+func (c *cli) validate() error {
+	switch {
+	case c.boot < 0:
+		return fmt.Errorf("need -bootstrap ≥ 0, got %d", c.boot)
+	case c.qps < 0:
+		return fmt.Errorf("need -qps ≥ 0, got %g", c.qps)
+	case c.queryCost < 0:
+		return fmt.Errorf("need -query-cost ≥ 0, got %v", c.queryCost)
+	case c.shards < 1:
+		return fmt.Errorf("need -shards ≥ 1, got %d", c.shards)
+	case c.flushEvery < 0:
+		return fmt.Errorf("need -flush-interval ≥ 0, got %v", c.flushEvery)
+	case c.flushEvery > 0 && c.shards == 1:
+		return fmt.Errorf("-flush-interval needs the epoch-merged accumulator; combine it with -shards > 1")
+	case c.checkpointInterval <= 0:
+		return fmt.Errorf("need -checkpoint-interval > 0, got %v", c.checkpointInterval)
+	case c.checkpointMaxF < 0:
+		return fmt.Errorf("need -checkpoint-max-frames ≥ 0, got %d", c.checkpointMaxF)
+	case c.checkpointDir == "" && (c.restoreJobs || c.checkpointMaxF > 0):
+		return fmt.Errorf("-restore-jobs and -checkpoint-max-frames operate on checkpoint files; combine them with -checkpoint-dir")
+	case c.mergeFrom == "" && !c.demo && !c.crawlMode && (c.graphFile != "" || c.qps > 0 || c.queryCost > 0):
+		return fmt.Errorf("-graph-file, -qps and -query-cost configure the crawl backend; combine them with -crawl or -demo")
+	}
+	if c.mergeFrom == "" {
+		return nil
+	}
+	switch {
+	case c.demo || c.crawlMode:
+		return fmt.Errorf("-merge-from is a read-only coordinator; it cannot be combined with -demo or -crawl")
+	case c.boot != 0:
+		return fmt.Errorf("-bootstrap has no effect on a coordinator: it adopts the workers' bootstrap configuration (drop the flag)")
+	case c.shards > 1 || c.flushEvery > 0:
+		return fmt.Errorf("-shards and -flush-interval configure the ingest path; a coordinator does not ingest")
+	case c.checkpointDir != "":
+		return fmt.Errorf("-checkpoint-dir has no effect on a coordinator: its durable state lives on the workers it polls")
+	case c.mergeInterval <= 0 || c.mergeTimeout <= 0 || c.mergeMaxStale <= 0:
+		return fmt.Errorf("need -merge-interval, -merge-timeout and -merge-max-stale > 0")
+	}
+	return nil
+}
+
+// jobServer boots the serving daemon: a job registry whose default job is
+// built from the flags, optionally restored named jobs, and the deferred
+// flusher. Crawl mode (-crawl, or its -demo preset) adds three things only:
+// the crawl backend fixes K, the category names and N; a targeted crawl on
+// the bootstrap engine defaults to 100 replicates when -bootstrap is off;
+// and the default job starts crawling before the daemon serves. It returns
+// the server and the mode's startup log attributes.
+func (c *cli) jobServer(method core.SizeMethod) (*server, []any, error) {
+	spec := job.Spec{
+		Name: job.DefaultName, Star: c.star, N: c.popN, Size: c.size,
+		Shards: c.shards, Bootstrap: c.boot, BootstrapSeed: c.bootSeed,
+	}
+	var (
+		src              graph.Source
+		adaptive, jobCfg crawl.Config
+		err              error
+	)
+	if c.demo || c.crawlMode {
+		if src, spec.Names, err = c.crawlBackend(); err != nil {
+			return nil, nil, err
+		}
+		spec.K, spec.N = src.NumCategories(), float64(src.NumNodes())
+		// The adaptive flag-derived config doubles as the defaults of POST
+		// /crawl jobs — even under -demo, whose auto-started job uses the
+		// throttled fixed-budget demo config instead (an HTTP-started job
+		// must not inherit the demo pacing). Both carry the daemon's N and
+		// size method: the stopping engines evaluate CI widths against them,
+		// and a scale mismatch with the accumulator is rejected by
+		// crawl.Start.
+		if adaptive, err = c.adaptiveCrawlConfig(); err != nil {
+			return nil, nil, err
+		}
+		adaptive.N, adaptive.Size, adaptive.Logger = spec.N, method, slog.Default()
+		jobCfg = adaptive
+		if !c.crawlMode {
+			jobCfg = c.demoCrawlConfig()
+			jobCfg.N, jobCfg.Size, jobCfg.Logger = adaptive.N, adaptive.Size, adaptive.Logger
+		}
+		targeted := jobCfg.SizeTarget > 0 || jobCfg.WithinTarget > 0
+		if targeted && jobCfg.Engine == crawl.EngineBootstrap && spec.Bootstrap == 0 {
+			// The bootstrap stopping engine reads CI widths off the
+			// daemon's accumulator; a targeted crawl without -bootstrap
+			// defaults to 100 replicates rather than failing startup.
+			spec.Bootstrap = 100
+			slog.Info("crawl targets set without -bootstrap; defaulting replicates", "bootstrap_b", spec.Bootstrap)
+		}
+	} else if spec.K, spec.Names, err = c.categories(); err != nil {
+		return nil, nil, err
 	}
 	reg, err := job.NewRegistry(c.checkpointDir, c.checkpointInterval, slog.Default())
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	reg.SetMaxFrames(c.checkpointMaxF)
-	def, err := reg.Create(job.Spec{
-		Name: job.DefaultName, K: k, Names: names, Star: c.star, N: c.popN,
-		Size: c.size, Shards: c.shards, Bootstrap: bc.B, BootstrapSeed: bc.Seed,
-	})
+	def, err := reg.Create(spec)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	if c.restoreJobs {
 		restored, err := reg.RestoreAll()
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		slog.Info("named jobs restored from checkpoints", "count", len(restored))
 	}
 	srv := newServerWithJobs(reg, def)
-	if c.flushEvery > 0 {
-		srv.startDeferredFlush(c.flushEvery)
+	srv.crawlSource, srv.crawlDefaults = src, adaptive
+	srv.startDeferredFlush(c.flushEvery)
+	attrs := []any{"k", spec.K, "ingest", ingestMode(def.Acc()), "flush_interval", c.flushEvery,
+		"bootstrap_b", spec.Bootstrap, "checkpoint_dir", c.checkpointDir, "gen", def.Acc().Gen()}
+	if src != nil {
+		cj, err := crawl.Start(src, def.Acc(), jobCfg)
+		if errors.Is(err, sample.ErrNoEdges) {
+			return nil, nil, fmt.Errorf("crawl backend is not walkable (every reachable start is edgeless): %w", err)
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		def.AdoptCrawl(cj)
+		go func() {
+			if _, err := cj.Wait(); err != nil {
+				slog.Error("crawl failed", "err", err)
+			}
+		}()
+		attrs = append(attrs, "n", src.NumNodes(), "backend", c.backendName(),
+			"walkers", max(jobCfg.Walkers, 1), "sampler", jobCfg.Sampler, "max_draws", jobCfg.MaxDraws)
 	}
 	reg.Start()
-	if c.pprofOn {
-		registerPprof(srv.mux)
-	}
-	slog.Info("topoestd serving",
-		"addr", c.addr, "k", k, "scenario", scenarioName(c.star),
-		"ingest", ingestMode(def.Acc()), "flush_interval", c.flushEvery, "bootstrap_b", bc.B,
-		"checkpoint_dir", c.checkpointDir, "gen", def.Acc().Gen())
-	return listenAndServe(c.addr, srv, srv.shutdown)
+	return srv, attrs, nil
 }
 
 // categories resolves -k / -names into the partition the daemon serves.
@@ -470,42 +523,34 @@ func (c *cli) categories() (int, []string, error) {
 	return k, names, nil
 }
 
-// runMergeMode starts the coordinator of the distributed tier: a read-only
-// daemon whose accumulator is a stream.Pool rebuilt from the /sums exports
-// of the -merge-from workers. Every serving endpoint (/estimate with exact
+// coordinator boots the distributed tier's coordinator: a read-only daemon
+// whose accumulator is a stream.Pool rebuilt from the /sums exports of the
+// -merge-from workers. Every serving endpoint (/estimate with exact
 // merged-bootstrap CIs, /categorygraph.tsv, /healthz, /metrics, /sums for a
 // higher coordinator tier) works unchanged over the pool; /ingest answers
 // 403.
-func (c *cli) runMergeMode(method core.SizeMethod) error {
+func (c *cli) coordinator(method core.SizeMethod) (*server, []any, error) {
 	k, names, err := c.categories()
 	if err != nil {
-		return err
-	}
-	if c.mergeInterval <= 0 || c.mergeTimeout <= 0 || c.mergeMaxStale <= 0 {
-		return fmt.Errorf("need -merge-interval, -merge-timeout and -merge-max-stale > 0")
+		return nil, nil, err
 	}
 	pool, err := stream.NewPool(stream.Config{K: k, Star: c.star, N: c.popN, Size: method})
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	m, err := newMerger(pool, strings.Split(c.mergeFrom, ","), c.mergeInterval, c.mergeTimeout, c.mergeMaxStale)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	srv := newServer(pool, names)
 	srv.merger = m
-	if c.pprofOn {
-		registerPprof(srv.mux)
-	}
 	go m.run()
 	urls := make([]string, len(m.workers))
 	for i, w := range m.workers {
 		urls[i] = w.url
 	}
-	slog.Info("topoestd merge coordinator",
-		"addr", c.addr, "k", k, "scenario", scenarioName(c.star), "workers", urls,
-		"interval", c.mergeInterval, "timeout", c.mergeTimeout, "max_stale", c.mergeMaxStale)
-	return listenAndServe(c.addr, srv, srv.shutdown)
+	return srv, []any{"k", k, "ingest", ingestMode(pool), "workers", urls,
+		"interval", c.mergeInterval, "timeout", c.mergeTimeout, "max_stale", c.mergeMaxStale}, nil
 }
 
 // listenAndServe wraps the handler in an http.Server with read and write
@@ -544,94 +589,6 @@ func listenAndServe(addr string, h http.Handler, onShutdown func()) error {
 		slog.Info("shutdown complete")
 		return err
 	}
-}
-
-// runCrawlMode builds the paper's synthetic graph and drives the adaptive
-// crawl controller against it — the end-to-end demonstration of the
-// subsystem. With -crawl the job stops itself on the configured CI-width
-// targets; with plain -demo it degrades to the fixed-budget special case
-// (one walker, -demo-draws total, throttled rounds for a watchable live
-// estimate), replacing the former ad-hoc fixed-draw ingest loop. Subsequent
-// jobs can be launched over HTTP via POST /crawl.
-func (c *cli) runCrawlMode(method core.SizeMethod, bc uncert.Config) error {
-	src, names, err := c.crawlBackend()
-	if err != nil {
-		return err
-	}
-	// The adaptive flag-derived config doubles as the defaults of POST
-	// /crawl jobs — even under plain -demo, where the auto-started job
-	// itself uses the throttled fixed-budget demo config (an HTTP-started
-	// job must not inherit the demo pacing). Both carry the daemon's N and
-	// size method: the stopping engines evaluate CI widths against them,
-	// and a scale mismatch with the accumulator is rejected by crawl.Start.
-	adaptive, err := c.adaptiveCrawlConfig()
-	if err != nil {
-		return err
-	}
-	adaptive.N, adaptive.Size = float64(src.NumNodes()), method
-	adaptive.Logger = slog.Default()
-	jobCfg := adaptive
-	if !c.crawlMode {
-		jobCfg = c.demoCrawlConfig()
-		jobCfg.N, jobCfg.Size = float64(src.NumNodes()), method
-		jobCfg.Logger = slog.Default()
-	}
-	targeted := jobCfg.SizeTarget > 0 || jobCfg.WithinTarget > 0
-	if targeted && jobCfg.Engine == crawl.EngineBootstrap && bc.B == 0 {
-		// The bootstrap stopping engine reads CI widths off the daemon's
-		// accumulator; a targeted crawl without -bootstrap defaults to 100
-		// replicates rather than failing startup.
-		bc.B = 100
-		slog.Info("crawl targets set without -bootstrap; defaulting replicates", "bootstrap_b", bc.B)
-	}
-	reg, err := job.NewRegistry(c.checkpointDir, c.checkpointInterval, slog.Default())
-	if err != nil {
-		return err
-	}
-	reg.SetMaxFrames(c.checkpointMaxF)
-	def, err := reg.Create(job.Spec{
-		Name: job.DefaultName, K: src.NumCategories(), Names: names, Star: c.star,
-		N: float64(src.NumNodes()), Size: c.size, Shards: c.shards,
-		Bootstrap: bc.B, BootstrapSeed: bc.Seed,
-	})
-	if err != nil {
-		return err
-	}
-	if c.restoreJobs {
-		restored, err := reg.RestoreAll()
-		if err != nil {
-			return err
-		}
-		slog.Info("named jobs restored from checkpoints", "count", len(restored))
-	}
-	srv := newServerWithJobs(reg, def)
-	srv.crawlSource = src
-	srv.crawlDefaults = adaptive
-	if c.flushEvery > 0 {
-		srv.startDeferredFlush(c.flushEvery)
-	}
-	cj, err := crawl.Start(src, def.Acc(), jobCfg)
-	if err != nil {
-		if errors.Is(err, sample.ErrNoEdges) {
-			return fmt.Errorf("crawl backend is not walkable (every reachable start is edgeless): %w", err)
-		}
-		return err
-	}
-	def.AdoptCrawl(cj)
-	reg.Start()
-	if c.pprofOn {
-		registerPprof(srv.mux)
-	}
-	go func() {
-		if _, err := cj.Wait(); err != nil {
-			slog.Error("crawl failed", "err", err)
-		}
-	}()
-	slog.Info("topoestd crawl mode",
-		"addr", c.addr, "n", src.NumNodes(), "backend", c.backendName(),
-		"scenario", scenarioName(c.star), "walkers", max(jobCfg.Walkers, 1),
-		"sampler", jobCfg.Sampler, "max_draws", jobCfg.MaxDraws)
-	return listenAndServe(c.addr, srv, srv.shutdown)
 }
 
 // crawlBackend resolves the graph the crawl walks: the packed out-of-core
@@ -1013,6 +970,12 @@ const maxPooledBody = 1 << 20
 // Reset onto its next body before use.
 var ingestBodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
+// handleIngest is POST /ingest in either encoding. Both share one error
+// contract: a body that does not parse is a 400 with nothing applied (a
+// TOPOREC1 frame is structurally checked before any record is ingested),
+// and a record the stream rejects is a 422 whose "ingested"/"index" count
+// leading records durably applied — the index means the same thing in both
+// encodings, so a retrying client needs no per-encoding logic.
 func (s *server) handleIngest(w http.ResponseWriter, r *http.Request, j *job.Job) {
 	t0 := time.Now()
 	buf := ingestBodyPool.Get().(*bytes.Buffer)
@@ -1032,10 +995,47 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request, j *job.Job
 		return
 	}
 	body := buf.Bytes()
+	var (
+		n, total int
+		err      error
+	)
 	if isRecordsContentType(r.Header.Get("Content-Type")) {
-		s.handleIngestBinary(w, j, body, t0)
-		return
+		it := recordIterPool.Get().(*wire.RecordIter)
+		defer recordIterPool.Put(it)
+		if err := it.Reset(body); err != nil {
+			httpError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		n, err = s.ingestStream(j, it)
+		total = it.Len()
+	} else {
+		recs, ok := decodeRecords(w, body)
+		if !ok {
+			return
+		}
+		n, err = s.ingestRecords(j, recs)
+		total = len(recs)
 	}
+	j.NoteIngest(n, len(body), t0)
+	switch {
+	case errors.Is(err, stream.ErrReadOnly):
+		httpError(w, http.StatusForbidden, "this daemon is a merge coordinator; ingest on the workers it polls")
+	case err != nil:
+		// The first n records stay applied and record n is the offender;
+		// the body carries both so a retrying client can resend only the
+		// remainder (see package doc).
+		ingestError(w, n, total, n, "%v", err)
+	default:
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(map[string]int{"ingested": n, "draws": j.Acc().Draws()})
+	}
+}
+
+// decodeRecords parses a JSON /ingest body — one record object or an
+// array of them — and checks every record names its category. On failure
+// it writes the error response (400 for malformed JSON, 422 for a missing
+// "cat", with nothing applied) and returns false.
+func decodeRecords(w http.ResponseWriter, body []byte) ([]sample.NodeObservation, bool) {
 	// Peek at the first non-space byte to accept either one record object
 	// or an array of them, with a single parse either way.
 	i := 0
@@ -1046,13 +1046,13 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request, j *job.Job
 	if i < len(body) && body[i] == '[' {
 		if err := json.Unmarshal(body, &wires); err != nil {
 			httpError(w, http.StatusBadRequest, "bad record array: %v", err)
-			return
+			return nil, false
 		}
 	} else {
 		var rec wireRecord
 		if err := json.Unmarshal(body, &rec); err != nil {
 			httpError(w, http.StatusBadRequest, "bad record: %v", err)
-			return
+			return nil, false
 		}
 		wires = []wireRecord{rec}
 	}
@@ -1064,28 +1064,14 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request, j *job.Job
 			// applied count here.
 			ingestError(w, 0, len(wires), i,
 				`record %d (node %d) is missing "cat" (use -1 for uncategorized)`, i, wr.Node)
-			return
+			return nil, false
 		}
 		recs[i] = sample.NodeObservation{
 			Node: wr.Node, Weight: wr.Weight, Cat: *wr.Cat,
 			Deg: wr.Deg, NbrCat: wr.NbrCat, NbrCnt: wr.NbrCnt, Peers: wr.Peers,
 		}
 	}
-	n, err := s.ingestRecords(j, recs)
-	j.NoteIngest(n, len(body), t0)
-	if errors.Is(err, stream.ErrReadOnly) {
-		httpError(w, http.StatusForbidden, "this daemon is a merge coordinator; ingest on the workers it polls")
-		return
-	}
-	if err != nil {
-		// The first n records stay applied and record n is the offender;
-		// the body carries both so a retrying client can resend only the
-		// remainder (see package doc).
-		ingestError(w, n, len(recs), n, "%v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]int{"ingested": n, "draws": j.Acc().Draws()})
+	return recs, true
 }
 
 // isRecordsContentType reports whether the request negotiated the TOPOREC1
@@ -1103,34 +1089,6 @@ func isRecordsContentType(ct string) bool {
 // scratch) across requests, keeping the binary ingest path free of
 // per-record allocations.
 var recordIterPool = sync.Pool{New: func() any { return new(wire.RecordIter) }}
-
-// handleIngestBinary is the TOPOREC1 branch of POST /ingest. The error
-// contract matches JSON exactly: a body that fails frame validation is a
-// 400 with nothing applied (the frame is structurally checked before any
-// record is ingested), and a record the stream rejects is a 422 whose
-// "ingested"/"index" count leading records durably applied — the index
-// means the same thing in both encodings, so a retrying client needs no
-// per-encoding logic.
-func (s *server) handleIngestBinary(w http.ResponseWriter, j *job.Job, body []byte, t0 time.Time) {
-	it := recordIterPool.Get().(*wire.RecordIter)
-	defer recordIterPool.Put(it)
-	if err := it.Reset(body); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	n, err := s.ingestStream(j, it)
-	j.NoteIngest(n, len(body), t0)
-	if errors.Is(err, stream.ErrReadOnly) {
-		httpError(w, http.StatusForbidden, "this daemon is a merge coordinator; ingest on the workers it polls")
-		return
-	}
-	if err != nil {
-		ingestError(w, n, it.Len(), n, "%v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]int{"ingested": n, "draws": j.Acc().Draws()})
-}
 
 // ingestStream drains a binary batch straight into the job's stream without
 // materializing a record slice: each decoded record aliases the iterator's

@@ -21,6 +21,7 @@ import (
 	"repro/internal/crawl"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/job"
 	"repro/internal/randx"
 	"repro/internal/sample"
 	"repro/internal/stream"
@@ -274,14 +275,18 @@ func TestIngestErrorReportsAppliedCount(t *testing.T) {
 func TestEpochServer(t *testing.T) {
 	g := mustDemoGraph(t)
 	N := float64(g.N())
-	acc, err := newIngester(stream.Config{K: g.NumCategories(), Star: true, N: N}, 4)
+	reg, err := job.NewRegistry("", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := acc.(*stream.EpochAccumulator); !ok {
-		t.Fatalf("newIngester(4 shards) = %T, want *stream.EpochAccumulator", acc)
+	def, err := reg.Create(job.Spec{Name: job.DefaultName, K: g.NumCategories(), Names: g.CategoryNames(), Star: true, N: N, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
-	srv := newServer(acc, g.CategoryNames())
+	if _, ok := def.Acc().(*stream.EpochAccumulator); !ok {
+		t.Fatalf("job with 4 shards has %T, want *stream.EpochAccumulator", def.Acc())
+	}
+	srv := newServerWithJobs(reg, def)
 	s, err := sample.NewRW(200).Sample(randx.New(61), g, 3000)
 	if err != nil {
 		t.Fatal(err)
@@ -326,18 +331,6 @@ func TestEpochServer(t *testing.T) {
 	mustDecode(t, get(t, srv, "/healthz").Body.Bytes(), &health)
 	if health["accumulator"] != "epoch-merged" {
 		t.Fatalf("healthz accumulator = %v, want epoch-merged", health["accumulator"])
-	}
-	// Induced + epoch ingest is rejected at construction.
-	if _, err := newIngester(stream.Config{K: 3, Star: false}, 4); err == nil {
-		t.Fatal("expected error for induced epoch ingester")
-	}
-	if acc1, err := newIngester(stream.Config{K: 3, Star: false}, 1); err != nil || acc1 == nil {
-		t.Fatalf("single-shard induced ingester: %v", err)
-	}
-	// A shard count below 1 fails startup instead of silently degrading to
-	// the single lock.
-	if _, err := newIngester(stream.Config{K: 3, Star: true}, 0); err == nil {
-		t.Fatal("expected error for -shards 0")
 	}
 }
 

@@ -43,7 +43,7 @@ type mergeWorker struct {
 
 	mu        sync.Mutex
 	state     *stream.State // last good decode, nil before the first
-	fetchedAt time.Time
+	fetchedAt time.Time     // start of the round that fetched state
 	up        bool
 	fails     int       // consecutive failures, 0 after a success
 	nextTry   time.Time // backoff horizon; zero = due now
@@ -169,7 +169,7 @@ func (m *merger) pollOnce(now time.Time) {
 				return
 			}
 			w.state = st
-			w.fetchedAt = time.Now()
+			w.fetchedAt = now
 			w.up = true
 			w.fails = 0
 			w.lastErr = ""
@@ -184,7 +184,7 @@ func (m *merger) pollOnce(now time.Time) {
 	states := make([]*stream.State, 0, len(m.workers))
 	for _, w := range m.workers {
 		w.mu.Lock()
-		if w.state != nil && time.Since(w.fetchedAt) <= m.maxStale {
+		if w.state != nil && now.Sub(w.fetchedAt) <= m.maxStale {
 			states = append(states, w.state)
 		}
 		w.mu.Unlock()

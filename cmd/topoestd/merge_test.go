@@ -240,6 +240,35 @@ func TestMergeCoordinatorE2E(t *testing.T) {
 	compareEstimates(t, fetchEstimate(t, coord, "0.9"), fetchEstimate(t, ref3Srv, "0.9"), 1e-9)
 }
 
+// TestMergeStalenessIgnoresFetchTime pins that a worker's age counts from
+// the round that fetched it: a slow worker in the same round must not push
+// a fast one past the staleness bound before the rebuild.
+func TestMergeStalenessIgnoresFetchTime(t *testing.T) {
+	g := mergeTestGraph(t)
+	workers, ref := buildWorkers(t, g, 2, 1000, uncert.Config{}, nil)
+	fast := httptest.NewServer(newServer(workers[0], nil))
+	defer fast.Close()
+	slowSrv := newServer(workers[1], nil)
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(60 * time.Millisecond)
+		slowSrv.ServeHTTP(w, r)
+	}))
+	defer slow.Close()
+
+	pool, err := stream.NewPool(stream.Config{K: g.NumCategories(), Star: true, N: float64(g.N())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := newMerger(pool, []string{fast.URL, slow.URL}, time.Second, 2*time.Second, 30*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.pollOnce(time.Now())
+	if got, want := pool.Draws(), ref.Draws(); got != want {
+		t.Fatalf("pool has %d draws after one round, want both workers' %d", got, want)
+	}
+}
+
 // TestSumsEndpoint pins the worker half of the wire protocol: content type,
 // codec version header, a decodable body, and transparent gzip.
 func TestSumsEndpoint(t *testing.T) {
