@@ -3,9 +3,11 @@ package stream
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
+	"repro/internal/sample"
 )
 
 // NodeRecord is one entry of an accumulator's node directory in
@@ -66,15 +68,18 @@ func (a *Accumulator) ExportFull() (*FullState, error) {
 	var nodes []NodeRecord
 	st, err := a.export(a.cfg, func(st *State) {
 		a.cutLocked(st)
-		nodes = make([]NodeRecord, 0, len(a.nodes))
-		for id, ns := range a.nodes {
-			nodes = append(nodes, NodeRecord{
-				Node: id, Cat: ns.cat, Mult: ns.mult, Weight: ns.weight,
-				StarSeen: ns.starSeen, Deg: ns.deg,
-				NbrCat: append([]int32(nil), ns.nbrCat...),
-				NbrCnt: append([]float64(nil), ns.nbrCnt...),
-				Peers:  append([]int32(nil), ns.peers...),
-			})
+		nodes = make([]NodeRecord, len(a.byIdx))
+		for i, ns := range a.byIdx {
+			nr := &nodes[i]
+			nr.Node, nr.Cat, nr.Mult, nr.Weight = ns.id, ns.cat, ns.mult, ns.weight
+			if sd := ns.star; sd != nil {
+				nr.StarSeen, nr.Deg = sd.seen, sd.deg
+				nr.NbrCat = append([]int32(nil), sd.nbrCat...)
+				nr.NbrCnt = append([]float64(nil), sd.nbrCnt...)
+			}
+			for _, p := range ns.peers {
+				nr.Peers = append(nr.Peers, a.byIdx[p].id)
+			}
 		}
 	})
 	if err != nil {
@@ -160,15 +165,37 @@ func validateFull(cfg Config, fs *FullState) error {
 		if nr.Weight <= 0 || math.IsNaN(nr.Weight) || math.IsInf(nr.Weight, 0) {
 			return fmt.Errorf("stream: restore: node %d has sampling weight %g", nr.Node, nr.Weight)
 		}
-		if len(nr.NbrCat) != len(nr.NbrCnt) {
-			return fmt.Errorf("stream: restore: node %d has %d neighbor categories but %d counts", nr.Node, len(nr.NbrCat), len(nr.NbrCnt))
+		if !cfg.Star {
+			if nr.StarSeen || nr.Deg != 0 || len(nr.NbrCat) > 0 || len(nr.NbrCnt) > 0 {
+				return fmt.Errorf("stream: restore: node %d carries star data under the induced scenario", nr.Node)
+			}
+			continue
 		}
-		if cfg.Star && len(nr.Peers) > 0 {
+		if len(nr.Peers) > 0 {
 			return fmt.Errorf("stream: restore: node %d carries induced peers under the star scenario", nr.Node)
 		}
-		if !cfg.Star && (nr.StarSeen || len(nr.NbrCat) > 0) {
-			return fmt.Errorf("stream: restore: node %d carries star data under the induced scenario", nr.Node)
+		if err := validateStarRecord(cfg.K, nr); err != nil {
+			return fmt.Errorf("stream: restore: %w", err)
 		}
+	}
+	return nil
+}
+
+// validateStarRecord checks a node's stored star data: the fields a star
+// record must satisfy, in the canonical form the accumulators store
+// (categories ascending without repeats, no zero counts), and present only
+// if the node is marked as having received star data.
+func validateStarRecord(k int, nr *NodeRecord) error {
+	if err := sample.ValidateStarFields(k, sample.NodeObservation{Node: nr.Node, Deg: nr.Deg, NbrCat: nr.NbrCat, NbrCnt: nr.NbrCnt}); err != nil {
+		return err
+	}
+	for j, c := range nr.NbrCat {
+		if nr.NbrCnt[j] == 0 || (j > 0 && c <= nr.NbrCat[j-1]) {
+			return fmt.Errorf("node %d has neighbor counts out of canonical form", nr.Node)
+		}
+	}
+	if !nr.StarSeen && (nr.Deg != 0 || len(nr.NbrCat) > 0) {
+		return fmt.Errorf("node %d has star data but is not marked as star-seen", nr.Node)
 	}
 	return nil
 }
@@ -190,21 +217,62 @@ func RestoreAccumulator(cfg Config, fs *FullState) (*Accumulator, error) {
 	if err := a.restore(fs.State); err != nil {
 		return nil, err
 	}
+	a.byIdx = make([]*nodeState, len(fs.Nodes))
 	for i := range fs.Nodes {
 		nr := &fs.Nodes[i]
 		if _, dup := a.nodes[nr.Node]; dup {
 			return nil, fmt.Errorf("stream: restore: duplicate node record %d", nr.Node)
 		}
-		a.nodes[nr.Node] = &nodeState{
-			mult: nr.Mult, weight: nr.Weight, cat: nr.Cat,
-			starSeen: nr.StarSeen, deg: nr.Deg,
-			nbrCat: append([]int32(nil), nr.NbrCat...),
-			nbrCnt: append([]float64(nil), nr.NbrCnt...),
-			peers:  append([]int32(nil), nr.Peers...),
+		ns := &nodeState{mult: nr.Mult, weight: nr.Weight, cat: nr.Cat, id: nr.Node}
+		if cfg.Star {
+			ns.star = &starData{seen: nr.StarSeen, deg: nr.Deg,
+				nbrCat: append([]int32(nil), nr.NbrCat...),
+				nbrCnt: append([]float64(nil), nr.NbrCnt...)}
 		}
+		a.nodes[nr.Node] = int32(i)
+		a.byIdx[i] = ns
+	}
+	if err := a.restorePeers(fs.Nodes); err != nil {
+		return nil, err
 	}
 	a.gen.Store(fs.State.Gen)
 	return a, nil
+}
+
+// restorePeers translates the records' peer ids into byIdx indices and
+// checks that the lists form a simple undirected graph on the restored
+// nodes: every peer is another restored node, listed once, that lists the
+// node back. A re-draw replays its mass over these lists, so a broken one
+// would corrupt the sums or reach a node that does not exist. The check
+// sorts the directed edges once and looks up each one's reverse.
+func (a *Accumulator) restorePeers(nodes []NodeRecord) error {
+	var edges []uint64
+	for i := range nodes {
+		nr := &nodes[i]
+		ns := a.byIdx[i]
+		for _, p := range nr.Peers {
+			pi, ok := a.nodes[p]
+			switch {
+			case !ok:
+				return fmt.Errorf("stream: restore: node %d lists peer %d, which is not a restored node", nr.Node, p)
+			case p == nr.Node:
+				return fmt.Errorf("stream: restore: node %d lists itself as a peer", nr.Node)
+			}
+			ns.peers = append(ns.peers, pi)
+			edges = append(edges, uint64(i)<<32|uint64(pi))
+		}
+	}
+	slices.Sort(edges)
+	for j, e := range edges {
+		from, to := a.byIdx[e>>32].id, a.byIdx[uint32(e)].id
+		if j > 0 && edges[j-1] == e {
+			return fmt.Errorf("stream: restore: node %d lists peer %d twice", from, to)
+		}
+		if _, ok := slices.BinarySearch(edges, e<<32|e>>32); !ok {
+			return fmt.Errorf("stream: restore: node %d lists peer %d, which does not list it back", from, to)
+		}
+	}
+	return nil
 }
 
 // RestoreEpochAccumulator builds an epoch-merged accumulator that resumes

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -318,6 +319,69 @@ func TestRestoreValidation(t *testing.T) {
 	fs.State.Distinct = int64(len(fs.Nodes))
 	if _, err := RestoreAccumulator(cfg, fs); err == nil {
 		t.Error("restore accepted a duplicate node record")
+	}
+	restoreInducedPeerCases(t)
+}
+
+// restoreInducedPeerCases feeds RestoreAccumulator induced peer lists that
+// do not form a simple undirected graph on the restored nodes. Each one
+// must be rejected with an error naming the node, and a valid list must
+// still restore into an accumulator that takes a re-draw of every node.
+func restoreInducedPeerCases(t *testing.T) {
+	cfg := Config{K: 2, Star: false, Replicates: uncert.Config{B: 8, Seed: 4}}
+	acc, err := NewAccumulator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []sample.NodeObservation{
+		{Node: 1, Cat: 0},
+		{Node: 2, Cat: 1, Peers: []int32{1}},
+		{Node: 3, Cat: 1, Peers: []int32{1, 2}},
+	} {
+		if err := acc.Ingest(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs, err := acc.ExportFull()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// withPeers returns a copy of fs whose node id has the given peers.
+	withPeers := func(id int32, peers ...int32) *FullState {
+		nodes := make([]NodeRecord, len(fs.Nodes))
+		for i, nr := range fs.Nodes {
+			nodes[i] = nr
+			nodes[i].Peers = append([]int32(nil), nr.Peers...)
+			if nr.Node == id {
+				nodes[i].Peers = peers
+			}
+		}
+		return &FullState{State: fs.State, Nodes: nodes}
+	}
+	for _, tc := range []struct {
+		name, want string
+		fs         *FullState
+	}{
+		{"unknown", "node 2 lists peer 99", withPeers(2, 1, 3, 99)},
+		{"self", "node 2 lists itself", withPeers(2, 1, 3, 2)},
+		{"duplicate", "node 3 lists peer 1 twice", withPeers(3, 1, 2, 1)},
+		{"asymmetric", "node 3 lists peer 1, which does not list it back", withPeers(1, 2)},
+	} {
+		t.Run("peers-"+tc.name, func(t *testing.T) {
+			_, err := RestoreAccumulator(cfg, tc.fs)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("restore error %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+	got, err := RestoreAccumulator(cfg, withPeers(2, 1, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, nr := range fs.Nodes {
+		if err := got.Ingest(sample.NodeObservation{Node: nr.Node, Cat: nr.Cat}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -68,24 +68,27 @@ type Config struct {
 
 // nodeState is what the accumulator remembers about one distinct node: the
 // per-node constants the estimators re-weight on every draw, plus — per
-// scenario — the node's star record or its incident observed edges.
+// scenario — the node's star record or its incident observed edges. The
+// star data sits behind a pointer that is nil in induced accumulators, so
+// an induced node costs 64 bytes here plus its peer list.
 type nodeState struct {
 	mult   float64
 	weight float64
 	cat    int32
+	// row is 1 + the number of the node's packed bootstrap weight row in
+	// the accumulator's row arena, or 0 before the row is built. Only
+	// induced accumulators with replicates build rows, on the node's first
+	// use as the far endpoint of a replayed edge.
+	row uint32
+	id  int32
 
-	// Star scenario: the node's degree and neighbor-category counts,
-	// recorded at first observation (as in the batch Observation).
-	// starSeen marks that a star-carrying record was recorded — nbrCat
-	// alone cannot (a node whose neighbors are all uncategorized records
-	// a positive degree with an empty count list).
-	starSeen bool
-	deg      float64
-	nbrCat   []int32
-	nbrCnt   []float64
+	// Star scenario: the node's reconciled degree and neighbor-category
+	// counts, recorded at first observation (as in the batch Observation).
+	star *starData
 
-	// Induced scenario: distinct observed peers, so a re-draw can replay
-	// its marginal mass over every incident edge of G[S].
+	// Induced scenario: byIdx indices of the distinct observed peers, so a
+	// re-draw can replay its marginal mass over every incident edge of G[S]
+	// without a directory lookup per edge.
 	peers []int32
 }
 
@@ -131,11 +134,18 @@ type Ingester interface {
 
 // Accumulator ingests a stream of node observations and serves estimates.
 type Accumulator struct {
-	// view is the published state; its mutex also guards nodes, so a
-	// record is applied in one critical section.
+	// view is the published state; its mutex also guards the node table
+	// and the rows, so a record is applied in one critical section.
 	view
-	cfg   Config
-	nodes map[int32]*nodeState
+	cfg Config
+	// nodes maps a node id to its index in byIdx, the dense node table
+	// that induced peer lists point into.
+	nodes map[int32]int32
+	byIdx []*nodeState
+	// rows holds the packed bootstrap weight rows of induced nodes
+	// (uncert.FillRow), so replaying an edge reads its far endpoint's
+	// weights instead of hashing them.
+	rows rowArena
 
 	// gen advances once per successfully applied record, inside the
 	// critical section, so an Ingest call that returned has published its
@@ -145,7 +155,7 @@ type Accumulator struct {
 
 // NewAccumulator returns an empty accumulator for the given configuration.
 func NewAccumulator(cfg Config) (*Accumulator, error) {
-	a := &Accumulator{cfg: cfg, nodes: make(map[int32]*nodeState)}
+	a := &Accumulator{cfg: cfg, nodes: make(map[int32]int32), rows: newRowArena(cfg.Replicates.B)}
 	if err := a.init(cfg); err != nil {
 		return nil, err
 	}
@@ -205,9 +215,8 @@ func (a *Accumulator) Ingest(rec sample.NodeObservation) error {
 		t0 = time.Now()
 	}
 	a.mu.Lock()
-	err := a.ingestLocked(rec)
-	a.mu.Unlock()
-	if err != nil {
+	defer a.mu.Unlock()
+	if err := a.ingestLocked(rec); err != nil {
 		return err
 	}
 	mIngested.Inc()
@@ -271,10 +280,15 @@ func (a *Accumulator) ingestLocked(rec sample.NodeObservation) error {
 	if w == 0 {
 		w = 1
 	}
-	ns, known := a.nodes[rec.Node]
+	var ns *nodeState
+	idx, known := a.nodes[rec.Node]
 	if !known {
-		ns = &nodeState{weight: w, cat: rec.Cat}
+		ns = &nodeState{weight: w, cat: rec.Cat, id: rec.Node}
+		if a.cfg.Star {
+			ns.star = &starData{}
+		}
 	} else {
+		ns = a.byIdx[idx]
 		// A node's category and sampling weight are per-node constants of
 		// the design; a re-draw that contradicts the first observation is a
 		// buggy or misrouted crawler and would silently skew every estimate
@@ -302,7 +316,7 @@ func (a *Accumulator) ingestLocked(rec sample.NodeObservation) error {
 		if err := sample.ValidateStarFields(a.cfg.K, rec); err != nil {
 			return reject("bad_star", "stream: %w", err)
 		}
-		if ns.starSeen {
+		if ns.star.seen {
 			// Star info arriving again for a node whose star data is
 			// already recorded must reconcile with it: consistent
 			// re-deliveries pass (concurrent crawlers, in whatever category
@@ -310,26 +324,27 @@ func (a *Accumulator) ingestLocked(rec sample.NodeObservation) error {
 			// upgrade the record, and a contradiction is a buggy crawler
 			// whose data must not be dropped silently.
 			cat, cnt := sample.CanonicalStarCounts(rec.NbrCat, rec.NbrCnt)
-			newDeg, newCat, newCnt, err := sample.ReconcileStarData(rec.Node, rec.Deg, cat, cnt, ns.deg, ns.nbrCat, ns.nbrCnt)
+			sd := ns.star
+			newDeg, newCat, newCnt, err := sample.ReconcileStarData(rec.Node, rec.Deg, cat, cnt, sd.deg, sd.nbrCat, sd.nbrCnt)
 			if err != nil {
 				return reject("star_conflict", "stream: %w", err)
 			}
-			if newDeg != ns.deg || len(newCat) != len(ns.nbrCat) {
+			if newDeg != sd.deg || len(newCat) != len(sd.nbrCat) {
 				// Retrofit the node's earlier draws with the upgraded
 				// information: the degree delta, plus the adopted counts
 				// when the stored list was empty.
 				var addCat []int32
 				var addCnt []float64
-				if len(newCat) != len(ns.nbrCat) {
+				if len(newCat) != len(sd.nbrCat) {
 					addCat, addCnt = newCat, newCnt
 				}
-				a.sums.AddStar(ns.cat, ns.weight, ns.mult, newDeg-ns.deg, addCat, addCnt)
+				a.sums.AddStar(ns.cat, ns.weight, ns.mult, newDeg-sd.deg, addCat, addCnt)
 				if a.reps != nil {
-					a.reps.AddStar(rec.Node, ns.cat, ns.weight, ns.mult, newDeg-ns.deg, addCat, addCnt)
+					a.reps.AddStar(rec.Node, ns.cat, ns.weight, ns.mult, newDeg-sd.deg, addCat, addCnt)
 				}
-				ns.deg = newDeg
-				ns.nbrCat = append([]int32(nil), newCat...)
-				ns.nbrCnt = append([]float64(nil), newCnt...)
+				sd.deg = newDeg
+				sd.nbrCat = append([]int32(nil), newCat...)
+				sd.nbrCnt = append([]float64(nil), newCnt...)
 			}
 		} else {
 			a.recordStarLocked(rec, ns)
@@ -339,20 +354,26 @@ func (a *Accumulator) ingestLocked(rec sample.NodeObservation) error {
 	var newPeers []int32
 	if !a.cfg.Star && len(rec.Peers) > 0 {
 		for _, p := range rec.Peers {
-			if _, ok := a.nodes[p]; !ok && p != rec.Node {
+			if p == rec.Node {
+				continue // self-loop
+			}
+			pi, ok := a.nodes[p]
+			if !ok {
 				return reject("unknown_peer", "stream: peer %d of node %d not yet observed", p, rec.Node)
 			}
-			// Skip self-loops, already-known edges, and duplicates within
-			// this record's own peer list.
-			if p == rec.Node || a.hasEdge(ns, p) || contains(newPeers, p) {
+			// Skip already-known edges and duplicates within this record's
+			// own peer list.
+			if contains(ns.peers, pi) || contains(newPeers, pi) {
 				continue
 			}
-			newPeers = append(newPeers, p)
+			newPeers = append(newPeers, pi)
 		}
 	}
 
 	if !known {
-		a.nodes[rec.Node] = ns
+		idx = int32(len(a.byIdx))
+		a.nodes[rec.Node] = idx
+		a.byIdx = append(a.byIdx, ns)
 	}
 	prev := ns.mult
 	ns.mult++
@@ -365,9 +386,10 @@ func (a *Accumulator) ingestLocked(rec sample.NodeObservation) error {
 	}
 
 	if a.cfg.Star {
-		a.sums.AddStar(ns.cat, ns.weight, 1, ns.deg, ns.nbrCat, ns.nbrCnt)
+		sd := ns.star
+		a.sums.AddStar(ns.cat, ns.weight, 1, sd.deg, sd.nbrCat, sd.nbrCnt)
 		if a.reps != nil {
-			a.reps.AddStar(rec.Node, ns.cat, ns.weight, 1, ns.deg, ns.nbrCat, ns.nbrCnt)
+			a.reps.AddStar(rec.Node, ns.cat, ns.weight, 1, sd.deg, sd.nbrCat, sd.nbrCnt)
 		}
 		a.gen.Add(1)
 		return nil
@@ -376,23 +398,23 @@ func (a *Accumulator) ingestLocked(rec sample.NodeObservation) error {
 	// mass of every incident observed edge by m_peer/(w·w_peer)…
 	if prev > 0 {
 		for _, p := range ns.peers {
-			ps := a.nodes[p]
+			ps := a.byIdx[p]
 			mass := ps.mult / (ns.weight * ps.weight)
 			a.sums.AddEdgeMass(ns.cat, ps.cat, mass)
 			if a.reps != nil {
-				a.reps.AddEdgeMass(rec.Node, p, ns.cat, ps.cat, mass)
+				a.reps.AddEdgeMass(rec.Node, ps.id, ns.cat, ps.cat, a.rowOf(ps), mass)
 			}
 		}
 	}
 	// …and newly visible edges contribute their full product mass.
 	for _, p := range newPeers {
-		ps := a.nodes[p]
+		ps := a.byIdx[p]
 		ns.peers = append(ns.peers, p)
-		ps.peers = append(ps.peers, rec.Node)
+		ps.peers = append(ps.peers, idx)
 		mass := ns.mult * ps.mult / (ns.weight * ps.weight)
 		a.sums.AddEdgeMass(ns.cat, ps.cat, mass)
 		if a.reps != nil {
-			a.reps.AddEdgeMass(rec.Node, p, ns.cat, ps.cat, mass)
+			a.reps.AddEdgeMass(rec.Node, ps.id, ns.cat, ps.cat, a.rowOf(ps), mass)
 		}
 	}
 	a.gen.Add(1)
@@ -406,24 +428,62 @@ func (a *Accumulator) ingestLocked(rec sample.NodeObservation) error {
 // regardless of delivery order.
 func (a *Accumulator) recordStarLocked(rec sample.NodeObservation, ns *nodeState) {
 	cat, cnt := sample.CanonicalStarCounts(rec.NbrCat, rec.NbrCnt)
-	ns.deg = sample.EffectiveStarDegree(rec.Deg, cnt)
-	ns.starSeen = true
-	ns.nbrCat = append([]int32(nil), cat...)
-	ns.nbrCnt = append([]float64(nil), cnt...)
+	sd := &starData{seen: true, deg: sample.EffectiveStarDegree(rec.Deg, cnt),
+		nbrCat: append([]int32(nil), cat...), nbrCnt: append([]float64(nil), cnt...)}
+	ns.star = sd
 	if ns.mult > 0 {
 		// Backfill the star mass of the node's earlier draws.
-		a.sums.AddStar(ns.cat, ns.weight, ns.mult, ns.deg, ns.nbrCat, ns.nbrCnt)
+		a.sums.AddStar(ns.cat, ns.weight, ns.mult, sd.deg, sd.nbrCat, sd.nbrCnt)
 		if a.reps != nil {
-			a.reps.AddStar(rec.Node, ns.cat, ns.weight, ns.mult, ns.deg, ns.nbrCat, ns.nbrCnt)
+			a.reps.AddStar(rec.Node, ns.cat, ns.weight, ns.mult, sd.deg, sd.nbrCat, sd.nbrCnt)
 		}
 	}
 }
 
-// hasEdge reports whether the edge {ns, p} is already recorded. Incident
-// lists are scanned linearly: category-graph workloads observe bounded
-// degrees within G[S], and the scan avoids a second hash structure.
-func (a *Accumulator) hasEdge(ns *nodeState, p int32) bool {
-	return contains(ns.peers, p)
+// rowOf returns ns's packed bootstrap weight row, building it on first use.
+func (a *Accumulator) rowOf(ns *nodeState) []uint64 {
+	if ns.row == 0 {
+		var row []uint64
+		ns.row, row = a.rows.alloc()
+		uncert.FillRow(a.cfg.Replicates, ns.id, row)
+		return row
+	}
+	return a.rows.get(ns.row)
+}
+
+// rowArenaChunkWords is the size of one row-arena chunk (64 KiB), or of one
+// row when a row is larger.
+const rowArenaChunkWords = 1 << 13
+
+// rowArena stores fixed-length packed weight rows in chunks: growing it
+// neither copies the rows already handed out nor reserves more than one
+// spare chunk, which keeps the rows' share of the heap at their size. Rows
+// are numbered from 1; 0 means "no row" in nodeState.row.
+type rowArena struct {
+	words, perChunk int
+	chunks          [][]uint64
+	n               int
+}
+
+func newRowArena(B int) rowArena {
+	words := uncert.RowWords(B)
+	return rowArena{words: words, perChunk: max(1, rowArenaChunkWords/max(words, 1))}
+}
+
+// alloc hands out the next zeroed row and its number.
+func (ra *rowArena) alloc() (uint32, []uint64) {
+	if ra.n == len(ra.chunks)*ra.perChunk {
+		ra.chunks = append(ra.chunks, make([]uint64, ra.perChunk*ra.words))
+	}
+	ra.n++
+	return uint32(ra.n), ra.get(uint32(ra.n))
+}
+
+// get returns row number r (r ≥ 1).
+func (ra *rowArena) get(r uint32) []uint64 {
+	i := int(r - 1)
+	off := i % ra.perChunk * ra.words
+	return ra.chunks[i/ra.perChunk][off : off+ra.words : off+ra.words]
 }
 
 func contains(xs []int32, x int32) bool {

@@ -153,7 +153,7 @@ func (o *sparseOracle) AddStar(node, cat int32, weight, count, deg float64, nbrC
 	}
 }
 
-func (o *sparseOracle) AddEdgeMass(nodeA, nodeB, catA, catB int32, mass float64) {
+func (o *sparseOracle) AddEdgeMass(nodeA, nodeB, catA, catB int32, _ []uint64, mass float64) {
 	if catA == graph.None || catB == graph.None {
 		return
 	}
@@ -180,7 +180,7 @@ func (o *sparseOracle) AddEdgeMass(nodeA, nodeB, catA, catB int32, mass float64)
 type replicateKernel interface {
 	AddDraws(node, cat int32, weight, count, prev float64)
 	AddStar(node, cat int32, weight, count, deg float64, nbrCat []int32, nbrCnt []float64)
-	AddEdgeMass(nodeA, nodeB, catA, catB int32, mass float64)
+	AddEdgeMass(nodeA, nodeB, catA, catB int32, rowB []uint64, mass float64)
 }
 
 // kernelNode is the per-node state of a generated stream.
@@ -193,7 +193,8 @@ type kernelNode struct {
 	star    bool
 	nbrCat  []int32
 	nbrCnt  []float64
-	edgesTo []int // indices of observed induced neighbors
+	edgesTo []int    // indices of observed induced neighbors
+	row     []uint64 // packed weight row, built on first use as a peer
 }
 
 // kernelNodes draws n nodes with ids around zero (negative ids included), a
@@ -267,8 +268,9 @@ func feedStarStream(kr replicateKernel, seed uint64, k, steps int) {
 
 // feedInducedStream drives kernel with an induced stream: each draw folds in
 // the node, and every edge to an observed neighbor adds edge mass — on the
-// first draw for newly visible edges, on re-draws for all observed ones.
-func feedInducedStream(kr replicateKernel, seed uint64, k, steps int) {
+// first draw for newly visible edges, on re-draws for all observed ones. The
+// neighbor's packed weight row under cfg rides along with each edge.
+func feedInducedStream(kr replicateKernel, cfg Config, seed uint64, k, steps int) {
 	r := randx.New(seed)
 	nodes := kernelNodes(r, 300, k)
 	for step := 0; step < steps; step++ {
@@ -291,7 +293,11 @@ func feedInducedStream(kr replicateKernel, seed uint64, k, steps int) {
 			if prev == 0 {
 				mass = nd.mult * p.mult / (nd.weight * p.weight)
 			}
-			kr.AddEdgeMass(nd.id, p.id, nd.cat, p.cat, mass)
+			if p.row == nil {
+				p.row = make([]uint64, RowWords(cfg.B))
+				FillRow(cfg, p.id, p.row)
+			}
+			kr.AddEdgeMass(nd.id, p.id, nd.cat, p.cat, p.row, mass)
 		}
 	}
 }
@@ -345,7 +351,7 @@ func requireSameReplicates(t *testing.T, got, want *Replicates) {
 // replicate value to agree bit for bit.
 func TestKernelMatchesSparseOracle(t *testing.T) {
 	const k = 70 // the star hub spans ≥ 64 categories
-	for _, B := range []int{1, 7, 64, 100, 200, 257} {
+	for _, B := range []int{1, 7, 64, 100, 200, 257, 1000} {
 		for _, star := range []bool{true, false} {
 			cfg := Config{B: B, Seed: uint64(B)*31 + 5}
 			got, err := NewReplicates(k, star, cfg)
@@ -361,8 +367,8 @@ func TestKernelMatchesSparseOracle(t *testing.T) {
 				feedStarStream(got, uint64(B), k, 3000)
 				feedStarStream(oracle, uint64(B), k, 3000)
 			} else {
-				feedInducedStream(got, uint64(B), k, 1500)
-				feedInducedStream(oracle, uint64(B), k, 1500)
+				feedInducedStream(got, cfg, uint64(B), k, 1500)
+				feedInducedStream(oracle, cfg, uint64(B), k, 1500)
 			}
 			requireSameReplicates(t, got, want)
 		}
@@ -408,4 +414,72 @@ func TestWeightRowMatchesPoissonK(t *testing.T) {
 	if tail == 0 {
 		t.Fatal("no weight ≥ 4 in the sample")
 	}
+}
+
+// TestFillRowMatchesPoissonK packs the weight rows of many nodes and checks
+// every nibble, and every weight AddEdgeMass unpacks from the row, against
+// poissonK, with the far tail (weights ≥ 4) exercised. B = 300 leaves a
+// partial last word, whose padding nibbles must stay zero.
+func TestFillRowMatchesPoissonK(t *testing.T) {
+	cfg := Config{B: 300, Seed: 99}
+	rs, err := NewReplicates(1, false, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := make([]uint64, RowWords(cfg.B))
+	tail := 0
+	for node := int32(-5000); node < 7000; node++ {
+		FillRow(cfg, node, row)
+		rs.unpackRow(node, row)
+		hn := nodeHash(cfg.Seed, node)
+		for b := 0; b < 16*len(row); b++ {
+			var want uint64
+			if b < cfg.B {
+				want = poissonK(hn, b)
+			}
+			if nib := row[b/16] >> (4 * (b % 16)) & 15; nib != min(want, rowEscape) {
+				t.Fatalf("node %d rep %d: nibble %d, poissonK %d", node, b, nib, want)
+			}
+			if uint64(rs.pw[b]) != want {
+				t.Fatalf("node %d rep %d: unpacked weight %d, poissonK %d", node, b, rs.pw[b], want)
+			}
+			if want >= 4 {
+				tail++
+			}
+		}
+	}
+	if tail == 0 {
+		t.Fatal("no weight ≥ 4 in the sample")
+	}
+}
+
+// TestRowEscapeRecomputed forces escape nibbles into a packed row — weights
+// ≥ 15 are too rare to meet by chance — and checks that the unpacked weights
+// and the edge mass replayed from the row are those of poissonK, not 15.
+func TestRowEscapeRecomputed(t *testing.T) {
+	cfg := Config{B: 40, Seed: 3}
+	const nodeA, nodeB = 7, 11
+	row := make([]uint64, RowWords(cfg.B))
+	FillRow(cfg, nodeB, row)
+	forced := append([]uint64(nil), row...)
+	for _, b := range []int{0, 5, 15, 16, 39} {
+		forced[b/16] |= rowEscape << (4 * (b % 16))
+	}
+	want, err := NewReplicates(2, false, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewReplicates(2, false, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.AddEdgeMass(nodeA, nodeB, 0, 1, row, 0.75)
+	got.AddEdgeMass(nodeA, nodeB, 0, 1, forced, 0.75)
+	hn := nodeHash(cfg.Seed, nodeB)
+	for b := 0; b < cfg.B; b++ {
+		if c := poissonK(hn, b); uint64(got.pw[b]) != c {
+			t.Fatalf("rep %d: unpacked weight %d, poissonK %d", b, got.pw[b], c)
+		}
+	}
+	requireSameReplicates(t, got, want)
 }

@@ -1,8 +1,10 @@
 package uncert
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -31,9 +33,10 @@ import (
 // weight c, so each call tabulates it for c = 0…max (entry 0 exactly zero)
 // and replicate b adds its table entry. There is no per-replicate branch:
 // a sparse walk split by weight 0 / 1 / ≥2 mispredicts on most indices.
-// Induced edge mass stays sparse: it is nonzero only where both endpoints
-// resampled, so the other endpoint is hashed at the cached row's nonzero
-// indices only, never expanded into a row of its own.
+// Induced edge mass is nonzero only where both endpoints resampled, so it
+// walks the drawn node's nonzero indices; the other endpoint's weights come
+// from its packed row (FillRow), which the caller builds once per node and
+// keeps, so no weight is hashed per edge.
 //
 // Replicates is not safe for concurrent use; internal/stream drives it under
 // the accumulator lock (or inside a writer-private epoch local).
@@ -70,13 +73,16 @@ type Replicates struct {
 	// so the node's weights are expanded once (weightRow). w is the dense
 	// row of integer weights, nz the indices of its nonzero entries in
 	// ascending order, and wMax an upper bound on the largest weight (the
-	// bitwise OR of the row), which bounds the per-weight term tables. An
-	// induced edge's other endpoint is hashed only at nz (AddEdgeMass).
+	// bitwise OR of the row), which bounds the per-weight term tables.
 	wNode  int32
 	wValid bool
 	w      []uint8
 	nz     []int32
 	wMax   uint8
+
+	// pw is the scratch row AddEdgeMass unpacks an induced edge's other
+	// endpoint into: its weights by replicate, padded to whole row words.
+	pw []uint8
 
 	// arena is the ReservePairs backing store: pre-allocated B-vectors for
 	// pairs not materialized yet, so CopyFrom under a publish mutex can hand
@@ -113,6 +119,7 @@ func NewReplicates(k int, star bool, cfg Config) (*Replicates, error) {
 		dirty:     make([]bool, k),
 		w:         make([]uint8, B),
 		nz:        make([]int32, 0, B),
+		pw:        make([]uint8, 16*RowWords(B)),
 	}
 	if star {
 		rs.degNum = make([]float64, B)
@@ -339,20 +346,73 @@ func (rs *Replicates) AddStar(node, cat int32, weight, count, deg float64, nbrCa
 	}
 }
 
+// rowEscape is the packed-row nibble that stands for a weight of 15 or
+// more; readers recompute such weights with poissonK. Poisson(1) reaches 15
+// with probability ≈3e-13, so the escape only keeps the rows exact.
+const rowEscape = 15
+
+// RowWords returns the length in words of a packed weight row for B
+// replicates: 4 bits per replicate, 16 replicates per word.
+func RowWords(B int) int { return (B + 15) / 16 }
+
+// FillRow packs node's Poisson weights under cfg into row, which must hold
+// RowWords(cfg.B) words: replicate b's weight is the 4-bit nibble b%16 of
+// word b/16, weights ≥ 15 are stored as rowEscape, and nibbles past B are
+// zero. A row depends only on (Seed, node), so callers that replay a node's
+// edges many times build it once and keep it.
+func FillRow(cfg Config, node int32, row []uint64) {
+	hn := nodeHash(cfg.Seed, node)
+	clear(row)
+	for b := 0; b < cfg.B; b++ {
+		row[b>>4] |= min(poissonK(hn, b), rowEscape) << (uint(b&15) * 4)
+	}
+}
+
+// unpackRow expands nodeB's packed row into the scratch row pw, a word at
+// a time: each half word's eight nibbles are spread to eight bytes with
+// three shift-and-mask steps. A word holding an escape nibble has those
+// replicates' weights recomputed.
+func (rs *Replicates) unpackRow(nodeB int32, row []uint64) {
+	pw := rs.pw
+	row = row[:len(pw)/16]
+	for i, x := range row {
+		binary.LittleEndian.PutUint64(pw[16*i:], spreadNibbles(x&0xffffffff))
+		binary.LittleEndian.PutUint64(pw[16*i+8:], spreadNibbles(x>>32))
+		// Bit 4j of esc is set iff all four bits of nibble j are.
+		esc := x & (x >> 1) & (x >> 2) & (x >> 3) & 0x1111111111111111
+		if esc == 0 {
+			continue
+		}
+		hb := nodeHash(rs.cfg.Seed, nodeB)
+		for ; esc != 0; esc &= esc - 1 {
+			b := 16*i + bits.TrailingZeros64(esc)/4
+			pw[b] = uint8(poissonK(hb, b))
+		}
+	}
+}
+
+// spreadNibbles moves nibble j of the low 32 bits of x to byte j.
+func spreadNibbles(x uint64) uint64 {
+	x = (x | x<<16) & 0x0000ffff0000ffff
+	x = (x | x<<8) & 0x00ff00ff00ff00ff
+	return (x | x<<4) & 0x0f0f0f0f0f0f0f0f
+}
+
 // AddEdgeMass mirrors Sums.AddEdgeMass for an induced-scenario edge-mass
 // increment between nodes a and b: every primary increment is a product of
 // the two endpoint multiplicities' changes, so replicate r scales it by
-// c_a(r)·c_b(r) — nonzero only where BOTH endpoints resampled, so the
-// iteration runs over endpoint a's nonzero replicates and hashes endpoint
-// b's weight only there (classified inline as in weightRow). Pass the node
-// whose record is being ingested as nodeA: its row stays cached across all
-// of its incident edges.
-func (rs *Replicates) AddEdgeMass(nodeA, nodeB, catA, catB int32, mass float64) {
+// c_a(r)·c_b(r) — nonzero only where BOTH endpoints resampled, so the pass
+// runs over endpoint a's nonzero replicates. rowB is endpoint b's packed
+// weight row (FillRow); it is unpacked into the scratch row first. Pass the
+// node whose record is being ingested as nodeA: its dense row stays cached
+// across all of its incident edges. Weights are converted to float from
+// bytes — an unsigned 64-bit conversion costs a fix-up sequence on amd64.
+func (rs *Replicates) AddEdgeMass(nodeA, nodeB, catA, catB int32, rowB []uint64, mass float64) {
 	if catA == graph.None || catB == graph.None {
 		return
 	}
 	rs.weightRow(nodeA)
-	hb := nodeHash(rs.cfg.Seed, nodeB)
+	rs.unpackRow(nodeB, rowB)
 	var tgt []float64
 	if catA == catB {
 		rs.mark(catA)
@@ -362,15 +422,9 @@ func (rs *Replicates) AddEdgeMass(nodeA, nodeB, catA, catB int32, mass float64) 
 		tgt = rs.pairVec(catA, catB)
 	}
 	w := rs.w
-	tgt = tgt[:len(w)]
-	t0, t1, t2, t3 := poissonThresh[0]-1, poissonThresh[1]-1, poissonThresh[2]-1, poissonThresh[3]
+	pw, tgt := rs.pw[:len(w)], tgt[:len(w)]
 	for _, b := range rs.nz {
-		x := mix64(hb+uint64(b)) >> 11
-		kb := (t0-x)>>63 + (t1-x)>>63 + (t2-x)>>63
-		if x >= t3 {
-			kb = poissonK(hb, int(b))
-		}
-		tgt[b] += mass * float64(w[b]) * float64(kb)
+		tgt[b] += mass * float64(w[b]) * float64(pw[b])
 	}
 }
 

@@ -3,8 +3,10 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"testing"
 
+	"repro/internal/sample"
 	"repro/internal/stream"
 	"repro/internal/uncert"
 )
@@ -109,6 +111,71 @@ func FuzzDecodeRecords(f *testing.F) {
 		}
 		if !bytes.Equal(re, data) {
 			t.Fatalf("accepted %d-byte input re-encodes to different %d bytes", len(data), len(re))
+		}
+	})
+}
+
+// FuzzRestoreCheckpoint drives arbitrary bytes through the whole resume
+// path: DecodeCheckpoint, RestoreAccumulator under the configuration the
+// state declares, then one re-draw of every restored node. Any step may
+// reject its input with an error; none may panic. A checkpoint that decodes
+// is not thereby consistent — its node directory can name peers that do not
+// exist or do not list each other back — so restore must catch what the
+// codec cannot.
+func FuzzRestoreCheckpoint(f *testing.F) {
+	seed := func(star bool, boot uncert.Config) []byte {
+		const k = 4
+		acc, err := stream.NewAccumulator(stream.Config{K: k, Star: star, Replicates: boot})
+		if err != nil {
+			f.Fatal(err)
+		}
+		for i := 0; i < 30; i++ {
+			var rec = starRecord(int32(i%9), k)
+			if !star {
+				rec = inducedRecord(int32(i%9), k)
+			}
+			if err := acc.Ingest(rec); err != nil {
+				f.Fatal(err)
+			}
+		}
+		fs, err := acc.ExportFull()
+		if err != nil {
+			f.Fatal(err)
+		}
+		frame, err := EncodeCheckpoint(&Checkpoint{Name: "fuzz", Gen: fs.State.Gen, State: fs})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return frame
+	}
+	f.Add(seed(true, uncert.Config{B: 3, Seed: 2}))
+	f.Add(seed(true, uncert.Config{}))
+	f.Add(seed(false, uncert.Config{B: 5, Seed: 7}))
+	f.Add(seed(false, uncert.Config{}))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// A mutated payload almost never matches the frame's checksum;
+		// re-seal it so the mutations reach the decoder and restore.
+		if len(data) >= ckpHeaderSize {
+			data = append([]byte(nil), data...)
+			end := min(len(data), ckpHeaderSize+int(binary.LittleEndian.Uint32(data[12:16])))
+			binary.LittleEndian.PutUint32(data[16:20], crc32.ChecksumIEEE(data[ckpHeaderSize:end]))
+		}
+		cp, _, err := DecodeCheckpoint(data)
+		if err != nil {
+			return
+		}
+		st := cp.State.State
+		cfg := stream.Config{K: st.K, Star: st.Star}
+		if st.Reps != nil {
+			cfg.Replicates = st.Reps.Config()
+		}
+		acc, err := stream.RestoreAccumulator(cfg, cp.State)
+		if err != nil {
+			return
+		}
+		for _, nr := range cp.State.Nodes {
+			_ = acc.Ingest(sample.NodeObservation{Node: nr.Node, Cat: nr.Cat})
 		}
 	})
 }
