@@ -42,8 +42,6 @@ func TestRunRejectsInvalidFlags(t *testing.T) {
 		{"serve/negative bootstrap", serve, func(c *cli) { c.boot = -1 }},
 		{"serve/negative qps", serve, func(c *cli) { c.qps = -1 }},
 		{"serve/negative query cost", serve, func(c *cli) { c.queryCost = -time.Millisecond }},
-		{"serve/negative flush interval", serve, func(c *cli) { c.flushEvery = -time.Second }},
-		{"serve/flush interval with one shard", serve, func(c *cli) { c.flushEvery = time.Second }},
 		{"serve/zero checkpoint interval", serve, func(c *cli) { c.checkpointInterval = 0 }},
 		{"serve/negative checkpoint max frames", serve, func(c *cli) { c.checkpointMaxF = -1 }},
 		{"serve/restore jobs without dir", serve, func(c *cli) { c.restoreJobs = true }},
@@ -60,7 +58,6 @@ func TestRunRejectsInvalidFlags(t *testing.T) {
 		{"crawl/negative bootstrap", crawlMode, func(c *cli) { c.boot = -1 }},
 		{"crawl/negative qps", crawlMode, func(c *cli) { c.qps = -1 }},
 		{"crawl/negative query cost", crawlMode, func(c *cli) { c.queryCost = -time.Millisecond }},
-		{"crawl/flush interval with one shard", crawlMode, func(c *cli) { c.flushEvery = time.Second }},
 		{"crawl/zero checkpoint interval", crawlMode, func(c *cli) { c.checkpointInterval = 0 }},
 		{"crawl/restore jobs without dir", crawlMode, func(c *cli) { c.restoreJobs = true }},
 		{"crawl/zero shards", crawlMode, func(c *cli) { c.shards = 0 }},
@@ -74,7 +71,6 @@ func TestRunRejectsInvalidFlags(t *testing.T) {
 		{"merge/with crawl", merge, func(c *cli) { c.crawlMode = true }},
 		{"merge/with bootstrap", merge, func(c *cli) { c.boot = 5 }},
 		{"merge/with shards", merge, func(c *cli) { c.shards = 2 }},
-		{"merge/with flush interval", merge, func(c *cli) { c.shards = 2; c.flushEvery = time.Second }},
 		{"merge/with checkpoint dir", merge, func(c *cli) { c.checkpointDir = t.TempDir() }},
 		{"merge/no categories", merge, func(c *cli) { c.k = 0 }},
 		{"merge/zero interval", merge, func(c *cli) { c.mergeInterval = 0 }},

@@ -5,6 +5,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -58,6 +60,60 @@ func obsBody(t *testing.T, lo, hi int) string {
 
 type jobListDoc struct {
 	Jobs []map[string]any `json:"jobs"`
+}
+
+// TestJobCreateStatus pins POST /jobs's status per failure class on a
+// durable registry: a bad spec is 400 whatever the job is called, a taken
+// name or a spec contradicting the job's checkpoint identity is 409, and a
+// checkpoint file the daemon cannot read is 500.
+func TestJobCreateStatus(t *testing.T) {
+	dir := t.TempDir()
+	spec := job.Spec{Name: job.DefaultName, K: 4, Star: true, N: 800}
+	// "ident" leaves a checkpoint covering 4 categories behind.
+	reg0, err := job.NewRegistry(dir, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ident, err := reg0.Create(job.Spec{Name: "ident", K: 4, Star: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ident.Acc().Ingest(httpObs(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg0.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	// A directory where "unreadable"'s checkpoint file should be.
+	if err := os.Mkdir(filepath.Join(dir, "unreadable.ckpt"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	reg, err := job.NewRegistry(dir, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := reg.Create(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServerWithJobs(reg, def)
+
+	for _, tc := range []struct {
+		name, body string
+		want       int
+	}{
+		{"bad spec", `{"name":"alpha","k":0}`, 400},
+		{"bad spec, name mentions checkpoint", `{"name":"checkpoint1","k":0}`, 400},
+		{"created", `{"name":"beta"}`, 201},
+		{"name taken", `{"name":"beta"}`, 409},
+		{"identity conflict", `{"name":"ident","k":5}`, 409},
+		{"identity kept", `{"name":"ident"}`, 201},
+		{"unreadable checkpoint", `{"name":"unreadable"}`, 500},
+	} {
+		if w := post(t, srv, "/jobs", tc.body); w.Code != tc.want {
+			t.Errorf("%s: POST /jobs %s = %d %s, want %d", tc.name, tc.body, w.Code, w.Body, tc.want)
+		}
+	}
 }
 
 // TestJobsAPILifecycle drives the multi-tenant surface end to end: create,

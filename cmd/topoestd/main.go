@@ -25,14 +25,6 @@
 //	             fold them into the published view exactly at flush
 //	             (multi-core ingest, star scenario only); below 1 fails
 //	             startup
-//	-flush-interval  with -shards > 1, defer publishing ingested records
-//	             to a background flusher with this period (e.g. 200ms).
-//	             The default 0 flushes before every /ingest response, so
-//	             an acknowledged record is visible to the next /estimate;
-//	             > 0 trades that read-your-writes visibility for zero
-//	             flush work on the request path — acknowledged records
-//	             are durable in the daemon but appear in /estimate only
-//	             after the next background flush
 //	-N           population size |V|; 0 = unknown → relative sizes, with the
 //	             §4.3 collision estimate of N reported alongside
 //	-size        size estimator: auto|induced|star|star-pooled
@@ -180,9 +172,9 @@
 // re-deliveries pass, but a record whose cat, explicit weight, or star
 // data contradicts the node's first observation is rejected. With
 // -shards > 1, POST /ingest validates and accumulates each batch in a
-// writer-private local epoch in record order and — unless -flush-interval
-// defers it — flushes the epoch into the published estimate before
-// responding.
+// writer-private local epoch in record order and flushes the epoch into the
+// published estimate before responding, so an acknowledged record is
+// visible to the next /estimate on either accumulator.
 //
 // # Ingest error semantics and the retry-safe protocol
 //
@@ -207,10 +199,7 @@
 // The retry-safe protocol is: drop the first "ingested" records, fix or
 // discard the record at index "index", and resend the rest. Idempotent
 // replay is not provided by the server; exactly-once ingestion is the
-// client's contract to keep. Under -flush-interval > 0 "applied" means
-// durable in the daemon's local epoch: the prefix is validated, counted
-// and cannot be lost, but it reaches /estimate only at the next
-// background flush.
+// client's contract to keep.
 package main
 
 import (
@@ -222,6 +211,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"log/slog"
 	"math"
 	"net/http"
@@ -250,16 +240,15 @@ import (
 
 // cli holds the parsed command line.
 type cli struct {
-	addr       string
-	k          int
-	names      string
-	star       bool
-	shards     int
-	flushEvery time.Duration
-	popN       float64
-	size       string
-	boot       int
-	bootSeed   uint64
+	addr     string
+	k        int
+	names    string
+	star     bool
+	shards   int
+	popN     float64
+	size     string
+	boot     int
+	bootSeed uint64
 
 	demo      bool
 	demoDraws int
@@ -305,7 +294,6 @@ func main() {
 	flag.StringVar(&c.names, "names", "", "comma-separated category names (sets -k)")
 	flag.BoolVar(&c.star, "star", true, "star scenario (false = induced subgraph)")
 	flag.IntVar(&c.shards, "shards", 1, "ingest concurrency: 1 = single-lock accumulator, >1 = epoch-merged multi-core ingest (star only)")
-	flag.DurationVar(&c.flushEvery, "flush-interval", 0, "with -shards > 1: defer publishing ingested records to a background flusher with this period (0 = flush before every /ingest response)")
 	flag.Float64Var(&c.popN, "N", 0, "population size |V| (0 = unknown, relative sizes)")
 	flag.StringVar(&c.size, "size", "auto", "size estimator: auto|induced|star|star-pooled")
 	flag.IntVar(&c.boot, "bootstrap", 0, "streaming-bootstrap replicates for /estimate?ci= intervals (0 = off)")
@@ -387,10 +375,6 @@ func (c *cli) validate() error {
 		return fmt.Errorf("need -query-cost ≥ 0, got %v", c.queryCost)
 	case c.shards < 1:
 		return fmt.Errorf("need -shards ≥ 1, got %d", c.shards)
-	case c.flushEvery < 0:
-		return fmt.Errorf("need -flush-interval ≥ 0, got %v", c.flushEvery)
-	case c.flushEvery > 0 && c.shards == 1:
-		return fmt.Errorf("-flush-interval needs the epoch-merged accumulator; combine it with -shards > 1")
 	case c.checkpointInterval <= 0:
 		return fmt.Errorf("need -checkpoint-interval > 0, got %v", c.checkpointInterval)
 	case c.checkpointMaxF < 0:
@@ -408,8 +392,8 @@ func (c *cli) validate() error {
 		return fmt.Errorf("-merge-from is a read-only coordinator; it cannot be combined with -demo or -crawl")
 	case c.boot != 0:
 		return fmt.Errorf("-bootstrap has no effect on a coordinator: it adopts the workers' bootstrap configuration (drop the flag)")
-	case c.shards > 1 || c.flushEvery > 0:
-		return fmt.Errorf("-shards and -flush-interval configure the ingest path; a coordinator does not ingest")
+	case c.shards > 1:
+		return fmt.Errorf("-shards configures the ingest path; a coordinator does not ingest")
 	case c.checkpointDir != "":
 		return fmt.Errorf("-checkpoint-dir has no effect on a coordinator: its durable state lives on the workers it polls")
 	case c.mergeInterval <= 0 || c.mergeTimeout <= 0 || c.mergeMaxStale <= 0:
@@ -419,12 +403,12 @@ func (c *cli) validate() error {
 }
 
 // jobServer boots the serving daemon: a job registry whose default job is
-// built from the flags, optionally restored named jobs, and the deferred
-// flusher. Crawl mode (-crawl, or its -demo preset) adds three things only:
-// the crawl backend fixes K, the category names and N; a targeted crawl on
-// the bootstrap engine defaults to 100 replicates when -bootstrap is off;
-// and the default job starts crawling before the daemon serves. It returns
-// the server and the mode's startup log attributes.
+// built from the flags, and optionally restored named jobs. Crawl mode
+// (-crawl, or its -demo preset) adds three things only: the crawl backend
+// fixes K, the category names and N; a targeted crawl on the bootstrap
+// engine defaults to 100 replicates when -bootstrap is off; and the default
+// job starts crawling before the daemon serves. It returns the server and
+// the mode's startup log attributes.
 func (c *cli) jobServer(method core.SizeMethod) (*server, []any, error) {
 	spec := job.Spec{
 		Name: job.DefaultName, Star: c.star, N: c.popN, Size: c.size,
@@ -485,8 +469,7 @@ func (c *cli) jobServer(method core.SizeMethod) (*server, []any, error) {
 	}
 	srv := newServerWithJobs(reg, def)
 	srv.crawlSource, srv.crawlDefaults = src, adaptive
-	srv.startDeferredFlush(c.flushEvery)
-	attrs := []any{"k", spec.K, "ingest", ingestMode(def.Acc()), "flush_interval", c.flushEvery,
+	attrs := []any{"k", spec.K, "ingest", ingestMode(def.Acc()),
 		"bootstrap_b", spec.Bootstrap, "checkpoint_dir", c.checkpointDir, "gen", def.Acc().Gen()}
 	if src != nil {
 		cj, err := crawl.Start(src, def.Acc(), jobCfg)
@@ -558,9 +541,8 @@ func (c *cli) coordinator(method core.SizeMethod) (*server, []any, error) {
 // goroutine) forever — the bare http.ListenAndServe has none. On SIGTERM or
 // SIGINT it shuts down gracefully: the listener closes (no new ingest), every
 // in-flight request finishes (bounded by 10s), and then onShutdown runs —
-// which is where the server publishes anything still buffered (the deferred
-// flusher's pooled locals) before the process exits, so no acknowledged
-// record dies with the process.
+// which is where the server writes its final checkpoints before the process
+// exits, so no acknowledged record dies with the process.
 func listenAndServe(addr string, h http.Handler, onShutdown func()) error {
 	srv := &http.Server{
 		Addr:              addr,
@@ -720,15 +702,6 @@ type server struct {
 	def      *job.Job
 	template job.Spec
 
-	// The deferred-flush ingest path of -flush-interval parks writer-private
-	// locals on each job between requests; the background flusher folds the
-	// idle ones of every job into the published views each flushEvery, and a
-	// request in flight simply keeps its local out of the job's pool until
-	// it returns it, so no Local is ever touched by two goroutines.
-	flushEvery time.Duration
-	flushStop  chan struct{}
-	flushDone  chan struct{}
-
 	// crawlSource is the graph backend of crawl/demo mode — generated,
 	// packed out-of-core, or rate-limited (nil when the daemon only serves
 	// externally pushed records); crawlDefaults seeds the configuration of
@@ -836,55 +809,11 @@ func ingestMode(acc stream.Ingester) string {
 	return "single-lock"
 }
 
-// startDeferredFlush switches POST /ingest from flush-per-request to the
-// deferred path: each request borrows a pooled writer-private local of its
-// job, validates and accumulates its records there, and returns it
-// unflushed; a background ticker folds every job's idle locals into the
-// published views each d. Jobs on the single-lock accumulator are
-// unaffected — their ingest keeps flushing per request. Call before the
-// server starts serving — the switch is not synchronized with in-flight
-// requests.
-func (s *server) startDeferredFlush(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	s.flushEvery = d
-	s.flushStop = make(chan struct{})
-	s.flushDone = make(chan struct{})
-	go func() {
-		defer close(s.flushDone)
-		t := time.NewTicker(d)
-		defer t.Stop()
-		for {
-			select {
-			case <-s.flushStop:
-				s.flushIdleLocals() // final flush: nothing acknowledged is lost
-				return
-			case <-t.C:
-				s.flushIdleLocals()
-			}
-		}
-	}()
-}
-
-// stopDeferredFlush terminates the background flusher and waits for its
-// final flush of every idle local, so nothing acknowledged is lost.
-// Subsequent ingests take the flush-per-request path.
-func (s *server) stopDeferredFlush() {
-	if s.flushStop != nil {
-		close(s.flushStop)
-		<-s.flushDone
-		s.flushStop = nil
-	}
-}
-
 // shutdown runs after the HTTP server has stopped accepting requests and
-// drained the in-flight ones: publish every record still buffered in the
-// deferred flusher's pooled locals, stop the merge poll loop if this daemon
-// is a coordinator, and write one final checkpoint per job (registry
-// shutdown) so everything acknowledged is durable before the process exits.
+// drained the in-flight ones: stop the merge poll loop if this daemon is a
+// coordinator, and write one final checkpoint per job (registry shutdown)
+// so everything acknowledged is durable before the process exits.
 func (s *server) shutdown() {
-	s.stopDeferredFlush()
 	if s.merger != nil {
 		s.merger.stopWait()
 	}
@@ -921,21 +850,6 @@ func (s *server) handleSums(w http.ResponseWriter, r *http.Request, j *job.Job) 
 	}
 	w.Header().Set("Content-Length", strconv.Itoa(len(enc)))
 	w.Write(enc)
-}
-
-// flushIdleLocals publishes every job's idle locals (the borrow/flush
-// mechanics live on job.Job). Records dropped by a flush (per-node constants
-// that lost a first-touch race to a contradicting writer) are already
-// counted by the stream_ingest_rejected_total{reason="flush_conflict"}
-// metric; they are logged here because for an HTTP client they are the
-// deferred analogue of a 422 the request path could no longer report.
-func (s *server) flushIdleLocals() (applied, dropped int) {
-	applied, dropped = s.jobs.FlushIdleAll()
-	if dropped > 0 {
-		slog.Warn("deferred flush dropped records with conflicting per-node constants",
-			"dropped", dropped, "applied", applied)
-	}
-	return applied, dropped
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -1006,14 +920,14 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request, j *job.Job
 			httpError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		n, err = s.ingestStream(j, it)
+		n, err = ingestStream(j, it)
 		total = it.Len()
 	} else {
 		recs, ok := decodeRecords(w, body)
 		if !ok {
 			return
 		}
-		n, err = s.ingestRecords(j, recs)
+		n, err = j.Acc().IngestBatch(recs)
 		total = len(recs)
 	}
 	j.NoteIngest(n, len(body), t0)
@@ -1093,57 +1007,22 @@ var recordIterPool = sync.Pool{New: func() any { return new(wire.RecordIter) }}
 // ingestStream drains a binary batch straight into the job's stream without
 // materializing a record slice: each decoded record aliases the iterator's
 // scratch, which every ingest path copies before retaining. Epoch-merged
-// jobs ingest through a pooled writer-private local — flushed before the
-// response unless deferred-flush mode owns publishing, exactly mirroring
-// ingestRecords — and the single-lock accumulator takes records directly.
-func (s *server) ingestStream(j *job.Job, it *wire.RecordIter) (int, error) {
+// jobs ingest through a pooled writer-private local, which PutLocal flushes
+// before the response — the valid prefix a 422 acknowledges included — and
+// the single-lock accumulator takes records directly.
+func ingestStream(j *job.Job, it *wire.RecordIter) (int, error) {
 	var rec sample.NodeObservation
+	ingest := j.Acc().Ingest
 	if l := j.TakeLocal(); l != nil {
 		defer j.PutLocal(l)
-		for i := 0; it.Next(&rec); i++ {
-			if err := l.Ingest(rec); err != nil {
-				if s.flushStop == nil {
-					l.Flush() // publish the valid prefix the 422 acknowledges
-				}
-				return i, err
-			}
-		}
-		if s.flushStop == nil {
-			l.Flush()
-		}
-		return it.Len(), nil
+		ingest = l.Ingest
 	}
-	acc := j.Acc()
 	for i := 0; it.Next(&rec); i++ {
-		if err := acc.Ingest(rec); err != nil {
+		if err := ingest(rec); err != nil {
 			return i, err
 		}
 	}
 	return it.Len(), nil
-}
-
-// ingestRecords applies one request's batch to the job's stream. Normally
-// it goes straight to the accumulator (the epoch-merged one flushes
-// internally before returning, so the HTTP ack implies /estimate
-// visibility, exactly like the single-lock path). In deferred-flush mode
-// the records accumulate in a borrowed writer-private local of the job
-// instead and the background ticker publishes them later; the valid-prefix
-// contract is unchanged — on error the first n records are durably recorded
-// in the local's epoch — but "draws" in the response and /estimate lag
-// until the next flush.
-func (s *server) ingestRecords(j *job.Job, recs []sample.NodeObservation) (int, error) {
-	if s.flushStop != nil {
-		if l := j.TakeLocal(); l != nil {
-			defer j.PutLocal(l)
-			for i, rec := range recs {
-				if err := l.Ingest(rec); err != nil {
-					return i, err
-				}
-			}
-			return len(recs), nil
-		}
-	}
-	return j.Acc().IngestBatch(recs)
 }
 
 // ingestError writes the structured /ingest error body: the human-readable
@@ -1533,18 +1412,17 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	acc := s.def.Acc()
 	doc := map[string]any{
-		"status":           "ok",
-		"scenario":         scenarioName(acc.Config().Star),
-		"k":                acc.Config().K,
-		"accumulator":      ingestMode(acc),
-		"flush_interval_s": s.flushEvery.Seconds(),
-		"bootstrap_b":      acc.Config().Replicates.B,
-		"draws":            acc.Draws(),
-		"distinct":         acc.Distinct(),
-		"uptime_s":         time.Since(s.start).Seconds(),
-		"go_version":       runtime.Version(),
-		"goroutines":       runtime.NumGoroutine(),
-		"build":            buildDoc(),
+		"status":      "ok",
+		"scenario":    scenarioName(acc.Config().Star),
+		"k":           acc.Config().K,
+		"accumulator": ingestMode(acc),
+		"bootstrap_b": acc.Config().Replicates.B,
+		"draws":       acc.Draws(),
+		"distinct":    acc.Distinct(),
+		"uptime_s":    time.Since(s.start).Seconds(),
+		"go_version":  runtime.Version(),
+		"goroutines":  runtime.NumGoroutine(),
+		"build":       buildDoc(),
 		"ingest": map[string]int64{
 			"records":  stream.IngestedTotal(),
 			"rejected": stream.RejectedTotal(),
@@ -1627,18 +1505,20 @@ func (s *server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	spec := req.apply(s.template)
 	j, err := s.jobs.Create(spec)
+	var fileErr *fs.PathError
 	switch {
-	case errors.Is(err, job.ErrExists):
+	case errors.Is(err, job.ErrExists), errors.Is(err, job.ErrIdentity):
+		// A taken name, or an identity conflict with a persisted checkpoint
+		// (the durable state wins).
 		httpError(w, http.StatusConflict, "%v", err)
 		return
+	case errors.As(err, &fileErr):
+		// The checkpoint file could not be read or repaired: a server fault,
+		// not a bad spec.
+		httpError(w, http.StatusInternalServerError, "%v", err)
+		return
 	case err != nil:
-		// Identity conflicts with a persisted checkpoint are 409 (the
-		// durable state wins); everything else is a bad spec.
-		if strings.Contains(err.Error(), "checkpoint") {
-			httpError(w, http.StatusConflict, "%v", err)
-		} else {
-			httpError(w, http.StatusBadRequest, "%v", err)
-		}
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	slog.Info("job created", "job", j.Name(), "k", j.Spec().K,

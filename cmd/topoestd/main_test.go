@@ -365,7 +365,7 @@ func TestHealthz(t *testing.T) {
 	if doc["status"] != "ok" || doc["scenario"] != "induced" || doc["draws"] != float64(1) {
 		t.Fatalf("healthz doc = %v", doc)
 	}
-	for _, key := range []string{"k", "accumulator", "flush_interval_s", "bootstrap_b", "distinct", "uptime_s", "go_version", "goroutines", "build", "ingest", "crawl"} {
+	for _, key := range []string{"k", "accumulator", "bootstrap_b", "distinct", "uptime_s", "go_version", "goroutines", "build", "ingest", "crawl"} {
 		if _, ok := doc[key]; !ok {
 			t.Errorf("healthz doc missing %q: %v", key, doc)
 		}
@@ -741,66 +741,6 @@ func TestEpochServerCI(t *testing.T) {
 		if se.CI == nil {
 			t.Fatalf("epoch size entry %d has no CI", se.Cat)
 		}
-	}
-}
-
-// TestDeferredFlushIngest exercises the -flush-interval path: acknowledged
-// records park in pooled writer-private locals — durable but invisible to
-// Draws and /estimate — until a flush publishes them; the valid-prefix 422
-// contract survives deferral; and stopDeferredFlush performs a final flush
-// so nothing acknowledged is ever lost.
-func TestDeferredFlushIngest(t *testing.T) {
-	acc, err := stream.NewEpochAccumulator(stream.Config{K: 3, Star: true, N: 50}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := newServer(acc, nil)
-	srv.startDeferredFlush(time.Hour) // the tick never fires; the test flushes by hand
-	if w := post(t, srv, "/ingest",
-		`[{"node":1,"cat":0,"deg":1,"nbr_cat":[1],"nbr_cnt":[1]},
-		  {"node":2,"cat":1,"deg":1,"nbr_cat":[0],"nbr_cnt":[1]}]`); w.Code != 200 {
-		t.Fatalf("deferred ingest: %d %s", w.Code, w.Body)
-	}
-	if acc.Draws() != 0 {
-		t.Fatalf("draws = %d before any flush, want 0 (records parked in the local)", acc.Draws())
-	}
-	if w := get(t, srv, "/estimate"); w.Code != 503 {
-		t.Fatalf("estimate before flush: %d, want 503 (nothing published yet)", w.Code)
-	}
-	// A mid-batch rejection still applies the valid prefix durably — into
-	// the local epoch rather than the published view.
-	w := post(t, srv, "/ingest", `[{"node":3,"cat":2},{"node":9,"cat":7}]`)
-	if w.Code != 422 {
-		t.Fatalf("bad batch: %d %s", w.Code, w.Body)
-	}
-	var errDoc struct {
-		Ingested int `json:"ingested"`
-		Total    int `json:"total"`
-		Index    int `json:"index"`
-	}
-	mustDecode(t, w.Body.Bytes(), &errDoc)
-	if errDoc.Ingested != 1 || errDoc.Total != 2 || errDoc.Index != 1 {
-		t.Fatalf("deferred error body = %+v, want ingested=1 total=2 index=1", errDoc)
-	}
-	if applied, dropped := srv.flushIdleLocals(); applied != 3 || dropped != 0 {
-		t.Fatalf("flush applied %d, dropped %d, want 3 applied (2 good + the 422 prefix)", applied, dropped)
-	}
-	if acc.Draws() != 3 {
-		t.Fatalf("draws = %d after flush, want 3", acc.Draws())
-	}
-	var est estimateDoc
-	mustDecode(t, get(t, srv, "/estimate").Body.Bytes(), &est)
-	if est.Draws != 3 {
-		t.Fatalf("estimate covers %d draws after flush, want 3", est.Draws)
-	}
-	// Records acknowledged after the last tick are published by the final
-	// flush of stopDeferredFlush.
-	if w := post(t, srv, "/ingest", `{"node":4,"cat":2}`); w.Code != 200 {
-		t.Fatalf("ingest before stop: %d %s", w.Code, w.Body)
-	}
-	srv.stopDeferredFlush()
-	if acc.Draws() != 4 {
-		t.Fatalf("draws = %d after stop, want 4 (final flush publishes the tail)", acc.Draws())
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strconv"
 	"sync/atomic"
 	"syscall"
@@ -15,6 +16,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/job"
 	"repro/internal/randx"
 	"repro/internal/sample"
 	"repro/internal/stream"
@@ -418,22 +420,33 @@ func TestMergeFaultInjection(t *testing.T) {
 }
 
 // TestGracefulShutdownFlushesDeferredLocals is the shutdown regression: a
-// record acknowledged into a deferred-flush local before SIGTERM must be
-// published by the time the process exits. The signal path itself
-// (NotifyContext → Shutdown → srv.shutdown) is exercised by raising a real
-// SIGTERM at a running listenAndServe.
+// record acknowledged just before SIGTERM must be in the final checkpoint
+// frame the process writes on its way out. The epoch job takes one record
+// as JSON and one as a TOPOREC1 batch, which streams through a borrowed
+// writer-private local; checkpoints are shutdown-only, so only the final
+// frame can carry them. The signal path itself (NotifyContext → Shutdown →
+// srv.shutdown) is exercised by raising a real SIGTERM at a running
+// listenAndServe.
 func TestGracefulShutdownFlushesDeferredLocals(t *testing.T) {
-	acc, err := stream.NewEpochAccumulator(stream.Config{K: 3, Star: true, N: 50}, 0)
+	dir := t.TempDir()
+	reg, err := job.NewRegistry(dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(acc, nil)
-	srv.startDeferredFlush(time.Hour) // the ticker never fires before shutdown
-	if w := post(t, srv, "/ingest", `{"node":1,"cat":0,"deg":2,"nbr_cat":[1],"nbr_cnt":[2]}`); w.Code != 200 {
-		t.Fatalf("ingest: %d %s", w.Code, w.Body)
+	def, err := reg.Create(job.Spec{Name: job.DefaultName, K: 3, Star: true, N: 50, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if acc.Draws() != 0 {
-		t.Fatalf("draws = %d before shutdown, want 0 (record parked in a local)", acc.Draws())
+	srv := newServerWithJobs(reg, def)
+	if w := post(t, srv, "/ingest", `{"node":1,"cat":0,"deg":2,"nbr_cat":[1],"nbr_cnt":[2]}`); w.Code != 200 {
+		t.Fatalf("JSON ingest: %d %s", w.Code, w.Body)
+	}
+	body, err := wire.EncodeRecords([]sample.NodeObservation{{Node: 2, Cat: 1, Deg: 1, NbrCat: []int32{0}, NbrCnt: []float64{1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := postBin(t, srv, "/ingest", body); w.Code != 200 {
+		t.Fatalf("binary ingest: %d %s", w.Code, w.Body)
 	}
 
 	done := make(chan error, 1)
@@ -450,8 +463,16 @@ func TestGracefulShutdownFlushesDeferredLocals(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("graceful shutdown did not complete within 5s")
 	}
-	if acc.Draws() != 1 {
-		t.Fatalf("draws = %d after shutdown, want 1 (final flush must publish the deferred record)", acc.Draws())
+	data, err := os.ReadFile(filepath.Join(dir, job.DefaultName+".ckpt"))
+	if err != nil {
+		t.Fatalf("no checkpoint written at shutdown: %v", err)
+	}
+	cp, _ := wire.LastCheckpoint(data)
+	if cp == nil {
+		t.Fatal("checkpoint file holds no intact frame")
+	}
+	if cp.Gen != 2 || len(cp.State.Nodes) != 2 {
+		t.Fatalf("final frame at gen %d with %d nodes, want both acknowledged records (gen 2, 2 nodes)", cp.Gen, len(cp.State.Nodes))
 	}
 }
 

@@ -46,6 +46,9 @@ var (
 	// ErrCrawlRunning is returned when an operation needs the job's crawl
 	// slot (starting another crawl, deleting the job) while one is active.
 	ErrCrawlRunning = errors.New("job: a crawl is running in this job")
+	// ErrIdentity is returned by Registry.Create when the job's checkpoint
+	// was written under different identity fields than the spec (see Spec).
+	ErrIdentity = errors.New("job: checkpoint identity conflicts with the spec")
 )
 
 // nameRe is the filename-safe job-name alphabet: checkpoint files are named
@@ -118,14 +121,14 @@ func (s *Spec) validate() error {
 // persisted spec — the restore compatibility rule.
 func (s *Spec) identityMatches(persisted *Spec) error {
 	if s.K != persisted.K {
-		return fmt.Errorf("job %q: checkpoint covers %d categories, configuration has %d", s.Name, persisted.K, s.K)
+		return fmt.Errorf("%w: job %q: checkpoint covers %d categories, configuration has %d", ErrIdentity, s.Name, persisted.K, s.K)
 	}
 	if s.Star != persisted.Star {
-		return fmt.Errorf("job %q: checkpoint has star=%v, configuration has star=%v", s.Name, persisted.Star, s.Star)
+		return fmt.Errorf("%w: job %q: checkpoint has star=%v, configuration has star=%v", ErrIdentity, s.Name, persisted.Star, s.Star)
 	}
 	if s.Bootstrap != persisted.Bootstrap || (s.Bootstrap > 0 && s.BootstrapSeed != persisted.BootstrapSeed) {
-		return fmt.Errorf("job %q: checkpoint bootstrap (B=%d seed=%d) conflicts with configuration (B=%d seed=%d)",
-			s.Name, persisted.Bootstrap, persisted.BootstrapSeed, s.Bootstrap, s.BootstrapSeed)
+		return fmt.Errorf("%w: job %q: checkpoint bootstrap (B=%d seed=%d) conflicts with configuration (B=%d seed=%d)",
+			ErrIdentity, s.Name, persisted.Bootstrap, persisted.BootstrapSeed, s.Bootstrap, s.BootstrapSeed)
 	}
 	return nil
 }
@@ -168,8 +171,8 @@ type Job struct {
 	names   []string
 	created time.Time
 
-	// localMu guards the deferred-flush pool of idle writer-private locals
-	// (epoch-merged accumulators only); see TakeLocal.
+	// localMu guards the pool of idle writer-private locals (epoch-merged
+	// accumulators only); see TakeLocal.
 	localMu sync.Mutex
 	idle    []*stream.Local
 
@@ -243,9 +246,10 @@ func (j *Job) Snapshot() (*stream.Snapshot, *catgraph.Graph, error) {
 }
 
 // TakeLocal borrows an idle writer-private local of the job's epoch-merged
-// accumulator, growing the pool on demand — the deferred-flush ingest path.
-// Returns nil when the accumulator has no epoch form. The caller must return
-// the local with PutLocal.
+// accumulator, growing the pool on demand, so a binary ingest request
+// streams its records into a local without allocating an epoch. Returns nil
+// when the accumulator has no epoch form. The caller must return the local
+// with PutLocal.
 func (j *Job) TakeLocal() *stream.Local {
 	if j.epoch == nil {
 		return nil
@@ -260,33 +264,18 @@ func (j *Job) TakeLocal() *stream.Local {
 	return j.epoch.NewLocal()
 }
 
-// PutLocal returns a borrowed local to the idle pool.
+// PutLocal publishes a borrowed local's epoch and returns the local to the
+// idle pool, so an idle local is always empty: whatever a request ingested
+// is visible once the request returns its local, and a checkpoint never
+// misses an acknowledged record.
 func (j *Job) PutLocal(l *stream.Local) {
+	l.Flush()
 	j.localMu.Lock()
 	j.idle = append(j.idle, l)
 	j.localMu.Unlock()
 }
 
-// FlushIdle publishes every idle local's epoch. The locals are detached
-// first, so ingest requests keep borrowing and returning while the flushes
-// run without the pool lock.
-func (j *Job) FlushIdle() (applied, dropped int) {
-	j.localMu.Lock()
-	locals := j.idle
-	j.idle = nil
-	j.localMu.Unlock()
-	for _, l := range locals {
-		a, d := l.Flush()
-		applied += a
-		dropped += d
-	}
-	j.localMu.Lock()
-	j.idle = append(j.idle, locals...)
-	j.localMu.Unlock()
-	return applied, dropped
-}
-
-// closeLocals flushes and unregisters every idle local (job teardown).
+// closeLocals unregisters every idle local (job teardown).
 func (j *Job) closeLocals() {
 	j.localMu.Lock()
 	locals := j.idle
@@ -366,10 +355,7 @@ func (j *Job) NoteIngest(records, bytes int, t0 time.Time) {
 // file, if the state advanced since the last frame. It returns whether a
 // frame was written. Jobs without a checkpoint path, and jobs whose
 // accumulator has no full export (the read-only merge pool — its durable
-// state lives on the workers), are silent no-ops. Records parked in
-// unflushed deferred locals are not captured (the flush-visibility
-// contract); the registry flushes idle locals before its final shutdown
-// checkpoint, so nothing acknowledged is lost across a graceful restart.
+// state lives on the workers), are silent no-ops.
 func (j *Job) Checkpoint() (bool, error) {
 	if j.ckptPath == "" {
 		return false, nil

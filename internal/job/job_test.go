@@ -252,8 +252,8 @@ func TestRestoreIdentityMismatch(t *testing.T) {
 
 	for name, spec := range bad {
 		r, _ := NewRegistry(dir, 0, nil)
-		if _, err := r.Create(spec); err == nil {
-			t.Errorf("%s: restore accepted an incompatible spec", name)
+		if _, err := r.Create(spec); !errors.Is(err, ErrIdentity) {
+			t.Errorf("%s: restore under an incompatible spec returned %v, want ErrIdentity", name, err)
 		}
 	}
 
@@ -330,9 +330,10 @@ func TestTornTailTruncation(t *testing.T) {
 	}
 }
 
-// TestDeferredLocals covers the epoch job's borrowed-local pool: records
-// ingested through locals publish on FlushIdle, and Shutdown's final flush
-// makes them durable.
+// TestDeferredLocals covers the epoch job's pool of borrowed locals: a
+// single-lock job lends none, and a local's records are published when the
+// local is returned, so the pool only ever holds empty locals and the final
+// checkpoint carries every record ingested through one.
 func TestDeferredLocals(t *testing.T) {
 	dir := t.TempDir()
 	r, _ := NewRegistry(dir, 0, nil)
@@ -355,20 +356,18 @@ func TestDeferredLocals(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	j.PutLocal(l)
 	if gen := j.Acc().Gen(); gen != 0 {
-		t.Fatalf("unflushed local already published gen %d", gen)
+		t.Fatalf("borrowed local already published gen %d", gen)
 	}
-	if applied, dropped := j.FlushIdle(); applied != 80 || dropped != 0 {
-		t.Fatalf("flush applied %d dropped %d", applied, dropped)
-	}
+	j.PutLocal(l)
 	if gen := j.Acc().Gen(); gen != 80 {
-		t.Fatalf("gen after flush = %d", gen)
+		t.Fatalf("gen after PutLocal = %d, want 80", gen)
 	}
 
-	// Records still parked in a local at shutdown are flushed before the
-	// final checkpoint.
-	l = j.TakeLocal()
+	// The returned local is lent again, empty.
+	if l2 := j.TakeLocal(); l2 != l || l2.Pending() != 0 {
+		t.Fatalf("pool lent %p with %d pending, want the returned local %p empty", l2, l2.Pending(), l)
+	}
 	for i := 80; i < 100; i++ {
 		if err := l.Ingest(jobObs(i)); err != nil {
 			t.Fatal(err)
@@ -384,7 +383,7 @@ func TestDeferredLocals(t *testing.T) {
 		t.Fatal(err)
 	}
 	if gen := j2.Acc().Gen(); gen != 100 {
-		t.Fatalf("restored gen = %d, want 100 (shutdown flush lost records)", gen)
+		t.Fatalf("restored gen = %d, want 100", gen)
 	}
 }
 

@@ -34,7 +34,7 @@ func openAppend(path string) (appendFile, error) {
 
 // Registry owns the daemon's jobs: creation (with restore from a checkpoint
 // file when one exists), lookup, deletion, the periodic checkpoint ticker,
-// and the final flush-and-checkpoint pass at shutdown.
+// and the final checkpoint pass at shutdown.
 type Registry struct {
 	dir       string        // checkpoint directory; "" disables durability
 	interval  time.Duration // periodic checkpoint cadence; 0 = shutdown-only
@@ -346,17 +346,6 @@ func (r *Registry) CheckpointAll() (written int, firstErr error) {
 	return written, firstErr
 }
 
-// FlushIdleAll publishes every job's idle deferred-ingest locals, returning
-// the record totals across all jobs.
-func (r *Registry) FlushIdleAll() (applied, dropped int) {
-	for _, j := range r.List() {
-		a, d := j.FlushIdle()
-		applied += a
-		dropped += d
-	}
-	return applied, dropped
-}
-
 // Start launches the periodic checkpoint ticker (no-op unless a directory
 // and a positive interval are configured).
 func (r *Registry) Start() {
@@ -380,17 +369,15 @@ func (r *Registry) Start() {
 	}()
 }
 
-// Shutdown stops the ticker, publishes any deferred locals, writes one final
-// checkpoint per job, and closes the checkpoint files. After Shutdown every
-// acknowledged record is durable (when a checkpoint directory is
-// configured).
+// Shutdown stops the ticker, writes one final checkpoint per job, and
+// closes the checkpoint files. After Shutdown every acknowledged record is
+// durable (when a checkpoint directory is configured).
 func (r *Registry) Shutdown() error {
 	if r.tickStop != nil {
 		close(r.tickStop)
 		<-r.tickDone
 		r.tickStop, r.tickDone = nil, nil
 	}
-	r.FlushIdleAll()
 	_, err := r.CheckpointAll()
 	for _, j := range r.List() {
 		j.closeCheckpoint()

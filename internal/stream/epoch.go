@@ -2,12 +2,10 @@ package stream
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/sample"
 	"repro/internal/uncert"
@@ -85,6 +83,47 @@ type starData struct {
 	deg    float64
 	nbrCat []int32
 	nbrCnt []float64
+}
+
+// reconcile folds star data attested by a record — validated, with
+// canonical counts — into the view sd. Star data is recorded once per
+// distinct node, from the first record that carries any; crawlers may send
+// it on every record (concurrent crawlers feeding one stream), so a later
+// delivery must agree with the view (sample.ReconcileStarData) and may only
+// upgrade it: a larger explicit degree, or counts for a node recorded
+// without any. reconcile returns the upgraded data, or the zero starData
+// when the record adds nothing; a contradiction is an error. The result may
+// alias the arguments and sd.
+func (sd starData) reconcile(node int32, deg float64, nbrCat []int32, nbrCnt []float64) (starData, error) {
+	if !sd.seen {
+		return starData{seen: true, deg: sample.EffectiveStarDegree(deg, nbrCnt), nbrCat: nbrCat, nbrCnt: nbrCnt}, nil
+	}
+	d, ct, cn, err := sample.ReconcileStarData(node, deg, nbrCat, nbrCnt, sd.deg, sd.nbrCat, sd.nbrCnt)
+	if err != nil || (d == sd.deg && len(ct) == len(sd.nbrCat)) {
+		return starData{}, err
+	}
+	return starData{seen: true, deg: d, nbrCat: ct, nbrCnt: cn}, nil
+}
+
+// retro returns the star data owed to a node's earlier draws, which were
+// credited with the view old, when the view is upgraded to sd: the degree
+// delta, plus sd's counts when the list grew (it grows only from empty).
+// Before any star data arrived a draw contributed exactly zero star mass,
+// so a late first delivery is owed in full.
+func (sd starData) retro(old starData) starData {
+	owed := starData{seen: true, deg: sd.deg - old.deg}
+	if len(sd.nbrCat) != len(old.nbrCat) {
+		owed.nbrCat, owed.nbrCnt = sd.nbrCat, sd.nbrCnt
+	}
+	return owed
+}
+
+// clone returns sd with its own copies of the count slices, for storing
+// data whose slices alias a record or a reused buffer.
+func (sd starData) clone() starData {
+	sd.nbrCat = append([]int32(nil), sd.nbrCat...)
+	sd.nbrCnt = append([]float64(nil), sd.nbrCnt...)
+	return sd
 }
 
 // sharedNode is the published per-node state in the accumulator's striped
@@ -389,30 +428,14 @@ func (ea *EpochAccumulator) resolve(node int32, sh *sharedNode) (*sharedNode, st
 	return sh, view
 }
 
-// Ingest folds one node observation into the epoch. Validation matches the
-// single-lock accumulator record for record — invalid categories, weights
-// and star fields, scenario mismatches, and conflicts with the node's
-// constants as known to this epoch (its own earlier records, or the
-// published directory) are rejected without changing any state. Conflicts
+// Ingest folds one node observation into the epoch. It runs the single-lock
+// accumulator's record check (checkRecord) against the node's constants and
+// star view as known to this epoch — its own earlier records, or the
+// published directory — so a rejected record changes no state. Conflicts
 // created by writers racing with this epoch surface at Flush instead (the
 // epoch's draws of that node are dropped and counted); see IngestBatch on
 // the EpochAccumulator.
 func (l *Local) Ingest(rec sample.NodeObservation) error {
-	cfg := &l.ea.cfg
-	if rec.Cat != graph.None && (rec.Cat < 0 || int(rec.Cat) >= cfg.K) {
-		return reject("bad_category", "stream: node %d has category %d outside [0,%d)", rec.Node, rec.Cat, cfg.K)
-	}
-	if math.IsNaN(rec.Weight) || math.IsInf(rec.Weight, 0) || rec.Weight < 0 {
-		return reject("bad_weight", "stream: node %d has invalid sampling weight %g (0 means 1; negative, NaN and infinite are rejected)", rec.Node, rec.Weight)
-	}
-	if len(rec.Peers) > 0 {
-		return reject("scenario_mismatch", "stream: node %d carries induced peers but the accumulator runs the star scenario", rec.Node)
-	}
-	w := rec.Weight
-	if w == 0 {
-		w = 1
-	}
-	carries := len(rec.NbrCat) > 0 || len(rec.NbrCnt) > 0 || rec.Deg != 0
 	// The node's constants and star view as this epoch knows them: its
 	// earlier records (own star data first), else the directory entry. The
 	// directory is consulted at most once per record, and not at all for a
@@ -423,46 +446,23 @@ func (l *Local) Ingest(rec sample.NodeObservation) error {
 	if idx, known := l.epoch[rec.Node]; known {
 		ln = &l.nodes[idx]
 		sh, view = ln.sh, ln.own
-		if carries && !view.seen && sh != nil {
+		if !view.seen && sh != nil && carriesStar(rec) {
 			_, view = l.ea.resolve(rec.Node, sh)
 		}
 	} else {
 		sh, view = l.ea.resolve(rec.Node, nil)
 	}
-	knownCat, knownWeight := rec.Cat, w
+	var cat int32
+	var weight float64
 	switch {
 	case ln != nil:
-		knownCat, knownWeight = ln.cat, ln.weight
+		cat, weight = ln.cat, ln.weight
 	case sh != nil:
-		knownCat, knownWeight = sh.cat, sh.weight
+		cat, weight = sh.cat, sh.weight
 	}
-	if ln != nil || sh != nil {
-		if rec.Cat != knownCat {
-			return reject("redraw_conflict", "stream: node %d re-drawn with category %d, conflicting with its first observation (category %d)", rec.Node, rec.Cat, knownCat)
-		}
-		if rec.Weight != 0 && w != knownWeight {
-			return reject("redraw_conflict", "stream: node %d re-drawn with sampling weight %g, conflicting with its first observation (weight %g)", rec.Node, w, knownWeight)
-		}
-	}
-	// Star data: validate and reconcile against the view BEFORE mutating
-	// anything, so a rejected record leaves the epoch unchanged.
-	var upgrade starData
-	if carries {
-		if err := sample.ValidateStarFields(cfg.K, rec); err != nil {
-			return reject("bad_star", "stream: %w", err)
-		}
-		cat, cnt := sample.CanonicalStarCounts(rec.NbrCat, rec.NbrCnt)
-		if view.seen {
-			d, ct, cn, err := sample.ReconcileStarData(rec.Node, rec.Deg, cat, cnt, view.deg, view.nbrCat, view.nbrCnt)
-			if err != nil {
-				return reject("star_conflict", "stream: %w", err)
-			}
-			if d != view.deg || len(ct) != len(view.nbrCat) {
-				upgrade = starData{seen: true, deg: d, nbrCat: ct, nbrCnt: cn}
-			}
-		} else {
-			upgrade = starData{seen: true, deg: sample.EffectiveStarDegree(rec.Deg, cnt), nbrCat: cat, nbrCnt: cnt}
-		}
+	w, upgrade, err := checkRecord(&l.ea.cfg, rec, ln != nil || sh != nil, cat, weight, view)
+	if err != nil {
+		return err
 	}
 	// All checks passed: mutate the epoch.
 	if ln == nil {
@@ -473,7 +473,7 @@ func (l *Local) Ingest(rec sample.NodeObservation) error {
 			l.nodes = append(l.nodes, localNode{})
 		}
 		ln = &l.nodes[n]
-		ln.node, ln.cat, ln.weight, ln.sh = rec.Node, knownCat, knownWeight, sh
+		ln.node, ln.cat, ln.weight, ln.sh = rec.Node, rec.Cat, w, sh
 		ln.count = 0
 		ln.own.seen = false
 		l.epoch[rec.Node] = int32(n)
@@ -514,13 +514,13 @@ func (l *Local) Flush() (applied, dropped int) {
 		c := ln.count
 
 		// Phase 1 for this node: reserve [m, m+c) and, when the epoch
-		// brought its own star data, reconcile it into the directory.
-		// retro is the upgrade owed to the m earlier draws; view is the
-		// star data the epoch's c draws are credited with.
-		var retro starData
+		// brought its own star data, reconcile it into the directory. owed
+		// is the upgrade owed to the m earlier draws; view is the star data
+		// the epoch's c draws are credited with.
 		st := ea.stripeFor(ln.node)
 		st.mu.Lock()
 		sh := ln.sh
+		conflict := false
 		if sh == nil {
 			// Unpublished at first touch: insert, or check the constants
 			// a racing writer published in the meantime.
@@ -528,40 +528,28 @@ func (l *Local) Flush() (applied, dropped int) {
 				sh = &sharedNode{weight: ln.weight, cat: ln.cat}
 				st.nodes[ln.node] = sh
 				ea.distinct.Add(1)
-			} else if ln.cat != sh.cat || ln.weight != sh.weight {
-				st.mu.Unlock()
-				dropped += int(c)
-				mRejected.With("flush_conflict").Add(int64(c))
-				continue
+			} else {
+				conflict = ln.cat != sh.cat || ln.weight != sh.weight
 			}
+		}
+		var up starData
+		if !conflict && ln.own.seen {
+			var err error
+			up, err = sh.star.reconcile(ln.node, ln.own.deg, ln.own.nbrCat, ln.own.nbrCnt)
+			conflict = err != nil
+		}
+		if conflict {
+			st.mu.Unlock()
+			dropped += int(c)
+			mRejected.With("flush_conflict").Add(int64(c))
+			continue
+		}
+		var owed starData
+		if up.seen {
+			owed = up.retro(sh.star)
+			sh.star = up.clone()
 		}
 		m := sh.mult
-		if own := &ln.own; own.seen {
-			old := sh.star
-			d, ct, cn := own.deg, own.nbrCat, own.nbrCnt
-			if old.seen {
-				var err error
-				d, ct, cn, err = sample.ReconcileStarData(ln.node, d, ct, cn, old.deg, old.nbrCat, old.nbrCnt)
-				if err != nil {
-					st.mu.Unlock()
-					dropped += int(c)
-					mRejected.With("flush_conflict").Add(int64(c))
-					continue
-				}
-			}
-			if !old.seen || d != old.deg || len(ct) != len(old.nbrCat) {
-				// Late-star backfill or retrofit: credit the m earlier
-				// draws with the degree delta, plus the adopted counts
-				// when the stored list grew.
-				retro.deg = d - old.deg
-				if len(ct) != len(old.nbrCat) {
-					retro.nbrCat, retro.nbrCnt = ct, cn
-				}
-				sh.star = starData{seen: true, deg: d,
-					nbrCat: append([]int32(nil), ct...),
-					nbrCnt: append([]float64(nil), cn...)}
-			}
-		}
 		view := sh.star
 		sh.mult += c
 		st.mu.Unlock()
@@ -583,10 +571,10 @@ func (l *Local) Flush() (applied, dropped int) {
 				l.reps.AddStar(ln.node, cat, w, c, view.deg, view.nbrCat, view.nbrCnt)
 			}
 		}
-		if m > 0 && (retro.deg != 0 || retro.nbrCat != nil) {
-			l.sums.AddStar(cat, w, m, retro.deg, retro.nbrCat, retro.nbrCnt)
+		if m > 0 && owed.seen {
+			l.sums.AddStar(cat, w, m, owed.deg, owed.nbrCat, owed.nbrCnt)
 			if l.reps != nil {
-				l.reps.AddStar(ln.node, cat, w, m, retro.deg, retro.nbrCat, retro.nbrCnt)
+				l.reps.AddStar(ln.node, cat, w, m, owed.deg, owed.nbrCat, owed.nbrCnt)
 			}
 		}
 		applied += int(c)

@@ -257,98 +257,88 @@ func (a *Accumulator) IngestBatch(recs []sample.NodeObservation) (int, error) {
 	return len(recs), nil
 }
 
-func (a *Accumulator) ingestLocked(rec sample.NodeObservation) error {
-	if rec.Cat != graph.None && (rec.Cat < 0 || int(rec.Cat) >= a.cfg.K) {
-		return reject("bad_category", "stream: node %d has category %d outside [0,%d)", rec.Node, rec.Cat, a.cfg.K)
+// checkRecord is the record check of both engines. It validates rec
+// against cfg and, when the node is known, against the node's constants —
+// its category and sampling weight — and its current star view. It returns
+// the record's effective weight (the node's own when known) and the star
+// data the record adds to view, zero when it adds nothing. A failing record
+// is counted under its reject reason; the caller has changed no state.
+func checkRecord(cfg *Config, rec sample.NodeObservation, known bool, cat int32, weight float64, view starData) (float64, starData, error) {
+	if rec.Cat != graph.None && (rec.Cat < 0 || int(rec.Cat) >= cfg.K) {
+		return 0, starData{}, reject("bad_category", "stream: node %d has category %d outside [0,%d)", rec.Node, rec.Cat, cfg.K)
 	}
 	// Only weight 0 means "unspecified, i.e. 1"; a negative, NaN, or
 	// infinite weight is a broken crawler, and silently folding it in would
 	// corrupt every Hansen–Hurwitz sum the node touches.
 	if math.IsNaN(rec.Weight) || math.IsInf(rec.Weight, 0) || rec.Weight < 0 {
-		return reject("bad_weight", "stream: node %d has invalid sampling weight %g (0 means 1; negative, NaN and infinite are rejected)", rec.Node, rec.Weight)
+		return 0, starData{}, reject("bad_weight", "stream: node %d has invalid sampling weight %g (0 means 1; negative, NaN and infinite are rejected)", rec.Node, rec.Weight)
 	}
 	// Records carrying fields of the other scenario signal a mismatched
 	// stream — reject loudly rather than silently ignore the data and
 	// serve garbage estimates.
-	if !a.cfg.Star && (len(rec.NbrCat) > 0 || len(rec.NbrCnt) > 0 || rec.Deg != 0) {
-		return reject("scenario_mismatch", "stream: node %d carries star fields (deg/nbr_cat) but the accumulator runs the induced scenario", rec.Node)
+	carries := carriesStar(rec)
+	if !cfg.Star && carries {
+		return 0, starData{}, reject("scenario_mismatch", "stream: node %d carries star fields (deg/nbr_cat) but the accumulator runs the induced scenario", rec.Node)
 	}
-	if a.cfg.Star && len(rec.Peers) > 0 {
-		return reject("scenario_mismatch", "stream: node %d carries induced peers but the accumulator runs the star scenario", rec.Node)
+	if cfg.Star && len(rec.Peers) > 0 {
+		return 0, starData{}, reject("scenario_mismatch", "stream: node %d carries induced peers but the accumulator runs the star scenario", rec.Node)
 	}
 	w := rec.Weight
 	if w == 0 {
 		w = 1
 	}
-	var ns *nodeState
-	idx, known := a.nodes[rec.Node]
-	if !known {
-		ns = &nodeState{weight: w, cat: rec.Cat, id: rec.Node}
-		if a.cfg.Star {
-			ns.star = &starData{}
-		}
-	} else {
-		ns = a.byIdx[idx]
+	if known {
 		// A node's category and sampling weight are per-node constants of
 		// the design; a re-draw that contradicts the first observation is a
 		// buggy or misrouted crawler and would silently skew every estimate
 		// if we kept folding it in under the old metadata. An omitted weight
 		// (0) on a re-draw inherits the recorded one — crawlers may send the
 		// weight only on a node's first record.
-		if rec.Cat != ns.cat {
-			return reject("redraw_conflict", "stream: node %d re-drawn with category %d, conflicting with its first observation (category %d)", rec.Node, rec.Cat, ns.cat)
+		if rec.Cat != cat {
+			return 0, starData{}, reject("redraw_conflict", "stream: node %d re-drawn with category %d, conflicting with its first observation (category %d)", rec.Node, rec.Cat, cat)
 		}
-		if rec.Weight != 0 && w != ns.weight {
-			return reject("redraw_conflict", "stream: node %d re-drawn with sampling weight %g, conflicting with its first observation (weight %g)", rec.Node, w, ns.weight)
+		if rec.Weight != 0 && w != weight {
+			return 0, starData{}, reject("redraw_conflict", "stream: node %d re-drawn with sampling weight %g, conflicting with its first observation (weight %g)", rec.Node, w, weight)
+		}
+		w = weight
+	}
+	if !carries {
+		return w, starData{}, nil
+	}
+	if err := sample.ValidateStarFields(cfg.K, rec); err != nil {
+		return 0, starData{}, reject("bad_star", "stream: %w", err)
+	}
+	nbrCat, nbrCnt := sample.CanonicalStarCounts(rec.NbrCat, rec.NbrCnt)
+	up, err := view.reconcile(rec.Node, rec.Deg, nbrCat, nbrCnt)
+	if err != nil {
+		return 0, starData{}, reject("star_conflict", "stream: %w", err)
+	}
+	return w, up, nil
+}
+
+// carriesStar reports whether rec carries any star data.
+func carriesStar(rec sample.NodeObservation) bool {
+	return len(rec.NbrCat) > 0 || len(rec.NbrCnt) > 0 || rec.Deg != 0
+}
+
+func (a *Accumulator) ingestLocked(rec sample.NodeObservation) error {
+	idx, known := a.nodes[rec.Node]
+	var ns *nodeState
+	var view starData
+	if known {
+		ns = a.byIdx[idx]
+		if ns.star != nil {
+			view = *ns.star
+		}
+	} else {
+		ns = &nodeState{cat: rec.Cat, id: rec.Node}
+		if a.cfg.Star {
+			ns.star = &starData{}
 		}
 	}
-	// Star info is recorded once per distinct node, from the first record
-	// that carries it. Well-formed streams send it with the node's first
-	// observation (StreamObserver does); when several crawlers feed one
-	// accumulator concurrently, sending it on every record is equally
-	// correct — whichever arrives first is kept, matching the batch
-	// Observation's once-per-node semantics on a static graph. Should the
-	// info only arrive on a later draw, the node's earlier draws — which
-	// contributed exactly zero star mass (deg 0, no neighbors) — are
-	// backfilled below, so the estimate matches the batch path regardless
-	// of delivery order.
-	if a.cfg.Star && (len(rec.NbrCat) > 0 || len(rec.NbrCnt) > 0 || rec.Deg != 0) {
-		if err := sample.ValidateStarFields(a.cfg.K, rec); err != nil {
-			return reject("bad_star", "stream: %w", err)
-		}
-		if ns.star.seen {
-			// Star info arriving again for a node whose star data is
-			// already recorded must reconcile with it: consistent
-			// re-deliveries pass (concurrent crawlers, in whatever category
-			// order and degree convention each one emits), partial ones
-			// upgrade the record, and a contradiction is a buggy crawler
-			// whose data must not be dropped silently.
-			cat, cnt := sample.CanonicalStarCounts(rec.NbrCat, rec.NbrCnt)
-			sd := ns.star
-			newDeg, newCat, newCnt, err := sample.ReconcileStarData(rec.Node, rec.Deg, cat, cnt, sd.deg, sd.nbrCat, sd.nbrCnt)
-			if err != nil {
-				return reject("star_conflict", "stream: %w", err)
-			}
-			if newDeg != sd.deg || len(newCat) != len(sd.nbrCat) {
-				// Retrofit the node's earlier draws with the upgraded
-				// information: the degree delta, plus the adopted counts
-				// when the stored list was empty.
-				var addCat []int32
-				var addCnt []float64
-				if len(newCat) != len(sd.nbrCat) {
-					addCat, addCnt = newCat, newCnt
-				}
-				a.sums.AddStar(ns.cat, ns.weight, ns.mult, newDeg-sd.deg, addCat, addCnt)
-				if a.reps != nil {
-					a.reps.AddStar(rec.Node, ns.cat, ns.weight, ns.mult, newDeg-sd.deg, addCat, addCnt)
-				}
-				sd.deg = newDeg
-				sd.nbrCat = append([]int32(nil), newCat...)
-				sd.nbrCnt = append([]float64(nil), newCnt...)
-			}
-		} else {
-			a.recordStarLocked(rec, ns)
-		}
+	w, up, err := checkRecord(&a.cfg, rec, known, ns.cat, ns.weight, view)
+	if err != nil {
+		return err
 	}
 	// Validate induced peers before mutating anything.
 	var newPeers []int32
@@ -370,7 +360,22 @@ func (a *Accumulator) ingestLocked(rec sample.NodeObservation) error {
 		}
 	}
 
+	// Star data that adds to the node's view — late star data, a degree
+	// upgrade, adopted counts — is recorded, and the node's earlier draws,
+	// which were credited with the old view, are owed the difference, so
+	// the estimate matches the batch path regardless of delivery order.
+	if up.seen {
+		if ns.mult > 0 {
+			owed := up.retro(*ns.star)
+			a.sums.AddStar(ns.cat, ns.weight, ns.mult, owed.deg, owed.nbrCat, owed.nbrCnt)
+			if a.reps != nil {
+				a.reps.AddStar(rec.Node, ns.cat, ns.weight, ns.mult, owed.deg, owed.nbrCat, owed.nbrCnt)
+			}
+		}
+		*ns.star = up.clone()
+	}
 	if !known {
+		ns.weight = w
 		idx = int32(len(a.byIdx))
 		a.nodes[rec.Node] = idx
 		a.byIdx = append(a.byIdx, ns)
@@ -419,25 +424,6 @@ func (a *Accumulator) ingestLocked(rec sample.NodeObservation) error {
 	}
 	a.gen.Add(1)
 	return nil
-}
-
-// recordStarLocked records a node's star data from the first record that
-// carries any (the caller has already validated the fields), backfilling
-// the star mass of the node's earlier draws — which contributed exactly
-// zero (deg 0, no neighbors) — so the estimate matches the batch path
-// regardless of delivery order.
-func (a *Accumulator) recordStarLocked(rec sample.NodeObservation, ns *nodeState) {
-	cat, cnt := sample.CanonicalStarCounts(rec.NbrCat, rec.NbrCnt)
-	sd := &starData{seen: true, deg: sample.EffectiveStarDegree(rec.Deg, cnt),
-		nbrCat: append([]int32(nil), cat...), nbrCnt: append([]float64(nil), cnt...)}
-	ns.star = sd
-	if ns.mult > 0 {
-		// Backfill the star mass of the node's earlier draws.
-		a.sums.AddStar(ns.cat, ns.weight, ns.mult, sd.deg, sd.nbrCat, sd.nbrCnt)
-		if a.reps != nil {
-			a.reps.AddStar(rec.Node, ns.cat, ns.weight, ns.mult, sd.deg, sd.nbrCat, sd.nbrCnt)
-		}
-	}
 }
 
 // rowOf returns ns's packed bootstrap weight row, building it on first use.

@@ -117,11 +117,13 @@ func FuzzDecodeRecords(f *testing.F) {
 
 // FuzzRestoreCheckpoint drives arbitrary bytes through the whole resume
 // path: DecodeCheckpoint, RestoreAccumulator under the configuration the
-// state declares, then one re-draw of every restored node. Any step may
-// reject its input with an error; none may panic. A checkpoint that decodes
-// is not thereby consistent — its node directory can name peers that do not
-// exist or do not list each other back — so restore must catch what the
-// codec cannot.
+// state declares, then one re-draw of every restored node. A star frame
+// also resumes on the epoch path: RestoreEpochAccumulator, one re-draw of
+// every node through a Local and one through EpochAccumulator.Ingest, then
+// a Snapshot. Any step may reject its input with an error; none may panic.
+// A checkpoint that decodes is not thereby consistent — its node directory
+// can name peers that do not exist or do not list each other back — so
+// restore must catch what the codec cannot.
 func FuzzRestoreCheckpoint(f *testing.F) {
 	seed := func(star bool, boot uncert.Config) []byte {
 		const k = 4
@@ -170,12 +172,25 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 		if st.Reps != nil {
 			cfg.Replicates = st.Reps.Config()
 		}
-		acc, err := stream.RestoreAccumulator(cfg, cp.State)
+		if acc, err := stream.RestoreAccumulator(cfg, cp.State); err == nil {
+			for _, nr := range cp.State.Nodes {
+				_ = acc.Ingest(sample.NodeObservation{Node: nr.Node, Cat: nr.Cat})
+			}
+		}
+		if !st.Star {
+			return
+		}
+		ea, err := stream.RestoreEpochAccumulator(cfg, 0, cp.State)
 		if err != nil {
 			return
 		}
+		l := ea.NewLocal()
 		for _, nr := range cp.State.Nodes {
-			_ = acc.Ingest(sample.NodeObservation{Node: nr.Node, Cat: nr.Cat})
+			rec := sample.NodeObservation{Node: nr.Node, Cat: nr.Cat}
+			_ = l.Ingest(rec)
+			_ = ea.Ingest(rec)
 		}
+		l.Close()
+		_, _ = ea.Snapshot()
 	})
 }
