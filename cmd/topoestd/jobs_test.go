@@ -104,6 +104,9 @@ func TestJobCreateStatus(t *testing.T) {
 	}{
 		{"bad spec", `{"name":"alpha","k":0}`, 400},
 		{"bad spec, name mentions checkpoint", `{"name":"checkpoint1","k":0}`, 400},
+		{"k beyond the codec bound", `{"name":"boom","k":3000000000,"star":true}`, 400},
+		{"k one past the codec bound", `{"name":"boom","k":16777217}`, 400},
+		{"bootstrap beyond the codec bound", `{"name":"boom","k":3,"bootstrap":16777217}`, 400},
 		{"created", `{"name":"beta"}`, 201},
 		{"name taken", `{"name":"beta"}`, 409},
 		{"identity conflict", `{"name":"ident","k":5}`, 409},

@@ -99,8 +99,10 @@ func (s *Spec) validate() error {
 	if !ValidName(s.Name) {
 		return fmt.Errorf("job: name %q is not a filename-safe identifier ([a-zA-Z0-9_-], 1…64 chars)", s.Name)
 	}
-	if s.K < 1 {
-		return fmt.Errorf("job %q: need k ≥ 1 categories (or names), got %d", s.Name, s.K)
+	// The upper bounds are the codecs': a larger job could never write a
+	// checkpoint or serve /sums.
+	if s.K < 1 || s.K > wire.MaxDim {
+		return fmt.Errorf("job %q: need 1 ≤ k ≤ %d categories (or names), got %d", s.Name, wire.MaxDim, s.K)
 	}
 	if len(s.Names) > 0 && len(s.Names) != s.K {
 		return fmt.Errorf("job %q: %d names for %d categories", s.Name, len(s.Names), s.K)
@@ -108,8 +110,8 @@ func (s *Spec) validate() error {
 	if s.Shards < 1 {
 		return fmt.Errorf("job %q: need shards ≥ 1, got %d", s.Name, s.Shards)
 	}
-	if s.Bootstrap < 0 {
-		return fmt.Errorf("job %q: need bootstrap ≥ 0, got %d", s.Name, s.Bootstrap)
+	if s.Bootstrap < 0 || s.Bootstrap > wire.MaxDim {
+		return fmt.Errorf("job %q: need 0 ≤ bootstrap ≤ %d, got %d", s.Name, wire.MaxDim, s.Bootstrap)
 	}
 	if _, err := ParseSizeMethod(s.Size); err != nil {
 		return fmt.Errorf("job %q: %w", s.Name, err)
@@ -192,10 +194,12 @@ type Job struct {
 	// accumulator's generation has advanced past it. ckptFrames counts the
 	// intact frames in the file (seeded by recovery, advanced per append);
 	// when it exceeds ckptMax (> 0) the file is compacted to its newest
-	// frame.
+	// frame. ckptTorn marks a failed append whose bytes the next append
+	// must cut first.
 	ckptMu     sync.Mutex
 	ckptPath   string
 	ckptFile   appendFile
+	ckptTorn   bool
 	ckptGen    uint64
 	ckptAt     time.Time
 	ckptFrames int
@@ -378,6 +382,13 @@ func (j *Job) Checkpoint() (bool, error) {
 		return false, nil
 	}
 	if j.ckptFile == nil {
+		if j.ckptTorn {
+			_, frames, _, err := cutTornTail(j.ckptPath)
+			if err != nil {
+				return false, fmt.Errorf("job %q: %w", j.spec.Name, err)
+			}
+			j.ckptFrames, j.ckptTorn = frames, false
+		}
 		f, err := openAppend(j.ckptPath)
 		if err != nil {
 			return false, fmt.Errorf("job %q: %w", j.spec.Name, err)
@@ -390,11 +401,16 @@ func (j *Job) Checkpoint() (bool, error) {
 		Gen:    fs.State.Gen,
 		State:  fs,
 	})
-	if err != nil {
-		return false, fmt.Errorf("job %q: %w", j.spec.Name, err)
+	if err == nil {
+		err = j.ckptFile.Sync()
 	}
-	if err := j.ckptFile.Sync(); err != nil {
-		return false, fmt.Errorf("job %q: checkpoint sync: %w", j.spec.Name, err)
+	if err != nil {
+		// The file may now end in a torn frame, and a frame appended after
+		// it would be unreachable. Drop the handle: the next append first
+		// cuts the file back to its last intact frame.
+		j.ckptFile.Close()
+		j.ckptFile, j.ckptTorn = nil, true
+		return false, fmt.Errorf("job %q: %w", j.spec.Name, err)
 	}
 	if j.ckptFrames == 0 {
 		// This frame created the file (or revived an empty one): fsync the

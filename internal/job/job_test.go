@@ -330,6 +330,94 @@ func TestTornTailTruncation(t *testing.T) {
 	}
 }
 
+// tearingFile wraps a checkpoint handle and fails one append, landing only
+// the first half of the frame in the file: either the write itself comes up
+// short and errors ("write"), or it reports success and the following Sync
+// fails ("sync") — a writeback the kernel lost.
+type tearingFile struct {
+	appendFile
+	mode   string
+	failed bool
+}
+
+func (f *tearingFile) Write(p []byte) (int, error) {
+	if f.failed {
+		return f.appendFile.Write(p)
+	}
+	n, err := f.appendFile.Write(p[:len(p)/2])
+	if err != nil {
+		return n, err
+	}
+	if f.mode == "sync" {
+		return len(p), nil
+	}
+	f.failed = true
+	return n, errors.New("injected short write")
+}
+
+func (f *tearingFile) Sync() error {
+	if f.mode == "sync" && !f.failed {
+		f.failed = true
+		return errors.New("injected sync error")
+	}
+	return f.appendFile.Sync()
+}
+
+// TestCheckpointAppendRollback fails the gen-200 append half way through
+// and requires the gen-300 checkpoint that follows to survive a restart:
+// the failed append's torn bytes are cut before the next frame goes in, so
+// it does not land behind them, unreachable.
+func TestCheckpointAppendRollback(t *testing.T) {
+	for _, mode := range []string{"write", "sync"} {
+		t.Run(mode, func(t *testing.T) {
+			dir := t.TempDir()
+			r1, _ := NewRegistry(dir, 0, nil)
+			j, err := r1.Create(testSpec("alpha", 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ingestRange(t, j, 0, 100)
+			if ok, err := j.Checkpoint(); err != nil || !ok {
+				t.Fatalf("gen-100 checkpoint: ok=%v err=%v", ok, err)
+			}
+			j.ckptMu.Lock()
+			j.ckptFile = &tearingFile{appendFile: j.ckptFile, mode: mode}
+			j.ckptMu.Unlock()
+			ingestRange(t, j, 100, 200)
+			if ok, err := j.Checkpoint(); err == nil || ok {
+				t.Fatalf("torn gen-200 checkpoint: ok=%v err=%v, want an error", ok, err)
+			}
+			ingestRange(t, j, 200, 300)
+			if ok, err := j.Checkpoint(); err != nil || !ok {
+				t.Fatalf("gen-300 checkpoint: ok=%v err=%v", ok, err)
+			}
+			if gen, _ := j.CheckpointStatus(); gen != 300 {
+				t.Fatalf("CheckpointStatus gen = %d, want 300", gen)
+			}
+			if err := r1.Shutdown(); err != nil {
+				t.Fatal(err)
+			}
+
+			data, err := os.ReadFile(filepath.Join(dir, "alpha.ckpt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			last, frames, tail := wire.ScanCheckpoints(data)
+			if last == nil || last.Gen != 300 || frames != 2 || tail != 0 {
+				t.Fatalf("file holds %d intact frames and a %d-byte tail; want frames 100 and 300, no tail", frames, tail)
+			}
+			r2, _ := NewRegistry(dir, 0, nil)
+			j2, err := r2.Create(testSpec("alpha", 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gen := j2.Acc().Gen(); gen != 300 {
+				t.Fatalf("restored gen = %d, want 300", gen)
+			}
+		})
+	}
+}
+
 // TestDeferredLocals covers the epoch job's pool of borrowed locals: a
 // single-lock job lends none, and a local's records are published when the
 // local is returned, so the pool only ever holds empty locals and the final

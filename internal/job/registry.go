@@ -171,32 +171,43 @@ func (r *Registry) build(spec Spec) (*Job, error) {
 	return j, nil
 }
 
-// recoverCheckpoint reads the job's checkpoint file and returns its last
-// intact frame plus how many intact frames the file holds (nil/0 when
-// durability is off, the file is absent, or no frame verifies). When
-// damaged bytes trail the last intact frame, the file is truncated back to
-// the valid prefix.
+// recoverCheckpoint returns the last intact frame of the job's checkpoint
+// file plus how many intact frames it holds (nil/0 when durability is off,
+// the file is absent, or no frame verifies), cutting any torn tail.
 func (r *Registry) recoverCheckpoint(name string) (*wire.Checkpoint, int, error) {
 	path := r.checkpointPath(name)
 	if path == "" {
 		return nil, 0, nil
 	}
+	cp, frames, tail, err := cutTornTail(path)
+	if err != nil {
+		return nil, 0, fmt.Errorf("job %q: %w", name, err)
+	}
+	if tail > 0 {
+		r.logger.Warn("checkpoint tail discarded", "job", name, "tail_bytes", tail)
+	}
+	return cp, frames, nil
+}
+
+// cutTornTail scans the checkpoint file at path and truncates whatever
+// trails its last intact frame — a frame torn by a crash or a failed
+// append. It returns that frame, the intact frame count and the bytes cut;
+// an absent file has none of them.
+func cutTornTail(path string) (*wire.Checkpoint, int, int, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return nil, 0, nil
+		return nil, 0, 0, nil
 	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("job %q: read checkpoint file: %w", name, err)
+		return nil, 0, 0, fmt.Errorf("read checkpoint file: %w", err)
 	}
 	cp, frames, tail := wire.ScanCheckpoints(data)
 	if tail > 0 {
-		valid := int64(len(data) - tail)
-		if err := os.Truncate(path, valid); err != nil {
-			return nil, 0, fmt.Errorf("job %q: truncate torn checkpoint tail: %w", name, err)
+		if err := os.Truncate(path, int64(len(data)-tail)); err != nil {
+			return nil, 0, 0, fmt.Errorf("truncate torn checkpoint tail: %w", err)
 		}
-		r.logger.Warn("checkpoint tail discarded", "job", name, "tail_bytes", tail, "kept_bytes", valid)
 	}
-	return cp, frames, nil
+	return cp, frames, tail, nil
 }
 
 // RestoreAll creates a job for every checkpoint file in the registry's

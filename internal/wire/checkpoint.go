@@ -31,14 +31,12 @@ package wire
 //	    nbrs u32 + nbrs × (cat i32, cnt f64),
 //	    peers u32 + peers × (peer i32)
 //
-// Encoding is canonical — node records ascend, star lists travel in their
-// stored (already canonical) order — so checkpoint → restore → checkpoint
-// reproduces the frame byte for byte, which the robustness tests pin.
-
+// Canonical form (see the package doc): node records ascend and star lists
+// travel in their stored (already canonical) order, so checkpoint → restore
+// → checkpoint reproduces the frame byte for byte.
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -60,7 +58,13 @@ const (
 	maxCheckpointName = 255
 
 	ckpFlagStarSeen = 1 << 0
+
+	// ckpNodeMinSize is the smallest node record: node, cat, mult, weight,
+	// flags, deg and both list counts. It bounds the declared node count.
+	ckpNodeMinSize = 4 + 4 + 8 + 8 + 1 + 8 + 4 + 4
 )
+
+var ckpFormat = format{noun: "checkpoint frame", magic: ckpMagic, version: CheckpointVersion, header: ckpHeaderSize, lenAt: 12, crcAt: 16}
 
 // Checkpoint is one durable frame: a named job's complete resumable state
 // plus its opaque serialized configuration.
@@ -96,17 +100,16 @@ func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
 	payload := 8 + 4 + len(cp.Name) + 4 + len(cp.Config) + 4 + len(stateBytes) + 4
 	for i := range cp.State.Nodes {
 		nr := &cp.State.Nodes[i]
-		payload += 4 + 4 + 8 + 8 + 1 + 8 + 4 + len(nr.NbrCat)*(4+8) + 4 + len(nr.Peers)*4
+		payload += ckpNodeMinSize + len(nr.NbrCat)*nbrSize + len(nr.Peers)*peerSize
 	}
-
-	buf := make([]byte, ckpHeaderSize+payload)
+	buf, err := ckpFormat.frame(payload)
+	if err != nil {
+		return nil, err
+	}
 	w := writer{buf: buf, off: ckpHeaderSize}
 	w.u64(cp.Gen)
-	w.u32(uint32(len(cp.Name)))
 	w.bytes([]byte(cp.Name))
-	w.u32(uint32(len(cp.Config)))
 	w.bytes(cp.Config)
-	w.u32(uint32(len(stateBytes)))
 	w.bytes(stateBytes)
 	w.u32(uint32(len(cp.State.Nodes)))
 	prev := int64(math.MinInt64)
@@ -127,27 +130,12 @@ func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
 		if nr.StarSeen {
 			flags |= ckpFlagStarSeen
 		}
-		w.byte(flags)
+		w.u8(flags)
 		w.f64(nr.Deg)
-		w.u32(uint32(len(nr.NbrCat)))
-		for j := range nr.NbrCat {
-			w.u32(uint32(nr.NbrCat[j]))
-			w.f64(nr.NbrCnt[j])
-		}
-		w.u32(uint32(len(nr.Peers)))
-		for _, p := range nr.Peers {
-			w.u32(uint32(p))
-		}
+		w.nbrs(nr.NbrCat, nr.NbrCnt)
+		w.peers(nr.Peers)
 	}
-	if w.off != len(buf) {
-		panic(fmt.Sprintf("wire: encoded %d bytes into a %d-byte checkpoint layout", w.off, len(buf)))
-	}
-
-	copy(buf[0:8], ckpMagic)
-	binary.LittleEndian.PutUint32(buf[8:12], CheckpointVersion)
-	binary.LittleEndian.PutUint32(buf[12:16], uint32(payload))
-	binary.LittleEndian.PutUint32(buf[16:20], crc32.ChecksumIEEE(buf[ckpHeaderSize:]))
-	return buf, nil
+	return ckpFormat.seal(&w), nil
 }
 
 // AppendCheckpoint encodes cp and writes the frame to w — the append-only
@@ -179,51 +167,24 @@ func AppendCheckpoint(w io.Writer, cp *Checkpoint) (int, error) {
 // appended sequence). Truncation, checksum mismatch and malformed content
 // all error without reading past data.
 func DecodeCheckpoint(data []byte) (*Checkpoint, int, error) {
-	if len(data) < ckpHeaderSize {
-		return nil, 0, fmt.Errorf("wire: truncated checkpoint: %d bytes, need at least the %d-byte frame header", len(data), ckpHeaderSize)
-	}
-	if string(data[0:8]) != ckpMagic {
-		return nil, 0, fmt.Errorf("wire: bad magic %q: not a checkpoint frame", data[0:8])
-	}
-	version := binary.LittleEndian.Uint32(data[8:12])
-	if version == 0 || version > CheckpointVersion {
-		return nil, 0, fmt.Errorf("wire: checkpoint frame has version %d; this build reads versions 1…%d", version, CheckpointVersion)
-	}
-	payloadLen := binary.LittleEndian.Uint32(data[12:16])
-	if binary.LittleEndian.Uint32(data[16:20]) == 0 && payloadLen == 0 {
-		return nil, 0, fmt.Errorf("wire: empty checkpoint frame")
+	payload, err := ckpFormat.payload(data)
+	if err != nil {
+		return nil, 0, err
 	}
 	if binary.LittleEndian.Uint32(data[20:24]) != 0 {
 		return nil, 0, fmt.Errorf("wire: reserved checkpoint header bytes are not zero")
 	}
-	total := ckpHeaderSize + int(payloadLen)
-	if len(data) < total {
-		return nil, 0, fmt.Errorf("wire: truncated checkpoint: frame declares %d payload bytes, %d available", payloadLen, len(data)-ckpHeaderSize)
-	}
-	payload := data[ckpHeaderSize:total]
-	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(data[16:20]); got != want {
-		return nil, 0, fmt.Errorf("wire: checkpoint checksum mismatch (stored %#x, computed %#x)", want, got)
-	}
-
-	r := ckpReader{buf: payload}
-	gen, err := r.u64()
-	if err != nil {
-		return nil, 0, err
-	}
-	name, err := r.lenBytes("name")
-	if err != nil {
+	r := reader{buf: payload, noun: "checkpoint payload"}
+	gen := r.u64()
+	name := r.bytes("name")
+	config := r.bytes("config")
+	stateBytes := r.bytes("state")
+	count := r.u32()
+	if err := r.err(); err != nil {
 		return nil, 0, err
 	}
 	if len(name) < 1 || len(name) > maxCheckpointName {
 		return nil, 0, fmt.Errorf("wire: checkpoint name length %d outside 1…%d", len(name), maxCheckpointName)
-	}
-	config, err := r.lenBytes("config")
-	if err != nil {
-		return nil, 0, err
-	}
-	stateBytes, err := r.lenBytes("state")
-	if err != nil {
-		return nil, 0, err
 	}
 	st, err := Decode(stateBytes)
 	if err != nil {
@@ -232,36 +193,44 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, int, error) {
 	if st.Gen != gen {
 		return nil, 0, fmt.Errorf("wire: checkpoint frame gen %d disagrees with its state's gen %d", gen, st.Gen)
 	}
-	count, err := r.u32()
-	if err != nil {
-		return nil, 0, err
-	}
-	// Each node record is ≥ 41 bytes; bound the count by the remaining
-	// payload so a corrupt header cannot drive the allocation.
-	if int(count) > r.remaining()/41+1 {
-		return nil, 0, fmt.Errorf("wire: checkpoint declares %d node records in %d remaining bytes", count, r.remaining())
+	// Bound the count by the remaining payload so a corrupt header cannot
+	// drive the allocation.
+	if left := len(payload) - r.off; uint64(count)*ckpNodeMinSize > uint64(left) {
+		return nil, 0, fmt.Errorf("wire: checkpoint declares %d node records in %d remaining bytes", count, left)
 	}
 	nodes := make([]stream.NodeRecord, count)
 	prev := int64(math.MinInt64)
 	for i := range nodes {
 		nr := &nodes[i]
-		if err := r.nodeRecord(nr); err != nil {
+		nr.Node = int32(r.u32())
+		nr.Cat = int32(r.u32())
+		nr.Mult = r.f64()
+		nr.Weight = r.f64()
+		flags := r.u8()
+		nr.StarSeen = flags&ckpFlagStarSeen != 0
+		nr.Deg = r.f64()
+		nr.NbrCat, nr.NbrCnt = r.nbrs(nil, nil)
+		nr.Peers = r.peers(nil)
+		if err := r.err(); err != nil {
 			return nil, 0, err
+		}
+		if flags&^byte(ckpFlagStarSeen) != 0 {
+			return nil, 0, fmt.Errorf("wire: checkpoint node %d has unknown flag bits %#x", nr.Node, flags)
 		}
 		if int64(nr.Node) <= prev {
 			return nil, 0, fmt.Errorf("wire: checkpoint node records out of order at node %d", nr.Node)
 		}
 		prev = int64(nr.Node)
 	}
-	if r.remaining() != 0 {
-		return nil, 0, fmt.Errorf("wire: checkpoint frame has %d trailing payload bytes", r.remaining())
+	if left := len(payload) - r.off; left != 0 {
+		return nil, 0, fmt.Errorf("wire: checkpoint frame has %d trailing payload bytes", left)
 	}
 	return &Checkpoint{
 		Name:   string(name),
 		Config: append([]byte(nil), config...),
 		Gen:    gen,
 		State:  &stream.FullState{State: st, Nodes: nodes},
-	}, total, nil
+	}, ckpHeaderSize + len(payload), nil
 }
 
 // LastCheckpoint walks an appended frame sequence and returns the LAST frame
@@ -279,19 +248,26 @@ func LastCheckpoint(data []byte) (*Checkpoint, int) {
 // trailing bytes ignored after it. The count is what compaction policies
 // key on (a file holds frames-1 superseded frames).
 func ScanCheckpoints(data []byte) (last *Checkpoint, frames, tail int) {
-	off := 0
-	for off < len(data) {
-		cp, n, err := DecodeCheckpoint(data[off:])
+	last, _, frames, end := scanFrames(data)
+	return last, frames, len(data) - end
+}
+
+// scanFrames walks data's intact prefix of frames. It returns the last
+// intact frame and the offset it starts at, the frame count, and the offset
+// where the intact prefix ends. Frames after a damaged one are unreachable
+// (frame boundaries are only known by walking), so everything from end on
+// is tail.
+func scanFrames(data []byte) (last *Checkpoint, start, frames, end int) {
+	for end < len(data) {
+		cp, n, err := DecodeCheckpoint(data[end:])
 		if err != nil {
-			// Frames after a damaged one are unreachable (frame boundaries
-			// are only known by walking), so everything from here is tail.
 			break
 		}
-		last = cp
+		last, start = cp, end
 		frames++
-		off += n
+		end += n
 	}
-	return last, frames, len(data) - off
+	return last, start, frames, end
 }
 
 // CompactCheckpoints rewrites the checkpoint file at path so it holds only
@@ -313,41 +289,17 @@ func CompactCheckpoints(path string) (dropped int, err error) {
 	if err != nil {
 		return 0, fmt.Errorf("wire: compact checkpoints: %w", err)
 	}
-	start, off, frames := 0, 0, 0
-	for off < len(data) {
-		_, n, err := DecodeCheckpoint(data[off:])
-		if err != nil {
-			break
-		}
-		start = off
-		frames++
-		off += n
-	}
-	tail := len(data) - off
-	if frames == 0 || (frames == 1 && tail == 0) {
+	_, start, frames, end := scanFrames(data)
+	if frames == 0 || (frames == 1 && end == len(data)) {
 		return 0, nil
 	}
 
 	tmp := path + ".compact"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	err = writeSynced(tmp, data[start:end])
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
 	if err != nil {
-		return 0, fmt.Errorf("wire: compact checkpoints: %w", err)
-	}
-	if _, err := f.Write(data[start:off]); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, fmt.Errorf("wire: compact checkpoints: write: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, fmt.Errorf("wire: compact checkpoints: sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("wire: compact checkpoints: close: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return 0, fmt.Errorf("wire: compact checkpoints: %w", err)
 	}
@@ -355,6 +307,22 @@ func CompactCheckpoints(path string) (dropped int, err error) {
 		return 0, fmt.Errorf("wire: compact checkpoints: %w", err)
 	}
 	return frames - 1, nil
+}
+
+// writeSynced writes data to a new file at path and fsyncs it.
+func writeSynced(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // SyncDir fsyncs a directory, making previously created, renamed or removed
@@ -368,134 +336,6 @@ func SyncDir(dir string) error {
 	defer d.Close()
 	if err := d.Sync(); err != nil {
 		return fmt.Errorf("wire: sync dir %q: %w", dir, err)
-	}
-	return nil
-}
-
-func (w *writer) u64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[w.off:], v)
-	w.off += 8
-}
-
-func (w *writer) byte(v byte) {
-	w.buf[w.off] = v
-	w.off++
-}
-
-func (w *writer) bytes(v []byte) {
-	copy(w.buf[w.off:], v)
-	w.off += len(v)
-}
-
-// ckpReader consumes the variable-length checkpoint payload with explicit
-// bounds checks (unlike reader, whose buffer length is pre-validated).
-type ckpReader struct {
-	buf []byte
-	off int
-}
-
-func (r *ckpReader) remaining() int { return len(r.buf) - r.off }
-
-func (r *ckpReader) need(n int, what string) error {
-	if r.remaining() < n {
-		return fmt.Errorf("wire: truncated checkpoint payload reading %s (%d bytes left, need %d)", what, r.remaining(), n)
-	}
-	return nil
-}
-
-func (r *ckpReader) u32() (uint32, error) {
-	if err := r.need(4, "u32"); err != nil {
-		return 0, err
-	}
-	v := binary.LittleEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v, nil
-}
-
-func (r *ckpReader) u64() (uint64, error) {
-	if err := r.need(8, "u64"); err != nil {
-		return 0, err
-	}
-	v := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v, nil
-}
-
-func (r *ckpReader) f64() (float64, error) {
-	v, err := r.u64()
-	return math.Float64frombits(v), err
-}
-
-func (r *ckpReader) lenBytes(what string) ([]byte, error) {
-	n, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if err := r.need(int(n), what); err != nil {
-		return nil, err
-	}
-	v := r.buf[r.off : r.off+int(n)]
-	r.off += int(n)
-	return v, nil
-}
-
-func (r *ckpReader) nodeRecord(nr *stream.NodeRecord) error {
-	node, err := r.u32()
-	if err != nil {
-		return err
-	}
-	cat, err := r.u32()
-	if err != nil {
-		return err
-	}
-	if nr.Mult, err = r.f64(); err != nil {
-		return err
-	}
-	if nr.Weight, err = r.f64(); err != nil {
-		return err
-	}
-	if err := r.need(1, "flags"); err != nil {
-		return err
-	}
-	flags := r.buf[r.off]
-	r.off++
-	if flags&^byte(ckpFlagStarSeen) != 0 {
-		return fmt.Errorf("wire: checkpoint node %d has unknown flag bits %#x", int32(node), flags)
-	}
-	if nr.Deg, err = r.f64(); err != nil {
-		return err
-	}
-	nr.Node, nr.Cat = int32(node), int32(cat)
-	nr.StarSeen = flags&ckpFlagStarSeen != 0
-	nbrs, err := r.u32()
-	if err != nil {
-		return err
-	}
-	if err := r.need(int(nbrs)*(4+8), "neighbor list"); err != nil {
-		return err
-	}
-	if nbrs > 0 {
-		nr.NbrCat = make([]int32, nbrs)
-		nr.NbrCnt = make([]float64, nbrs)
-		for j := range nr.NbrCat {
-			c, _ := r.u32()
-			nr.NbrCat[j] = int32(c)
-			nr.NbrCnt[j], _ = r.f64()
-		}
-	}
-	peers, err := r.u32()
-	if err != nil {
-		return err
-	}
-	if err := r.need(int(peers)*4, "peer list"); err != nil {
-		return err
-	}
-	if peers > 0 {
-		nr.Peers = make([]int32, peers)
-		for j := range nr.Peers {
-			p, _ := r.u32()
-			nr.Peers[j] = int32(p)
-		}
 	}
 	return nil
 }

@@ -115,6 +115,60 @@ func FuzzDecodeRecords(f *testing.F) {
 	})
 }
 
+// FuzzDecodeCheckpoint holds TOPOCKP1 to the bijection FuzzDecode holds
+// TOPOSUM1 to: any frame DecodeCheckpoint accepts re-encodes to exactly the
+// bytes it consumed. Mutations are re-sealed with a fresh CRC, as in
+// FuzzRestoreCheckpoint, so they reach the payload parser.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	for _, cfg := range []stream.Config{
+		{K: 4, Star: true, Replicates: uncert.Config{B: 3, Seed: 2}},
+		{K: 4, Star: false},
+	} {
+		acc, err := stream.NewAccumulator(cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for i := 0; i < 30; i++ {
+			rec := starRecord(int32(i%9), cfg.K)
+			if !cfg.Star {
+				rec = inducedRecord(int32(i%9), cfg.K)
+			}
+			if err := acc.Ingest(rec); err != nil {
+				f.Fatal(err)
+			}
+		}
+		fs, err := acc.ExportFull()
+		if err != nil {
+			f.Fatal(err)
+		}
+		frame, err := EncodeCheckpoint(&Checkpoint{Name: "fuzz", Config: []byte(`{"k":4}`), Gen: fs.State.Gen, State: fs})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+		f.Add(append(frame, frame[:ckpHeaderSize+5]...)) // a torn second frame
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= ckpHeaderSize {
+			data = append([]byte(nil), data...)
+			end := min(len(data), ckpHeaderSize+int(binary.LittleEndian.Uint32(data[12:16])))
+			binary.LittleEndian.PutUint32(data[16:20], crc32.ChecksumIEEE(data[ckpHeaderSize:end]))
+		}
+		cp, n, err := DecodeCheckpoint(data)
+		if err != nil {
+			return
+		}
+		re, err := EncodeCheckpoint(cp)
+		if err != nil {
+			t.Fatalf("DecodeCheckpoint accepted a frame EncodeCheckpoint rejects: %v", err)
+		}
+		if !bytes.Equal(re, data[:n]) {
+			t.Fatalf("accepted %d-byte frame re-encodes to different %d bytes", n, len(re))
+		}
+	})
+}
+
 // FuzzRestoreCheckpoint drives arbitrary bytes through the whole resume
 // path: DecodeCheckpoint, RestoreAccumulator under the configuration the
 // state declares, then one re-draw of every restored node. A star frame

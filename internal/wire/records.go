@@ -30,18 +30,13 @@ package wire
 //	        nbrs × (cat i32, cnt f64)
 //	[peers] n u32, n × (peer i32)
 //
-// Encoding is canonical, per the TOPOSUM1/TOPOCKP1 discipline: the star
-// section is present iff the observation carries star data (nonzero degree
-// bits or a nonempty neighbor list) and must itself be nonempty; the peer
-// section is present iff the peer list is nonempty; unknown flag bits,
-// reserved-field violations, inexact frame lengths and trailing bytes are
-// all rejected. Decode∘Encode is the identity on values and Encode∘Decode
-// is the identity on accepted byte strings (the FuzzDecodeRecords
-// invariant).
+// Canonical form (see the package doc): the star section is present iff
+// the observation carries star data (nonzero degree bits or a nonempty
+// neighbor list) and must itself be nonempty; the peer section is present
+// iff the peer list is nonempty; the frame length is exact.
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 
 	"repro/internal/sample"
@@ -68,13 +63,15 @@ const (
 	recMinSize = 4 + 4 + 8 + 1
 )
 
+var recFormat = format{noun: "record batch", magic: recMagic, version: RecordsVersion, header: recHeaderSize, lenAt: 16, crcAt: 20}
+
 // EncodeRecords serializes one batch as a TOPOREC1 frame. Records travel
 // bit-faithfully (weights and degrees as raw IEEE-754 bits, zero meaning
 // the same "omitted" it means in JSON); the only requirement is structural:
 // neighbor category and count lists must have equal length. An empty batch
 // encodes as a bare frame header.
 func EncodeRecords(recs []sample.NodeObservation) ([]byte, error) {
-	size := recHeaderSize
+	size := 0
 	for i := range recs {
 		r := &recs[i]
 		if len(r.NbrCat) != len(r.NbrCnt) {
@@ -82,17 +79,19 @@ func EncodeRecords(recs []sample.NodeObservation) ([]byte, error) {
 		}
 		size += recMinSize
 		if recordHasStar(r) {
-			size += 8 + 4 + len(r.NbrCat)*(4+8)
+			size += 8 + 4 + len(r.NbrCat)*nbrSize
 		}
 		if len(r.Peers) > 0 {
-			size += 4 + len(r.Peers)*4
+			size += 4 + len(r.Peers)*peerSize
 		}
 	}
-	if uint64(len(recs)) > math.MaxUint32 || uint64(size-recHeaderSize) > math.MaxUint32 {
-		return nil, fmt.Errorf("wire: record batch of %d records (%d bytes) exceeds the frame's 32-bit dimensions", len(recs), size)
+	// Every record takes at least recMinSize bytes, so a payload the
+	// length field can describe also bounds the u32 count.
+	buf, err := recFormat.frame(size)
+	if err != nil {
+		return nil, err
 	}
-
-	buf := make([]byte, size)
+	binary.LittleEndian.PutUint32(buf[12:16], uint32(len(recs)))
 	w := writer{buf: buf, off: recHeaderSize}
 	for i := range recs {
 		r := &recs[i]
@@ -106,32 +105,16 @@ func EncodeRecords(recs []sample.NodeObservation) ([]byte, error) {
 		if len(r.Peers) > 0 {
 			flags |= recFlagPeers
 		}
-		w.byte(flags)
+		w.u8(flags)
 		if flags&recFlagStar != 0 {
 			w.f64(r.Deg)
-			w.u32(uint32(len(r.NbrCat)))
-			for j := range r.NbrCat {
-				w.u32(uint32(r.NbrCat[j]))
-				w.f64(r.NbrCnt[j])
-			}
+			w.nbrs(r.NbrCat, r.NbrCnt)
 		}
 		if flags&recFlagPeers != 0 {
-			w.u32(uint32(len(r.Peers)))
-			for _, p := range r.Peers {
-				w.u32(uint32(p))
-			}
+			w.peers(r.Peers)
 		}
 	}
-	if w.off != len(buf) {
-		panic(fmt.Sprintf("wire: encoded %d bytes into a %d-byte record-batch layout", w.off, len(buf)))
-	}
-
-	copy(buf[0:8], recMagic)
-	binary.LittleEndian.PutUint32(buf[8:12], RecordsVersion)
-	binary.LittleEndian.PutUint32(buf[12:16], uint32(len(recs)))
-	binary.LittleEndian.PutUint32(buf[16:20], uint32(size-recHeaderSize))
-	binary.LittleEndian.PutUint32(buf[20:24], crc32.ChecksumIEEE(buf[recHeaderSize:]))
-	return buf, nil
+	return recFormat.seal(&w), nil
 }
 
 // recordHasStar reports whether the observation carries star data and
@@ -176,87 +159,59 @@ func NewRecordIter(data []byte) (*RecordIter, error) {
 // not parse is refused whole) and Next never fails.
 func (it *RecordIter) Reset(data []byte) error {
 	it.r, it.count, it.i = reader{}, 0, 0
-	if len(data) < recHeaderSize {
-		return fmt.Errorf("wire: truncated record batch: %d bytes, need at least the %d-byte frame header", len(data), recHeaderSize)
+	payload, err := recFormat.payload(data)
+	if err != nil {
+		return err
 	}
-	if string(data[0:8]) != recMagic {
-		return fmt.Errorf("wire: bad magic %q: not a record batch", data[0:8])
+	if len(data) != recHeaderSize+len(payload) {
+		return fmt.Errorf("wire: record batch is %d bytes, frame declares %d", len(data), recHeaderSize+len(payload))
 	}
-	version := binary.LittleEndian.Uint32(data[8:12])
-	if version == 0 || version > RecordsVersion {
-		return fmt.Errorf("wire: record batch has codec version %d; this build decodes versions 1…%d (upgrade this process or downgrade the sender)", version, RecordsVersion)
-	}
+	// Each record takes at least recMinSize bytes, so a count the payload
+	// cannot hold ends the walk at the first short read.
 	count := binary.LittleEndian.Uint32(data[12:16])
-	payloadLen := binary.LittleEndian.Uint32(data[16:20])
-	if len(data) != recHeaderSize+int(payloadLen) {
-		return fmt.Errorf("wire: record batch is %d bytes, frame declares %d", len(data), recHeaderSize+int(payloadLen))
-	}
-	if uint64(count)*recMinSize > uint64(payloadLen) {
-		return fmt.Errorf("wire: record batch declares %d records in %d payload bytes", count, payloadLen)
-	}
-	payload := data[recHeaderSize:]
-	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(data[20:24]); got != want {
-		return fmt.Errorf("wire: record batch checksum mismatch (stored %#x, computed %#x)", want, got)
-	}
-	off := 0
-	for i := 0; i < int(count); i++ {
-		n, err := walkRecord(payload, off, i)
-		if err != nil {
+	r := reader{buf: payload, noun: recFormat.noun}
+	for i := 0; i < int(count) && r.short == ""; i++ {
+		if err := walkRecord(&r, i); err != nil {
 			return err
 		}
-		off = n
 	}
-	if off != len(payload) {
-		return fmt.Errorf("wire: record batch has %d trailing payload bytes", len(payload)-off)
+	if err := r.err(); err != nil {
+		return err
 	}
-	it.r = reader{buf: payload}
+	if r.off != len(payload) {
+		return fmt.Errorf("wire: record batch has %d trailing payload bytes", len(payload)-r.off)
+	}
+	it.r = reader{buf: payload, noun: recFormat.noun}
 	it.count = int(count)
 	return nil
 }
 
-// walkRecord bounds-checks one record starting at off and enforces the
-// canonical-form rules, returning the offset past it.
-func walkRecord(p []byte, off, i int) (int, error) {
-	if len(p)-off < recMinSize {
-		return 0, fmt.Errorf("wire: truncated record %d: %d payload bytes left, need at least %d", i, len(p)-off, recMinSize)
+// walkRecord reads past one record, enforcing the canonical-form rules. A
+// short read is left for the caller to find in r.
+func walkRecord(r *reader, i int) error {
+	head := r.take(recMinSize, "record")
+	if head == nil {
+		return nil
 	}
-	flags := p[off+recMinSize-1]
-	off += recMinSize
+	flags := head[recMinSize-1]
 	if flags&^byte(recFlagsKnown) != 0 {
-		return 0, fmt.Errorf("wire: record %d has unknown flag bits %#x (corrupt payload or newer writer)", i, flags&^byte(recFlagsKnown))
+		return fmt.Errorf("wire: record %d has unknown flag bits %#x (corrupt payload or newer writer)", i, flags&^byte(recFlagsKnown))
 	}
 	if flags&recFlagStar != 0 {
-		if len(p)-off < 8+4 {
-			return 0, fmt.Errorf("wire: truncated record %d: star section header needs 12 bytes, %d left", i, len(p)-off)
+		deg, nbrs := r.u64(), r.u32()
+		if deg == 0 && nbrs == 0 && r.short == "" {
+			return fmt.Errorf("wire: record %d has an empty star section (non-canonical)", i)
 		}
-		degBits := binary.LittleEndian.Uint64(p[off:])
-		nbrs := binary.LittleEndian.Uint32(p[off+8:])
-		off += 12
-		if degBits == 0 && nbrs == 0 {
-			return 0, fmt.Errorf("wire: record %d has an empty star section (non-canonical)", i)
-		}
-		need := int64(nbrs) * (4 + 8)
-		if int64(len(p)-off) < need {
-			return 0, fmt.Errorf("wire: truncated record %d: neighbor list needs %d bytes, %d left", i, need, len(p)-off)
-		}
-		off += int(need)
+		r.take(uint64(nbrs)*nbrSize, "neighbor list")
 	}
 	if flags&recFlagPeers != 0 {
-		if len(p)-off < 4 {
-			return 0, fmt.Errorf("wire: truncated record %d: peer count needs 4 bytes, %d left", i, len(p)-off)
+		n := r.u32()
+		if n == 0 && r.short == "" {
+			return fmt.Errorf("wire: record %d has an empty peer section (non-canonical)", i)
 		}
-		n := binary.LittleEndian.Uint32(p[off:])
-		off += 4
-		if n == 0 {
-			return 0, fmt.Errorf("wire: record %d has an empty peer section (non-canonical)", i)
-		}
-		need := int64(n) * 4
-		if int64(len(p)-off) < need {
-			return 0, fmt.Errorf("wire: truncated record %d: peer list needs %d bytes, %d left", i, need, len(p)-off)
-		}
-		off += int(need)
+		r.take(uint64(n)*peerSize, "peer list")
 	}
-	return off, nil
+	return nil
 }
 
 // Len returns the number of records in the frame.
@@ -271,31 +226,23 @@ func (it *RecordIter) Next(rec *sample.NodeObservation) bool {
 		return false
 	}
 	it.i++
-	rec.Node = int32(it.r.u32())
-	rec.Cat = int32(it.r.u32())
-	rec.Weight = it.r.f64()
-	flags := it.r.u8()
+	r := &it.r
+	head := r.take(recMinSize, "record") // Reset checked every record
+	rec.Node = int32(binary.LittleEndian.Uint32(head))
+	rec.Cat = int32(binary.LittleEndian.Uint32(head[4:]))
+	rec.Weight = math.Float64frombits(binary.LittleEndian.Uint64(head[8:]))
+	flags := head[recMinSize-1]
 	rec.Deg = 0
 	rec.NbrCat, rec.NbrCnt, rec.Peers = nil, nil, nil
 	if flags&recFlagStar != 0 {
-		rec.Deg = it.r.f64()
-		nbrs := int(it.r.u32())
-		it.nbrCat = it.nbrCat[:0]
-		it.nbrCnt = it.nbrCnt[:0]
-		for j := 0; j < nbrs; j++ {
-			it.nbrCat = append(it.nbrCat, int32(it.r.u32()))
-			it.nbrCnt = append(it.nbrCnt, it.r.f64())
-		}
-		if nbrs > 0 {
+		rec.Deg = r.f64()
+		it.nbrCat, it.nbrCnt = r.nbrs(it.nbrCat[:0], it.nbrCnt[:0])
+		if len(it.nbrCat) > 0 {
 			rec.NbrCat, rec.NbrCnt = it.nbrCat, it.nbrCnt
 		}
 	}
 	if flags&recFlagPeers != 0 {
-		n := int(it.r.u32())
-		it.peers = it.peers[:0]
-		for j := 0; j < n; j++ {
-			it.peers = append(it.peers, int32(it.r.u32()))
-		}
+		it.peers = r.peers(it.peers[:0])
 		rec.Peers = it.peers
 	}
 	return true
@@ -317,10 +264,4 @@ func DecodeRecords(data []byte) ([]sample.NodeObservation, error) {
 		recs = append(recs, rec)
 	}
 	return recs, nil
-}
-
-func (r *reader) u8() byte {
-	v := r.buf[r.off]
-	r.off++
-	return v
 }

@@ -1,20 +1,32 @@
-// Package wire is the codec of the distributed estimation tier: a compact,
-// versioned, little-endian binary encoding of a stream.State — the
-// Hansen–Hurwitz sufficient statistics (core.Sums), the §4.3 population-size
-// scalars, and the online-bootstrap replicate sums (uncert.Replicates) — for
-// shipping between topoestd processes. Workers serve the encoding on
-// GET /sums; a merge coordinator decodes and re-merges it into the pooled
-// estimate.
+// Package wire holds the daemon's three binary formats: TOPOSUM1, a
+// stream.State — the Hansen–Hurwitz sufficient statistics (core.Sums), the
+// §4.3 population-size scalars and the online-bootstrap replicate sums
+// (uncert.Replicates) — that workers serve on GET /sums and a merge
+// coordinator decodes and re-merges; TOPOCKP1, the CRC-framed checkpoint
+// that wraps a TOPOSUM1 state with the node directory for append-only
+// files (checkpoint.go); and TOPOREC1, the CRC-framed batch of observations
+// that POST /ingest accepts as a binary body (records.go).
 //
-// The format follows the graph/pack.go discipline: fixed magic, explicit
-// version, a header that fully determines the payload layout so truncation
-// and corruption are detected at decode (never by reading past a buffer),
-// and length-checked section reads. Floats travel as raw IEEE-754 bits, so
-// Decode∘Encode is the identity on values and Encode∘Decode is the identity
-// on accepted byte strings (the fuzz invariant): pair tables are emitted in
-// canonical sorted order and decoders reject non-canonical input.
+// All three follow one discipline, implemented once in codec.go:
 //
-// Layout (all integers little-endian, all floats IEEE-754 binary64 bits):
+//   - Prefix. Every frame opens with an 8-byte magic and a u32 version; a
+//     decoder rejects a short header, a foreign magic, and version 0 or one
+//     newer than this build before reading anything else.
+//   - CRC. TOPOCKP1 and TOPOREC1 carry a u32 payload length and the CRC-32
+//     (IEEE) of the payload. An encoder rejects a payload the length field
+//     cannot describe; a decoder verifies the checksum before parsing.
+//   - Bounds. Every read is length-checked, so truncated or corrupt input is
+//     an error, never a read past the buffer, and a header-declared count
+//     cannot drive an allocation the remaining bytes could not fill.
+//   - Canonical form. Integers are little-endian, floats travel as raw
+//     IEEE-754 binary64 bits, tables are emitted in one canonical order,
+//     reserved fields are zero, and decoders reject anything else.
+//   - Bijection. Decode∘Encode is the identity on values and Encode∘Decode
+//     the identity on accepted byte strings, which the fuzz targets check
+//     (FuzzDecode, FuzzDecodeRecords, FuzzDecodeCheckpoint).
+//
+// TOPOSUM1 layout (all integers little-endian, all floats IEEE-754
+// binary64 bits):
 //
 //	offset  size  field
 //	     0     8  magic "TOPOSUM1"
@@ -46,7 +58,6 @@
 package wire
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -73,13 +84,9 @@ const (
 	flagStar       = 1 << 0
 	flagReplicates = 1 << 1
 	flagsKnown     = flagStar | flagReplicates
-
-	// maxK and maxB bound the header-declared dimensions so a corrupt or
-	// hostile header cannot drive the size arithmetic anywhere interesting:
-	// k, B ≤ 1<<24 keeps every product in this file well under 1<<63.
-	maxK = 1 << 24
-	maxB = 1 << 24
 )
+
+var sumsFormat = format{noun: "sums payload", magic: magic, version: Version, header: headerSize}
 
 type pairEntry struct {
 	a, b int32
@@ -93,8 +100,8 @@ func Encode(st *stream.State) ([]byte, error) {
 	if st == nil || st.Sums == nil {
 		return nil, fmt.Errorf("wire: cannot encode a nil state")
 	}
-	if st.K < 1 || st.K > maxK {
-		return nil, fmt.Errorf("wire: state has %d categories, encodable range is 1…%d", st.K, maxK)
+	if st.K < 1 || st.K > MaxDim {
+		return nil, fmt.Errorf("wire: state has %d categories, encodable range is 1…%d", st.K, MaxDim)
 	}
 	if st.Sums.K != st.K || st.Sums.Star != st.Star {
 		return nil, fmt.Errorf("wire: state sums (k=%d star=%v) disagree with state header (k=%d star=%v)",
@@ -109,19 +116,19 @@ func Encode(st *stream.State) ([]byte, error) {
 	sortPairs(sumsPairs)
 
 	var (
-		flags uint32
-		bB    int
-		seed  uint64
-		raw   *uncert.RawReplicates
+		flags    uint32
+		bB       int
+		seed     uint64
+		raw      *uncert.RawReplicates
+		repPairs []pairEntry // keys only
 	)
 	if st.Star {
 		flags |= flagStar
 	}
-	var repPairs [][2]int32
 	if st.Reps != nil {
 		cfg := st.Reps.Config()
-		if cfg.B < 1 || cfg.B > maxB {
-			return nil, fmt.Errorf("wire: state has %d bootstrap replicates, encodable range is 1…%d", cfg.B, maxB)
+		if cfg.B < 1 || cfg.B > MaxDim {
+			return nil, fmt.Errorf("wire: state has %d bootstrap replicates, encodable range is 1…%d", cfg.B, MaxDim)
 		}
 		flags |= flagReplicates
 		bB = cfg.B
@@ -131,33 +138,25 @@ func Encode(st *stream.State) ([]byte, error) {
 			return nil, fmt.Errorf("wire: state replicates (k=%d star=%v) disagree with state header (k=%d star=%v)",
 				raw.K, raw.Star, st.K, st.Star)
 		}
-		repPairs = make([][2]int32, 0, len(raw.Pairs))
+		repPairs = make([]pairEntry, 0, len(raw.Pairs))
 		for key := range raw.Pairs {
-			repPairs = append(repPairs, key)
+			repPairs = append(repPairs, pairEntry{a: key[0], b: key[1]})
 		}
-		sort.Slice(repPairs, func(i, j int) bool {
-			if repPairs[i][0] != repPairs[j][0] {
-				return repPairs[i][0] < repPairs[j][0]
-			}
-			return repPairs[i][1] < repPairs[j][1]
-		})
+		sortPairs(repPairs)
 	}
 
-	size := totalSize(flags, st.K, bB, len(sumsPairs), len(repPairs))
-	buf := make([]byte, size)
-	h := buf[:headerSize]
-	copy(h[0:8], magic)
-	binary.LittleEndian.PutUint32(h[8:12], Version)
-	binary.LittleEndian.PutUint32(h[12:16], flags)
-	binary.LittleEndian.PutUint32(h[16:20], uint32(st.K))
-	binary.LittleEndian.PutUint32(h[20:24], uint32(bB))
-	binary.LittleEndian.PutUint64(h[24:32], st.Gen)
-	binary.LittleEndian.PutUint64(h[32:40], seed)
-	binary.LittleEndian.PutUint32(h[40:44], uint32(len(sumsPairs)))
-	binary.LittleEndian.PutUint32(h[44:48], uint32(len(repPairs)))
-	binary.LittleEndian.PutUint64(h[48:56], uint64(st.Distinct))
-
-	w := writer{buf: buf, off: headerSize}
+	buf := make([]byte, totalSize(flags, st.K, bB, len(sumsPairs), len(repPairs)))
+	sumsFormat.putPrefix(buf)
+	w := writer{buf: buf, off: 12}
+	w.u32(flags)
+	w.u32(uint32(st.K))
+	w.u32(uint32(bB))
+	w.u64(st.Gen)
+	w.u64(seed)
+	w.u32(uint32(len(sumsPairs)))
+	w.u32(uint32(len(repPairs)))
+	w.u64(uint64(st.Distinct))
+	w.u64(0)
 
 	// Section A.
 	s := st.Sums
@@ -171,12 +170,8 @@ func Encode(st *stream.State) ([]byte, error) {
 	w.f64(0)
 
 	// Section B.
-	for _, arr := range [][]float64{s.Rew, s.DrawsA, s.Rew2, s.RewSqA, s.WithinNum} {
+	for _, arr := range catArrays(s) {
 		w.f64s(st.K, arr)
-	}
-	if st.Star {
-		w.f64s(st.K, s.DegNumA)
-		w.f64s(st.K, s.NbrNum)
 	}
 
 	// Section C.
@@ -188,32 +183,21 @@ func Encode(st *stream.State) ([]byte, error) {
 
 	// Section D.
 	if raw != nil {
-		scalars := [][]float64{raw.Draws, raw.TotalRew, raw.RewSq, raw.Psi1, raw.PsiInv, raw.Coll}
-		if st.Star {
-			scalars = append(scalars, raw.DegNum)
-		}
+		scalars, grids := repVectors(raw)
 		for _, v := range scalars {
-			w.f64s(bB, v)
-		}
-		grids := [][]float64{raw.Rew, raw.DrawsA, raw.Rew2, raw.RewSqA, raw.WithinNum}
-		if st.Star {
-			grids = append(grids, raw.DegNumA, raw.NbrNum)
+			w.f64s(bB, *v)
 		}
 		for _, g := range grids {
-			w.f64s(st.K*bB, g)
+			w.f64s(st.K*bB, *g)
 		}
-		for _, key := range repPairs {
-			w.u32(uint32(key[0]))
-			w.u32(uint32(key[1]))
-			w.f64s(bB, raw.Pairs[key])
+		for _, p := range repPairs {
+			w.u32(uint32(p.a))
+			w.u32(uint32(p.b))
+			w.f64s(bB, raw.Pairs[[2]int32{p.a, p.b}])
 		}
 	}
 
-	if w.off != len(buf) {
-		// Layout arithmetic and emission disagree — a codec bug, not input.
-		panic(fmt.Sprintf("wire: encoded %d bytes into a %d-byte layout", w.off, len(buf)))
-	}
-	return buf, nil
+	return sumsFormat.seal(&w), nil
 }
 
 // Decode parses an encoded state, validating the header, the exact payload
@@ -221,46 +205,40 @@ func Encode(st *stream.State) ([]byte, error) {
 // section. Corrupt, truncated, or future-version input fails with a
 // descriptive error; accepted input re-encodes byte-identically.
 func Decode(data []byte) (*stream.State, error) {
-	if len(data) < headerSize {
-		return nil, fmt.Errorf("wire: truncated payload: %d bytes, need at least the %d-byte header", len(data), headerSize)
+	if err := sumsFormat.check(data); err != nil {
+		return nil, err
 	}
-	h := data[:headerSize]
-	if string(h[0:8]) != magic {
-		return nil, fmt.Errorf("wire: bad magic %q: not a sums payload", h[0:8])
-	}
-	version := binary.LittleEndian.Uint32(h[8:12])
-	if version == 0 || version > Version {
-		return nil, fmt.Errorf("wire: sums payload has codec version %d; this build decodes versions 1…%d (upgrade this process or downgrade the sender)", version, Version)
-	}
-	flags := binary.LittleEndian.Uint32(h[12:16])
+	r := reader{buf: data, off: 12, noun: sumsFormat.noun}
+	flags := r.u32()
+	k := r.u32()
+	bB := r.u32()
+	gen := r.u64()
+	seed := r.u64()
+	sumsPairs := r.u32()
+	repPairs := r.u32()
+	distinct := int64(r.u64())
+	reserved := r.u64()
 	if flags&^uint32(flagsKnown) != 0 {
 		return nil, fmt.Errorf("wire: unknown flag bits %#x (corrupt payload or newer writer)", flags&^uint32(flagsKnown))
 	}
 	star := flags&flagStar != 0
 	withReps := flags&flagReplicates != 0
-	k := binary.LittleEndian.Uint32(h[16:20])
-	bB := binary.LittleEndian.Uint32(h[20:24])
-	gen := binary.LittleEndian.Uint64(h[24:32])
-	seed := binary.LittleEndian.Uint64(h[32:40])
-	sumsPairs := binary.LittleEndian.Uint32(h[40:44])
-	repPairs := binary.LittleEndian.Uint32(h[44:48])
-	distinct := int64(binary.LittleEndian.Uint64(h[48:56]))
 	// Reserved space must be zero: a writer that populated it is newer than
 	// this build, and tolerating it would break the one-encoding-per-state
 	// property the corruption tests rely on.
-	if binary.LittleEndian.Uint64(h[56:64]) != 0 {
+	if reserved != 0 {
 		return nil, fmt.Errorf("wire: reserved header bytes are not zero (corrupt payload or newer writer)")
 	}
 	if !withReps && seed != 0 {
 		return nil, fmt.Errorf("wire: header declares a bootstrap seed without the replicates flag")
 	}
 
-	if k < 1 || k > maxK {
-		return nil, fmt.Errorf("wire: header declares %d categories, valid range is 1…%d", k, maxK)
+	if k < 1 || k > MaxDim {
+		return nil, fmt.Errorf("wire: header declares %d categories, valid range is 1…%d", k, MaxDim)
 	}
 	if withReps {
-		if bB < 1 || bB > maxB {
-			return nil, fmt.Errorf("wire: header declares %d bootstrap replicates, valid range is 1…%d", bB, maxB)
+		if bB < 1 || bB > MaxDim {
+			return nil, fmt.Errorf("wire: header declares %d bootstrap replicates, valid range is 1…%d", bB, MaxDim)
 		}
 	} else if bB != 0 || repPairs != 0 {
 		return nil, fmt.Errorf("wire: header declares B=%d and %d replicate pairs without the replicates flag", bB, repPairs)
@@ -286,7 +264,6 @@ func Decode(data []byte) (*stream.State, error) {
 		Distinct: distinct,
 		Sums:     core.NewSums(int(k), star),
 	}
-	r := reader{buf: data, off: headerSize}
 
 	// Section A.
 	s := st.Sums
@@ -302,12 +279,8 @@ func Decode(data []byte) (*stream.State, error) {
 	}
 
 	// Section B.
-	for _, arr := range [][]float64{s.Rew, s.DrawsA, s.Rew2, s.RewSqA, s.WithinNum} {
+	for _, arr := range catArrays(s) {
 		r.f64s(arr)
-	}
-	if star {
-		r.f64s(s.DegNumA)
-		r.f64s(s.NbrNum)
 	}
 
 	// Section C.
@@ -328,17 +301,10 @@ func Decode(data []byte) (*stream.State, error) {
 			Star: star,
 			Cfg:  uncert.Config{B: int(bB), Seed: seed},
 		}
-		scalars := []*[]float64{&raw.Draws, &raw.TotalRew, &raw.RewSq, &raw.Psi1, &raw.PsiInv, &raw.Coll}
-		if star {
-			scalars = append(scalars, &raw.DegNum)
-		}
+		scalars, grids := repVectors(raw)
 		for _, v := range scalars {
 			*v = make([]float64, bB)
 			r.f64s(*v)
-		}
-		grids := []*[]float64{&raw.Rew, &raw.DrawsA, &raw.Rew2, &raw.RewSqA, &raw.WithinNum}
-		if star {
-			grids = append(grids, &raw.DegNumA, &raw.NbrNum)
 		}
 		for _, g := range grids {
 			*g = make([]float64, int(k)*int(bB))
@@ -363,8 +329,9 @@ func Decode(data []byte) (*stream.State, error) {
 		st.Reps = reps
 	}
 
-	if r.off != len(data) {
-		panic(fmt.Sprintf("wire: decoded %d of %d bytes", r.off, len(data)))
+	if err := r.err(); err != nil || r.off != len(data) {
+		// totalSize fixed the length: a layout bug, not input.
+		panic(fmt.Sprintf("wire: decoded %d of %d bytes (%v)", r.off, len(data), err))
 	}
 	return st, nil
 }
@@ -392,6 +359,27 @@ func totalSize(flags uint32, k, b, sumsPairs, repPairs int) int {
 	return size
 }
 
+// catArrays lists the per-category arrays of section B in wire order.
+func catArrays(s *core.Sums) [][]float64 {
+	arrs := [][]float64{s.Rew, s.DrawsA, s.Rew2, s.RewSqA, s.WithinNum}
+	if s.Star {
+		arrs = append(arrs, s.DegNumA, s.NbrNum)
+	}
+	return arrs
+}
+
+// repVectors lists section D's replicate scalar vectors (B floats each) and
+// per-category grids (k·B floats each) in wire order.
+func repVectors(raw *uncert.RawReplicates) (scalars, grids []*[]float64) {
+	scalars = []*[]float64{&raw.Draws, &raw.TotalRew, &raw.RewSq, &raw.Psi1, &raw.PsiInv, &raw.Coll}
+	grids = []*[]float64{&raw.Rew, &raw.DrawsA, &raw.Rew2, &raw.RewSqA, &raw.WithinNum}
+	if raw.Star {
+		scalars = append(scalars, &raw.DegNum)
+		grids = append(grids, &raw.DegNumA, &raw.NbrNum)
+	}
+	return scalars, grids
+}
+
 // checkPair enforces the canonical pair-table form: 0 ≤ a < b < k, entries
 // strictly increasing by (a, b). Canonical form is what makes the encoding
 // of a given state unique (and therefore fuzz-checkable as a bijection).
@@ -412,62 +400,4 @@ func sortPairs(ps []pairEntry) {
 		}
 		return ps[i].b < ps[j].b
 	})
-}
-
-// writer appends fixed-width values into a pre-sized buffer. Layout
-// arithmetic (totalSize) guarantees capacity; an overrun is a codec bug and
-// panics in Encode's final length check.
-type writer struct {
-	buf []byte
-	off int
-}
-
-func (w *writer) u32(v uint32) {
-	binary.LittleEndian.PutUint32(w.buf[w.off:], v)
-	w.off += 4
-}
-
-func (w *writer) f64(v float64) {
-	binary.LittleEndian.PutUint64(w.buf[w.off:], math.Float64bits(v))
-	w.off += 8
-}
-
-// f64s writes exactly n floats; a nil src (legal for an all-zero section,
-// e.g. star arrays of a fresh accumulator) writes n zeros.
-func (w *writer) f64s(n int, src []float64) {
-	if src != nil && len(src) != n {
-		panic(fmt.Sprintf("wire: section of %d floats, want %d", len(src), n))
-	}
-	for i := 0; i < n; i++ {
-		var v float64
-		if src != nil {
-			v = src[i]
-		}
-		w.f64(v)
-	}
-}
-
-// reader consumes fixed-width values from a buffer whose exact length was
-// validated against totalSize, so reads cannot run past the end.
-type reader struct {
-	buf []byte
-	off int
-}
-
-func (r *reader) u32() uint32 {
-	v := binary.LittleEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *reader) f64() float64 {
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.buf[r.off:]))
-	r.off += 8
-	return v
-}
-
-func (r *reader) f64s(dst []float64) {
-	for i := range dst {
-		dst[i] = r.f64()
-	}
 }
