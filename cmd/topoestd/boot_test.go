@@ -1,24 +1,40 @@
 package main
 
 import (
+	"bytes"
 	"errors"
+	"flag"
 	"log/slog"
 	"net"
+	"os"
 	"testing"
-	"time"
 )
 
-// defaultCLI is the command line with every flag at its registered default,
-// as main leaves it after flag.Parse with no arguments.
-func defaultCLI() cli {
-	return cli{
-		addr: ":8723", star: true, shards: 1, size: "auto", bootSeed: 1,
-		demoDraws: 20000, demoSeed: 1,
-		crawlWalkers: 4, crawlSampler: "RW", crawlEngine: "bootstrap",
-		crawlLevel: 0.95, crawlMax: 200000, crawlCheck: 2000, crawlBurnIn: 1000, crawlSeed: 1,
-		mergeInterval: 2 * time.Second, mergeTimeout: 2 * time.Second, mergeMaxStale: time.Minute,
-		checkpointInterval: 30 * time.Second,
-		logFormat:          "text", logLevel: "info",
+// parseCLI parses argv through the daemon's own flag set, as main does.
+func parseCLI(t *testing.T, args ...string) *cli {
+	t.Helper()
+	fs := flag.NewFlagSet("topoestd", flag.ContinueOnError)
+	c := newCLI(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestHelpGolden pins the -h output: the flags, their types, defaults and
+// usage texts, byte for byte.
+func TestHelpGolden(t *testing.T) {
+	fs := flag.NewFlagSet("topoestd", flag.ContinueOnError)
+	newCLI(fs)
+	var got bytes.Buffer
+	fs.SetOutput(&got)
+	fs.PrintDefaults()
+	want, err := os.ReadFile("testdata/help.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("-h output drifted from testdata/help.golden:\n%s", got.String())
 	}
 }
 
@@ -30,62 +46,58 @@ func TestRunRejectsInvalidFlags(t *testing.T) {
 	prev := slog.Default()
 	t.Cleanup(func() { slog.SetDefault(prev) })
 
-	serve := func(c *cli) { c.k = 3 }
-	crawlMode := func(c *cli) { c.crawlMode = true }
-	demo := func(c *cli) { c.demo = true }
-	merge := func(c *cli) { c.k = 3; c.mergeFrom = "http://127.0.0.1:1" }
+	serve := []string{"-k", "3"}
+	crawlMode := []string{"-crawl"}
+	demo := []string{"-demo"}
+	merge := []string{"-k", "3", "-merge-from", "http://127.0.0.1:1"}
 	cases := []struct {
 		name string
-		mode func(*cli)
-		set  func(*cli)
+		mode []string
+		set  []string
 	}{
-		{"serve/negative bootstrap", serve, func(c *cli) { c.boot = -1 }},
-		{"serve/negative qps", serve, func(c *cli) { c.qps = -1 }},
-		{"serve/negative query cost", serve, func(c *cli) { c.queryCost = -time.Millisecond }},
-		{"serve/zero checkpoint interval", serve, func(c *cli) { c.checkpointInterval = 0 }},
-		{"serve/negative checkpoint max frames", serve, func(c *cli) { c.checkpointMaxF = -1 }},
-		{"serve/restore jobs without dir", serve, func(c *cli) { c.restoreJobs = true }},
-		{"serve/checkpoint max frames without dir", serve, func(c *cli) { c.checkpointMaxF = 3 }},
-		{"serve/graph file without crawl", serve, func(c *cli) { c.graphFile = "g.pack" }},
-		{"serve/qps without crawl", serve, func(c *cli) { c.qps = 10 }},
-		{"serve/no categories", serve, func(c *cli) { c.k = 0 }},
-		{"serve/zero shards", serve, func(c *cli) { c.shards = 0 }},
-		{"serve/negative shards", serve, func(c *cli) { c.shards = -2 }},
-		{"serve/induced epoch", serve, func(c *cli) { c.star = false; c.shards = 2 }},
-		{"serve/bad size", serve, func(c *cli) { c.size = "bogus" }},
-		{"serve/bad log format", serve, func(c *cli) { c.logFormat = "xml" }},
+		{"serve/negative bootstrap", serve, []string{"-bootstrap", "-1"}},
+		{"serve/negative qps", serve, []string{"-qps", "-1"}},
+		{"serve/negative query cost", serve, []string{"-query-cost", "-1ms"}},
+		{"serve/zero checkpoint interval", serve, []string{"-checkpoint-interval", "0"}},
+		{"serve/negative checkpoint max frames", serve, []string{"-checkpoint-max-frames", "-1"}},
+		{"serve/restore jobs without dir", serve, []string{"-restore-jobs"}},
+		{"serve/checkpoint max frames without dir", serve, []string{"-checkpoint-max-frames", "3"}},
+		{"serve/graph file without crawl", serve, []string{"-graph-file", "g.pack"}},
+		{"serve/qps without crawl", serve, []string{"-qps", "10"}},
+		{"serve/no categories", serve, []string{"-k", "0"}},
+		{"serve/zero shards", serve, []string{"-shards", "0"}},
+		{"serve/negative shards", serve, []string{"-shards", "-2"}},
+		{"serve/induced epoch", serve, []string{"-star=false", "-shards", "2"}},
+		{"serve/bad size", serve, []string{"-size", "bogus"}},
+		{"serve/bad log format", serve, []string{"-log-format", "xml"}},
 
-		{"crawl/negative bootstrap", crawlMode, func(c *cli) { c.boot = -1 }},
-		{"crawl/negative qps", crawlMode, func(c *cli) { c.qps = -1 }},
-		{"crawl/negative query cost", crawlMode, func(c *cli) { c.queryCost = -time.Millisecond }},
-		{"crawl/zero checkpoint interval", crawlMode, func(c *cli) { c.checkpointInterval = 0 }},
-		{"crawl/restore jobs without dir", crawlMode, func(c *cli) { c.restoreJobs = true }},
-		{"crawl/zero shards", crawlMode, func(c *cli) { c.shards = 0 }},
-		{"crawl/induced epoch", crawlMode, func(c *cli) { c.star = false; c.shards = 2 }},
-		{"crawl/bad crawl cats", crawlMode, func(c *cli) { c.crawlCats = "1,x" }},
-		{"crawl/missing graph file", crawlMode, func(c *cli) { c.graphFile = "does-not-exist.pack" }},
-		{"demo/induced epoch", demo, func(c *cli) { c.star = false; c.shards = 2 }},
-		{"demo/zero shards", demo, func(c *cli) { c.shards = 0 }},
+		{"crawl/negative bootstrap", crawlMode, []string{"-bootstrap", "-1"}},
+		{"crawl/negative qps", crawlMode, []string{"-qps", "-1"}},
+		{"crawl/negative query cost", crawlMode, []string{"-query-cost", "-1ms"}},
+		{"crawl/zero checkpoint interval", crawlMode, []string{"-checkpoint-interval", "0"}},
+		{"crawl/restore jobs without dir", crawlMode, []string{"-restore-jobs"}},
+		{"crawl/zero shards", crawlMode, []string{"-shards", "0"}},
+		{"crawl/induced epoch", crawlMode, []string{"-star=false", "-shards", "2"}},
+		{"crawl/bad crawl cats", crawlMode, []string{"-crawl-cats", "1,x"}},
+		{"crawl/missing graph file", crawlMode, []string{"-graph-file", "does-not-exist.pack"}},
+		{"demo/induced epoch", demo, []string{"-star=false", "-shards", "2"}},
+		{"demo/zero shards", demo, []string{"-shards", "0"}},
 
-		{"merge/with demo", merge, func(c *cli) { c.demo = true }},
-		{"merge/with crawl", merge, func(c *cli) { c.crawlMode = true }},
-		{"merge/with bootstrap", merge, func(c *cli) { c.boot = 5 }},
-		{"merge/with shards", merge, func(c *cli) { c.shards = 2 }},
-		{"merge/with checkpoint dir", merge, func(c *cli) { c.checkpointDir = t.TempDir() }},
-		{"merge/no categories", merge, func(c *cli) { c.k = 0 }},
-		{"merge/zero interval", merge, func(c *cli) { c.mergeInterval = 0 }},
-		{"merge/negative interval", merge, func(c *cli) { c.mergeInterval = -time.Second }},
-		{"merge/zero timeout", merge, func(c *cli) { c.mergeTimeout = 0 }},
-		{"merge/zero max stale", merge, func(c *cli) { c.mergeMaxStale = 0 }},
+		{"merge/with demo", merge, []string{"-demo"}},
+		{"merge/with crawl", merge, []string{"-crawl"}},
+		{"merge/with bootstrap", merge, []string{"-bootstrap", "5"}},
+		{"merge/with shards", merge, []string{"-shards", "2"}},
+		{"merge/with checkpoint dir", merge, []string{"-checkpoint-dir", t.TempDir()}},
+		{"merge/no categories", merge, []string{"-k", "0"}},
+		{"merge/zero interval", merge, []string{"-merge-interval", "0"}},
+		{"merge/negative interval", merge, []string{"-merge-interval", "-1s"}},
+		{"merge/zero timeout", merge, []string{"-merge-timeout", "0"}},
+		{"merge/zero max stale", merge, []string{"-merge-max-stale", "0"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := defaultCLI()
-			c.addr = "127.0.0.1:-1"
-			c.logLevel = "error"
-			tc.mode(&c)
-			tc.set(&c)
-			err := c.run()
+			args := append([]string{"-addr", "127.0.0.1:-1", "-log-level", "error"}, tc.mode...)
+			err := parseCLI(t, append(args, tc.set...)...).run()
 			var oe *net.OpError
 			switch {
 			case err == nil:

@@ -457,3 +457,136 @@ func TestConcurrentCrawlJobsHTTP(t *testing.T) {
 		t.Fatalf("delete after crawl: %d %s", w.Code, w.Body)
 	}
 }
+
+// bootServer boots the daemon's job server from argv, as run does before
+// it listens, and shuts it down when the test ends.
+func bootServer(t *testing.T, args ...string) *server {
+	t.Helper()
+	srv, _, err := parseCLI(t, args...).jobServer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.shutdown)
+	return srv
+}
+
+// TestJobCreateNamedTemplate pins the decode of POST /jobs onto a template
+// with category names: the body's name is its own, an explicit "k" drops
+// the template's names instead of being reset to their count, and neither
+// a names override nor an explicit null rewrites the template.
+func TestJobCreateNamedTemplate(t *testing.T) {
+	srv := bootServer(t, "-names", "a,b,c")
+	spec := func(name string) job.Spec {
+		t.Helper()
+		j, err := srv.jobs.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j.Spec()
+	}
+	for _, tc := range []struct {
+		body  string
+		want  int
+		k     int
+		names string
+	}{
+		{`{"k":5}`, 400, 0, ""},
+		{`{"name":"x","k":5}`, 201, 5, ""},
+		{`{"name":"y","names":["u","v"]}`, 201, 2, "u,v"},
+		{`{"name":"z"}`, 201, 3, "a,b,c"},
+		{`{"name":"nul","names":null}`, 201, 3, "a,b,c"},
+		{`{"name":"both","k":7,"names":["p","q"]}`, 201, 2, "p,q"},
+	} {
+		w := post(t, srv, "/jobs", tc.body)
+		if w.Code != tc.want {
+			t.Fatalf("POST /jobs %s = %d %s, want %d", tc.body, w.Code, w.Body, tc.want)
+		}
+		if tc.want != 201 {
+			continue
+		}
+		var doc map[string]any
+		mustDecode(t, w.Body.Bytes(), &doc)
+		sp := spec(doc["name"].(string))
+		if sp.K != tc.k || strings.Join(sp.Names, ",") != tc.names {
+			t.Errorf("POST /jobs %s: k=%d names=%v, want k=%d names=%q", tc.body, sp.K, sp.Names, tc.k, tc.names)
+		}
+	}
+	if got := spec(job.DefaultName).Names; strings.Join(got, ",") != "a,b,c" {
+		t.Fatalf("default job names = %v after the overrides, want a,b,c", got)
+	}
+}
+
+// TestCrawlJobOwnScenario boots crawl mode from argv and crawls jobs whose
+// specs override the daemon's scenario and size method: the crawl adopts
+// both from the job. A job with its own N is refused, since crawl targets
+// are in the daemon's node units. Oversized walker counts and a target
+// over an empty category list are 422s before anything is allocated.
+func TestCrawlJobOwnScenario(t *testing.T) {
+	srv := bootServer(t, "-crawl", "-crawl-walkers", "2", "-crawl-max-draws", "200",
+		"-crawl-check", "100", "-crawl-burnin", "10")
+	if _, err := srv.def.Crawl().Wait(); err != nil {
+		t.Fatalf("boot crawl: %v", err)
+	}
+	for _, tc := range []struct {
+		spec, crawl string
+		want        int
+		errPart     string
+	}{
+		{`{"name":"ind","star":false}`, `{}`, http.StatusAccepted, ""},
+		{`{"name":"sz","size":"star"}`, `{"max_draws":300}`, http.StatusAccepted, ""},
+		{`{"name":"nn","n":5}`, `{}`, http.StatusUnprocessableEntity, "population size"},
+		{`{"name":"many"}`, `{"walkers":3000000000}`, http.StatusUnprocessableEntity, "Walkers"},
+		{`{"name":"nocats"}`, `{"size_target":0.0001,"size_cats":[]}`, http.StatusUnprocessableEntity, "empty category list"},
+	} {
+		if w := post(t, srv, "/jobs", tc.spec); w.Code != http.StatusCreated {
+			t.Fatalf("POST /jobs %s: %d %s", tc.spec, w.Code, w.Body)
+		}
+		var doc struct{ Name string }
+		mustDecode(t, []byte(tc.spec), &doc)
+		w := post(t, srv, "/jobs/"+doc.Name+"/crawl", tc.crawl)
+		if w.Code != tc.want || !strings.Contains(w.Body.String(), tc.errPart) {
+			t.Fatalf("%s then crawl %s = %d %s, want %d mentioning %q", tc.spec, tc.crawl, w.Code, w.Body, tc.want, tc.errPart)
+		}
+		if tc.want != http.StatusAccepted {
+			continue
+		}
+		j, err := srv.jobs.Get(doc.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := j.Crawl().Wait()
+		if err != nil {
+			t.Fatalf("job %s crawl: %v", doc.Name, err)
+		}
+		if res.Draws == 0 || j.Acc().Draws() != res.Draws {
+			t.Fatalf("job %s: crawl drew %d, accumulator holds %d", doc.Name, res.Draws, j.Acc().Draws())
+		}
+	}
+}
+
+// TestCrawlBodyKeepsDefaults pins the decode of POST /crawl onto the
+// daemon's defaults: an absent or null category list keeps the default,
+// and a list in the body never overwrites the default's backing array.
+func TestCrawlBodyKeepsDefaults(t *testing.T) {
+	g := mustDemoGraph(t)
+	srv, _ := testServer(t, g.NumCategories(), true, float64(g.N()))
+	srv.crawlSource = g
+	srv.crawlDefaults = crawl.Config{
+		Walkers: 2, N: float64(g.N()), MaxDraws: 200, CheckEvery: 100, Seed: 3,
+		SizeCats: []int{99}, WithinCats: []int{0},
+	}
+	for _, body := range []string{`{}`, `{"size_cats":null}`} {
+		if w := post(t, srv, "/crawl", body); w.Code != http.StatusUnprocessableEntity || !strings.Contains(w.Body.String(), "99") {
+			t.Fatalf("POST /crawl %s = %d %s, want 422 naming the default category 99", body, w.Code, w.Body)
+		}
+	}
+	if w := post(t, srv, "/crawl", `{"size_cats":[1]}`); w.Code != http.StatusAccepted {
+		t.Fatalf("POST /crawl with its own size_cats: %d %s", w.Code, w.Body)
+	}
+	if _, err := srv.def.Crawl().Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.crawlDefaults.SizeCats; len(got) != 1 || got[0] != 99 {
+		t.Fatalf("crawl defaults' size_cats = %v after a body override, want [99]", got)
+	}
+}

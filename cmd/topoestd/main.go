@@ -50,7 +50,7 @@
 //	-qps         wrap the crawl backend in a rate-limited API simulation:
 //	             global neighbor-query budget in queries/second (0 = off)
 //	-query-cost  per-neighbor-query latency of the simulation (e.g. 5ms)
-//	-crawl-walkers       concurrent walkers (default 4)
+//	-crawl-walkers       concurrent walkers (default 4, at most 1024)
 //	-crawl-sampler       RW | MHRW | S-WRW (default RW)
 //	-crawl-engine        stopping CI engine: bootstrap | replication
 //	-crawl-target        category-size CI half-width stop threshold (0=off)
@@ -93,10 +93,12 @@
 // so a single-tenant deployment uses the daemon exactly as before. Further
 // jobs are managed over HTTP:
 //
-//	POST   /jobs             create a job. Body: {"name":"eu-crawl"} plus
-//	                         optional overrides of the daemon's flag
-//	                         defaults — "k", "names", "star", "n", "size",
-//	                         "shards", "bootstrap", "bootstrap_seed". With
+//	POST   /jobs             create a job. Body: a job.Spec decoded onto
+//	                         the daemon's flag defaults, {"name":"eu-crawl"}
+//	                         plus optional overrides — "k", "names", "star",
+//	                         "n", "size", "shards", "bootstrap",
+//	                         "bootstrap_seed"; an explicit "k" drops the
+//	                         daemon's category names. With
 //	                         -checkpoint-dir, a job whose checkpoint file
 //	                         already exists resumes from it (the persisted
 //	                         identity — k, star, bootstrap — must match:
@@ -140,14 +142,19 @@
 //	                         (crawl/demo mode only). One crawl runs at a
 //	                         time per job — starting a second in the same
 //	                         job is a 409 — while crawls in different jobs
-//	                         run concurrently. The JSON body
-//	                         optionally overrides the flag defaults:
+//	                         run concurrently. The JSON body is a
+//	                         crawl.Config decoded onto the -crawl-* defaults:
 //	                         {"walkers":8,"sampler":"RW","engine":"bootstrap",
 //	                         "size_target":500,"size_cats":[0,1],
 //	                         "within_target":0.05,"within_cats":[2],
 //	                         "level":0.95,"max_draws":200000,
 //	                         "min_draws":0,"check_every":2000,
 //	                         "burn_in":1000,"thin":1,"seed":7}
+//	                         The crawl runs under the job's scenario and
+//	                         size method and the daemon's N (a job with its
+//	                         own "n" is a 422). Also 422: walkers above
+//	                         crawl.MaxWalkers, and a target over an empty
+//	                         category list
 //	GET  /crawl/status       live job state: {"state":"none|running|done|
 //	                         failed","draws":…,"max_draws":…,
 //	                         "queries":… (present when -qps/-query-cost
@@ -225,7 +232,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/crawl"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -238,17 +244,14 @@ import (
 	"repro/internal/wire"
 )
 
-// cli holds the parsed command line.
+// cli holds the parsed command line. spec and crawl are the templates the
+// estimation and -crawl-* flags bind to; POST /jobs and POST /crawl decode
+// their bodies onto copies of the same two values, so one validation per
+// type serves all three surfaces.
 type cli struct {
-	addr     string
-	k        int
-	names    string
-	star     bool
-	shards   int
-	popN     float64
-	size     string
-	boot     int
-	bootSeed uint64
+	addr  string
+	spec  job.Spec
+	names string // -names, resolved into spec.Names at boot
 
 	demo      bool
 	demoDraws int
@@ -258,19 +261,9 @@ type cli struct {
 	qps       float64
 	queryCost time.Duration
 
-	crawlMode    bool
-	crawlWalkers int
-	crawlSampler string
-	crawlEngine  string
-	crawlTarget  float64
-	crawlWithin  float64
-	crawlCats    string
-	crawlLevel   float64
-	crawlMax     int
-	crawlMin     int
-	crawlCheck   int
-	crawlBurnIn  int
-	crawlSeed    uint64
+	crawlMode bool
+	crawl     crawl.Config
+	crawlCats string // -crawl-cats, resolved into crawl's target lists at boot
 
 	mergeFrom     string
 	mergeInterval time.Duration
@@ -287,47 +280,55 @@ type cli struct {
 	logLevel  string
 }
 
+// newCLI registers every flag on fs, bound to the returned command line:
+// main passes flag.CommandLine, and tests parse argv through a fresh set.
+func newCLI(fs *flag.FlagSet) *cli {
+	c := &cli{spec: job.Spec{Name: job.DefaultName}}
+	s, cr := &c.spec, &c.crawl
+	fs.StringVar(&c.addr, "addr", ":8723", "listen address")
+	fs.IntVar(&s.K, "k", 0, "number of categories")
+	fs.StringVar(&c.names, "names", "", "comma-separated category names (sets -k)")
+	fs.BoolVar(&s.Star, "star", true, "star scenario (false = induced subgraph)")
+	fs.IntVar(&s.Shards, "shards", 1, "ingest concurrency: 1 = single-lock accumulator, >1 = epoch-merged multi-core ingest (star only)")
+	fs.Float64Var(&s.N, "N", 0, "population size |V| (0 = unknown, relative sizes)")
+	fs.StringVar(&s.Size, "size", "auto", "size estimator: auto|induced|star|star-pooled")
+	fs.IntVar(&s.Bootstrap, "bootstrap", 0, "streaming-bootstrap replicates for /estimate?ci= intervals (0 = off)")
+	fs.Uint64Var(&s.BootstrapSeed, "bootstrap-seed", 1, "seed of the deterministic bootstrap weights")
+	fs.BoolVar(&c.demo, "demo", false, "self-feed a fixed-budget random-walk crawl of the §6.2.1 paper graph")
+	fs.IntVar(&c.demoDraws, "demo-draws", 20000, "demo: total draws to ingest")
+	fs.Uint64Var(&c.demoSeed, "demo-seed", 1, "demo: graph and crawl seed")
+	fs.StringVar(&c.graphFile, "graph-file", "", "crawl a packed out-of-core graph (.pack from cmd/graphpack) instead of generating the paper graph")
+	fs.Float64Var(&c.qps, "qps", 0, "simulate a remote API: global neighbor-query budget in queries/second (0 = unlimited)")
+	fs.DurationVar(&c.queryCost, "query-cost", 0, "simulate a remote API: per-neighbor-query latency (e.g. 5ms; 0 = none)")
+	fs.BoolVar(&c.crawlMode, "crawl", false, "adaptive crawl mode: generate the paper graph and crawl it until the CI targets are met")
+	fs.IntVar(&cr.Walkers, "crawl-walkers", 4, "crawl: concurrent walkers")
+	fs.StringVar(&cr.Sampler, "crawl-sampler", "RW", "crawl: sampler kernel (RW|MHRW|S-WRW)")
+	fs.StringVar((*string)(&cr.Engine), "crawl-engine", "bootstrap", "crawl: stopping CI engine (bootstrap|replication)")
+	fs.Float64Var(&cr.SizeTarget, "crawl-target", 0, "crawl: stop when every targeted category-size CI half-width ≤ this (0 = untargeted)")
+	fs.Float64Var(&cr.WithinTarget, "crawl-within-target", 0, "crawl: within-weight CI half-width target (0 = untargeted)")
+	fs.StringVar(&c.crawlCats, "crawl-cats", "", "crawl: comma-separated category indices the targets apply to (empty = all)")
+	fs.Float64Var(&cr.Level, "crawl-level", 0.95, "crawl: confidence level of the stopping CIs")
+	fs.IntVar(&cr.MaxDraws, "crawl-max-draws", 200000, "crawl: hard draw budget")
+	fs.IntVar(&cr.MinDraws, "crawl-min-draws", 0, "crawl: never target-stop before this many draws")
+	fs.IntVar(&cr.CheckEvery, "crawl-check", 2000, "crawl: checkpoint cadence in draws")
+	fs.IntVar(&cr.BurnIn, "crawl-burnin", 1000, "crawl: per-walker burn-in steps")
+	fs.Uint64Var(&cr.Seed, "crawl-seed", 1, "crawl: master walker seed")
+	fs.StringVar(&c.mergeFrom, "merge-from", "", "coordinator mode: comma-separated worker base URLs to poll for /sums and merge (read-only daemon)")
+	fs.DurationVar(&c.mergeInterval, "merge-interval", 2*time.Second, "coordinator: poll period")
+	fs.DurationVar(&c.mergeTimeout, "merge-timeout", 2*time.Second, "coordinator: per-worker pull timeout")
+	fs.DurationVar(&c.mergeMaxStale, "merge-max-stale", time.Minute, "coordinator: drop a dead worker's last-good state from the pool after this age")
+	fs.StringVar(&c.checkpointDir, "checkpoint-dir", "", "append durable per-job checkpoints to <dir>/<job>.ckpt and resume from them on restart (empty = off)")
+	fs.DurationVar(&c.checkpointInterval, "checkpoint-interval", 30*time.Second, "periodic checkpoint cadence (a final checkpoint is always written on graceful shutdown)")
+	fs.IntVar(&c.checkpointMaxF, "checkpoint-max-frames", 0, "compact a job's checkpoint file down to its newest frame once it holds more than this many frames (0 = never compact)")
+	fs.BoolVar(&c.restoreJobs, "restore-jobs", false, "restore every named job with a checkpoint file in -checkpoint-dir at boot, without requiring POST /jobs re-creation")
+	fs.BoolVar(&c.pprofOn, "pprof", false, "expose net/http/pprof under /debug/pprof/ (opt-in: profiling reveals internals)")
+	fs.StringVar(&c.logFormat, "log-format", "text", "structured log format: text or json")
+	fs.StringVar(&c.logLevel, "log-level", "info", "minimum log level: debug|info|warn|error")
+	return c
+}
+
 func main() {
-	var c cli
-	flag.StringVar(&c.addr, "addr", ":8723", "listen address")
-	flag.IntVar(&c.k, "k", 0, "number of categories")
-	flag.StringVar(&c.names, "names", "", "comma-separated category names (sets -k)")
-	flag.BoolVar(&c.star, "star", true, "star scenario (false = induced subgraph)")
-	flag.IntVar(&c.shards, "shards", 1, "ingest concurrency: 1 = single-lock accumulator, >1 = epoch-merged multi-core ingest (star only)")
-	flag.Float64Var(&c.popN, "N", 0, "population size |V| (0 = unknown, relative sizes)")
-	flag.StringVar(&c.size, "size", "auto", "size estimator: auto|induced|star|star-pooled")
-	flag.IntVar(&c.boot, "bootstrap", 0, "streaming-bootstrap replicates for /estimate?ci= intervals (0 = off)")
-	flag.Uint64Var(&c.bootSeed, "bootstrap-seed", 1, "seed of the deterministic bootstrap weights")
-	flag.BoolVar(&c.demo, "demo", false, "self-feed a fixed-budget random-walk crawl of the §6.2.1 paper graph")
-	flag.IntVar(&c.demoDraws, "demo-draws", 20000, "demo: total draws to ingest")
-	flag.Uint64Var(&c.demoSeed, "demo-seed", 1, "demo: graph and crawl seed")
-	flag.StringVar(&c.graphFile, "graph-file", "", "crawl a packed out-of-core graph (.pack from cmd/graphpack) instead of generating the paper graph")
-	flag.Float64Var(&c.qps, "qps", 0, "simulate a remote API: global neighbor-query budget in queries/second (0 = unlimited)")
-	flag.DurationVar(&c.queryCost, "query-cost", 0, "simulate a remote API: per-neighbor-query latency (e.g. 5ms; 0 = none)")
-	flag.BoolVar(&c.crawlMode, "crawl", false, "adaptive crawl mode: generate the paper graph and crawl it until the CI targets are met")
-	flag.IntVar(&c.crawlWalkers, "crawl-walkers", 4, "crawl: concurrent walkers")
-	flag.StringVar(&c.crawlSampler, "crawl-sampler", "RW", "crawl: sampler kernel (RW|MHRW|S-WRW)")
-	flag.StringVar(&c.crawlEngine, "crawl-engine", "bootstrap", "crawl: stopping CI engine (bootstrap|replication)")
-	flag.Float64Var(&c.crawlTarget, "crawl-target", 0, "crawl: stop when every targeted category-size CI half-width ≤ this (0 = untargeted)")
-	flag.Float64Var(&c.crawlWithin, "crawl-within-target", 0, "crawl: within-weight CI half-width target (0 = untargeted)")
-	flag.StringVar(&c.crawlCats, "crawl-cats", "", "crawl: comma-separated category indices the targets apply to (empty = all)")
-	flag.Float64Var(&c.crawlLevel, "crawl-level", 0.95, "crawl: confidence level of the stopping CIs")
-	flag.IntVar(&c.crawlMax, "crawl-max-draws", 200000, "crawl: hard draw budget")
-	flag.IntVar(&c.crawlMin, "crawl-min-draws", 0, "crawl: never target-stop before this many draws")
-	flag.IntVar(&c.crawlCheck, "crawl-check", 2000, "crawl: checkpoint cadence in draws")
-	flag.IntVar(&c.crawlBurnIn, "crawl-burnin", 1000, "crawl: per-walker burn-in steps")
-	flag.Uint64Var(&c.crawlSeed, "crawl-seed", 1, "crawl: master walker seed")
-	flag.StringVar(&c.mergeFrom, "merge-from", "", "coordinator mode: comma-separated worker base URLs to poll for /sums and merge (read-only daemon)")
-	flag.DurationVar(&c.mergeInterval, "merge-interval", 2*time.Second, "coordinator: poll period")
-	flag.DurationVar(&c.mergeTimeout, "merge-timeout", 2*time.Second, "coordinator: per-worker pull timeout")
-	flag.DurationVar(&c.mergeMaxStale, "merge-max-stale", time.Minute, "coordinator: drop a dead worker's last-good state from the pool after this age")
-	flag.StringVar(&c.checkpointDir, "checkpoint-dir", "", "append durable per-job checkpoints to <dir>/<job>.ckpt and resume from them on restart (empty = off)")
-	flag.DurationVar(&c.checkpointInterval, "checkpoint-interval", 30*time.Second, "periodic checkpoint cadence (a final checkpoint is always written on graceful shutdown)")
-	flag.IntVar(&c.checkpointMaxF, "checkpoint-max-frames", 0, "compact a job's checkpoint file down to its newest frame once it holds more than this many frames (0 = never compact)")
-	flag.BoolVar(&c.restoreJobs, "restore-jobs", false, "restore every named job with a checkpoint file in -checkpoint-dir at boot, without requiring POST /jobs re-creation")
-	flag.BoolVar(&c.pprofOn, "pprof", false, "expose net/http/pprof under /debug/pprof/ (opt-in: profiling reveals internals)")
-	flag.StringVar(&c.logFormat, "log-format", "text", "structured log format: text or json")
-	flag.StringVar(&c.logLevel, "log-level", "info", "minimum log level: debug|info|warn|error")
+	c := newCLI(flag.CommandLine)
 	flag.Parse()
 	if err := c.run(); err != nil {
 		fmt.Fprintln(os.Stderr, "topoestd:", err)
@@ -341,10 +342,6 @@ func (c *cli) run() error {
 		return err
 	}
 	slog.SetDefault(logger)
-	method, err := parseSizeMethod(c.size)
-	if err != nil {
-		return err
-	}
 	if err := c.validate(); err != nil {
 		return err
 	}
@@ -352,29 +349,29 @@ func (c *cli) run() error {
 	if c.mergeFrom != "" {
 		boot = c.coordinator
 	}
-	srv, attrs, err := boot(method)
+	srv, attrs, err := boot()
 	if err != nil {
 		return err
 	}
 	if c.pprofOn {
 		registerPprof(srv.mux)
 	}
-	slog.Info("topoestd serving", append([]any{"addr", c.addr, "scenario", scenarioName(c.star)}, attrs...)...)
+	slog.Info("topoestd serving", append([]any{"addr", c.addr, "scenario", scenarioName(c.spec.Star)}, attrs...)...)
 	return listenAndServe(c.addr, srv, srv.shutdown)
 }
 
 // validate rejects the flag combinations no mode can serve, before
-// anything is built.
+// anything is built. Single-value checks live with the value's type:
+// job.Spec validates the estimation flags, crawl.Config the -crawl-* ones.
+// -shards stays here because Spec reads an explicit 0 as "absent".
 func (c *cli) validate() error {
 	switch {
-	case c.boot < 0:
-		return fmt.Errorf("need -bootstrap ≥ 0, got %d", c.boot)
 	case c.qps < 0:
 		return fmt.Errorf("need -qps ≥ 0, got %g", c.qps)
 	case c.queryCost < 0:
 		return fmt.Errorf("need -query-cost ≥ 0, got %v", c.queryCost)
-	case c.shards < 1:
-		return fmt.Errorf("need -shards ≥ 1, got %d", c.shards)
+	case c.spec.Shards < 1:
+		return fmt.Errorf("need -shards ≥ 1, got %d", c.spec.Shards)
 	case c.checkpointInterval <= 0:
 		return fmt.Errorf("need -checkpoint-interval > 0, got %v", c.checkpointInterval)
 	case c.checkpointMaxF < 0:
@@ -390,9 +387,9 @@ func (c *cli) validate() error {
 	switch {
 	case c.demo || c.crawlMode:
 		return fmt.Errorf("-merge-from is a read-only coordinator; it cannot be combined with -demo or -crawl")
-	case c.boot != 0:
+	case c.spec.Bootstrap != 0:
 		return fmt.Errorf("-bootstrap has no effect on a coordinator: it adopts the workers' bootstrap configuration (drop the flag)")
-	case c.shards > 1:
+	case c.spec.Shards > 1:
 		return fmt.Errorf("-shards configures the ingest path; a coordinator does not ingest")
 	case c.checkpointDir != "":
 		return fmt.Errorf("-checkpoint-dir has no effect on a coordinator: its durable state lives on the workers it polls")
@@ -409,36 +406,32 @@ func (c *cli) validate() error {
 // engine defaults to 100 replicates when -bootstrap is off; and the default
 // job starts crawling before the daemon serves. It returns the server and
 // the mode's startup log attributes.
-func (c *cli) jobServer(method core.SizeMethod) (*server, []any, error) {
-	spec := job.Spec{
-		Name: job.DefaultName, Star: c.star, N: c.popN, Size: c.size,
-		Shards: c.shards, Bootstrap: c.boot, BootstrapSeed: c.bootSeed,
-	}
+func (c *cli) jobServer() (*server, []any, error) {
+	spec := c.spec
 	var (
-		src              graph.Source
-		adaptive, jobCfg crawl.Config
-		err              error
+		src    graph.Source
+		jobCfg crawl.Config
+		err    error
 	)
 	if c.demo || c.crawlMode {
 		if src, spec.Names, err = c.crawlBackend(); err != nil {
 			return nil, nil, err
 		}
 		spec.K, spec.N = src.NumCategories(), float64(src.NumNodes())
-		// The adaptive flag-derived config doubles as the defaults of POST
-		// /crawl jobs — even under -demo, whose auto-started job uses the
-		// throttled fixed-budget demo config instead (an HTTP-started job
-		// must not inherit the demo pacing). Both carry the daemon's N and
-		// size method: the stopping engines evaluate CI widths against them,
-		// and a scale mismatch with the accumulator is rejected by
-		// crawl.Start.
-		if adaptive, err = c.adaptiveCrawlConfig(); err != nil {
+		if c.crawl.SizeCats, err = parseCats(c.crawlCats); err != nil {
 			return nil, nil, err
 		}
-		adaptive.N, adaptive.Size, adaptive.Logger = spec.N, method, slog.Default()
-		jobCfg = adaptive
+		// The -crawl-* config doubles as the defaults of POST /crawl jobs —
+		// even under -demo, whose auto-started job uses the throttled
+		// fixed-budget demo config instead (an HTTP-started job must not
+		// inherit the demo pacing). Both carry the daemon's N: the stopping
+		// engines compare targets in node units, and crawl.Start rejects an
+		// accumulator on another scale.
+		c.crawl.WithinCats = c.crawl.SizeCats
+		c.crawl.N, c.crawl.Logger = spec.N, slog.Default()
+		jobCfg = c.crawl
 		if !c.crawlMode {
 			jobCfg = c.demoCrawlConfig()
-			jobCfg.N, jobCfg.Size, jobCfg.Logger = adaptive.N, adaptive.Size, adaptive.Logger
 		}
 		targeted := jobCfg.SizeTarget > 0 || jobCfg.WithinTarget > 0
 		if targeted && jobCfg.Engine == crawl.EngineBootstrap && spec.Bootstrap == 0 {
@@ -468,18 +461,17 @@ func (c *cli) jobServer(method core.SizeMethod) (*server, []any, error) {
 		slog.Info("named jobs restored from checkpoints", "count", len(restored))
 	}
 	srv := newServerWithJobs(reg, def)
-	srv.crawlSource, srv.crawlDefaults = src, adaptive
+	srv.crawlSource, srv.crawlDefaults = src, c.crawl
 	attrs := []any{"k", spec.K, "ingest", ingestMode(def.Acc()),
 		"bootstrap_b", spec.Bootstrap, "checkpoint_dir", c.checkpointDir, "gen", def.Acc().Gen()}
 	if src != nil {
-		cj, err := crawl.Start(src, def.Acc(), jobCfg)
+		cj, err := def.StartCrawl(src, jobCfg)
 		if errors.Is(err, sample.ErrNoEdges) {
 			return nil, nil, fmt.Errorf("crawl backend is not walkable (every reachable start is edgeless): %w", err)
 		}
 		if err != nil {
 			return nil, nil, err
 		}
-		def.AdoptCrawl(cj)
 		go func() {
 			if _, err := cj.Wait(); err != nil {
 				slog.Error("crawl failed", "err", err)
@@ -494,7 +486,7 @@ func (c *cli) jobServer(method core.SizeMethod) (*server, []any, error) {
 
 // categories resolves -k / -names into the partition the daemon serves.
 func (c *cli) categories() (int, []string, error) {
-	k := c.k
+	k := c.spec.K
 	var names []string
 	if c.names != "" {
 		names = strings.Split(c.names, ",")
@@ -512,12 +504,17 @@ func (c *cli) categories() (int, []string, error) {
 // merged-bootstrap CIs, /categorygraph.tsv, /healthz, /metrics, /sums for a
 // higher coordinator tier) works unchanged over the pool; /ingest answers
 // 403.
-func (c *cli) coordinator(method core.SizeMethod) (*server, []any, error) {
-	k, names, err := c.categories()
+func (c *cli) coordinator() (*server, []any, error) {
+	spec := c.spec
+	var err error
+	if spec.K, spec.Names, err = c.categories(); err != nil {
+		return nil, nil, err
+	}
+	cfg, err := spec.StreamConfig()
 	if err != nil {
 		return nil, nil, err
 	}
-	pool, err := stream.NewPool(stream.Config{K: k, Star: c.star, N: c.popN, Size: method})
+	pool, err := stream.NewPool(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -525,14 +522,14 @@ func (c *cli) coordinator(method core.SizeMethod) (*server, []any, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	srv := newServer(pool, names)
+	srv := newServer(pool, spec.Names)
 	srv.merger = m
 	go m.run()
 	urls := make([]string, len(m.workers))
 	for i, w := range m.workers {
 		urls[i] = w.url
 	}
-	return srv, []any{"k", k, "ingest", ingestMode(pool), "workers", urls,
+	return srv, []any{"k", spec.K, "ingest", ingestMode(pool), "workers", urls,
 		"interval", c.mergeInterval, "timeout", c.mergeTimeout, "max_stale", c.mergeMaxStale}, nil
 }
 
@@ -629,35 +626,12 @@ func (c *cli) demoCrawlConfig() crawl.Config {
 		Sampler:    crawl.SamplerRW,
 		BurnIn:     1000,
 		Seed:       c.demoSeed,
-		Star:       c.star,
+		N:          c.crawl.N,
 		MaxDraws:   c.demoDraws,
 		CheckEvery: 200,
 		RoundDelay: 50 * time.Millisecond,
+		Logger:     c.crawl.Logger,
 	}
-}
-
-// adaptiveCrawlConfig translates the -crawl flags into a controller config.
-func (c *cli) adaptiveCrawlConfig() (crawl.Config, error) {
-	cats, err := parseCats(c.crawlCats)
-	if err != nil {
-		return crawl.Config{}, err
-	}
-	return crawl.Config{
-		Walkers:      c.crawlWalkers,
-		Sampler:      c.crawlSampler,
-		BurnIn:       c.crawlBurnIn,
-		Seed:         c.crawlSeed,
-		Star:         c.star,
-		Engine:       crawl.Engine(c.crawlEngine),
-		Level:        c.crawlLevel,
-		SizeTarget:   c.crawlTarget,
-		SizeCats:     cats,
-		WithinTarget: c.crawlWithin,
-		WithinCats:   cats,
-		MaxDraws:     c.crawlMax,
-		MinDraws:     c.crawlMin,
-		CheckEvery:   c.crawlCheck,
-	}, nil
 }
 
 // parseCats parses the -crawl-cats list ("" = nil = all categories).
@@ -675,8 +649,6 @@ func parseCats(s string) ([]int, error) {
 	}
 	return cats, nil
 }
-
-func parseSizeMethod(s string) (core.SizeMethod, error) { return job.ParseSizeMethod(s) }
 
 func scenarioName(star bool) string {
 	if star {
@@ -1189,90 +1161,40 @@ func (s *server) handleTSV(w http.ResponseWriter, r *http.Request, j *job.Job) {
 	}
 }
 
-// crawlReq is the wire form of POST /crawl: every field is optional and
-// overrides the daemon's flag-derived defaults. The scenario, shard count
-// and estimator configuration are fixed at daemon startup — a crawl job
-// streams into the daemon's own accumulator.
-type crawlReq struct {
-	Walkers      *int     `json:"walkers"`
-	Sampler      *string  `json:"sampler"`
-	BurnIn       *int     `json:"burn_in"`
-	Thin         *int     `json:"thin"`
-	Seed         *uint64  `json:"seed"`
-	Engine       *string  `json:"engine"`
-	Level        *float64 `json:"level"`
-	SizeTarget   *float64 `json:"size_target"`
-	SizeCats     []int    `json:"size_cats"`
-	WithinTarget *float64 `json:"within_target"`
-	WithinCats   []int    `json:"within_cats"`
-	MaxDraws     *int     `json:"max_draws"`
-	MinDraws     *int     `json:"min_draws"`
-	CheckEvery   *int     `json:"check_every"`
-}
-
-// apply folds the request's overrides into a copy of the daemon defaults.
-func (req *crawlReq) apply(cfg crawl.Config) crawl.Config {
-	setInt := func(dst *int, src *int) {
-		if src != nil {
-			*dst = *src
-		}
-	}
-	setFloat := func(dst *float64, src *float64) {
-		if src != nil {
-			*dst = *src
-		}
-	}
-	setInt(&cfg.Walkers, req.Walkers)
-	setInt(&cfg.BurnIn, req.BurnIn)
-	setInt(&cfg.Thin, req.Thin)
-	setInt(&cfg.MaxDraws, req.MaxDraws)
-	setInt(&cfg.MinDraws, req.MinDraws)
-	setInt(&cfg.CheckEvery, req.CheckEvery)
-	setFloat(&cfg.Level, req.Level)
-	setFloat(&cfg.SizeTarget, req.SizeTarget)
-	setFloat(&cfg.WithinTarget, req.WithinTarget)
-	if req.Sampler != nil {
-		cfg.Sampler = *req.Sampler
-	}
-	if req.Seed != nil {
-		cfg.Seed = *req.Seed
-	}
-	if req.Engine != nil {
-		cfg.Engine = crawl.Engine(*req.Engine)
-	}
-	if req.SizeCats != nil {
-		cfg.SizeCats = req.SizeCats
-	}
-	if req.WithinCats != nil {
-		cfg.WithinCats = req.WithinCats
-	}
-	return cfg
-}
-
 // handleCrawlStart launches an adaptive crawl against the daemon's
-// generated graph, streaming into the addressed job's accumulator. One
-// crawl runs at a time per job — starting while the job's crawl is active
-// is a 409, while crawls in other jobs proceed concurrently; finished
-// crawls may be superseded (the accumulator keeps pooling draws across
-// them).
+// generated graph, streaming into the addressed job's accumulator. The body
+// is a crawl.Config decoded onto a copy of the daemon's -crawl-* defaults;
+// the crawl runs under the job's scenario and size method and the daemon's
+// N. One crawl runs at a time per job — starting while the job's crawl is
+// active is a 409, while crawls in other jobs proceed concurrently;
+// finished crawls may be superseded (the accumulator keeps pooling draws
+// across them).
 func (s *server) handleCrawlStart(w http.ResponseWriter, r *http.Request, j *job.Job) {
 	if s.crawlSource == nil {
 		httpError(w, http.StatusNotFound, "no crawl backend: start the daemon with -crawl or -demo")
 		return
 	}
-	var req crawlReq
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
+	cfg := s.crawlDefaults
+	// The category lists decode fresh rather than into the defaults'
+	// backing array; an absent (or null) list keeps the default.
+	cfg.SizeCats, cfg.WithinCats = nil, nil
 	if len(bytes.TrimSpace(body)) > 0 {
-		if err := json.Unmarshal(body, &req); err != nil {
+		if err := json.Unmarshal(body, &cfg); err != nil {
 			httpError(w, http.StatusBadRequest, "bad crawl config: %v", err)
 			return
 		}
 	}
-	cfg := req.apply(s.crawlDefaults)
+	if cfg.SizeCats == nil {
+		cfg.SizeCats = s.crawlDefaults.SizeCats
+	}
+	if cfg.WithinCats == nil {
+		cfg.WithinCats = s.crawlDefaults.WithinCats
+	}
 	_, err = j.StartCrawl(s.crawlSource, cfg)
 	if errors.Is(err, job.ErrCrawlRunning) {
 		httpError(w, http.StatusConflict, "a crawl is already running in job %q; poll its crawl/status", j.Name())
@@ -1482,28 +1404,41 @@ func crawlStateName(j *job.Job) string {
 	return "done"
 }
 
-// handleJobCreate registers a new job. The request body is the job's spec:
-// "name" is required; every other field defaults to the daemon's
-// flag-derived configuration, so {"name":"x"} clones the default job's
-// shape. With -checkpoint-dir, a job whose checkpoint file holds a valid
-// frame resumes from it (identity mismatch is a 409 — the durable state
-// contradicts the request).
+// handleJobCreate registers a new job. The request body is a job.Spec
+// decoded onto a copy of the daemon's template: "name" is required; every
+// other field defaults to the daemon's flag-derived configuration, so
+// {"name":"x"} clones the default job's shape. With -checkpoint-dir, a job
+// whose checkpoint file holds a valid frame resumes from it (identity
+// mismatch is a 409 — the durable state contradicts the request).
 func (s *server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
-	var req jobReq
+	// The name is the body's own, never the template's "default". Names
+	// decode fresh rather than into the template's backing array, and an
+	// explicit "k" drops the template's names: kept, they would reset K to
+	// their count.
+	spec := s.template
+	spec.Name, spec.Names = "", nil
+	req := struct {
+		*job.Spec
+		K *int `json:"k"`
+	}{Spec: &spec}
 	if err := json.Unmarshal(body, &req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad job spec: %v", err)
 		return
 	}
-	if req.Name == "" {
+	if spec.Name == "" {
 		httpError(w, http.StatusBadRequest, `job spec needs a "name"`)
 		return
 	}
-	spec := req.apply(s.template)
+	if req.K != nil {
+		spec.K = *req.K
+	} else if spec.Names == nil {
+		spec.Names = s.template.Names
+	}
 	j, err := s.jobs.Create(spec)
 	var fileErr *fs.PathError
 	switch {
@@ -1526,54 +1461,6 @@ func (s *server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusCreated)
 	json.NewEncoder(w).Encode(jobDoc(j))
-}
-
-// jobReq is the wire form of POST /jobs: name plus optional overrides of
-// the daemon's flag-derived defaults (pointer fields distinguish "absent"
-// from zero values).
-type jobReq struct {
-	Name          string   `json:"name"`
-	K             *int     `json:"k"`
-	Names         []string `json:"names"`
-	Star          *bool    `json:"star"`
-	N             *float64 `json:"n"`
-	Size          *string  `json:"size"`
-	Shards        *int     `json:"shards"`
-	Bootstrap     *int     `json:"bootstrap"`
-	BootstrapSeed *uint64  `json:"bootstrap_seed"`
-}
-
-// apply folds the request's overrides into a copy of the daemon's template
-// spec.
-func (req *jobReq) apply(tmpl job.Spec) job.Spec {
-	spec := tmpl
-	spec.Name = req.Name
-	if req.K != nil {
-		spec.K = *req.K
-		spec.Names = nil
-	}
-	if req.Names != nil {
-		spec.Names = req.Names
-	}
-	if req.Star != nil {
-		spec.Star = *req.Star
-	}
-	if req.N != nil {
-		spec.N = *req.N
-	}
-	if req.Size != nil {
-		spec.Size = *req.Size
-	}
-	if req.Shards != nil {
-		spec.Shards = *req.Shards
-	}
-	if req.Bootstrap != nil {
-		spec.Bootstrap = *req.Bootstrap
-	}
-	if req.BootstrapSeed != nil {
-		spec.BootstrapSeed = *req.BootstrapSeed
-	}
-	return spec
 }
 
 // handleJobList lists every job with its stream position and crawl state.

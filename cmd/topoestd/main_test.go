@@ -531,12 +531,12 @@ func TestParseSizeMethod(t *testing.T) {
 		"auto": core.SizeMethodAuto, "induced": core.SizeMethodInduced,
 		"star": core.SizeMethodStar, "star-pooled": core.SizeMethodStarPooled,
 	} {
-		got, err := parseSizeMethod(in)
+		got, err := job.ParseSizeMethod(in)
 		if err != nil || got != want {
-			t.Fatalf("parseSizeMethod(%q) = %v, %v", in, got, err)
+			t.Fatalf("job.ParseSizeMethod(%q) = %v, %v", in, got, err)
 		}
 	}
-	if _, err := parseSizeMethod("bogus"); err == nil {
+	if _, err := job.ParseSizeMethod("bogus"); err == nil {
 		t.Fatal("expected error")
 	}
 }

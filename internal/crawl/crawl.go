@@ -83,31 +83,40 @@ const (
 	ReasonBudget Reason = "budget"
 )
 
-// Config parameterizes an adaptive crawl.
+// MaxWalkers bounds Config.Walkers. Every walker costs a goroutine per
+// round and, under star sampling, an observer bitmap of N/8 bytes, so the
+// bound keeps one configuration from exhausting the process.
+const MaxWalkers = 1024
+
+// Config parameterizes an adaptive crawl. The JSON tags are the wire form
+// of topoestd's POST /crawl body, which decodes onto a copy of the daemon's
+// defaults; fields tagged "-" are fixed by the daemon or the job's
+// accumulator and cannot be set by a request.
 type Config struct {
-	// Walkers is the number of concurrent walkers M (0 means 1). Each
-	// walker is an independent trajectory with its own derived seed.
-	Walkers int
+	// Walkers is the number of concurrent walkers M (0 means 1, at most
+	// MaxWalkers). Each walker is an independent trajectory with its own
+	// derived seed.
+	Walkers int `json:"walkers"`
 	// Sampler names the transition kernel: SamplerRW (default), SamplerMHRW,
 	// SamplerWRW (set NodeWeight) or SamplerSWRW (set SWRW).
-	Sampler string
+	Sampler string `json:"sampler"`
 	// NodeWeight holds the per-node stratification weights of a WRW.
-	NodeWeight []float64
+	NodeWeight []float64 `json:"-"`
 	// SWRW parameterizes the S-WRW sampler (its BurnIn/Thin are ignored —
 	// the controller's BurnIn/Thin apply).
-	SWRW sample.SWRWConfig
+	SWRW sample.SWRWConfig `json:"-"`
 	// BurnIn discards this many initial transitions per walker.
-	BurnIn int
+	BurnIn int `json:"burn_in"`
 	// Thin records every Thin-th visited node (0 means 1).
-	Thin int
+	Thin int `json:"thin"`
 	// Seed is the master seed; walker i draws from randx.Derive(Seed, i).
-	Seed uint64
+	Seed uint64 `json:"seed"`
 
 	// Star selects the measurement scenario. Under induced sampling the
 	// walkers share one observer (and the accumulator must be single-lock);
 	// under star sampling each walker observes independently and ingests
 	// through its own writer-local epoch.
-	Star bool
+	Star bool `json:"-"`
 	// Shards > 1 builds an epoch-merged accumulator (star only): each
 	// walker then owns a stream.Local and the per-draw path touches no
 	// shared state. The exact value beyond 1 is irrelevant — the epoch
@@ -115,50 +124,51 @@ type Config struct {
 	// hash-partitioned design. Ignored when an existing accumulator is
 	// passed to Start (pass an *stream.EpochAccumulator to get local
 	// ingest).
-	Shards int
+	Shards int `json:"-"`
 	// N is the population size |V| (0 = unknown, relative sizes).
-	N float64
+	N float64 `json:"-"`
 	// Size selects the category-size estimator.
-	Size core.SizeMethod
+	Size core.SizeMethod `json:"-"`
 	// Bootstrap configures the streaming-bootstrap replicates of the
 	// shared accumulator (EngineBootstrap's CI source). A zero B with CI
 	// targets set defaults to 200; Seed 0 inherits the crawl Seed.
-	Bootstrap uncert.Config
+	Bootstrap uncert.Config `json:"-"`
 
 	// Engine selects the stopping-rule CI engine (default EngineBootstrap).
-	Engine Engine
+	Engine Engine `json:"engine"`
 	// Level is the confidence level of the stopping CIs (0 means 0.95).
-	Level float64
+	Level float64 `json:"level"`
 	// SizeTarget stops the crawl once every targeted category's size CI
 	// half-width is ≤ SizeTarget (in nodes when N is set, else relative).
 	// 0 leaves sizes untargeted.
-	SizeTarget float64
-	// SizeCats restricts the size target to these categories (nil = all).
-	SizeCats []int
+	SizeTarget float64 `json:"size_target"`
+	// SizeCats restricts the size target to these categories (nil = all;
+	// an empty non-nil list with a positive target is an error).
+	SizeCats []int `json:"size_cats"`
 	// WithinTarget is the analogous half-width target on the
 	// within-category weights ŵ(A,A). 0 leaves them untargeted.
-	WithinTarget float64
+	WithinTarget float64 `json:"within_target"`
 	// WithinCats restricts the within target (nil = all).
-	WithinCats []int
+	WithinCats []int `json:"within_cats"`
 
 	// MaxDraws is the hard total draw budget (required). With no targets
 	// set the crawl runs to exactly MaxDraws — the fixed-budget crawl as a
 	// special case.
-	MaxDraws int
+	MaxDraws int `json:"max_draws"`
 	// MinDraws forbids target-stopping before this many draws (burn-in for
 	// the stopping rule itself; 0 = none).
-	MinDraws int
+	MinDraws int `json:"min_draws"`
 	// CheckEvery is the checkpoint cadence in total draws (0 means 1000):
 	// the stopping rule is evaluated, and progress published, every
 	// CheckEvery draws.
-	CheckEvery int
+	CheckEvery int `json:"check_every"`
 	// RoundDelay pauses between rounds (demo pacing; 0 = none).
-	RoundDelay time.Duration
+	RoundDelay time.Duration `json:"-"`
 
 	// Logger, when non-nil, receives one structured record per checkpoint
 	// (sequence, draws, targets-met) and one when the crawl stops. The
 	// controller never logs on the per-draw path.
-	Logger *slog.Logger
+	Logger *slog.Logger `json:"-"`
 }
 
 // WalkerStats is one walker's progress.
@@ -381,8 +391,8 @@ func normalize(cfg *Config, k int) error {
 	if cfg.Walkers == 0 {
 		cfg.Walkers = 1
 	}
-	if cfg.Walkers < 1 {
-		return fmt.Errorf("crawl: need Walkers ≥ 1, got %d", cfg.Walkers)
+	if cfg.Walkers < 1 || cfg.Walkers > MaxWalkers {
+		return fmt.Errorf("crawl: need 1 ≤ Walkers ≤ %d, got %d", MaxWalkers, cfg.Walkers)
 	}
 	if cfg.Thin == 0 {
 		cfg.Thin = 1
@@ -418,6 +428,12 @@ func normalize(cfg *Config, k int) error {
 	}
 	if cfg.SizeTarget < 0 || cfg.WithinTarget < 0 {
 		return fmt.Errorf("crawl: CI half-width targets must be ≥ 0")
+	}
+	// A nil list means all categories; an empty one would leave a target
+	// with nothing to check, met at the first checkpoint.
+	if (cfg.SizeTarget > 0 && cfg.SizeCats != nil && len(cfg.SizeCats) == 0) ||
+		(cfg.WithinTarget > 0 && cfg.WithinCats != nil && len(cfg.WithinCats) == 0) {
+		return fmt.Errorf("crawl: a CI target over an empty category list (nil means all categories)")
 	}
 	if cfg.Shards == 0 {
 		cfg.Shards = 1

@@ -344,6 +344,12 @@ func TestCrawlValidation(t *testing.T) {
 		"target cat out of range": {g, nil, Config{
 			SizeTarget: 1, SizeCats: []int{99}, MaxDraws: 10}},
 		"negative target": {g, nil, Config{SizeTarget: -1, MaxDraws: 10}},
+		"walkers past the bound": {g, nil, Config{
+			Walkers: MaxWalkers + 1, MaxDraws: 10}},
+		"size target over no categories": {g, nil, Config{
+			SizeTarget: 0.0001, SizeCats: []int{}, MaxDraws: 1000}},
+		"within target over no categories": {g, nil, Config{
+			WithinTarget: 0.0001, WithinCats: []int{}, MaxDraws: 1000}},
 		"scenario mismatch with acc": {g, acc, Config{
 			Star: true, MaxDraws: 10}},
 		"bootstrap target on plain acc": {g, acc, Config{

@@ -290,11 +290,16 @@ func (j *Job) closeLocals() {
 	}
 }
 
-// StartCrawl launches a crawl streaming into this job's accumulator. One
-// crawl runs at a time per job — ErrCrawlRunning while one is active;
-// finished crawls may be superseded (the accumulator keeps pooling draws
-// across them). Crawls in different jobs run concurrently.
+// StartCrawl launches a crawl streaming into this job's accumulator. The
+// crawl takes its scenario and size method from the accumulator, so a job
+// created with its own "star" or "size" crawls under them; N stays the
+// caller's, and crawl.Start rejects a mismatch. One crawl runs at a time
+// per job — ErrCrawlRunning while one is active; finished crawls may be
+// superseded (the accumulator keeps pooling draws across them). Crawls in
+// different jobs run concurrently.
 func (j *Job) StartCrawl(src graph.Source, cfg crawl.Config) (*crawl.Crawl, error) {
+	ac := j.acc.Config()
+	cfg.Star, cfg.Size = ac.Star, ac.Size
 	j.crawlMu.Lock()
 	defer j.crawlMu.Unlock()
 	if j.crawl != nil {
@@ -334,14 +339,6 @@ func (j *Job) CrawlRunning() bool {
 	default:
 		return true
 	}
-}
-
-// AdoptCrawl installs an externally started crawl (the auto-started crawl of
-// the daemon's crawl/demo mode) into the job's slot.
-func (j *Job) AdoptCrawl(c *crawl.Crawl) {
-	j.crawlMu.Lock()
-	j.crawl = c
-	j.crawlMu.Unlock()
 }
 
 // NoteIngest feeds the per-job ingest metrics: accepted records, request
