@@ -90,8 +90,8 @@ func FuzzCreateJob(f *testing.F) {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		// Spec.validate bounds K and B only separately, at 2^24 each, so a
-		// valid spec can ask for gigabytes; keep each iteration small.
+		// Spec.validate lets K·B reach job.MaxReplicateCells, whose
+		// replicate grids take tens of megabytes; keep each iteration small.
 		var probe job.Spec
 		if json.Unmarshal(body, &probe) == nil {
 			k := max(probe.K, len(probe.Names))

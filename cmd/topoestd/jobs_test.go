@@ -107,6 +107,8 @@ func TestJobCreateStatus(t *testing.T) {
 		{"k beyond the codec bound", `{"name":"boom","k":3000000000,"star":true}`, 400},
 		{"k one past the codec bound", `{"name":"boom","k":16777217}`, 400},
 		{"bootstrap beyond the codec bound", `{"name":"boom","k":3,"bootstrap":16777217}`, 400},
+		{"k·bootstrap beyond the replicate-cell bound", `{"name":"big","k":16384,"bootstrap":16384}`, 400},
+		{"k·bootstrap one past the replicate-cell bound", `{"name":"big","k":1,"bootstrap":1048577}`, 400},
 		{"created", `{"name":"beta"}`, 201},
 		{"name taken", `{"name":"beta"}`, 409},
 		{"identity conflict", `{"name":"ident","k":5}`, 409},

@@ -31,7 +31,7 @@
 //	-bootstrap   maintain this many streaming-bootstrap replicates so that
 //	             /estimate can serve confidence intervals (0 = off; 50 for
 //	             standard errors, 200 for stable 95% CIs; ingest cost grows
-//	             by O(B) per record)
+//	             by O(B) per record; k·bootstrap at most 2^20)
 //	-bootstrap-seed  seed of the deterministic per-(node, replicate)
 //	             Poisson weights (default 1); replicas of the daemon with
 //	             the same seed produce identical replicate estimates
@@ -102,8 +102,9 @@
 //	                         -checkpoint-dir, a job whose checkpoint file
 //	                         already exists resumes from it (the persisted
 //	                         identity — k, star, bootstrap — must match:
-//	                         mismatch is a 409). 201 on success, 409 when
-//	                         the name is taken
+//	                         mismatch is a 409). 201 on success, 400 for
+//	                         an invalid spec (k·bootstrap above 2^20
+//	                         included), 409 when the name is taken
 //	GET    /jobs             list jobs with stream position and crawl state
 //	DELETE /jobs/{job}       delete a job and its checkpoint file — the
 //	                         stream is discarded durably. 400 for "default",

@@ -343,9 +343,8 @@ func (s *Sums) WeightsInduced() (*PairWeights, error) {
 	}
 	out := NewPairWeights(s.K)
 	s.PairNum.ForEach(func(a, b int32, n float64) {
-		den := s.Rew[a] * s.Rew[b]
-		if den > 0 {
-			out.Set(a, b, n/den)
+		if w, ok := PairWeight(false, n, s.Rew[a], s.Rew[b], 0, 0); ok {
+			out.Set(a, b, w)
 		}
 	})
 	return out, nil
@@ -362,14 +361,35 @@ func (s *Sums) WeightsStar(sizes []float64) (*PairWeights, error) {
 	}
 	out := NewPairWeights(s.K)
 	s.PairNum.ForEach(func(a, b int32, n float64) {
-		den := s.Rew[a]*sizes[b] + s.Rew[b]*sizes[a]
-		if den > 0 {
-			out.Set(a, b, n/den)
-		} else if n > 0 {
-			out.Set(a, b, math.NaN())
+		if w, ok := PairWeight(true, n, s.Rew[a], s.Rew[b], sizes[a], sizes[b]); ok {
+			out.Set(a, b, w)
 		}
 	})
 	return out, nil
+}
+
+// PairWeight is the per-pair form of Eq. (8)/(15) (induced) and Eq. (9)/(16)
+// (star): the weight of pair {A,B} from its numerator num, the inverse-weight
+// masses rewA = w⁻¹(S_A) and rewB = w⁻¹(S_B) and, for star, the size
+// plug-ins sizeA and sizeB. ok is false when the pair gets no entry in the
+// weight table (it then weighs 0). WeightsInduced, WeightsStar and the
+// bootstrap's replicate estimates all go through it, so every path computes
+// a pair weight with the same floating-point operations.
+func PairWeight(star bool, num, rewA, rewB, sizeA, sizeB float64) (w float64, ok bool) {
+	if !star {
+		if den := rewA * rewB; den > 0 {
+			return num / den, true
+		}
+		return 0, false
+	}
+	den := rewA*sizeB + rewB*sizeA
+	switch {
+	case den > 0:
+		return num / den, true
+	case num > 0:
+		return math.NaN(), true
+	}
+	return 0, false
 }
 
 // WithinWeightsInduced computes the within-category densities w(A,A) from
@@ -407,14 +427,25 @@ func (s *Sums) WithinWeightsStar(sizes []float64) ([]float64, error) {
 	return out, nil
 }
 
-// Estimate produces the full category-graph estimate from the sums, exactly
-// as the package-level Estimate does from an observation.
-func (s *Sums) Estimate(opts Options) (*Result, error) {
-	N := opts.N
+// WithinWeights computes the within-category densities w(A,A) of the sums'
+// scenario: WithinWeightsStar with the size plug-ins for star sums,
+// WithinWeightsInduced (which needs no sizes) otherwise.
+func (s *Sums) WithinWeights(sizes []float64) ([]float64, error) {
+	if s.Star {
+		return s.WithinWeightsStar(sizes)
+	}
+	return s.WithinWeightsInduced()
+}
+
+// EstimateSizes is the category-size half of Estimate: the sizes by the
+// method opts selects, the population size used (1 when unknown) and the
+// resolved method.
+func (s *Sums) EstimateSizes(opts Options) (sizes []float64, N float64, method SizeMethod, err error) {
+	N = opts.N
 	if N <= 0 {
 		N = 1
 	}
-	method := opts.Size
+	method = opts.Size
 	if method == SizeMethodAuto {
 		if s.Star {
 			method = SizeMethodStar
@@ -422,8 +453,6 @@ func (s *Sums) Estimate(opts Options) (*Result, error) {
 			method = SizeMethodInduced
 		}
 	}
-	var sizes []float64
-	var err error
 	switch method {
 	case SizeMethodInduced:
 		sizes = s.SizeInduced(N)
@@ -434,6 +463,13 @@ func (s *Sums) Estimate(opts Options) (*Result, error) {
 	default:
 		err = fmt.Errorf("core: unknown size method %v", method)
 	}
+	return sizes, N, method, err
+}
+
+// Estimate produces the full category-graph estimate from the sums, exactly
+// as the package-level Estimate does from an observation.
+func (s *Sums) Estimate(opts Options) (*Result, error) {
+	sizes, N, method, err := s.EstimateSizes(opts)
 	if err != nil {
 		return nil, err
 	}

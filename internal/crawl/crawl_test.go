@@ -183,6 +183,56 @@ func TestCrawlBudgetStop(t *testing.T) {
 	}
 }
 
+// TestCrawlResultReusesCheckpointSnapshot pins that a crawl on the
+// bootstrap engine reports the last checkpoint's snapshot as its result
+// instead of estimating the same generation again: the result is snapshot
+// number Checkpoints, and its convergence delta spans the last round, not
+// zero draws against a baseline the checkpoint just set. A crawl without
+// replicates takes no checkpoint snapshots and still takes the final one.
+func TestCrawlResultReusesCheckpointSnapshot(t *testing.T) {
+	g := paperGraph(t)
+	scfg := stream.Config{K: g.NumCategories(), Star: true, N: float64(g.N()), Replicates: uncert.Config{B: 20, Seed: 4}}
+	for _, shards := range []int{1, 2} {
+		var acc stream.Ingester
+		var err error
+		if shards > 1 {
+			acc, err = stream.NewEpochAccumulator(scfg, 0)
+		} else {
+			acc, err = stream.NewAccumulator(scfg)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Start(g, acc, Config{
+			Walkers: 2, Shards: shards, Star: true, N: float64(g.N()), Seed: 4,
+			MaxDraws: 600, CheckEvery: 200,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := res.Snapshot
+		if snap.Seq != 3 || snap.Draws != 600 || snap.Converge.DrawsSince != 200 || snap.Boot == nil {
+			t.Fatalf("shards=%d: result snapshot seq %d, draws %d, draws_since %d; want 3, 600, 200 with CIs",
+				shards, snap.Seq, snap.Draws, snap.Converge.DrawsSince)
+		}
+	}
+	c, err := Start(g, nil, Config{Walkers: 2, Star: true, N: float64(g.N()), Seed: 4, MaxDraws: 600, CheckEvery: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Snapshot.Seq != 1 || res.Snapshot.Draws != 600 {
+		t.Fatalf("no replicates: result snapshot seq %d, draws %d; want 1, 600", res.Snapshot.Seq, res.Snapshot.Draws)
+	}
+}
+
 // TestCrawlRoundAllocationFair pins the per-round draw allocation: the
 // remainder rotates across rounds so an uneven cadence cannot permanently
 // skew per-walker counts, and a cadence below the walker count is raised so

@@ -94,6 +94,12 @@ func (s *Spec) normalize() {
 	}
 }
 
+// MaxReplicateCells bounds k·bootstrap, the number of cells in each of the
+// up to seven K×B replicate grids a job allocates (uncert.NewReplicates):
+// at the bound they take about 56 MB, where k and bootstrap each at their
+// separate codec bound would ask for petabytes.
+const MaxReplicateCells = 1 << 20
+
 // validate checks a normalized spec.
 func (s *Spec) validate() error {
 	if !ValidName(s.Name) {
@@ -112,6 +118,9 @@ func (s *Spec) validate() error {
 	}
 	if s.Bootstrap < 0 || s.Bootstrap > wire.MaxDim {
 		return fmt.Errorf("job %q: need 0 ≤ bootstrap ≤ %d, got %d", s.Name, wire.MaxDim, s.Bootstrap)
+	}
+	if s.K*s.Bootstrap > MaxReplicateCells {
+		return fmt.Errorf("job %q: k·bootstrap = %d·%d exceeds %d replicate cells", s.Name, s.K, s.Bootstrap, MaxReplicateCells)
 	}
 	if _, err := ParseSizeMethod(s.Size); err != nil {
 		return fmt.Errorf("job %q: %w", s.Name, err)

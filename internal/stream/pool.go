@@ -116,6 +116,8 @@ func (p *Pool) Rebuild(states []*State) error {
 			}
 		}
 	}
+	// snapMu guards the convergence baseline (see view).
+	p.snapMu.Lock()
 	p.mu.Lock()
 	if sums.Draws < p.lastDraws {
 		// The merged view shrank (a worker went stale, or restarted empty):
@@ -127,6 +129,7 @@ func (p *Pool) Rebuild(states []*State) error {
 	p.psi1, p.psiInv, p.collisions = psi1, psiInv, collisions
 	p.distinct = distinct
 	p.mu.Unlock()
+	p.snapMu.Unlock()
 	p.gen.Add(1)
 	return nil
 }
@@ -136,8 +139,8 @@ func (p *Pool) Rebuild(states []*State) error {
 // rebuild carried replicates), so the serving layer's "are CIs available"
 // probe works unchanged against a pool.
 func (p *Pool) Config() Config {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	cfg := p.cfg
 	if p.reps != nil {
 		cfg.Replicates = p.reps.Config()
@@ -147,8 +150,8 @@ func (p *Pool) Config() Config {
 
 // Draws returns the number of draws in the merged view.
 func (p *Pool) Draws() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	return int(p.sums.Draws)
 }
 
@@ -156,8 +159,8 @@ func (p *Pool) Draws() int {
 // observe disjoint node sets under the partitioned deployment, where this is
 // exact; overlapping crawls count shared nodes once per worker.
 func (p *Pool) Distinct() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	return int(p.distinct)
 }
 

@@ -16,7 +16,10 @@
 //
 // The Accumulator is safe for concurrent use: ingestion and snapshotting
 // may race freely across goroutines, and each Snapshot is an immutable
-// value once returned. Its throughput, however, is bounded by one mutex;
+// value once returned. A snapshot holds the lock only to copy the
+// sufficient statistics and estimates from the copy, and batches release
+// the lock every batchChunk records, so a read beside a writer waits for at
+// most one chunk. Ingest throughput, however, is bounded by one mutex;
 // for multi-core ingest the EpochAccumulator gives each writer a private
 // Local that touches no shared state per record and publishes whole epochs
 // of records through a short two-phase merge (core.Sums.Merge /
@@ -116,10 +119,10 @@ type Ingester interface {
 	Ingest(rec sample.NodeObservation) error
 	// IngestBatch folds a batch in order, stopping at the first invalid
 	// record; it returns how many leading records were applied — the retry
-	// index for the caller. Only the single-lock Accumulator applies a
-	// batch as one isolated critical section; see
-	// EpochAccumulator.IngestBatch for what concurrent interleaving does
-	// (and does not) change.
+	// index for the caller. Neither engine applies a batch atomically: the
+	// single-lock Accumulator publishes it in chunks of batchChunk records,
+	// so concurrent readers may see a prefix of a batch in flight; see
+	// EpochAccumulator.IngestBatch for what concurrent writers change.
 	IngestBatch(recs []sample.NodeObservation) (int, error)
 	// Snapshot computes the current estimate in O(K² + pairs).
 	Snapshot() (*Snapshot, error)
@@ -167,15 +170,15 @@ func (a *Accumulator) Config() Config { return a.cfg }
 
 // Draws returns the number of draws ingested so far.
 func (a *Accumulator) Draws() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+	a.mu.RLock()
+	defer a.mu.RUnlock()
 	return int(a.sums.Draws)
 }
 
 // Distinct returns the number of distinct nodes observed so far.
 func (a *Accumulator) Distinct() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+	a.mu.RLock()
+	defer a.mu.RUnlock()
 	return len(a.nodes)
 }
 
@@ -188,8 +191,8 @@ func (a *Accumulator) Gen() uint64 { return a.gen.Load() }
 // the between-walk replication variance of internal/uncert, which pools
 // one accumulator per walk.
 func (a *Accumulator) SumsClone() *core.Sums {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+	a.mu.RLock()
+	defer a.mu.RUnlock()
 	s := core.NewSums(a.cfg.K, a.cfg.Star)
 	// Merging into a fresh sums of the same K and scenario cannot fail.
 	if err := s.Merge(a.sums); err != nil {
@@ -226,14 +229,36 @@ func (a *Accumulator) Ingest(rec sample.NodeObservation) error {
 	return nil
 }
 
-// IngestBatch folds a batch of observations in one critical section,
-// stopping at the first invalid record (previous records stay applied). It
-// returns the number of records applied. The count is the retry contract:
-// on error exactly the first n records are durable, so a retrying client
-// must resend recs[n:] after fixing the offending record recs[n] (or
-// recs[n+1:] after discarding it) — resending the whole batch
-// double-ingests the prefix.
+// batchChunk is the most records IngestBatch applies per hold of the
+// accumulator lock. Readers queued behind a batch get the lock between
+// chunks, so a snapshot or export beside a writer waits for at most one
+// chunk (tens of microseconds with replicates on) instead of a whole batch.
+const batchChunk = 32
+
+// IngestBatch folds a batch of observations in order, stopping at the first
+// invalid record (previous records stay applied). It returns the number of
+// records applied. The count is the retry contract: on error exactly the
+// first n records are durable, so a retrying client must resend recs[n:]
+// after fixing the offending record recs[n] (or recs[n+1:] after discarding
+// it) — resending the whole batch double-ingests the prefix.
+//
+// The batch is applied in chunks of batchChunk records, one critical section
+// each, so a reader (Snapshot, Export, a checkpoint) may see a prefix of a
+// batch that has not returned yet; every record of a returned batch is
+// visible to reads that start after it returned.
 func (a *Accumulator) IngestBatch(recs []sample.NodeObservation) (int, error) {
+	for lo := 0; lo < len(recs); lo += batchChunk {
+		chunk := recs[lo:min(lo+batchChunk, len(recs))]
+		if i, err := a.ingestChunk(chunk); err != nil {
+			return lo + i, err
+		}
+	}
+	return len(recs), nil
+}
+
+// ingestChunk applies recs in one critical section, stopping at the first
+// invalid record; it returns the number applied.
+func (a *Accumulator) ingestChunk(recs []sample.NodeObservation) (int, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	// With replicates on, each applied record's latency is observed as in

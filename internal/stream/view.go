@@ -18,8 +18,10 @@ import (
 // read side — Snapshot, Export and restore — lives here once. Each Ingester
 // embeds a view by value, which keeps the hot paths' field accesses direct.
 type view struct {
-	// mu guards every field below (and the Accumulator's node directory).
-	mu   sync.Mutex
+	// mu guards the published state below (and the Accumulator's node
+	// directory). Writers hold it exclusively; reads that only copy or
+	// count — the snapshot and export cuts, Draws, Distinct — share it.
+	mu   sync.RWMutex
 	sums *core.Sums
 	// reps holds the bootstrap replicate sums (nil when the bootstrap is
 	// off); every mutation of sums has a mirrored call on reps.
@@ -28,6 +30,11 @@ type view struct {
 	// Collision statistics for the §4.3 population-size estimator.
 	psi1, psiInv, collisions float64
 
+	// snapMu serializes snapshots. It guards the fields below: the cut the
+	// snapshot estimates from, reused across snapshots, and the convergence
+	// baseline. Lock order: snapMu before mu.
+	snapMu sync.Mutex
+	cut    State
 	// Convergence baseline: the previous snapshot's estimate (nil sizes
 	// before the first snapshot, or after the baseline was reset).
 	lastSizes []float64
@@ -46,6 +53,7 @@ func (v *view) init(cfg Config) error {
 		return fmt.Errorf("stream: config needs ≥ 0 bootstrap replicates, got %d", cfg.Replicates.B)
 	}
 	v.sums = core.NewSums(cfg.K, cfg.Star)
+	v.cut = State{K: cfg.K, Star: cfg.Star, Sums: core.NewSums(cfg.K, cfg.Star)}
 	if cfg.Replicates.Enabled() {
 		reps, err := uncert.NewReplicates(cfg.K, cfg.Star, cfg.Replicates)
 		if err != nil {
@@ -58,99 +66,109 @@ func (v *view) init(cfg Config) error {
 
 // snapshot computes the estimate from the view in O(K² + pairs) and
 // advances the convergence baseline. cfg supplies the estimation options;
-// distinct is read under mu.
+// distinct is read under mu. The view is copied into the reused cut under
+// one read lock, and the primary and replicate estimates run on the copy
+// with mu released, so writers wait only for the copy.
 func (v *view) snapshot(cfg Config, distinct func() int) (*Snapshot, error) {
 	defer mSnapshotSec.ObserveSince(time.Now())
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.sums.Draws == 0 {
+	v.snapMu.Lock()
+	defer v.snapMu.Unlock()
+	cut := &v.cut
+	var nDistinct int
+	if err := v.copyTo(cut, func(*State) { nDistinct = distinct() }); err != nil {
+		return nil, err
+	}
+	if cut.Sums.Draws == 0 {
 		return nil, fmt.Errorf("stream: empty accumulator (no draws ingested or merged yet)")
 	}
 	opts := core.Options{N: cfg.N, Size: cfg.Size}
-	res, err := v.sums.Estimate(opts)
+	res, err := cut.Sums.Estimate(opts)
 	if err != nil {
 		return nil, err
 	}
-	var within []float64
-	if cfg.Star {
-		within, err = v.sums.WithinWeightsStar(res.Sizes)
-	} else {
-		within, err = v.sums.WithinWeightsInduced()
-	}
+	within, err := cut.Sums.WithinWeights(res.Sizes)
 	if err != nil {
 		return nil, err
 	}
 	v.seq++
 	snap := &Snapshot{
 		Seq:         v.seq,
-		Draws:       int(v.sums.Draws),
-		Distinct:    distinct(),
+		Draws:       int(cut.Sums.Draws),
+		Distinct:    nDistinct,
 		Result:      res,
 		Within:      within,
-		PopEstimate: core.PopulationSizeFromSums(v.sums.Draws, v.psi1, v.psiInv, v.collisions),
-		Converge:    convergeFrom(res, v.lastSizes, v.lastW, int(v.sums.Draws-v.lastDraws)),
+		PopEstimate: core.PopulationSizeFromSums(cut.Sums.Draws, cut.Psi1, cut.PsiInv, cut.Collisions),
+		Converge:    convergeFrom(res, v.lastSizes, v.lastW, int(cut.Sums.Draws-v.lastDraws)),
 	}
-	if v.reps != nil {
-		snap.Boot = v.reps.Snapshot(opts)
+	if cut.Reps != nil {
+		snap.Boot = cut.Reps.Snapshot(opts)
 	}
 	v.lastSizes = append([]float64(nil), res.Sizes...)
 	v.lastW = res.Weights
-	v.lastDraws = v.sums.Draws
+	v.lastDraws = cut.Sums.Draws
 	return snap, nil
 }
 
-// export copies the view into a fresh State. The copy is two-phase so that
-// writers racing an export wait only for flat byte moves: a brief lock
-// peeks the replicate shape, the destination (fresh sums, B replicate
-// vectors and grids, a pair arena with headroom for pairs created meanwhile)
-// is allocated unlocked, and a second critical section memcpys the state
-// across. Only a Pool rebuild can change the replicate configuration between
-// the two; the export then re-peeks and retries. cut runs inside the second
-// critical section and fills the State's Gen and Distinct (and may copy
-// anything else that must describe the same cut).
+// export copies the view into a fresh State (see copyTo). cut runs under
+// the read lock of the copy and fills the State's Gen and Distinct (and may
+// copy anything else that must describe the same cut).
 func (v *view) export(cfg Config, cut func(*State)) (*State, error) {
+	st := &State{K: cfg.K, Star: cfg.Star, Sums: core.NewSums(cfg.K, cfg.Star)}
+	if err := v.copyTo(st, cut); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// copyTo overwrites st — sums of the view's K and scenario — with the
+// view's sums, replicates and collision scalars, and runs cut, all under
+// one read lock. When st's replicates do not match the view's
+// configuration (a fresh State, or a Pool rebuild that changed it), the
+// lock is dropped, matching replicates — B vectors, grids and a pair arena
+// with headroom for pairs created meanwhile — are allocated unlocked, and
+// the copy retries. Writers racing a copy therefore wait only for flat
+// byte moves.
+func (v *view) copyTo(st *State, cut func(*State)) error {
 	for {
-		v.mu.Lock()
-		var repCfg uncert.Config
+		v.mu.RLock()
+		var want, have uncert.Config
+		if v.reps != nil {
+			want = v.reps.Config()
+		}
+		if st.Reps != nil {
+			have = st.Reps.Config()
+		}
+		if want == have {
+			err := st.Sums.CopyFrom(v.sums)
+			if err == nil && st.Reps != nil {
+				err = st.Reps.CopyFrom(v.reps)
+			}
+			if err != nil {
+				// Impossible by construction: the destination shares K, the
+				// scenario and the replicate configuration.
+				v.mu.RUnlock()
+				panic(err)
+			}
+			st.Psi1, st.PsiInv, st.Collisions = v.psi1, v.psiInv, v.collisions
+			cut(st)
+			v.mu.RUnlock()
+			return nil
+		}
 		repPairs := 0
 		if v.reps != nil {
-			repCfg, repPairs = v.reps.Config(), v.reps.PairCount()
+			repPairs = v.reps.PairCount()
 		}
-		v.mu.Unlock()
+		v.mu.RUnlock()
 
-		st := &State{K: cfg.K, Star: cfg.Star, Sums: core.NewSums(cfg.K, cfg.Star)}
-		if repCfg.Enabled() {
-			reps, err := uncert.NewReplicates(cfg.K, cfg.Star, repCfg)
+		st.Reps = nil
+		if want.Enabled() {
+			reps, err := uncert.NewReplicates(st.K, st.Star, want)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			reps.ReservePairs(repPairs + repPairs/8 + 4)
 			st.Reps = reps
 		}
-
-		v.mu.Lock()
-		var now uncert.Config
-		if v.reps != nil {
-			now = v.reps.Config()
-		}
-		if now != repCfg {
-			v.mu.Unlock()
-			continue
-		}
-		err := st.Sums.CopyFrom(v.sums)
-		if err == nil && st.Reps != nil {
-			err = st.Reps.CopyFrom(v.reps)
-		}
-		if err != nil {
-			// Impossible by construction: the destination shares K, the
-			// scenario and the replicate configuration.
-			v.mu.Unlock()
-			panic(err)
-		}
-		st.Psi1, st.PsiInv, st.Collisions = v.psi1, v.psiInv, v.collisions
-		cut(st)
-		v.mu.Unlock()
-		return st, nil
 	}
 }
 

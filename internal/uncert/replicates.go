@@ -1,10 +1,13 @@
 package uncert
 
 import (
+	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -525,10 +528,11 @@ func zero(xs []float64) {
 	}
 }
 
-// fillSums materializes replicate b's core.Sums into scratch (reset first),
-// the bridge from the SoA layout to the shared estimator path.
+// fillSums materializes replicate b's per-category statistics into scratch,
+// the bridge from the SoA layout to the shared size and within-density
+// estimators. The pair numerators stay in the replicate vectors: Snapshot
+// reads them there, by pair, and scratch's pair table is left empty.
 func (rs *Replicates) fillSums(b int, scratch *core.Sums) {
-	scratch.Reset()
 	B := rs.cfg.B
 	scratch.Draws = rs.draws[b]
 	scratch.TotalRew = rs.totalRew[b]
@@ -546,11 +550,6 @@ func (rs *Replicates) fillSums(b int, scratch *core.Sums) {
 		if rs.star {
 			scratch.DegNumA[c] = rs.degNumA[off+b]
 			scratch.NbrNum[c] = rs.nbrNum[off+b]
-		}
-	}
-	for key, v := range rs.pairNum {
-		if v[b] != 0 {
-			scratch.PairNum.Set(key[0], key[1], v[b])
 		}
 	}
 }
@@ -640,52 +639,129 @@ type BootSnapshot struct {
 
 // Snapshot estimates every replicate's category graph and transposes the
 // results into per-estimand replicate vectors. opts are the same estimation
-// options the primary snapshot uses. One scratch core.Sums is reused across
-// all B replicates (Sums.Reset), so the snapshot allocates per estimand, not
-// per replicate.
+// options the primary snapshot uses. It runs in two passes. The first fills
+// one scratch core.Sums per replicate and estimates the sizes and
+// within-densities, written straight into their per-category vectors. The
+// second walks the pair vectors in sorted pair order and computes replicate
+// b's weight of each pair with core.PairWeight from the replicate's own
+// inverse-weight masses and sizes — the operations Sums.WeightsInduced and
+// WeightsStar run on a replicate's sums, without building its pair table.
+// A pair gets a vector when some replicate gives it a weight-table entry;
+// entries a replicate does not give weigh 0, as in a PairWeights.
 func (rs *Replicates) Snapshot(opts core.Options) *BootSnapshot {
-	ev := newEstimandVectors(rs.k, rs.cfg.B)
-	pop := make([]float64, rs.cfg.B)
+	B := rs.cfg.B
+	sizes, within := makeGrid(rs.k, B), makeGrid(rs.k, B)
+	pop := make([]float64, B)
+	failed := make([]bool, B)
 	scratch := core.NewSums(rs.k, rs.star)
-	for b := 0; b < rs.cfg.B; b++ {
+	for b := 0; b < B; b++ {
 		rs.fillSums(b, scratch)
-		res, within, err := estimateSums(scratch, rs.star, opts)
+		sz, win, err := estimateSizes(scratch, opts)
 		if err != nil {
-			ev.fail(b)
+			failed[b] = true
+			for c := range sizes {
+				sizes[c][b], within[c][b] = math.NaN(), math.NaN()
+			}
 			pop[b] = math.NaN()
 			continue
 		}
-		ev.record(b, res, within)
+		for c := range sizes {
+			sizes[c][b], within[c][b] = sz[c], win[c]
+		}
 		pop[b] = core.PopulationSizeFromSums(scratch.Draws, rs.psi1[b], rs.psiInv[b], rs.coll[b])
 	}
-	ev.patchFailed()
-	return &BootSnapshot{
-		B:      rs.cfg.B,
-		K:      rs.k,
-		Sizes:  ev.sizes,
-		Within: ev.within,
-		Pop:    pop,
-		pairs:  ev.pairs,
+
+	type pairNum struct {
+		key [2]int32
+		num []float64
 	}
+	nums := make([]pairNum, 0, len(rs.pairNum))
+	for key, num := range rs.pairNum {
+		nums = append(nums, pairNum{key, num})
+	}
+	slices.SortFunc(nums, func(x, y pairNum) int {
+		return cmp.Or(cmp.Compare(x.key[0], y.key[0]), cmp.Compare(x.key[1], y.key[1]))
+	})
+	pairs := make(map[[2]int32][]float64, len(nums))
+	arena := make([]float64, len(nums)*B)
+	for _, p := range nums {
+		key, num := p.key, p.num[:B]
+		a, c := int(key[0]), int(key[1])
+		rewA, rewC := rs.rew[a*B:a*B+B], rs.rew[c*B:c*B+B]
+		sizeA, sizeC := sizes[a][:B], sizes[c][:B]
+		out := arena[:B:B]
+		seen := false
+		for b, n := range num {
+			// A zero numerator is a pair replicate b never observed: its
+			// sums would hold no entry for it, and WeightsInduced and
+			// WeightsStar weigh only stored pairs.
+			if n == 0 || failed[b] {
+				continue
+			}
+			if w, ok := core.PairWeight(rs.star, n, rewA[b], rewC[b], sizeA[b], sizeC[b]); ok {
+				out[b], seen = w, true
+			}
+		}
+		if !seen {
+			continue
+		}
+		for b := range out {
+			if failed[b] {
+				out[b] = math.NaN()
+			}
+		}
+		pairs[key] = out
+		arena = arena[B:]
+	}
+	return &BootSnapshot{B: B, K: rs.k, Sizes: sizes, Within: within, Pop: pop, pairs: pairs}
 }
+
+// estimateSizes produces the category sizes and within-densities of one
+// replicate's sums — the estimateSums sequence without the pair weights,
+// which Snapshot computes per pair. An empty (zero-weight) replicate errors
+// and is recorded as NaN.
+func estimateSizes(s *core.Sums, opts core.Options) (sizes, within []float64, err error) {
+	if s.Draws == 0 || s.TotalRew == 0 {
+		return nil, nil, errDegenerate
+	}
+	if sizes, _, _, err = s.EstimateSizes(opts); err != nil {
+		return nil, nil, err
+	}
+	within, err = s.WithinWeights(sizes)
+	return sizes, within, err
+}
+
+func makeGrid(k, n int) [][]float64 {
+	g := make([][]float64, k)
+	for c := range g {
+		g[c] = make([]float64, n)
+	}
+	return g
+}
+
+func pairCanon(a, b int32) [2]int32 {
+	if a > b {
+		a, b = b, a
+	}
+	return [2]int32{a, b}
+}
+
+// errDegenerate is the error of a replicate (or walk) whose sums carry no
+// weight.
+var errDegenerate = errors.New("uncert: degenerate replicate")
 
 // estimateSums produces the full estimate plus within-densities from one
 // sums instance — the same sequence the stream snapshot runs on the primary
-// sums. An empty (zero-weight) replicate errors and is recorded as NaN.
-func estimateSums(s *core.Sums, star bool, opts core.Options) (*core.Result, []float64, error) {
+// sums. An empty (zero-weight) sums errors.
+func estimateSums(s *core.Sums, opts core.Options) (*core.Result, []float64, error) {
 	if s.Draws == 0 || s.TotalRew == 0 {
-		return nil, nil, fmt.Errorf("uncert: degenerate replicate")
+		return nil, nil, errDegenerate
 	}
 	res, err := s.Estimate(opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	var within []float64
-	if star {
-		within, err = s.WithinWeightsStar(res.Sizes)
-	} else {
-		within, err = s.WithinWeightsInduced()
-	}
+	within, err := s.WithinWeights(res.Sizes)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -71,27 +71,36 @@ func ReplicationCI(walks []*core.Sums, opts core.Options, level float64) (*Repli
 			return nil, fmt.Errorf("uncert: walk %d: %w", i, err)
 		}
 	}
-	pooled, pooledWithin, err := estimateSums(merged, star, opts)
+	pooled, pooledWithin, err := estimateSums(merged, opts)
 	if err != nil {
 		return nil, err
 	}
 
-	// Per-walk estimates of every estimand, transposed per estimand.
+	// Per-walk estimates of every estimand, transposed per estimand. A
+	// walk whose estimate failed is NaN across every estimand.
 	m := len(walks)
-	ev := newEstimandVectors(k, m)
+	sizes, within := makeGrid(k, m), makeGrid(k, m)
+	ests := make([]*core.Result, m)
 	// Seed the pair universe with the pooled estimate so pairs observed by
 	// only some walks still get intervals (a walk that never saw a pair
 	// legitimately estimates its weight as 0).
-	pooled.Weights.ForEach(func(a, b int32, _ float64) { ev.pairVals(a, b) })
+	pairs := make(map[[2]int32]bool)
+	addPair := func(a, b int32, _ float64) { pairs[[2]int32{a, b}] = true }
+	pooled.Weights.ForEach(addPair)
 	for i, wsums := range walks {
-		res, win, err := estimateSums(wsums, star, opts)
+		res, win, err := estimateSums(wsums, opts)
 		if err != nil {
-			ev.fail(i)
+			for c := 0; c < k; c++ {
+				sizes[c][i], within[c][i] = math.NaN(), math.NaN()
+			}
 			continue
 		}
-		ev.record(i, res, win)
+		ests[i] = res
+		res.Weights.ForEach(addPair)
+		for c := 0; c < k; c++ {
+			sizes[c][i], within[c][i] = res.Sizes[c], win[c]
+		}
 	}
-	ev.patchFailed()
 
 	rep := &Replication{
 		Walks:        m,
@@ -101,14 +110,21 @@ func ReplicationCI(walks []*core.Sums, opts core.Options, level float64) (*Repli
 		Sizes:        make([]Interval, k),
 		SizesSE:      make([]float64, k),
 		Within:       make([]Interval, k),
-		weightCI:     make(map[[2]int32]Interval, len(ev.pairs)),
-		weightSE:     make(map[[2]int32]float64, len(ev.pairs)),
+		weightCI:     make(map[[2]int32]Interval, len(pairs)),
+		weightSE:     make(map[[2]int32]float64, len(pairs)),
 	}
 	for c := 0; c < k; c++ {
-		rep.Sizes[c], rep.SizesSE[c] = tInterval(pooled.Sizes[c], ev.sizes[c], level)
-		rep.Within[c], _ = tInterval(pooledWithin[c], ev.within[c], level)
+		rep.Sizes[c], rep.SizesSE[c] = tInterval(pooled.Sizes[c], sizes[c], level)
+		rep.Within[c], _ = tInterval(pooledWithin[c], within[c], level)
 	}
-	for key, vals := range ev.pairs {
+	vals := make([]float64, m)
+	for key := range pairs {
+		for i, res := range ests {
+			vals[i] = math.NaN()
+			if res != nil {
+				vals[i] = res.Weights.Get(key[0], key[1])
+			}
+		}
 		center := pooled.Weights.Get(key[0], key[1])
 		rep.weightCI[key], rep.weightSE[key] = tInterval(center, vals, level)
 	}

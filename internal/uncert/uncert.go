@@ -42,7 +42,7 @@ package uncert
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/stats"
 )
@@ -150,8 +150,11 @@ func PoissonWeight(seed uint64, node int32, rep int) float64 {
 // percentile returns the Efron percentile interval of the replicate values
 // at the given level, ignoring non-finite replicates (degenerate resamples
 // and unresolvable estimands). With no finite replicate the interval is
-// NaN. The filtered vector is sorted once and both endpoints read from it —
-// this runs per estimand per /estimate request on the daemon's read path.
+// NaN. This runs per estimand per /estimate request on the daemon's read
+// path, so each endpoint selects the order statistics its quantile
+// interpolates between (quantileSelect) in expected linear time instead of
+// sorting, and equals what stats.QuantileSorted returns on the sorted
+// values.
 func percentile(vals []float64, level float64) Interval {
 	fin := make([]float64, 0, len(vals))
 	for _, v := range vals {
@@ -162,9 +165,75 @@ func percentile(vals []float64, level float64) Interval {
 	if len(fin) == 0 {
 		return nanInterval()
 	}
-	sort.Float64s(fin)
 	alpha := (1 - level) / 2
-	return Interval{stats.QuantileSorted(fin, alpha), stats.QuantileSorted(fin, 1-alpha)}
+	return Interval{quantileSelect(fin, alpha), quantileSelect(fin, 1-alpha)}
+}
+
+// quantileSelect returns stats.QuantileSorted(sorted(xs), q) for
+// non-empty xs without NaNs, reordering xs instead of sorting it.
+func quantileSelect(xs []float64, q float64) float64 {
+	n := len(xs)
+	switch {
+	case q <= 0:
+		return slices.Min(xs)
+	case q >= 1:
+		return slices.Max(xs)
+	}
+	pos := q * float64(n-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	selectNth(xs, lo)
+	if lo == hi {
+		return xs[lo]
+	}
+	// After selectNth every value past lo is ≥ xs[lo], so the next order
+	// statistic is their minimum.
+	frac := pos - float64(lo)
+	return xs[lo]*(1-frac) + slices.Min(xs[lo+1:])*frac
+}
+
+// selectNth reorders xs (no NaNs) so that xs[k] holds the k-th smallest
+// value, with no larger value before it and no smaller value after it:
+// Hoare-partition quickselect with a median-of-three pivot.
+func selectNth(xs []float64, k int) {
+	lo, hi := 0, len(xs)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if xs[mid] < xs[lo] {
+			xs[mid], xs[lo] = xs[lo], xs[mid]
+		}
+		if xs[hi] < xs[lo] {
+			xs[hi], xs[lo] = xs[lo], xs[hi]
+		}
+		if xs[hi] < xs[mid] {
+			xs[hi], xs[mid] = xs[mid], xs[hi]
+		}
+		p := xs[mid]
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] < p {
+				i++
+			}
+			for p < xs[j] {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// Now xs[lo..j] ≤ p ≤ xs[i..hi], and every value strictly between
+		// j and i equals p.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }
 
 // sdFinite returns the standard deviation of the finite replicate values
