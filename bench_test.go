@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand/v2"
+	"strings"
 	"sync"
 	"testing"
 
@@ -468,67 +469,88 @@ func BenchmarkStreamIngest(b *testing.B) {
 // auto-flush cadence. On a multi-core machine epoch throughput scales
 // near-linearly 1 -> 8 -> 32 writers while the single lock flatlines (a
 // 1-core runner can only show the removed lock hand-off and the batched
-// flush math; CI runs the scaling gate).
+// flush math; CI runs the scaling gate). The "-sparse" rows feed the same
+// stream with every node id mapped through a fixed bijection of the int32
+// range, so the node directory's cost off the graph's dense ids [0, N)
+// shows beside the dense rows.
 func BenchmarkStreamIngestLocal(b *testing.B) {
 	recs, _, g := streamBenchRecords(b, 100_000)
+	sparse := make([]sample.NodeObservation, len(recs))
+	for i, rec := range recs {
+		rec.Node = int32(uint32(rec.Node)*0x9e3779b1 ^ 0x5bd1e995)
+		sparse[i] = rec
+	}
 	cfg := stream.Config{K: g.NumCategories(), Star: true, N: float64(g.N())}
+	type row struct {
+		impl    string
+		writers int
+	}
+	var rows []row
 	for _, impl := range []string{"single-lock", "epoch"} {
 		for _, writers := range []int{1, 8, 32} {
-			b.Run(fmt.Sprintf("%s/writers=%d", impl, writers), func(b *testing.B) {
-				var acc stream.Ingester
-				var ea *stream.EpochAccumulator
-				var err error
-				if impl == "epoch" {
-					ea, err = stream.NewEpochAccumulator(cfg, 0)
-					acc = ea
-				} else {
-					acc, err = stream.NewAccumulator(cfg)
+			rows = append(rows, row{impl, writers})
+		}
+	}
+	rows = append(rows, row{"single-lock-sparse", 1}, row{"epoch-sparse", 8})
+	for _, r := range rows {
+		impl, writers, recs := r.impl, r.writers, recs
+		if strings.HasSuffix(impl, "-sparse") {
+			recs = sparse
+		}
+		b.Run(fmt.Sprintf("%s/writers=%d", impl, writers), func(b *testing.B) {
+			var acc stream.Ingester
+			var ea *stream.EpochAccumulator
+			var err error
+			if strings.HasPrefix(impl, "epoch") {
+				ea, err = stream.NewEpochAccumulator(cfg, 0)
+				acc = ea
+			} else {
+				acc, err = stream.NewAccumulator(cfg)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				n := b.N / writers
+				if w < b.N%writers {
+					n++
 				}
-				if err != nil {
-					b.Fatal(err)
+				if n == 0 {
+					continue
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				for w := 0; w < writers; w++ {
-					n := b.N / writers
-					if w < b.N%writers {
-						n++
-					}
-					if n == 0 {
-						continue
-					}
-					wg.Add(1)
-					go func(w, n int) {
-						defer wg.Done()
-						// Each writer walks the record stream from its own
-						// prime offset, so the hot loop shares no state
-						// beyond the accumulator under test.
-						i := w * 7919
-						if ea != nil {
-							l := ea.NewLocal()
-							defer l.Close()
-							for ; n > 0; n-- {
-								if err := l.Ingest(recs[i%len(recs)]); err != nil {
-									b.Error(err)
-									return
-								}
-								i++
-							}
-							return
-						}
+				wg.Add(1)
+				go func(w, n int) {
+					defer wg.Done()
+					// Each writer walks the record stream from its own
+					// prime offset, so the hot loop shares no state
+					// beyond the accumulator under test.
+					i := w * 7919
+					if ea != nil {
+						l := ea.NewLocal()
+						defer l.Close()
 						for ; n > 0; n-- {
-							if err := acc.Ingest(recs[i%len(recs)]); err != nil {
+							if err := l.Ingest(recs[i%len(recs)]); err != nil {
 								b.Error(err)
 								return
 							}
 							i++
 						}
-					}(w, n)
-				}
-				wg.Wait()
-			})
-		}
+						return
+					}
+					for ; n > 0; n-- {
+						if err := acc.Ingest(recs[i%len(recs)]); err != nil {
+							b.Error(err)
+							return
+						}
+						i++
+					}
+				}(w, n)
+			}
+			wg.Wait()
+		})
 	}
 }
 

@@ -18,30 +18,35 @@ import (
 // still took one mutex per record — just a different mutex per node — and
 // the committed benchmarks showed it losing to the single lock outright:
 // cross-core cache-line traffic on the shard locks and counters cost more
-// than the partition saved. This design removes shared state from the
+// than the partition saved. This design removes shared writes from the
 // per-record path entirely. Each writer owns a Local that records draws
-// into private, writer-owned memory; the directory is resolved once per
-// DISTINCT node per epoch — at the node's first touch, one striped map
-// lookup whose entry pointer the epoch keeps (entries are insert-only and
-// their constants immutable, so the pointer and its category/weight stay
-// valid). A Flush (every FlushEvery records, at a crawl round barrier, or
-// at the end of an HTTP batch) folds the epoch into the published view in
-// two short phases:
+// into private, writer-owned memory. At a node's first touch in an epoch
+// the Local reads the node's constants (category, weight) and dense index
+// from the shared node directory (directory.go) in one lock-free probe of
+// slots that are written once, at insert, and never by a flush; only a
+// record that carries star data also reads the node's star view, under the
+// node's stripe lock. A Flush (every FlushEvery records, at a crawl round
+// barrier, or at the end of an HTTP batch) folds the epoch into the
+// published view in three phases, each timed under
+// stream_epoch_flush_phase_seconds:
 //
-//  1. Per node, under a striped lock on the shared node directory: reserve
+//  1. reserve — per node, under the stripe lock of its dense index: reserve
 //     the node's draw interval [m, m+c) by advancing its published
-//     multiplicity through the kept pointer. Only a node that was absent at
-//     first touch is looked up again, and its constants (category, weight)
-//     checked against whatever a racing writer inserted. Star data is
-//     reconciled (late-star backfill, degree retrofit) only when the epoch
-//     carried star data of its own that adds to the directory's view;
-//     otherwise the epoch's draws are credited with the directory's current
-//     view. Stripes are padded to a cache line.
-//  2. Under the accumulator's single mutex: merge the epoch's core.Sums and
-//     bootstrap replicates (core.Sums.Merge / uncert.Replicates.Merge) and
-//     the collision scalars, then advance Gen by the number of applied
-//     records. The serialized work is O(K + touched·B + pairs) per epoch —
-//     amortized sub-nanosecond per record at any realistic epoch size.
+//     multiplicity in the directory's dense per-node state. A node that was
+//     absent at first touch is inserted now, or, when a racing writer
+//     inserted it meanwhile, its constants are checked against the
+//     directory's. Star data is reconciled (late-star backfill, degree
+//     retrofit) only when the epoch carried star data of its own that adds
+//     to the directory's view; otherwise the epoch's draws are credited
+//     with the directory's current view.
+//  2. math — the epoch's batched statistics against the reserved intervals,
+//     in writer-private memory.
+//  3. publish — under the accumulator's single mutex: merge the epoch's
+//     core.Sums and bootstrap replicates (core.Sums.Merge /
+//     uncert.Replicates.Merge) and the collision scalars, then advance Gen
+//     by the number of applied records. The serialized work is O(K +
+//     touched·B + pairs) per epoch — amortized sub-nanosecond per record at
+//     any realistic epoch size.
 //
 // Exactness. All star-scenario statistics are linear in the per-node draw
 // multiplicities except two: the colliding-pair count Σ_v m_v(m_v−1)/2 and
@@ -64,9 +69,10 @@ import (
 // in any snapshot taken after a Gen read that postdates the ack — is
 // unchanged from the single-lock accumulator.
 
-// epochStripes is the size of the shared node directory's lock striping
-// (power of two; 64 stripes keeps contention negligible far beyond the
-// writer counts the benchmarks exercise).
+// epochStripes is the number of stripe locks serializing the per-node
+// reservation and star reconcile (power of two; a node's stripe is its
+// dense index modulo epochStripes, and 64 stripes keep contention
+// negligible far beyond the writer counts the benchmarks exercise).
 const epochStripes = 64
 
 // defaultFlushEvery is the auto-flush threshold of a Local when the
@@ -126,27 +132,22 @@ func (sd starData) clone() starData {
 	return sd
 }
 
-// sharedNode is the published per-node state in the accumulator's striped
-// directory: the per-node constants every epoch must agree on, the flushed
-// multiplicity, and the reconciled star data. Entries are insert-only and
-// cat/weight never change after insert, so a *sharedNode taken under the
-// stripe lock stays valid — and its constants readable without the lock —
-// for the accumulator's lifetime. mult and star change under the stripe
-// lock; star's slices are replaced, never mutated in place, so a reference
-// read under the lock stays valid after release.
+// sharedNode is a node's mutable published state in the epoch engine's
+// directory: the flushed multiplicity and the reconciled star data (nil
+// before any arrived). Both change only under the node's stripe lock; the
+// star data is replaced, never mutated in place, so a pointer read under
+// the lock stays valid after release. The node's constants live in the
+// directory's table slot, which a flush never writes.
 type sharedNode struct {
-	mult   float64
-	weight float64
-	cat    int32
-	star   starData
+	mult float64
+	star *starData
 }
 
-// nodeStripe is one lock-striped slice of the node directory, padded so
-// that adjacent stripes' locks never share a cache line.
-type nodeStripe struct {
-	mu    sync.Mutex
-	nodes map[int32]*sharedNode
-	_     [40]byte
+// stripeLock is one stripe lock, padded so that adjacent stripes never
+// share a cache line.
+type stripeLock struct {
+	sync.Mutex
+	_ [56]byte
 }
 
 // EpochAccumulator is the multi-core accumulator: writers ingest into
@@ -166,8 +167,8 @@ type EpochAccumulator struct {
 	cfg        Config
 	flushEvery int
 
-	stripes  [epochStripes]nodeStripe
-	distinct core.PaddedInt64
+	dir     *directory[sharedNode]
+	stripes [epochStripes]stripeLock
 
 	// gen is the ingest generation: advanced by each flush, by the number
 	// of records the flush applied, inside the published-view critical
@@ -176,14 +177,15 @@ type EpochAccumulator struct {
 	gen core.PaddedUint64
 
 	// flushGate serializes flushes against ExportFull. Flushes hold it
-	// shared for the phase-1→phase-2 span (one RWMutex op per epoch, not
-	// per record); ExportFull takes it exclusively so its cut never sees a
-	// directory reservation whose sums merge is still mid-flight.
+	// shared from their reserve phase through their publish phase (one
+	// RWMutex op per epoch, not per record); ExportFull takes it
+	// exclusively so its cut never sees a directory reservation whose sums
+	// merge is still mid-flight.
 	flushGate sync.RWMutex
 
 	// view is the published state: the merged sums and replicates, the
-	// collision scalars, and the convergence baseline (Local.Flush phase 2
-	// merges into it under view.mu).
+	// collision scalars, and the convergence baseline (Local.Flush's
+	// publish phase merges into it under view.mu).
 	view
 
 	// pool recycles the internal Locals behind Ingest/IngestBatch so the
@@ -198,7 +200,7 @@ type EpochAccumulator struct {
 // 1024): larger epochs amortize the merge further, smaller ones publish
 // sooner.
 func NewEpochAccumulator(cfg Config, flushEvery int) (*EpochAccumulator, error) {
-	ea := &EpochAccumulator{cfg: cfg, flushEvery: flushEvery}
+	ea := &EpochAccumulator{cfg: cfg, flushEvery: flushEvery, dir: newDirectory[sharedNode]()}
 	if err := ea.init(cfg); err != nil {
 		return nil, err
 	}
@@ -210,9 +212,6 @@ func NewEpochAccumulator(cfg Config, flushEvery int) (*EpochAccumulator, error) 
 	}
 	if flushEvery == 0 {
 		ea.flushEvery = defaultFlushEvery
-	}
-	for i := range ea.stripes {
-		ea.stripes[i].nodes = make(map[int32]*sharedNode)
 	}
 	ea.pool.New = func() any { return ea.newLocal(false) }
 	return ea, nil
@@ -231,19 +230,19 @@ func (ea *EpochAccumulator) Gen() uint64 { return ea.gen.Load() }
 func (ea *EpochAccumulator) Draws() int { return int(ea.gen.Load()) }
 
 // Distinct returns the number of distinct nodes in the published view.
-func (ea *EpochAccumulator) Distinct() int { return int(ea.distinct.Load()) }
+func (ea *EpochAccumulator) Distinct() int { return ea.dir.len() }
 
-// stripeFor routes a node id to its directory stripe with a full-avalanche
-// integer hash (the 32-bit "lowbias" mix), so adjacent crawler id ranges
-// spread evenly.
-func (ea *EpochAccumulator) stripeFor(node int32) *nodeStripe {
-	h := uint32(node)
-	h ^= h >> 16
-	h *= 0x7feb352d
-	h ^= h >> 15
-	h *= 0x846ca68b
-	h ^= h >> 16
-	return &ea.stripes[h&(epochStripes-1)]
+// starView returns the star view of the node at dense index idx, read
+// under its stripe lock.
+func (ea *EpochAccumulator) starView(idx int32) starData {
+	st := &ea.stripes[idx&(epochStripes-1)]
+	st.Lock()
+	sd := ea.dir.at(idx).star
+	st.Unlock()
+	if sd == nil {
+		return starData{}
+	}
+	return *sd
 }
 
 // Ingest folds one node observation through an internal Local and flushes
@@ -300,33 +299,113 @@ func (ea *EpochAccumulator) Snapshot() (*Snapshot, error) {
 }
 
 // localNode is one node's epoch-private state: the draw count of this
-// epoch, the node's constants (from the directory entry at first touch, or
-// fixed by the epoch's first record), and the directory entry itself when
-// the node was already published at first touch (sh; nil otherwise — Flush
-// then looks it up once more, since a racing writer may have inserted it).
-// own holds star data the epoch ADDS to the directory's view (late star
-// data, a degree upgrade, adopted counts); when own.seen is false the
-// epoch's draws agree with the directory and are credited with its view at
-// flush. own's slices reuse their backing arrays across epochs.
+// epoch, the node's constants (from the directory at first touch, or fixed
+// by the epoch's first record) and its dense index (-1 when the node was
+// absent from the directory at first touch — Flush then inserts it, or
+// checks the constants a racing writer published). own holds star data the
+// epoch ADDS to the directory's view (late star data, a degree upgrade,
+// adopted counts); when own.seen is false the epoch's draws agree with the
+// directory and are credited with its view at flush. own's slices reuse
+// their backing arrays across epochs. m, view and prev carry a node's
+// reservation from Flush's reserve pass to its math pass: the interval
+// start, the star view the epoch's draws are credited with, and the view
+// the node's earlier draws were credited with.
 type localNode struct {
 	node   int32
 	cat    int32
+	idx    int32
 	count  float64
 	weight float64
-	sh     *sharedNode
 	own    starData
+
+	m          float64
+	view, prev *starData
+}
+
+// epochIndex maps the node ids of a Local's current epoch to their
+// positions in Local.nodes. It is open addressing over generation-stamped
+// slots: a slot belongs to the current epoch only when its stamp is the
+// current generation, so starting the next epoch is one increment, not a
+// clear. It grows with the epoch's distinct nodes, never with the
+// directory, so a Local costs O(epoch) memory however many nodes the
+// accumulator holds and however many Locals (one per crawl walker) share it.
+type epochIndex struct {
+	slots []epochSlot
+	gen   uint32
+	n     int
+	seed  uint32 // the directory's hash seed
+}
+
+type epochSlot struct {
+	gen  uint32
+	node int32
+	pos  int32
+}
+
+// find returns the position of node, hashed to h, in the current epoch.
+func (x *epochIndex) find(node int32, h uint32) (int32, bool) {
+	if x.n == 0 {
+		return 0, false // also covers the table before its first add
+	}
+	mask := uint32(len(x.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		s := &x.slots[i]
+		if s.gen != x.gen {
+			return 0, false
+		}
+		if s.node == node {
+			return s.pos, true
+		}
+	}
+}
+
+// add records node (absent from the current epoch) at position pos, growing
+// the table at a load of 1/2.
+func (x *epochIndex) add(node int32, h uint32, pos int32) {
+	if 2*(x.n+1) > len(x.slots) {
+		old := x.slots
+		x.slots = make([]epochSlot, max(64, 2*len(old)))
+		for _, s := range old {
+			if s.gen == x.gen {
+				x.place(s, hashID(s.node, x.seed))
+			}
+		}
+	}
+	x.place(epochSlot{gen: x.gen, node: node, pos: pos}, h)
+	x.n++
+}
+
+func (x *epochIndex) place(s epochSlot, h uint32) {
+	mask := uint32(len(x.slots) - 1)
+	i := h & mask
+	for x.slots[i].gen == x.gen {
+		i = (i + 1) & mask
+	}
+	x.slots[i] = s
+}
+
+// next empties the index for the next epoch.
+func (x *epochIndex) next() {
+	x.gen++
+	if x.gen == 0 {
+		// The stamps wrapped: clear them so none matches the new generation.
+		clear(x.slots)
+		x.gen = 1
+	}
+	x.n = 0
 }
 
 // Local is a writer-private accumulator over one EpochAccumulator: Ingest
-// touches only writer-owned memory (plus one striped directory read per
-// distinct node per epoch, and one per re-draw carrying star data the epoch
-// does not own yet), and Flush publishes the epoch. A Local is NOT
-// safe for concurrent use — it is the "one per walker / one per connection"
-// half of the design; concurrency lives across Locals, not within one.
-// Flush and the accumulator's snapshots may race freely with other Locals.
+// touches only writer-owned memory (plus one lock-free directory probe per
+// distinct node per epoch, and a stripe-locked star view read for a record
+// carrying star data the epoch does not own yet), and Flush publishes the
+// epoch. A Local is NOT safe for concurrent use — it is the "one per walker
+// / one per connection" half of the design; concurrency lives across
+// Locals, not within one. Flush and the accumulator's snapshots may race
+// freely with other Locals.
 type Local struct {
 	ea    *EpochAccumulator
-	epoch map[int32]int32
+	epoch epochIndex
 	nodes []localNode
 	recs  int
 
@@ -374,7 +453,7 @@ func (ea *EpochAccumulator) NewLocal() *Local {
 func (ea *EpochAccumulator) newLocal(register bool) *Local {
 	l := &Local{
 		ea:    ea,
-		epoch: make(map[int32]int32),
+		epoch: epochIndex{gen: 1, seed: ea.dir.seed},
 		sums:  core.NewSums(ea.cfg.K, true),
 	}
 	if ea.reps != nil {
@@ -410,24 +489,6 @@ func (l *Local) Close() (applied, dropped int) {
 	return applied, dropped
 }
 
-// resolve returns node's directory entry — sh when the epoch already holds
-// it, else a map lookup (nil when the node is unpublished) — and the
-// entry's current star view, under one stripe lock. The view's slices stay
-// valid after release (replace-not-mutate).
-func (ea *EpochAccumulator) resolve(node int32, sh *sharedNode) (*sharedNode, starData) {
-	st := ea.stripeFor(node)
-	st.mu.Lock()
-	if sh == nil {
-		sh = st.nodes[node]
-	}
-	var view starData
-	if sh != nil {
-		view = sh.star
-	}
-	st.mu.Unlock()
-	return sh, view
-}
-
 // Ingest folds one node observation into the epoch. It runs the single-lock
 // accumulator's record check (checkRecord) against the node's constants and
 // star view as known to this epoch — its own earlier records, or the
@@ -436,31 +497,33 @@ func (ea *EpochAccumulator) resolve(node int32, sh *sharedNode) (*sharedNode, st
 // epoch's draws of that node are dropped and counted); see IngestBatch on
 // the EpochAccumulator.
 func (l *Local) Ingest(rec sample.NodeObservation) error {
-	// The node's constants and star view as this epoch knows them: its
-	// earlier records (own star data first), else the directory entry. The
-	// directory is consulted at most once per record, and not at all for a
-	// re-drawn node whose record carries no star data.
+	ea := l.ea
+	// The node's constants as this epoch knows them: its earlier records,
+	// else the directory. The directory is probed only at a node's first
+	// touch in the epoch.
+	h := hashID(rec.Node, ea.dir.seed)
 	var ln *localNode
-	var sh *sharedNode
-	var view starData
-	if idx, known := l.epoch[rec.Node]; known {
-		ln = &l.nodes[idx]
-		sh, view = ln.sh, ln.own
-		if !view.seen && sh != nil && carriesStar(rec) {
-			_, view = l.ea.resolve(rec.Node, sh)
-		}
+	var e dirEntry
+	var known bool
+	if pos, ok := l.epoch.find(rec.Node, h); ok {
+		ln = &l.nodes[pos]
+		e, known = dirEntry{idx: ln.idx, cat: ln.cat, weight: ln.weight}, true
 	} else {
-		sh, view = l.ea.resolve(rec.Node, nil)
+		e, known = ea.dir.find(rec.Node, h)
 	}
-	var cat int32
-	var weight float64
-	switch {
-	case ln != nil:
-		cat, weight = ln.cat, ln.weight
-	case sh != nil:
-		cat, weight = sh.cat, sh.weight
+	// The star view matters only to a record carrying star data: the
+	// epoch's own star data first, else the directory's view of a node the
+	// directory held at first touch.
+	var view starData
+	if carriesStar(rec) {
+		if ln != nil {
+			view = ln.own
+		}
+		if !view.seen && e.idx >= 0 {
+			view = ea.starView(e.idx)
+		}
 	}
-	w, upgrade, err := checkRecord(&l.ea.cfg, rec, ln != nil || sh != nil, cat, weight, view)
+	w, upgrade, err := checkRecord(&ea.cfg, rec, known, e.cat, e.weight, view)
 	if err != nil {
 		return err
 	}
@@ -473,10 +536,10 @@ func (l *Local) Ingest(rec sample.NodeObservation) error {
 			l.nodes = append(l.nodes, localNode{})
 		}
 		ln = &l.nodes[n]
-		ln.node, ln.cat, ln.weight, ln.sh = rec.Node, rec.Cat, w, sh
+		ln.node, ln.cat, ln.weight, ln.idx = rec.Node, rec.Cat, w, e.idx
 		ln.count = 0
 		ln.own.seen = false
-		l.epoch[rec.Node] = int32(n)
+		l.epoch.add(rec.Node, h, int32(n))
 	}
 	if upgrade.seen {
 		ln.own.seen = true
@@ -487,20 +550,20 @@ func (l *Local) Ingest(rec sample.NodeObservation) error {
 	ln.count++
 	l.recs++
 	l.pending.Store(int64(l.recs))
-	if l.recs >= l.ea.flushEvery {
+	if l.recs >= ea.flushEvery {
 		l.Flush()
 	}
 	return nil
 }
 
-// Flush publishes the epoch: reserves every node's draw interval in the
-// shared directory (phase 1, striped locks), computes the epoch's batched
-// statistics against the reserved intervals in writer-private memory, and
-// merges them into the published view under one short critical section
-// (phase 2). It returns how many records were applied and how many were
-// dropped because their node's constants or star data lost a first-writer
-// race since the epoch validated them (counted under reason
-// "flush_conflict"). Flushing an empty epoch is a cheap no-op.
+// Flush publishes the epoch in three passes (see the architecture comment):
+// reserve every node's draw interval in the shared directory under its
+// stripe lock, compute the epoch's batched statistics against the reserved
+// intervals in writer-private memory, and merge them into the published
+// view under one short critical section. It returns how many records were
+// applied and how many were dropped because their node's constants or star
+// data lost a first-writer race since the epoch validated them (counted
+// under reason "flush_conflict"). Flushing an empty epoch is a cheap no-op.
 func (l *Local) Flush() (applied, dropped int) {
 	if l.recs == 0 {
 		return 0, 0
@@ -508,55 +571,26 @@ func (l *Local) Flush() (applied, dropped int) {
 	t0 := time.Now()
 	ea := l.ea
 	ea.flushGate.RLock()
+	for i := range l.nodes {
+		ln := &l.nodes[i]
+		if !ea.reserve(ln) {
+			dropped += int(ln.count)
+			mRejected.With("flush_conflict").Add(int64(ln.count))
+			ln.count = 0
+		}
+	}
+	t1 := time.Now()
+
+	// Batched epoch math against the reserved intervals, in private memory
+	// — the nonlinear statistics telescope exactly from prev=m (see the
+	// architecture comment).
 	var psi1, psiInv, coll float64
 	for i := range l.nodes {
 		ln := &l.nodes[i]
-		c := ln.count
-
-		// Phase 1 for this node: reserve [m, m+c) and, when the epoch
-		// brought its own star data, reconcile it into the directory. owed
-		// is the upgrade owed to the m earlier draws; view is the star data
-		// the epoch's c draws are credited with.
-		st := ea.stripeFor(ln.node)
-		st.mu.Lock()
-		sh := ln.sh
-		conflict := false
-		if sh == nil {
-			// Unpublished at first touch: insert, or check the constants
-			// a racing writer published in the meantime.
-			if sh = st.nodes[ln.node]; sh == nil {
-				sh = &sharedNode{weight: ln.weight, cat: ln.cat}
-				st.nodes[ln.node] = sh
-				ea.distinct.Add(1)
-			} else {
-				conflict = ln.cat != sh.cat || ln.weight != sh.weight
-			}
-		}
-		var up starData
-		if !conflict && ln.own.seen {
-			var err error
-			up, err = sh.star.reconcile(ln.node, ln.own.deg, ln.own.nbrCat, ln.own.nbrCnt)
-			conflict = err != nil
-		}
-		if conflict {
-			st.mu.Unlock()
-			dropped += int(c)
-			mRejected.With("flush_conflict").Add(int64(c))
+		c, m := ln.count, ln.m
+		if c == 0 {
 			continue
 		}
-		var owed starData
-		if up.seen {
-			owed = up.retro(sh.star)
-			sh.star = up.clone()
-		}
-		m := sh.mult
-		view := sh.star
-		sh.mult += c
-		st.mu.Unlock()
-
-		// Batched epoch math against the reserved interval, in private
-		// memory — the nonlinear statistics telescope exactly from prev=m
-		// (see the architecture comment).
 		w, cat := ln.weight, ln.cat
 		l.sums.AddNode(cat, w, c, m)
 		psi1 += c * w
@@ -565,23 +599,25 @@ func (l *Local) Flush() (applied, dropped int) {
 		if l.reps != nil {
 			l.reps.AddDraws(ln.node, cat, w, c, m)
 		}
-		if view.seen {
-			l.sums.AddStar(cat, w, c, view.deg, view.nbrCat, view.nbrCnt)
-			if l.reps != nil {
-				l.reps.AddStar(ln.node, cat, w, c, view.deg, view.nbrCat, view.nbrCnt)
-			}
-		}
-		if m > 0 && owed.seen {
-			l.sums.AddStar(cat, w, m, owed.deg, owed.nbrCat, owed.nbrCnt)
-			if l.reps != nil {
-				l.reps.AddStar(ln.node, cat, w, m, owed.deg, owed.nbrCat, owed.nbrCnt)
+		if v := ln.view; v != nil {
+			l.addStar(ln, c, v)
+			if m > 0 && v != ln.prev {
+				// The view was upgraded: the m earlier draws, credited with
+				// the previous view, are owed the difference.
+				var old starData
+				if ln.prev != nil {
+					old = *ln.prev
+				}
+				owed := v.retro(old)
+				l.addStar(ln, m, &owed)
 			}
 		}
 		applied += int(c)
 	}
+	t2 := time.Now()
 
-	// Phase 2: one short critical section merges the epoch into the
-	// published view and advances Gen by the applied records.
+	// One short critical section merges the epoch into the published view
+	// and advances Gen by the applied records.
 	ea.mu.Lock()
 	if err := ea.sums.Merge(l.sums); err != nil {
 		// Impossible by construction: the local shares cfg.K and scenario.
@@ -601,18 +637,69 @@ func (l *Local) Flush() (applied, dropped int) {
 	ea.mu.Unlock()
 	ea.flushGate.RUnlock()
 
-	// Reset the epoch in place: every allocation (node slice, map buckets,
+	// Reset the epoch in place: every allocation (node slice, epoch index,
 	// sums slices, replicate grids) is reused.
 	l.sums.Reset()
 	if l.reps != nil {
 		l.reps.Reset()
 	}
-	clear(l.epoch)
+	l.epoch.next()
 	l.nodes = l.nodes[:0]
 	l.recs = 0
 	l.pending.Store(0)
 	mIngested.Add(int64(applied))
 	mFlushes.Inc()
-	mFlushSec.ObserveSince(t0)
+	t3 := time.Now()
+	mFlushReserveSec.Observe(t1.Sub(t0).Seconds())
+	mFlushMathSec.Observe(t2.Sub(t1).Seconds())
+	mFlushPublishSec.Observe(t3.Sub(t2).Seconds())
+	mFlushSec.Observe(t3.Sub(t0).Seconds())
 	return applied, dropped
+}
+
+// reserve is a node's reserve phase: under the node's stripe lock, insert
+// the node if it was absent at first touch (or check its constants against
+// a racing writer's insert), reconcile the epoch's own star data into the
+// directory's view, and reserve the draw interval [m, m+c). It records m
+// and the views in ln and reports false on a conflict.
+func (ea *EpochAccumulator) reserve(ln *localNode) bool {
+	idx := ln.idx
+	if idx < 0 {
+		e, inserted := ea.dir.insert(ln.node, ln.cat, ln.weight)
+		if !inserted && (e.cat != ln.cat || e.weight != ln.weight) {
+			return false
+		}
+		idx = e.idx
+	}
+	st := &ea.stripes[idx&(epochStripes-1)]
+	st.Lock()
+	sh := ea.dir.at(idx)
+	ln.prev = sh.star
+	if ln.own.seen {
+		var old starData
+		if sh.star != nil {
+			old = *sh.star
+		}
+		up, err := old.reconcile(ln.node, ln.own.deg, ln.own.nbrCat, ln.own.nbrCnt)
+		if err != nil {
+			st.Unlock()
+			return false
+		}
+		if up.seen {
+			sd := up.clone()
+			sh.star = &sd
+		}
+	}
+	ln.m, ln.view = sh.mult, sh.star
+	sh.mult += ln.count
+	st.Unlock()
+	return true
+}
+
+// addStar credits c draws of ln's node with star data sd.
+func (l *Local) addStar(ln *localNode, c float64, sd *starData) {
+	l.sums.AddStar(ln.cat, ln.weight, c, sd.deg, sd.nbrCat, sd.nbrCnt)
+	if l.reps != nil {
+		l.reps.AddStar(ln.node, ln.cat, ln.weight, c, sd.deg, sd.nbrCat, sd.nbrCnt)
+	}
 }

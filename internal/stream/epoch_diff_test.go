@@ -109,9 +109,13 @@ func TestEpochDifferentialOracle(t *testing.T) {
 				if !ln.own.seen || blocked[i][ln.node] {
 					continue
 				}
-				sh, view := ea.resolve(ln.node, ln.sh)
+				var mult float64
+				var view starData
+				if e, ok := ea.dir.lookup(ln.node); ok {
+					mult, view = ea.dir.at(e.idx).mult, ea.starView(e.idx)
+				}
 				switch {
-				case sh == nil || sh.mult == 0:
+				case mult == 0:
 				case !view.seen:
 					tally.backfills++
 				case ln.own.deg != view.deg || len(ln.own.nbrCat) != len(view.nbrCat):
@@ -136,8 +140,8 @@ func TestEpochDifferentialOracle(t *testing.T) {
 		// without star data of its own — and the directory holds v's whole
 		// history, no other local having v pending.
 		readsDirectory := func(i int, v int32) bool {
-			idx, ok := locals[i].epoch[v]
-			if !ok || locals[i].nodes[idx].own.seen {
+			pos, ok := locals[i].epoch.find(v, hashID(v, ea.dir.seed))
+			if !ok || locals[i].nodes[pos].own.seen {
 				return false
 			}
 			for j := range locals {

@@ -52,19 +52,19 @@ func (a *Accumulator) Export() (*State, error) {
 // cutLocked fills the generation and distinct count of an export cut; the
 // caller holds a.mu.
 func (a *Accumulator) cutLocked(st *State) {
-	st.Gen, st.Distinct = a.gen.Load(), int64(len(a.nodes))
+	st.Gen, st.Distinct = a.gen.Load(), int64(a.dir.len())
 }
 
 // Export implements Ingester for the epoch-merged accumulator. The cut is
 // taken under the publish mutex: flushes advance the generation inside the
 // same critical section that merges their sums and replicates (see
-// Local.Flush phase 2), so the exported (Sums, Reps, collision scalars, Gen)
+// Local.Flush's publish phase), so the exported (Sums, Reps, collision scalars, Gen)
 // are mutually consistent — a flush is either fully in the cut or fully
 // outside it. Records sitting in unflushed Locals are not exported, matching
 // the flush-visibility contract of Snapshot. Distinct is informational (see
 // State.Distinct).
 func (ea *EpochAccumulator) Export() (*State, error) {
 	return ea.export(ea.cfg, func(st *State) {
-		st.Gen, st.Distinct = ea.gen.Load(), ea.distinct.Load()
+		st.Gen, st.Distinct = ea.gen.Load(), int64(ea.dir.len())
 	})
 }

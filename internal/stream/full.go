@@ -68,17 +68,14 @@ func (a *Accumulator) ExportFull() (*FullState, error) {
 	var nodes []NodeRecord
 	st, err := a.export(a.cfg, func(st *State) {
 		a.cutLocked(st)
-		nodes = make([]NodeRecord, len(a.byIdx))
-		for i, ns := range a.byIdx {
+		nodes = make([]NodeRecord, a.dir.len())
+		for i := range nodes {
+			ns := a.dir.at(int32(i))
 			nr := &nodes[i]
 			nr.Node, nr.Cat, nr.Mult, nr.Weight = ns.id, ns.cat, ns.mult, ns.weight
-			if sd := ns.star; sd != nil {
-				nr.StarSeen, nr.Deg = sd.seen, sd.deg
-				nr.NbrCat = append([]int32(nil), sd.nbrCat...)
-				nr.NbrCnt = append([]float64(nil), sd.nbrCnt...)
-			}
+			nr.setStar(ns.star)
 			for _, p := range ns.peers {
-				nr.Peers = append(nr.Peers, a.byIdx[p].id)
+				nr.Peers = append(nr.Peers, a.dir.at(p).id)
 			}
 		}
 	})
@@ -91,14 +88,14 @@ func (a *Accumulator) ExportFull() (*FullState, error) {
 
 // ExportFull returns the epoch-merged accumulator's complete resumable
 // state. Consistency needs more than the publish mutex here: a flush
-// reserves draw intervals in the striped directory (phase 1) before merging
-// the epoch's sums (phase 2), so between the phases the directory runs ahead
-// of the published view. ExportFull therefore takes the accumulator's
-// flush gate exclusively — flushes hold it shared for the phase-1→phase-2
-// span — so the cut sees no flush mid-flight and the directory, sums,
-// replicates and generation all agree. Records in unflushed Locals are not
-// exported (the flush-visibility contract); ingest into Locals is never
-// blocked, only flushes wait out the copy.
+// reserves draw intervals in the directory (its reserve phase) before
+// merging the epoch's sums (its publish phase), so between the phases the
+// directory runs ahead of the published view. ExportFull therefore takes
+// the accumulator's flush gate exclusively — flushes hold it shared from
+// reserve through publish — so the cut sees no flush mid-flight and the
+// directory, sums, replicates and generation all agree. Records in
+// unflushed Locals are not exported (the flush-visibility contract); ingest
+// into Locals is never blocked, only flushes wait out the copy.
 func (ea *EpochAccumulator) ExportFull() (*FullState, error) {
 	ea.flushGate.Lock()
 	defer ea.flushGate.Unlock()
@@ -106,22 +103,35 @@ func (ea *EpochAccumulator) ExportFull() (*FullState, error) {
 	if err != nil {
 		return nil, err
 	}
-	nodes := make([]NodeRecord, 0, st.Distinct)
-	for i := range ea.stripes {
-		stp := &ea.stripes[i]
-		stp.mu.Lock()
-		for id, sh := range stp.nodes {
-			nodes = append(nodes, NodeRecord{
-				Node: id, Cat: sh.cat, Mult: sh.mult, Weight: sh.weight,
-				StarSeen: sh.star.seen, Deg: sh.star.deg,
-				NbrCat: append([]int32(nil), sh.star.nbrCat...),
-				NbrCnt: append([]float64(nil), sh.star.nbrCnt...),
-			})
-		}
-		stp.mu.Unlock()
-	}
+	nodes := make([]NodeRecord, 0, ea.dir.len())
+	ea.dir.each(func(id int32, e dirEntry) {
+		sh := ea.dir.at(e.idx)
+		nr := NodeRecord{Node: id, Cat: e.cat, Mult: sh.mult, Weight: e.weight}
+		nr.setStar(sh.star)
+		nodes = append(nodes, nr)
+	})
 	sortNodeRecords(nodes)
 	return &FullState{State: st, Nodes: nodes}, nil
+}
+
+// setStar copies star data sd (nil when none arrived) into the record.
+func (nr *NodeRecord) setStar(sd *starData) {
+	if sd != nil {
+		nr.StarSeen, nr.Deg = sd.seen, sd.deg
+		nr.NbrCat = append([]int32(nil), sd.nbrCat...)
+		nr.NbrCnt = append([]float64(nil), sd.nbrCnt...)
+	}
+}
+
+// star returns the record's star data as the accumulators store it: nil
+// when none arrived.
+func (nr *NodeRecord) star() *starData {
+	if !nr.StarSeen {
+		return nil
+	}
+	return &starData{seen: true, deg: nr.Deg,
+		nbrCat: append([]int32(nil), nr.NbrCat...),
+		nbrCnt: append([]float64(nil), nr.NbrCnt...)}
 }
 
 func sortNodeRecords(nodes []NodeRecord) {
@@ -217,20 +227,14 @@ func RestoreAccumulator(cfg Config, fs *FullState) (*Accumulator, error) {
 	if err := a.restore(fs.State); err != nil {
 		return nil, err
 	}
-	a.byIdx = make([]*nodeState, len(fs.Nodes))
 	for i := range fs.Nodes {
 		nr := &fs.Nodes[i]
-		if _, dup := a.nodes[nr.Node]; dup {
+		e, fresh := a.dir.insert(nr.Node, nr.Cat, nr.Weight)
+		if !fresh {
 			return nil, fmt.Errorf("stream: restore: duplicate node record %d", nr.Node)
 		}
-		ns := &nodeState{mult: nr.Mult, weight: nr.Weight, cat: nr.Cat, id: nr.Node}
-		if cfg.Star {
-			ns.star = &starData{seen: nr.StarSeen, deg: nr.Deg,
-				nbrCat: append([]int32(nil), nr.NbrCat...),
-				nbrCnt: append([]float64(nil), nr.NbrCnt...)}
-		}
-		a.nodes[nr.Node] = int32(i)
-		a.byIdx[i] = ns
+		ns := a.dir.at(e.idx)
+		ns.mult, ns.weight, ns.cat, ns.id, ns.star = nr.Mult, nr.Weight, nr.Cat, nr.Node, nr.star()
 	}
 	if err := a.restorePeers(fs.Nodes); err != nil {
 		return nil, err
@@ -239,32 +243,33 @@ func RestoreAccumulator(cfg Config, fs *FullState) (*Accumulator, error) {
 	return a, nil
 }
 
-// restorePeers translates the records' peer ids into byIdx indices and
+// restorePeers translates the records' peer ids into dense indices and
 // checks that the lists form a simple undirected graph on the restored
 // nodes: every peer is another restored node, listed once, that lists the
 // node back. A re-draw replays its mass over these lists, so a broken one
 // would corrupt the sums or reach a node that does not exist. The check
-// sorts the directed edges once and looks up each one's reverse.
+// sorts the directed edges once and looks up each one's reverse. The
+// records' dense indices are their positions in nodes.
 func (a *Accumulator) restorePeers(nodes []NodeRecord) error {
 	var edges []uint64
 	for i := range nodes {
 		nr := &nodes[i]
-		ns := a.byIdx[i]
+		ns := a.dir.at(int32(i))
 		for _, p := range nr.Peers {
-			pi, ok := a.nodes[p]
+			pe, ok := a.dir.lookup(p)
 			switch {
 			case !ok:
 				return fmt.Errorf("stream: restore: node %d lists peer %d, which is not a restored node", nr.Node, p)
 			case p == nr.Node:
 				return fmt.Errorf("stream: restore: node %d lists itself as a peer", nr.Node)
 			}
-			ns.peers = append(ns.peers, pi)
-			edges = append(edges, uint64(i)<<32|uint64(pi))
+			ns.peers = append(ns.peers, pe.idx)
+			edges = append(edges, uint64(i)<<32|uint64(pe.idx))
 		}
 	}
 	slices.Sort(edges)
 	for j, e := range edges {
-		from, to := a.byIdx[e>>32].id, a.byIdx[uint32(e)].id
+		from, to := nodes[e>>32].Node, nodes[uint32(e)].Node
 		if j > 0 && edges[j-1] == e {
 			return fmt.Errorf("stream: restore: node %d lists peer %d twice", from, to)
 		}
@@ -293,18 +298,12 @@ func RestoreEpochAccumulator(cfg Config, flushEvery int, fs *FullState) (*EpochA
 	}
 	for i := range fs.Nodes {
 		nr := &fs.Nodes[i]
-		stp := ea.stripeFor(nr.Node)
-		if _, dup := stp.nodes[nr.Node]; dup {
+		e, fresh := ea.dir.insert(nr.Node, nr.Cat, nr.Weight)
+		if !fresh {
 			return nil, fmt.Errorf("stream: restore: duplicate node record %d", nr.Node)
 		}
-		stp.nodes[nr.Node] = &sharedNode{
-			mult: nr.Mult, weight: nr.Weight, cat: nr.Cat,
-			star: starData{seen: nr.StarSeen, deg: nr.Deg,
-				nbrCat: append([]int32(nil), nr.NbrCat...),
-				nbrCnt: append([]float64(nil), nr.NbrCnt...)},
-		}
+		*ea.dir.at(e.idx) = sharedNode{mult: nr.Mult, star: nr.star()}
 	}
-	ea.distinct.Store(int64(len(fs.Nodes)))
 	ea.gen.Store(fs.State.Gen)
 	return ea, nil
 }

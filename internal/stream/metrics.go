@@ -33,6 +33,12 @@ var (
 	mFlushSec = obs.NewHistogram("stream_epoch_flush_seconds",
 		"Latency of publishing one epoch (reserve + batched statistics + merge).",
 		obs.LatencyBuckets())
+	mFlushPhaseSec = obs.NewHistogramVec("stream_epoch_flush_phase_seconds",
+		"Latency of one phase of an epoch flush: reserve (directory reservation and star reconcile), math (batched statistics and replicate increments) or publish (merge into the published view and epoch reset).",
+		obs.LatencyBuckets(), "phase")
+	mFlushReserveSec = mFlushPhaseSec.With("reserve")
+	mFlushMathSec    = mFlushPhaseSec.With("math")
+	mFlushPublishSec = mFlushPhaseSec.With("publish")
 )
 
 // IngestedTotal reports the process-wide count of successfully ingested

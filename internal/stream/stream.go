@@ -69,11 +69,14 @@ type Config struct {
 	Replicates uncert.Config
 }
 
-// nodeState is what the accumulator remembers about one distinct node: the
-// per-node constants the estimators re-weight on every draw, plus — per
-// scenario — the node's star record or its incident observed edges. The
-// star data sits behind a pointer that is nil in induced accumulators, so
-// an induced node costs 64 bytes here plus its peer list.
+// nodeState is what the single-lock accumulator remembers about one
+// distinct node, in the directory's dense per-node state: the per-node
+// constants the estimators re-weight on every draw (copied beside the
+// multiplicity, so an induced edge replay reads a peer's mult, weight, cat
+// and row from one contiguous record), plus — per scenario — the node's
+// star data or its incident observed edges. The star data is nil until
+// star data arrives, and always in induced accumulators, so an induced
+// node costs 64 bytes here plus its peer list.
 type nodeState struct {
 	mult   float64
 	weight float64
@@ -89,7 +92,7 @@ type nodeState struct {
 	// counts, recorded at first observation (as in the batch Observation).
 	star *starData
 
-	// Induced scenario: byIdx indices of the distinct observed peers, so a
+	// Induced scenario: dense indices of the distinct observed peers, so a
 	// re-draw can replay its marginal mass over every incident edge of G[S]
 	// without a directory lookup per edge.
 	peers []int32
@@ -137,14 +140,12 @@ type Ingester interface {
 
 // Accumulator ingests a stream of node observations and serves estimates.
 type Accumulator struct {
-	// view is the published state; its mutex also guards the node table
+	// view is the published state; its mutex also guards the node states
 	// and the rows, so a record is applied in one critical section.
 	view
 	cfg Config
-	// nodes maps a node id to its index in byIdx, the dense node table
-	// that induced peer lists point into.
-	nodes map[int32]int32
-	byIdx []*nodeState
+	// dir is the node directory; induced peer lists hold its dense indices.
+	dir *directory[nodeState]
 	// rows holds the packed bootstrap weight rows of induced nodes
 	// (uncert.FillRow), so replaying an edge reads its far endpoint's
 	// weights instead of hashing them.
@@ -158,7 +159,7 @@ type Accumulator struct {
 
 // NewAccumulator returns an empty accumulator for the given configuration.
 func NewAccumulator(cfg Config) (*Accumulator, error) {
-	a := &Accumulator{cfg: cfg, nodes: make(map[int32]int32), rows: newRowArena(cfg.Replicates.B)}
+	a := &Accumulator{cfg: cfg, dir: newDirectory[nodeState](), rows: newRowArena(cfg.Replicates.B)}
 	if err := a.init(cfg); err != nil {
 		return nil, err
 	}
@@ -176,11 +177,7 @@ func (a *Accumulator) Draws() int {
 }
 
 // Distinct returns the number of distinct nodes observed so far.
-func (a *Accumulator) Distinct() int {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return len(a.nodes)
-}
+func (a *Accumulator) Distinct() int { return a.dir.len() }
 
 // Gen implements Ingester: the monotone ingest generation, readable without
 // the accumulator lock.
@@ -347,63 +344,62 @@ func carriesStar(rec sample.NodeObservation) bool {
 }
 
 func (a *Accumulator) ingestLocked(rec sample.NodeObservation) error {
-	idx, known := a.nodes[rec.Node]
+	e, known := a.dir.lookup(rec.Node)
 	var ns *nodeState
 	var view starData
 	if known {
-		ns = a.byIdx[idx]
+		ns = a.dir.at(e.idx)
 		if ns.star != nil {
 			view = *ns.star
 		}
-	} else {
-		ns = &nodeState{cat: rec.Cat, id: rec.Node}
-		if a.cfg.Star {
-			ns.star = &starData{}
-		}
 	}
-	w, up, err := checkRecord(&a.cfg, rec, known, ns.cat, ns.weight, view)
+	w, up, err := checkRecord(&a.cfg, rec, known, e.cat, e.weight, view)
 	if err != nil {
 		return err
 	}
 	// Validate induced peers before mutating anything.
 	var newPeers []int32
 	if !a.cfg.Star && len(rec.Peers) > 0 {
+		var have []int32
+		if ns != nil {
+			have = ns.peers
+		}
 		for _, p := range rec.Peers {
 			if p == rec.Node {
 				continue // self-loop
 			}
-			pi, ok := a.nodes[p]
+			pe, ok := a.dir.lookup(p)
 			if !ok {
 				return reject("unknown_peer", "stream: peer %d of node %d not yet observed", p, rec.Node)
 			}
 			// Skip already-known edges and duplicates within this record's
 			// own peer list.
-			if contains(ns.peers, pi) || contains(newPeers, pi) {
+			if contains(have, pe.idx) || contains(newPeers, pe.idx) {
 				continue
 			}
-			newPeers = append(newPeers, pi)
+			newPeers = append(newPeers, pe.idx)
 		}
 	}
 
+	if !known {
+		e, _ = a.dir.insert(rec.Node, rec.Cat, w)
+		ns = a.dir.at(e.idx)
+		ns.cat, ns.weight, ns.id = rec.Cat, w, rec.Node
+	}
 	// Star data that adds to the node's view — late star data, a degree
 	// upgrade, adopted counts — is recorded, and the node's earlier draws,
 	// which were credited with the old view, are owed the difference, so
 	// the estimate matches the batch path regardless of delivery order.
 	if up.seen {
 		if ns.mult > 0 {
-			owed := up.retro(*ns.star)
+			owed := up.retro(view)
 			a.sums.AddStar(ns.cat, ns.weight, ns.mult, owed.deg, owed.nbrCat, owed.nbrCnt)
 			if a.reps != nil {
 				a.reps.AddStar(rec.Node, ns.cat, ns.weight, ns.mult, owed.deg, owed.nbrCat, owed.nbrCnt)
 			}
 		}
-		*ns.star = up.clone()
-	}
-	if !known {
-		ns.weight = w
-		idx = int32(len(a.byIdx))
-		a.nodes[rec.Node] = idx
-		a.byIdx = append(a.byIdx, ns)
+		sd := up.clone()
+		ns.star = &sd
 	}
 	prev := ns.mult
 	ns.mult++
@@ -416,7 +412,10 @@ func (a *Accumulator) ingestLocked(rec sample.NodeObservation) error {
 	}
 
 	if a.cfg.Star {
-		sd := ns.star
+		var sd starData
+		if ns.star != nil {
+			sd = *ns.star
+		}
 		a.sums.AddStar(ns.cat, ns.weight, 1, sd.deg, sd.nbrCat, sd.nbrCnt)
 		if a.reps != nil {
 			a.reps.AddStar(rec.Node, ns.cat, ns.weight, 1, sd.deg, sd.nbrCat, sd.nbrCnt)
@@ -428,7 +427,7 @@ func (a *Accumulator) ingestLocked(rec sample.NodeObservation) error {
 	// mass of every incident observed edge by m_peer/(w·w_peer)…
 	if prev > 0 {
 		for _, p := range ns.peers {
-			ps := a.byIdx[p]
+			ps := a.dir.at(p)
 			mass := ps.mult / (ns.weight * ps.weight)
 			a.sums.AddEdgeMass(ns.cat, ps.cat, mass)
 			if a.reps != nil {
@@ -438,9 +437,9 @@ func (a *Accumulator) ingestLocked(rec sample.NodeObservation) error {
 	}
 	// …and newly visible edges contribute their full product mass.
 	for _, p := range newPeers {
-		ps := a.byIdx[p]
+		ps := a.dir.at(p)
 		ns.peers = append(ns.peers, p)
-		ps.peers = append(ps.peers, idx)
+		ps.peers = append(ps.peers, e.idx)
 		mass := ns.mult * ps.mult / (ns.weight * ps.weight)
 		a.sums.AddEdgeMass(ns.cat, ps.cat, mass)
 		if a.reps != nil {
@@ -555,7 +554,7 @@ func (s *Snapshot) Weights() *core.PairWeights { return s.Result.Weights }
 // accumulator and propagates estimator errors (e.g. a star size method on an
 // induced stream).
 func (a *Accumulator) Snapshot() (*Snapshot, error) {
-	return a.snapshot(a.cfg, func() int { return len(a.nodes) })
+	return a.snapshot(a.cfg, a.Distinct)
 }
 
 // convergeFrom compares an estimate against the previous snapshot's sizes

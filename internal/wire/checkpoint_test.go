@@ -2,9 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"math"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/sample"
@@ -419,5 +421,98 @@ func TestCheckpointResumeInducedBootstrap(t *testing.T) {
 	ingest(tail, recs[cut:])
 	if !bytes.Equal(encode(whole), encode(tail)) {
 		t.Fatalf("resumed at record %d: TOPOSUM1 bytes differ from the uninterrupted run", cut)
+	}
+}
+
+// TestCheckpointRoundTripHostileIDs sends 200,000 distinct node ids from
+// the whole int32 range — negatives, math.MinInt32 and math.MaxInt32
+// included — through TOPOCKP1 export → restore → export on both engines:
+// the frames must be byte-identical, and the single-lock and epoch frames
+// of the same stream agree on every node record.
+func TestCheckpointRoundTripHostileIDs(t *testing.T) {
+	r := rand.New(rand.NewPCG(11, 13))
+	seen := map[int32]bool{math.MinInt32: true, math.MaxInt32: true, -1: true, 0: true}
+	ids := []int32{math.MinInt32, math.MaxInt32, -1, 0}
+	for len(ids) < 200_000 {
+		if v := int32(r.Uint32()); !seen[v] {
+			seen[v] = true
+			ids = append(ids, v)
+		}
+	}
+	cfg := stream.Config{K: 4, Star: true}
+	recs := make([]sample.NodeObservation, 0, len(ids)+len(ids)/4)
+	for i, v := range ids {
+		c := int32(uint32(v) % 4)
+		rec := sample.NodeObservation{Node: v, Cat: c, Weight: 1 + float64(uint32(v)%5)/8}
+		if i%3 != 0 {
+			rec.Deg = float64(2 + uint32(v)%6)
+			rec.NbrCat, rec.NbrCnt = []int32{(c + 1) % 4}, []float64{2}
+		}
+		recs = append(recs, rec)
+		if i%4 == 0 {
+			recs = append(recs, rec) // a re-draw
+		}
+	}
+	frameOf := func(acc stream.FullExporter) []byte {
+		t.Helper()
+		fs, err := acc.ExportFull()
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame, err := EncodeCheckpoint(&Checkpoint{Name: "hostile", Gen: fs.State.Gen, State: fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame
+	}
+	acc, err := stream.NewAccumulator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ea, err := stream.NewEpochAccumulator(cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ing := range []stream.Ingester{acc, ea} {
+		if n, err := ing.IngestBatch(recs); err != nil {
+			t.Fatalf("record %d: %v", n, err)
+		}
+	}
+	single, epoch := frameOf(acc), frameOf(ea)
+	for _, c := range []struct {
+		name    string
+		frame   []byte
+		restore func(*stream.FullState) (stream.FullExporter, error)
+	}{
+		{"single-lock", single, func(fs *stream.FullState) (stream.FullExporter, error) { return stream.RestoreAccumulator(cfg, fs) }},
+		{"epoch", epoch, func(fs *stream.FullState) (stream.FullExporter, error) {
+			return stream.RestoreEpochAccumulator(cfg, 0, fs)
+		}},
+	} {
+		cp, _, err := DecodeCheckpoint(c.frame)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		restored, err := c.restore(cp.State)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if restored.Distinct() != len(ids) {
+			t.Fatalf("%s: restored %d distinct nodes, want %d", c.name, restored.Distinct(), len(ids))
+		}
+		if !bytes.Equal(c.frame, frameOf(restored)) {
+			t.Fatalf("%s: checkpoint → restore → checkpoint is not byte-stable", c.name)
+		}
+	}
+	a, _, err := DecodeCheckpoint(single)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, err := DecodeCheckpoint(epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a.State.Nodes, b.State.Nodes) {
+		t.Fatal("single-lock and epoch frames disagree on the node records")
 	}
 }
