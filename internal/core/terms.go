@@ -105,7 +105,8 @@ func (s *Sums) AddNode(cat int32, weight, count, prev float64) {
 
 // AddStar folds the star-scenario terms of count draws of one node: its
 // degree and its neighbor category counts (as produced by ObserveStar —
-// uncategorized neighbors excluded). Call alongside AddNode.
+// uncategorized neighbors excluded). Call alongside AddNode. StarFold
+// credits the same terms of many nodes at once, by category row.
 func (s *Sums) AddStar(cat int32, weight, count, deg float64, nbrCat []int32, nbrCnt []float64) {
 	t := count * deg / weight
 	s.DegNum += t

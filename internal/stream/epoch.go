@@ -40,7 +40,13 @@ import (
 //     to the directory's view; otherwise the epoch's draws are credited
 //     with the directory's current view.
 //  2. math — the epoch's batched statistics against the reserved intervals,
-//     in writer-private memory.
+//     in writer-private memory. The star terms of the credited nodes (and
+//     the owed term of a late-star or degree-retrofit node) are queued and
+//     folded by category row (core.StarFold): the nodes of category A sum
+//     their neighbor-category counts into one K-length scratch, and each
+//     touched (A,B) reaches the pair table once per epoch rather than once
+//     per node. Replicate star terms stay per node, as their weights differ
+//     per node.
 //  3. publish — under the accumulator's single mutex: merge the epoch's
 //     core.Sums and bootstrap replicates (core.Sums.Merge /
 //     uncert.Replicates.Merge) and the collision scalars, then advance Gen
@@ -80,6 +86,11 @@ const epochStripes = 64
 // flush to noise, small enough to keep the published view fresh and the
 // epoch's node map cache-resident.
 const defaultFlushEvery = 1024
+
+// pendingEvery is how many records a Local ingests between stores of its
+// pending-records mirror: an atomic store per record is a locked exchange
+// on amd64, paid only to feed a gauge.
+const pendingEvery = 64
 
 // starData is one node's reconciled star data: its (possibly counts-derived)
 // degree and canonical neighbor-category counts. seen marks that any star
@@ -411,13 +422,16 @@ type Local struct {
 
 	// pending mirrors recs atomically for the stream_local_pending_records
 	// gauge (written only by the owning writer, read by the metrics
-	// scraper).
+	// scraper). It is stored every pendingEvery records and at flush, not
+	// per record, so the gauge lags by at most pendingEvery−1 records per
+	// Local.
 	pending core.PaddedInt64
 
-	// sums/reps are the flush scratch: zeroed between epochs (Reset), so a
-	// steady-state flush allocates nothing.
+	// sums/reps/fold are the flush scratch: zeroed between epochs (Reset,
+	// Fold), so a steady-state flush allocates nothing.
 	sums *core.Sums
 	reps *uncert.Replicates
+	fold *core.StarFold
 
 	registered bool
 }
@@ -431,7 +445,7 @@ var localRegistry = struct {
 
 func init() {
 	obs.NewGaugeFunc("stream_local_pending_records",
-		"Records accepted by live epoch locals but not yet flushed into a published view.",
+		"Records accepted by live epoch locals but not yet flushed into a published view (each local publishes its count every 64 records and at flush).",
 		func() float64 {
 			localRegistry.Lock()
 			defer localRegistry.Unlock()
@@ -455,6 +469,7 @@ func (ea *EpochAccumulator) newLocal(register bool) *Local {
 		ea:    ea,
 		epoch: epochIndex{gen: 1, seed: ea.dir.seed},
 		sums:  core.NewSums(ea.cfg.K, true),
+		fold:  core.NewStarFold(ea.cfg.K),
 	}
 	if ea.reps != nil {
 		// Same config as the published replicates, so Merge cannot fail.
@@ -549,7 +564,9 @@ func (l *Local) Ingest(rec sample.NodeObservation) error {
 	}
 	ln.count++
 	l.recs++
-	l.pending.Store(int64(l.recs))
+	if l.recs%pendingEvery == 0 {
+		l.pending.Store(int64(l.recs))
+	}
 	if l.recs >= ea.flushEvery {
 		l.Flush()
 	}
@@ -614,6 +631,7 @@ func (l *Local) Flush() (applied, dropped int) {
 		}
 		applied += int(c)
 	}
+	l.fold.Fold(l.sums)
 	t2 := time.Now()
 
 	// One short critical section merges the epoch into the published view
@@ -696,9 +714,11 @@ func (ea *EpochAccumulator) reserve(ln *localNode) bool {
 	return true
 }
 
-// addStar credits c draws of ln's node with star data sd.
+// addStar credits c draws of ln's node with star data sd: it queues the
+// primary terms for the epoch's fold and adds the replicate terms, whose
+// weights differ per node.
 func (l *Local) addStar(ln *localNode, c float64, sd *starData) {
-	l.sums.AddStar(ln.cat, ln.weight, c, sd.deg, sd.nbrCat, sd.nbrCnt)
+	l.fold.Add(ln.cat, ln.weight, c, sd.deg, sd.nbrCat, sd.nbrCnt)
 	if l.reps != nil {
 		l.reps.AddStar(ln.node, ln.cat, ln.weight, c, sd.deg, sd.nbrCat, sd.nbrCnt)
 	}

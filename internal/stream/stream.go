@@ -150,6 +150,9 @@ type Accumulator struct {
 	// (uncert.FillRow), so replaying an edge reads its far endpoint's
 	// weights instead of hashing them.
 	rows rowArena
+	// newPeers is ingestLocked's reused buffer for a record's newly
+	// observed peers (dense indices), guarded like the node states.
+	newPeers []int32
 
 	// gen advances once per successfully applied record, inside the
 	// critical section, so an Ingest call that returned has published its
@@ -360,6 +363,7 @@ func (a *Accumulator) ingestLocked(rec sample.NodeObservation) error {
 	// Validate induced peers before mutating anything.
 	var newPeers []int32
 	if !a.cfg.Star && len(rec.Peers) > 0 {
+		newPeers = a.newPeers[:0]
 		var have []int32
 		if ns != nil {
 			have = ns.peers
@@ -379,6 +383,7 @@ func (a *Accumulator) ingestLocked(rec sample.NodeObservation) error {
 			}
 			newPeers = append(newPeers, pe.idx)
 		}
+		a.newPeers = newPeers
 	}
 
 	if !known {
