@@ -2,30 +2,86 @@ package core
 
 // StarFold credits the star terms of many nodes to a Sums by category row.
 // The star numerator of Eq. (9)/(16) is a row sum, Σ_{a∈S_A} |E_{a,B}|/w(a):
-// Fold groups the queued nodes by category (a counting sort over the
-// categories the queue touches), sums the neighbor rows of each category A
-// into one dense K-length scratch, and credits each category's row with one
-// AddStar call, so each touched (A,B) reaches the pair table once per fold
-// instead of once per node. The result equals per-node AddStar up to float
-// reassociation and stores the same pair set.
+// Fold groups the queued nodes by category (CatGroups), sums the neighbor
+// rows of each category A into one dense K-length scratch, and credits each
+// category's row with one AddStar call, so each touched (A,B) reaches the
+// pair table once per fold instead of once per node. The result equals
+// per-node AddStar up to float reassociation and stores the same pair set.
 //
 // The scratch is O(K), allocated once. A fold touches only the categories,
 // row cells and terms its queue touched, so a sparse fold over a large K
 // does no O(K) work. A StarFold is not safe for concurrent use.
 type StarFold struct {
-	terms []starTerm
-	// order holds term indices grouped by category. start[c+1] counts the
-	// queued terms of category c (graph.None at 0), then marks where its
-	// group begins; it is zero again after every Fold.
-	order []int32
-	start []int32
-	cats  []int32 // categories of the queued terms, in first-queued order
+	terms  []starTerm
+	groups *CatGroups
 	// row is the current category's neighbor row: row[b] belongs to it
 	// only when its stamp is gen. nbrs lists those b, mass their masses.
 	row  []rowCell
 	gen  uint32
 	nbrs []int32
 	mass []float64
+}
+
+// CatGroups orders queued items by category: a counting sort over the
+// categories the queue touches, stable in queue order, so the items of one
+// category are folded together. Its scratch is O(K), allocated once, and a
+// sort touches only the categories queued, so a sparse queue over a large
+// K does no O(K) work. The replicate fold of internal/uncert shares it.
+type CatGroups struct {
+	of []int32 // each queued item's category
+	// start[c+1] counts the queued items of category c (graph.None at 0),
+	// then marks where its group begins; it is zero again after Each.
+	start []int32
+	cats  []int32 // queued categories, in first-queued order
+	order []int32
+}
+
+// NewCatGroups returns an empty queue over k categories.
+func NewCatGroups(k int) *CatGroups {
+	return &CatGroups{start: make([]int32, k+1)}
+}
+
+// Add queues the next item, of category cat (graph.None allowed). Items are
+// numbered from 0 in queue order.
+func (g *CatGroups) Add(cat int32) {
+	g.of = append(g.of, cat)
+	if g.start[cat+1] == 0 {
+		g.cats = append(g.cats, cat)
+	}
+	g.start[cat+1]++
+}
+
+// Each calls fn once per queued category, in first-queued order, with the
+// numbers of its items in queue order, and empties the queue. items is
+// valid only during the call.
+func (g *CatGroups) Each(fn func(cat int32, items []int32)) {
+	// Counting sort: turn the counts into group ends, then place the items
+	// back to front, which leaves start at each group's beginning.
+	var end int32
+	for _, c := range g.cats {
+		end += g.start[c+1]
+		g.start[c+1] = end
+	}
+	if cap(g.order) < len(g.of) {
+		g.order = make([]int32, len(g.of), cap(g.of))
+	}
+	order := g.order[:len(g.of)]
+	for i := len(g.of) - 1; i >= 0; i-- {
+		c := g.of[i] + 1
+		g.start[c]--
+		order[g.start[c]] = int32(i)
+	}
+	for j, c := range g.cats {
+		lo, hi := g.start[c+1], int32(len(order))
+		if j+1 < len(g.cats) {
+			hi = g.start[g.cats[j+1]+1]
+		}
+		fn(c, order[lo:hi])
+	}
+	for _, c := range g.cats {
+		g.start[c+1] = 0
+	}
+	g.of, g.cats = g.of[:0], g.cats[:0]
 }
 
 // rowCell is one cell of StarFold's row. The mass and its stamp share a
@@ -36,9 +92,8 @@ type rowCell struct {
 }
 
 // starTerm is one queued node's star terms: AddStar's arguments with r =
-// count/weight and t = count·deg/weight.
+// count/weight and t = count·deg/weight (its category is queued in groups).
 type starTerm struct {
-	cat    int32
 	r, t   float64
 	nbrCat []int32
 	nbrCnt []float64
@@ -47,8 +102,8 @@ type starTerm struct {
 // NewStarFold returns an empty fold over k categories.
 func NewStarFold(k int) *StarFold {
 	return &StarFold{
-		start: make([]int32, k+1),
-		row:   make([]rowCell, k),
+		groups: NewCatGroups(k),
+		row:    make([]rowCell, k),
 	}
 }
 
@@ -63,37 +118,13 @@ func (f *StarFold) Add(cat int32, weight, count, deg float64, nbrCat []int32, nb
 		f.terms = append(f.terms, starTerm{})
 	}
 	tm := &f.terms[n]
-	tm.cat, tm.r, tm.t, tm.nbrCat, tm.nbrCnt = cat, count/weight, count*deg/weight, nbrCat, nbrCnt
-	if f.start[cat+1] == 0 {
-		f.cats = append(f.cats, cat)
-	}
-	f.start[cat+1]++
+	tm.r, tm.t, tm.nbrCat, tm.nbrCnt = count/weight, count*deg/weight, nbrCat, nbrCnt
+	f.groups.Add(cat)
 }
 
 // Fold credits every queued term to s and empties the queue.
 func (f *StarFold) Fold(s *Sums) {
-	// Counting sort: turn the counts into group ends, then place the terms
-	// back to front, which leaves start at each group's beginning.
-	var end int32
-	for _, c := range f.cats {
-		end += f.start[c+1]
-		f.start[c+1] = end
-	}
-	if cap(f.order) < len(f.terms) {
-		f.order = make([]int32, len(f.terms), cap(f.terms))
-	}
-	order := f.order[:len(f.terms)]
-	for i := len(f.terms) - 1; i >= 0; i-- {
-		c := f.terms[i].cat + 1
-		f.start[c]--
-		order[f.start[c]] = int32(i)
-	}
-
-	for j, a := range f.cats {
-		lo, hi := f.start[a+1], int32(len(order))
-		if j+1 < len(f.cats) {
-			hi = f.start[f.cats[j+1]+1]
-		}
+	f.groups.Each(func(a int32, items []int32) {
 		f.gen++
 		if f.gen == 0 {
 			// The stamps wrapped: clear them so none matches the new one.
@@ -102,7 +133,7 @@ func (f *StarFold) Fold(s *Sums) {
 		}
 		var deg float64
 		nbrs := f.nbrs[:0]
-		for _, i := range order[lo:hi] {
+		for _, i := range items {
 			tm := &f.terms[i]
 			deg += tm.t
 			for k, b := range tm.nbrCat {
@@ -123,9 +154,7 @@ func (f *StarFold) Fold(s *Sums) {
 		// (x·1 and x/1 are exact), so both paths credit through one formula.
 		s.AddStar(a, 1, 1, deg, nbrs, mass)
 		f.nbrs, f.mass = nbrs, mass
-		f.start[a+1] = 0
-	}
+	})
 	clear(f.terms) // drop the references to the count slices
 	f.terms = f.terms[:0]
-	f.cats = f.cats[:0]
 }

@@ -143,6 +143,7 @@ func TestCrawlWithinTargetStops(t *testing.T) {
 // configured the crawl runs to exactly MaxDraws and reports ReasonBudget.
 func TestCrawlBudgetStop(t *testing.T) {
 	g := paperGraph(t)
+	walks0 := mWalkSec.Count()
 	c, err := Start(g, nil, Config{
 		Walkers: 3, Star: true, N: float64(g.N()), Seed: 3,
 		MaxDraws: 500, CheckEvery: 200,
@@ -162,6 +163,11 @@ func TestCrawlBudgetStop(t *testing.T) {
 	}
 	if res.Snapshot.Draws != 500 {
 		t.Fatalf("snapshot draws = %d", res.Snapshot.Draws)
+	}
+	// Every walker draws in every round: one crawl_walk_seconds sample per
+	// walker and round.
+	if got := mWalkSec.Count() - walks0; got != 3*3 {
+		t.Fatalf("crawl_walk_seconds observed %d walker rounds, want 9", got)
 	}
 	// MinDraws defers a reachable target past the budget.
 	c2, err := Start(g, nil, Config{

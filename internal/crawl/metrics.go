@@ -12,12 +12,18 @@ import (
 // checkpoint — topoestd runs at most one job at a time, so "latest
 // checkpoint" and "the running job" coincide there. The only per-draw cost
 // is one striped atomic add (mDraws); everything else updates at round
-// barriers, which are micro- to millisecond-scale already.
+// barriers, which are micro- to millisecond-scale already. A crawl's time
+// splits into walking (mWalkSec, per walker and round), the round-barrier
+// flush (stream_epoch_flush_phase_seconds) and the checkpoint
+// (mCheckpointSec).
 var (
 	mDraws = obs.NewCounter("crawl_draws_total",
 		"Walker draws recorded across all crawl jobs.")
 	mCheckpoints = obs.NewCounter("crawl_checkpoints_total",
 		"Stopping-rule checkpoints evaluated across all crawl jobs.")
+	mWalkSec = obs.NewHistogram("crawl_walk_seconds",
+		"Time one walker spends drawing in one round: stepping, observing and ingesting, the round-barrier flush excluded.",
+		obs.LatencyBuckets())
 	mCheckpointSec = obs.NewHistogram("crawl_checkpoint_seconds",
 		"Latency of one stopping-rule checkpoint (snapshot or replication CI extraction).",
 		obs.LatencyBuckets())

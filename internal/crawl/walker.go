@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/sample"
@@ -80,7 +81,10 @@ type walker struct {
 
 // runRound performs n draws: record the current node, ingest its
 // observation, advance Thin transitions. The first error aborts the round.
+// The drawing time, up to the round-barrier flush, is observed under
+// crawl_walk_seconds.
 func (w *walker) runRound(c *Crawl, n int) error {
+	t0 := time.Now()
 	for i := 0; i < n; i++ {
 		v := w.cur
 		weight := w.step.Weight(v)
@@ -129,6 +133,7 @@ func (w *walker) runRound(c *Crawl, n int) error {
 			w.cur = w.step.Step(w.r, w.cur)
 		}
 	}
+	mWalkSec.ObserveSince(t0)
 	// Round barrier: publish the walker's epoch so the checkpoint snapshot
 	// sees every draw of this round. All walkers observe the same graph,
 	// so per-node constants can never genuinely conflict — a dropped

@@ -23,6 +23,40 @@ func bootMaxDiff(a, b [][]float64) float64 {
 	return m
 }
 
+// compareBoot fails unless two replicate snapshots agree within tol
+// relative (maxRelDiff): the replicate size, within and population vectors
+// and every pair's replicate weight vector, a pair carrying a vector in
+// both snapshots or in neither. Two nil snapshots agree.
+func compareBoot(t *testing.T, what string, got, want *uncert.BootSnapshot, tol float64) {
+	t.Helper()
+	if got == nil || want == nil {
+		if got != want {
+			t.Fatalf("%s: bootstrap presence %v, reference %v", what, got != nil, want != nil)
+		}
+		return
+	}
+	if d := bootMaxDiff(got.Sizes, want.Sizes); d > tol {
+		t.Fatalf("%s: replicate sizes differ by %g", what, d)
+	}
+	if d := bootMaxDiff(got.Within, want.Within); d > tol {
+		t.Fatalf("%s: replicate within differ by %g", what, d)
+	}
+	if d := maxRelDiff(got.Pop, want.Pop); d > tol {
+		t.Fatalf("%s: replicate pop estimates differ by %g", what, d)
+	}
+	for a := int32(0); int(a) < want.K; a++ {
+		for b := a + 1; int(b) < want.K; b++ {
+			g, w := got.WeightReplicates(a, b), want.WeightReplicates(a, b)
+			if (g == nil) != (w == nil) {
+				t.Fatalf("%s: pair (%d,%d) weighted %v, reference %v", what, a, b, g != nil, w != nil)
+			}
+			if d := maxRelDiff(g, w); d > tol {
+				t.Fatalf("%s: pair (%d,%d) replicate weights differ by %g", what, a, b, d)
+			}
+		}
+	}
+}
+
 // TestStreamingBootstrapMatchesOffline pins the streaming replicate path to
 // the offline one: ingesting a star stream record by record must produce,
 // replicate for replicate, the same estimates as rebuilding the replicate

@@ -45,14 +45,19 @@ import (
 //     folded by category row (core.StarFold): the nodes of category A sum
 //     their neighbor-category counts into one K-length scratch, and each
 //     touched (A,B) reaches the pair table once per epoch rather than once
-//     per node. Replicate star terms stay per node, as their weights differ
-//     per node.
+//     per node. The bootstrap replicate terms, draws and star alike, are
+//     folded by category row too (uncert.ReplicateFold): a categorized
+//     node's B-length passes write only its category's rows, psi1, coll
+//     and one directed (A,B) row per neighbor category, and the scalar
+//     totals, nbrNum and the within/pair targets are credited from those
+//     rows once per category per epoch.
 //  3. publish — under the accumulator's single mutex: merge the epoch's
 //     core.Sums and bootstrap replicates (core.Sums.Merge /
 //     uncert.Replicates.Merge) and the collision scalars, then advance Gen
 //     by the number of applied records. The serialized work is O(K +
-//     touched·B + pairs) per epoch — amortized sub-nanosecond per record at
-//     any realistic epoch size.
+//     touched·B) per epoch, where touched counts the category rows and
+//     pairs this epoch wrote — not every pair the Local ever held —
+//     amortized sub-nanosecond per record at any realistic epoch size.
 //
 // Exactness. All star-scenario statistics are linear in the per-node draw
 // multiplicities except two: the colliding-pair count Σ_v m_v(m_v−1)/2 and
@@ -427,11 +432,13 @@ type Local struct {
 	// Local.
 	pending core.PaddedInt64
 
-	// sums/reps/fold are the flush scratch: zeroed between epochs (Reset,
-	// Fold), so a steady-state flush allocates nothing.
-	sums *core.Sums
-	reps *uncert.Replicates
-	fold *core.StarFold
+	// sums/reps/fold/repFold are the flush scratch: zeroed between epochs
+	// (Reset, Fold), so a steady-state flush allocates nothing. reps and
+	// repFold are nil without replicates.
+	sums    *core.Sums
+	reps    *uncert.Replicates
+	fold    *core.StarFold
+	repFold *uncert.ReplicateFold
 
 	registered bool
 }
@@ -478,6 +485,7 @@ func (ea *EpochAccumulator) newLocal(register bool) *Local {
 			panic(err)
 		}
 		l.reps = reps
+		l.repFold = uncert.NewReplicateFold(ea.cfg.K)
 	}
 	if register {
 		l.registered = true
@@ -614,7 +622,7 @@ func (l *Local) Flush() (applied, dropped int) {
 		psiInv += c / w
 		coll += m*c + c*(c-1)/2
 		if l.reps != nil {
-			l.reps.AddDraws(ln.node, cat, w, c, m)
+			l.repFold.AddDraws(ln.node, cat, w, c, m)
 		}
 		if v := ln.view; v != nil {
 			l.addStar(ln, c, v)
@@ -632,6 +640,9 @@ func (l *Local) Flush() (applied, dropped int) {
 		applied += int(c)
 	}
 	l.fold.Fold(l.sums)
+	if l.reps != nil {
+		l.repFold.Fold(l.reps)
+	}
 	t2 := time.Now()
 
 	// One short critical section merges the epoch into the published view
@@ -715,11 +726,10 @@ func (ea *EpochAccumulator) reserve(ln *localNode) bool {
 }
 
 // addStar credits c draws of ln's node with star data sd: it queues the
-// primary terms for the epoch's fold and adds the replicate terms, whose
-// weights differ per node.
+// primary and the replicate terms for the epoch's folds.
 func (l *Local) addStar(ln *localNode, c float64, sd *starData) {
 	l.fold.Add(ln.cat, ln.weight, c, sd.deg, sd.nbrCat, sd.nbrCnt)
 	if l.reps != nil {
-		l.reps.AddStar(ln.node, ln.cat, ln.weight, c, sd.deg, sd.nbrCat, sd.nbrCnt)
+		l.repFold.AddStar(ln.node, ln.cat, ln.weight, c, sd.deg, sd.nbrCat, sd.nbrCnt)
 	}
 }

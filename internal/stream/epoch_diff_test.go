@@ -1,12 +1,14 @@
 package stream
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"slices"
 	"testing"
 
 	"repro/internal/randx"
 	"repro/internal/sample"
+	"repro/internal/uncert"
 )
 
 // diffTruth is one node's ground truth in the differential test: the
@@ -65,7 +67,8 @@ func randomDiffTruth(r *rand.Rand, k, n int) []diffTruth {
 // so first-writer-wins matches the reference's order. Every record
 // must then get the same decision on both sides: rejected by Local.Ingest
 // exactly when the reference rejects it, or else accepted and dropped at
-// its flush as a flush_conflict. Flushed snapshots must agree to ≤ 1e-9.
+// its flush as a flush_conflict. Flushed snapshots must agree to ≤ 1e-9,
+// their bootstrap replicates included.
 func TestEpochDifferentialOracle(t *testing.T) {
 	const k, n = 4, 24
 	var tally struct {
@@ -75,10 +78,14 @@ func TestEpochDifferentialOracle(t *testing.T) {
 		flushConflictExpected int
 	}
 	conflicts0 := mRejected.With("flush_conflict").Value()
-	for seed := uint64(1); seed <= 32; seed++ {
+	for run := uint64(0); run < 64; run++ {
+		// Each of the 32 streams runs twice: without replicates, and with
+		// B = 16, whose replicate backfills, retrofits and flush conflicts
+		// must match the reference's too.
+		seed, B := run%32+1, 16*int(run/32)
 		r := randx.New(seed)
 		truth := randomDiffTruth(r, k, n)
-		cfg := Config{K: k, Star: true, N: 1000}
+		cfg := Config{K: k, Star: true, N: 1000, Replicates: uncert.Config{B: B, Seed: seed}}
 		ref, err := NewAccumulator(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -178,6 +185,7 @@ func TestEpochDifferentialOracle(t *testing.T) {
 			if d := maxRelDiff([]float64{got.PopEstimate}, []float64{want.PopEstimate}); d > 1e-9 {
 				t.Fatalf("seed %d: population estimate %g, reference %g", seed, got.PopEstimate, want.PopEstimate)
 			}
+			compareBoot(t, fmt.Sprintf("seed %d B=%d", seed, B), got.Boot, want.Boot, 1e-9)
 			tally.compared++
 		}
 

@@ -1,12 +1,14 @@
 package stream
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
 
 	"repro/internal/randx"
 	"repro/internal/sample"
+	"repro/internal/uncert"
 )
 
 // TestEpochRequiresStar checks the constructor guards.
@@ -478,7 +480,8 @@ func TestEpochFlushZeroPending(t *testing.T) {
 // backfilled when another local later flushes the node's star record, a
 // degree upgrade retrofits already-published draws, and star-less draws
 // flushed AFTER the directory learned the star data are credited with it.
-// Each variant must match a single-lock accumulator fed the same records.
+// Each variant must match a single-lock accumulator fed the same records,
+// without replicates and with B = 9.
 func TestEpochLateStarAcrossLocals(t *testing.T) {
 	bare := sample.NodeObservation{Node: 5, Cat: 0}
 	starred := sample.NodeObservation{Node: 5, Cat: 0, Deg: 3,
@@ -495,45 +498,50 @@ func TestEpochLateStarAcrossLocals(t *testing.T) {
 		// Sandwich: bare, starred, bare across three epochs.
 		"sandwich": {bare, starred, bare, other},
 	}
-	for name, recs := range cases {
-		single, err := NewAccumulator(Config{K: 2, Star: true, N: 100})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ea, err := NewEpochAccumulator(Config{K: 2, Star: true, N: 100}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, rec := range recs {
-			if err := single.Ingest(rec); err != nil {
-				t.Fatalf("%s: single ingest: %v", name, err)
+	for _, B := range []int{0, 9} {
+		for name, recs := range cases {
+			name := fmt.Sprintf("%s B=%d", name, B)
+			cfg := Config{K: 2, Star: true, N: 100, Replicates: uncert.Config{B: B, Seed: 4}}
+			single, err := NewAccumulator(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			// A fresh Local per record: every draw crosses an epoch
-			// boundary, maximizing directory reconciliation.
-			l := ea.NewLocal()
-			if err := l.Ingest(rec); err != nil {
-				t.Fatalf("%s: local ingest: %v", name, err)
+			ea, err := NewEpochAccumulator(cfg, 0)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if _, dropped := l.Close(); dropped > 0 {
-				t.Fatalf("%s: flush dropped %d records", name, dropped)
+			for _, rec := range recs {
+				if err := single.Ingest(rec); err != nil {
+					t.Fatalf("%s: single ingest: %v", name, err)
+				}
+				// A fresh Local per record: every draw crosses an epoch
+				// boundary, maximizing directory reconciliation.
+				l := ea.NewLocal()
+				if err := l.Ingest(rec); err != nil {
+					t.Fatalf("%s: local ingest: %v", name, err)
+				}
+				if _, dropped := l.Close(); dropped > 0 {
+					t.Fatalf("%s: flush dropped %d records", name, dropped)
+				}
 			}
-		}
-		want, err := single.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ea.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := maxRelDiff(got.Result.Sizes, want.Result.Sizes); d > 1e-12 {
-			t.Fatalf("%s: size mismatch %g", name, d)
-		}
-		if d := weightsMaxDiff(got.Result.Weights, want.Result.Weights); d > 1e-12 {
-			t.Fatalf("%s: weight mismatch %g", name, d)
-		}
-		if d := maxRelDiff(got.Within, want.Within); d > 1e-12 {
-			t.Fatalf("%s: within mismatch %g", name, d)
+			want, err := single.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ea.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := maxRelDiff(got.Result.Sizes, want.Result.Sizes); d > 1e-12 {
+				t.Fatalf("%s: size mismatch %g", name, d)
+			}
+			if d := weightsMaxDiff(got.Result.Weights, want.Result.Weights); d > 1e-12 {
+				t.Fatalf("%s: weight mismatch %g", name, d)
+			}
+			if d := maxRelDiff(got.Within, want.Within); d > 1e-12 {
+				t.Fatalf("%s: within mismatch %g", name, d)
+			}
+			compareBoot(t, name, got.Boot, want.Boot, 1e-12)
 		}
 	}
 }

@@ -5,7 +5,7 @@ import "fmt"
 // PairCount returns the number of category pairs holding replicate vectors
 // (zeroed vectors kept alive by Reset included). Callers use it to size a
 // shell via ReservePairs before a CopyFrom.
-func (rs *Replicates) PairCount() int { return len(rs.pairNum) }
+func (rs *Replicates) PairCount() int { return len(rs.pairs) }
 
 // ReservePairs pre-allocates backing storage for n future pair vectors in
 // one arena, so the next n vectors handed out (by CopyFrom, or by ingest
@@ -68,18 +68,9 @@ func (rs *Replicates) CopyFrom(src *Replicates) error {
 	}
 	copy(rs.dirty, src.dirty)
 	rs.dirtyCats = append(rs.dirtyCats[:0], src.dirtyCats...)
-	for key, v := range rs.pairNum {
-		if _, ok := src.pairNum[key]; !ok {
-			zero(v)
-		}
-	}
-	for key, sv := range src.pairNum {
-		v, ok := rs.pairNum[key]
-		if !ok {
-			v = rs.newPairVec()
-			rs.pairNum[key] = v
-		}
-		copy(v, sv)
+	rs.resetPairs()
+	for _, p := range src.pairs {
+		copy(rs.pairVec(p.key[0], p.key[1]), p.num)
 	}
 	// The one-node weight row is keyed on rs's own ingest history; a copied
 	// state starts it cold.

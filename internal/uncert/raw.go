@@ -33,10 +33,15 @@ type RawReplicates struct {
 	Pairs map[[2]int32][]float64
 }
 
-// Raw returns the flat view of the replicate state. The returned slices and
-// map ALIAS the live state — the view is read-only and valid only while the
-// Replicates is not mutated; callers needing a stable cut should Clone first.
+// Raw returns the flat view of the replicate state. The returned slices
+// ALIAS the live state (the Pairs map is built per call) — the view is
+// read-only and valid only while the Replicates is not mutated; callers
+// needing a stable cut should Clone first.
 func (rs *Replicates) Raw() *RawReplicates {
+	pairs := make(map[[2]int32][]float64, len(rs.pairs))
+	for _, p := range rs.pairs {
+		pairs[p.key] = p.num
+	}
 	return &RawReplicates{
 		K:         rs.k,
 		Star:      rs.star,
@@ -55,7 +60,7 @@ func (rs *Replicates) Raw() *RawReplicates {
 		WithinNum: rs.withinNum,
 		DegNumA:   rs.degNumA,
 		NbrNum:    rs.nbrNum,
-		Pairs:     rs.pairNum,
+		Pairs:     pairs,
 	}
 }
 

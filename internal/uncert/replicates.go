@@ -41,6 +41,12 @@ import (
 // from its packed row (FillRow), which the caller builds once per node and
 // keeps, so no weight is hashed per edge.
 //
+// Epoch flushes credit many nodes at once through a ReplicateFold, which
+// writes each categorized node's terms to its category's rows only and
+// derives the scalar totals and nbrNum from those rows once per category
+// (fold.go); the per-node calls below remain the single-lock engine's
+// kernels and the fold's formulas, through the shared term tables.
+//
 // Replicates is not safe for concurrent use; internal/stream drives it under
 // the accumulator lock (or inside a writer-private epoch local).
 type Replicates struct {
@@ -59,29 +65,36 @@ type Replicates struct {
 	rew, drawsA, rew2, rewSqA, withinNum []float64
 	degNumA, nbrNum                      []float64 // star only
 
-	// pairNum maps a canonical category pair to its B replicate numerators
-	// (the SoA counterpart of Sums.PairNum). Vectors are kept across Reset —
-	// a zero vector and an absent pair estimate identically.
-	pairNum map[[2]int32][]float64
+	// pairs holds each canonical category pair's B replicate numerators
+	// (the SoA counterpart of Sums.PairNum), indexed by pairIdx. Vectors are
+	// kept across Reset — a zero vector and an absent pair estimate
+	// identically.
+	pairIdx map[[2]int32]int32
+	pairs   []pairRow
 
-	// dirty marks categories whose grid rows may hold nonzero values, so
-	// Merge and Reset walk only the touched rows — an epoch local that saw a
-	// handful of categories merges O(touched·B), not O(K·B).
-	dirty     []bool
-	dirtyCats []int32
+	// dirty marks categories whose grid rows may hold nonzero values, and
+	// dirtyPairs lists the pairs whose vectors may, so Merge and Reset walk
+	// only what was touched — an epoch local that saw a handful of
+	// categories and pairs merges O(touched·B), not O(K·B), and not
+	// O(pairs ever touched · B).
+	dirty      []bool
+	dirtyCats  []int32
+	dirtyPairs []int32
 
 	// One-node weight row: ingest touches the same node several times per
 	// record (draw + star terms, or the drawn endpoint of every incident
 	// edge), and the B hash evaluations dominate the replicate update cost,
 	// so the node's weights are expanded once (weightRow). w is the dense
-	// row of integer weights, nz the indices of its nonzero entries in
-	// ascending order, and wMax an upper bound on the largest weight (the
-	// bitwise OR of the row), which bounds the per-weight term tables.
-	wNode  int32
-	wValid bool
-	w      []uint8
-	nz     []int32
-	wMax   uint8
+	// row of integer weights and wMax an upper bound on the largest weight
+	// (the bitwise OR of the row), which bounds the per-weight term tables.
+	// nz, the indices of the nonzero entries in ascending order, is built
+	// only when induced edge mass asks for it (nonzero, nzValid).
+	wNode   int32
+	wValid  bool
+	w       []uint8
+	nz      []int32
+	nzValid bool
+	wMax    uint8
 
 	// pw is the scratch row AddEdgeMass unpacks an induced edge's other
 	// endpoint into: its weights by replicate, padded to whole row words.
@@ -118,7 +131,7 @@ func NewReplicates(k int, star bool, cfg Config) (*Replicates, error) {
 		rew2:      make([]float64, k*B),
 		rewSqA:    make([]float64, k*B),
 		withinNum: make([]float64, k*B),
-		pairNum:   make(map[[2]int32][]float64),
+		pairIdx:   make(map[[2]int32]int32),
 		dirty:     make([]bool, k),
 		w:         make([]uint8, B),
 		nz:        make([]int32, 0, B),
@@ -157,12 +170,10 @@ func (rs *Replicates) markAll() {
 }
 
 // weightRow expands node's replicate weights into the one-node row: the
-// dense weights w, the nonzero indices nz and the bound wMax. Weights 0–3
-// are classified without branches — (t_j−1−x)>>63 is 1 iff x ≥ t_j, so the
-// three terms count the thresholds at or below x — and the nonzero list is
-// compacted without branches too: every index is written and the length
-// advances only past nonzero weights. The rare weights ≥ 4 (≈1.9%) take
-// poissonK's loop. Consecutive calls with the same node are free.
+// dense weights w and the bound wMax. Weights 0–3 are classified without
+// branches — (t_j−1−x)>>63 is 1 iff x ≥ t_j, so the three terms count the
+// thresholds at or below x. The rare weights ≥ 4 (≈1.9%) take poissonK's
+// loop. Consecutive calls with the same node are free.
 func (rs *Replicates) weightRow(node int32) {
 	if rs.wValid && rs.wNode == node {
 		return
@@ -170,8 +181,6 @@ func (rs *Replicates) weightRow(node int32) {
 	hn := nodeHash(rs.cfg.Seed, node)
 	t0, t1, t2, t3 := poissonThresh[0]-1, poissonThresh[1]-1, poissonThresh[2]-1, poissonThresh[3]
 	w := rs.w
-	nz := rs.nz[:len(w)]
-	n := 0
 	var mx uint64
 	for b := range w {
 		x := mix64(hn+uint64(b)) >> 11
@@ -180,24 +189,54 @@ func (rs *Replicates) weightRow(node int32) {
 			k = poissonK(hn, b)
 		}
 		w[b] = uint8(k)
-		nz[n] = int32(b)
-		n += int((0 - k) >> 63)
 		mx |= k
 	}
-	rs.nz, rs.wMax = nz[:n], uint8(mx)
-	rs.wNode, rs.wValid = node, true
+	rs.wMax = uint8(mx)
+	rs.wNode, rs.wValid, rs.nzValid = node, true, false
 }
 
-// pairVec returns the replicate vector of the pair {a, b}, allocating it
-// zero-filled on first use.
+// nonzero returns the ascending indices of the current weight row's
+// nonzero weights, compacted without branches: every index is written and
+// the length advances only past nonzero weights. Only induced edge mass
+// walks them, so they are built on its first call per row rather than by
+// weightRow, which star ingest and the epoch fold call per node.
+func (rs *Replicates) nonzero() []int32 {
+	if !rs.nzValid {
+		nz := rs.nz[:len(rs.w)]
+		n := 0
+		for b, k := range rs.w {
+			nz[n] = int32(b)
+			n += int((0 - uint64(k)) >> 63)
+		}
+		rs.nz, rs.nzValid = nz[:n], true
+	}
+	return rs.nz
+}
+
+// pairRow is one category pair's replicate numerators. dirty marks that
+// the vector is listed in dirtyPairs; a pair not listed holds zeros.
+type pairRow struct {
+	key   [2]int32
+	num   []float64
+	dirty bool
+}
+
+// pairVec returns the replicate vector of the pair {a, b} for writing,
+// allocating it zero-filled on first use and listing it as dirty.
 func (rs *Replicates) pairVec(a, b int32) []float64 {
 	key := pairCanon(a, b)
-	v, ok := rs.pairNum[key]
+	i, ok := rs.pairIdx[key]
 	if !ok {
-		v = make([]float64, rs.cfg.B)
-		rs.pairNum[key] = v
+		i = int32(len(rs.pairs))
+		rs.pairIdx[key] = i
+		rs.pairs = append(rs.pairs, pairRow{key: key, num: rs.newPairVec()})
 	}
-	return v
+	p := &rs.pairs[i]
+	if !p.dirty {
+		p.dirty = true
+		rs.dirtyPairs = append(rs.dirtyPairs, i)
+	}
+	return p.num
 }
 
 // AddDraw mirrors Sums.AddNode plus the collision-statistic updates for one
@@ -238,18 +277,7 @@ type drawTerms struct {
 func (rs *Replicates) AddDraws(node, cat int32, weight, count, prev float64) {
 	rs.weightRow(node)
 	var tab [32]drawTerms
-	for k := 1; k <= int(rs.wMax); k++ {
-		c := float64(k)
-		m := count * c
-		tab[k] = drawTerms{
-			m:    m,
-			mw:   m / weight,
-			mw2:  m / (weight * weight),
-			psi1: m * weight,
-			coll: m * ((2*prev+count)*c - 1) / 2,
-			rew2: (m / weight) * ((2*prev + count) * c / weight),
-		}
-	}
+	rs.drawTable(&tab, weight, count, prev)
 	w := rs.w
 	B := len(w)
 	draws, totalRew, rewSq := rs.draws[:B], rs.totalRew[:B], rs.rewSq[:B]
@@ -286,6 +314,23 @@ func (rs *Replicates) AddDraws(node, cat int32, weight, count, prev float64) {
 		rew[b] += t.mw
 		rewSqA[b] += t.mw2
 		rew2[b] += t.rew2
+	}
+}
+
+// drawTable fills tab[c] with AddDraws's increments for a replicate of
+// weight c = 1…wMax (tab[0] stays zero), for the current weight row.
+func (rs *Replicates) drawTable(tab *[32]drawTerms, weight, count, prev float64) {
+	for k := 1; k <= int(rs.wMax); k++ {
+		c := float64(k)
+		m := count * c
+		tab[k] = drawTerms{
+			m:    m,
+			mw:   m / weight,
+			mw2:  m / (weight * weight),
+			psi1: m * weight,
+			coll: m * ((2*prev+count)*c - 1) / 2,
+			rew2: (m / weight) * ((2*prev + count) * c / weight),
+		}
 	}
 }
 
@@ -426,7 +471,7 @@ func (rs *Replicates) AddEdgeMass(nodeA, nodeB, catA, catB int32, rowB []uint64,
 	}
 	w := rs.w
 	pw, tgt := rs.pw[:len(w)], tgt[:len(w)]
-	for _, b := range rs.nz {
+	for _, b := range rs.nonzero() {
 		tgt[b] += mass * float64(w[b]) * float64(pw[b])
 	}
 }
@@ -437,8 +482,9 @@ func (rs *Replicates) AddEdgeMass(nodeA, nodeB, catA, catB int32, rowB []uint64,
 // replicate), merged replicate sums equal the replicate sums of the
 // concatenated stream wherever the primary sums do (independent star
 // crawls, epoch locals whose draws were batched against the shared
-// multiplicity). Only o's dirty category rows are walked, so merging a
-// small epoch costs O(touched·B + pairs), not O(K·B).
+// multiplicity). Only o's dirty category rows and pairs are walked, so
+// merging a small epoch costs O(touched·B), not O(K·B) and not O(pairs o
+// ever held · B).
 func (rs *Replicates) Merge(o *Replicates) error {
 	if o == nil {
 		return nil
@@ -472,20 +518,16 @@ func (rs *Replicates) Merge(o *Replicates) error {
 			vecAdd(rs.nbrNum[lo:hi], o.nbrNum[lo:hi])
 		}
 	}
-	for key, ov := range o.pairNum {
-		v, ok := rs.pairNum[key]
-		if !ok {
-			v = make([]float64, B)
-			rs.pairNum[key] = v
-		}
-		vecAdd(v, ov)
+	for _, i := range o.dirtyPairs {
+		p := &o.pairs[i]
+		vecAdd(rs.pairVec(p.key[0], p.key[1]), p.num)
 	}
 	return nil
 }
 
 // Reset zeroes the replicate statistics in place for reuse, keeping every
 // allocation (grids, pair vectors, the weight row). Like Merge it walks
-// only the dirty category rows. The weight row survives: Poisson weights
+// only the dirty category rows and pairs. The weight row survives: Poisson weights
 // are pure functions of (Seed, node, replicate), so a cached node stays
 // valid across epochs.
 func (rs *Replicates) Reset() {
@@ -511,9 +553,17 @@ func (rs *Replicates) Reset() {
 		rs.dirty[c] = false
 	}
 	rs.dirtyCats = rs.dirtyCats[:0]
-	for _, v := range rs.pairNum {
-		zero(v)
+	rs.resetPairs()
+}
+
+// resetPairs zeroes the dirty pair vectors and empties the dirty list.
+func (rs *Replicates) resetPairs() {
+	for _, i := range rs.dirtyPairs {
+		p := &rs.pairs[i]
+		zero(p.num)
+		p.dirty = false
 	}
+	rs.dirtyPairs = rs.dirtyPairs[:0]
 }
 
 func vecAdd(dst, src []float64) {
@@ -675,9 +725,9 @@ func (rs *Replicates) Snapshot(opts core.Options) *BootSnapshot {
 		key [2]int32
 		num []float64
 	}
-	nums := make([]pairNum, 0, len(rs.pairNum))
-	for key, num := range rs.pairNum {
-		nums = append(nums, pairNum{key, num})
+	nums := make([]pairNum, 0, len(rs.pairs))
+	for _, p := range rs.pairs {
+		nums = append(nums, pairNum{p.key, p.num})
 	}
 	slices.SortFunc(nums, func(x, y pairNum) int {
 		return cmp.Or(cmp.Compare(x.key[0], y.key[0]), cmp.Compare(x.key[1], y.key[1]))

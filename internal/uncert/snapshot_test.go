@@ -108,9 +108,9 @@ func mapSnapshot(rs *Replicates, opts core.Options) *BootSnapshot {
 	for b := 0; b < B; b++ {
 		scratch.Reset()
 		rs.fillSums(b, scratch)
-		for key, v := range rs.pairNum {
-			if v[b] != 0 {
-				scratch.PairNum.Set(key[0], key[1], v[b])
+		for _, p := range rs.pairs {
+			if p.num[b] != 0 {
+				scratch.PairNum.Set(p.key[0], p.key[1], p.num[b])
 			}
 		}
 		res, within, err := mapEstimate(scratch, opts)
