@@ -212,7 +212,6 @@ package main
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
@@ -233,6 +232,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/catgraph"
 	"repro/internal/crawl"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -795,34 +795,27 @@ func (s *server) shutdown() {
 	}
 }
 
-// handleSums streams the accumulator's encoded sufficient statistics — the
+// handleSums serves the accumulator's encoded sufficient statistics — the
 // worker half of the distributed tier. The response is the internal/wire
 // binary format (gzip-compressed when the client accepts it); the codec
 // version header lets a coordinator reject a newer format before parsing.
 // It works over any Ingester, so a coordinator also serves /sums and tiers
-// stack.
+// stack. Both encodings are built once per generation (job.Job.Sums).
 func (s *server) handleSums(w http.ResponseWriter, r *http.Request, j *job.Job) {
-	st, err := j.Acc().Export()
+	gz := strings.Contains(r.Header.Get("Accept-Encoding"), "gzip")
+	body, hit, err := j.Sums(gz)
 	if err != nil {
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
+		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	enc, err := wire.Encode(st)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "encode state: %v", err)
-		return
-	}
+	noteRead("sums", hit)
 	w.Header().Set("Content-Type", wire.ContentType)
 	w.Header().Set(wire.VersionHeader, strconv.Itoa(wire.Version))
-	if strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
+	if gz {
 		w.Header().Set("Content-Encoding", "gzip")
-		gz := gzip.NewWriter(w)
-		gz.Write(enc)
-		gz.Close()
-		return
 	}
-	w.Header().Set("Content-Length", strconv.Itoa(len(enc)))
-	w.Write(enc)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -1020,6 +1013,14 @@ func ingestError(w http.ResponseWriter, ingested, total, index int, format strin
 // interval is the [lo, hi] percentile CI of the streaming bootstrap at
 // ci_level (the ?ci= query parameter, default 0.95), computed over
 // bootstrap_b replicates.
+//
+// The accumulator publishes one snapshot per ingest generation, and every
+// reader at that generation gets it, rendered once per ?ci= level. So seq
+// and convergence are per generation: seq numbers the computed snapshots,
+// and draws_since and the deltas compare with the previous generation that
+// any reader (or crawl checkpoint) estimated. The first read after a crawl
+// therefore returns the crawl's last checkpoint snapshot, with its seq and
+// its draws_since (one check interval when nothing else read meanwhile).
 type estimateDoc struct {
 	Seq         int64          `json:"seq"`
 	Draws       int            `json:"draws"`
@@ -1101,11 +1102,23 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request, j *job.J
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	snap, cg, err := j.Snapshot()
+	body, hit, err := j.Estimate(level, withCI, func(snap *stream.Snapshot, cg *catgraph.Graph) ([]byte, error) {
+		return renderEstimate(snap, cg, j.Names(), level, withCI)
+	})
 	if err != nil {
 		httpError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
+	noteRead("estimate", hit)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
+}
+
+// renderEstimate renders a snapshot and its category graph as the JSON body
+// of GET /estimate, with intervals at level when withCI is set and the
+// snapshot carries replicates.
+func renderEstimate(snap *stream.Snapshot, cg *catgraph.Graph, names []string, level float64, withCI bool) ([]byte, error) {
 	doc := estimateDoc{
 		Seq:         snap.Seq,
 		Draws:       snap.Draws,
@@ -1127,7 +1140,7 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request, j *job.J
 	}
 	for c, size := range snap.Result.Sizes {
 		entry := sizeEntry{
-			Cat: int32(c), Name: j.Names()[c], Size: size,
+			Cat: int32(c), Name: names[c], Size: size,
 			Within: finitePtr(snap.Within[c]),
 		}
 		if withCI && snap.Boot != nil {
@@ -1146,16 +1159,20 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request, j *job.J
 		}
 		doc.Weights = append(doc.Weights, entry)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(doc)
+	body, err := json.Marshal(doc)
+	if err != nil {
+		return nil, fmt.Errorf("encode estimate: %w", err)
+	}
+	return append(body, '\n'), nil
 }
 
 func (s *server) handleTSV(w http.ResponseWriter, r *http.Request, j *job.Job) {
-	_, cg, err := j.Snapshot()
+	cg, hit, err := j.CategoryGraph()
 	if err != nil {
 		httpError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
+	noteRead("tsv", hit)
 	w.Header().Set("Content-Type", "text/tab-separated-values; charset=utf-8")
 	if err := cg.WriteTSV(w); err != nil {
 		slog.Warn("write categorygraph.tsv", "err", err)

@@ -21,7 +21,19 @@ var (
 		"HTTP requests served, by route pattern and status code.", "endpoint", "code")
 	mHTTPSec = obs.NewHistogramVec("http_request_seconds",
 		"HTTP request latency by route pattern.", obs.LatencyBuckets(), "endpoint")
+	mReadCache = obs.NewCounterVec("topoestd_read_cache_total",
+		"Reads of /estimate, /sums and /categorygraph.tsv served from the job's cached body or graph (hit) or built for the read (miss).",
+		"endpoint", "result")
 )
+
+// noteRead counts one successful read of a job's cached read layer.
+func noteRead(endpoint string, hit bool) {
+	result := "miss"
+	if hit {
+		result = "hit"
+	}
+	mReadCache.With(endpoint, result).Inc()
+}
 
 // newLogger builds the daemon's structured logger from the -log-format and
 // -log-level flags.

@@ -262,12 +262,6 @@ type Crawl struct {
 
 	walkers []*walker
 
-	// lastSnap is the snapshot the last bootstrap checkpoint estimated and
-	// lastSnapGen the accumulator generation read just before it was taken
-	// (run's goroutine only).
-	lastSnap    *stream.Snapshot
-	lastSnapGen uint64
-
 	mu      sync.Mutex
 	last    *Checkpoint
 	lastRep *uncert.Replication
@@ -639,15 +633,12 @@ func (c *Crawl) crawl() (*Result, error) {
 		}
 	}
 
-	// The last bootstrap checkpoint's snapshot is still current unless a
-	// record landed after it (another writer into a shared accumulator):
-	// the generation read before it was taken has not moved.
-	snap := c.lastSnap
-	if snap == nil || c.acc.Gen() != c.lastSnapGen {
-		var err error
-		if snap, err = c.acc.Snapshot(); err != nil {
-			return nil, err
-		}
+	// This returns the last bootstrap checkpoint's snapshot, published for
+	// the current generation, unless a record landed after it (another
+	// writer into a shared accumulator).
+	snap, err := c.acc.Snapshot()
+	if err != nil {
+		return nil, err
 	}
 	res := &Result{
 		Stopped:     stopped,
@@ -705,12 +696,10 @@ func (c *Crawl) checkpoint(seq, draws int) (*Checkpoint, error) {
 		if !c.acc.Config().Replicates.Enabled() {
 			break
 		}
-		gen := c.acc.Gen()
 		snap, err := c.acc.Snapshot()
 		if err != nil {
 			return nil, err
 		}
-		c.lastSnap, c.lastSnapGen = snap, gen
 		if snap.Boot != nil {
 			for cat := 0; cat < k; cat++ {
 				cp.SizeHW[cat] = halfWidth(snap.Boot.SizeCI(cat, c.cfg.Level))

@@ -2,6 +2,7 @@ package crawl
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/gen"
@@ -193,8 +194,9 @@ func TestCrawlBudgetStop(t *testing.T) {
 // bootstrap engine reports the last checkpoint's snapshot as its result
 // instead of estimating the same generation again: the result is snapshot
 // number Checkpoints, and its convergence delta spans the last round, not
-// zero draws against a baseline the checkpoint just set. A crawl without
-// replicates takes no checkpoint snapshots and still takes the final one.
+// zero draws against a baseline the checkpoint just set, and readers after
+// the crawl share it. A crawl without replicates takes no checkpoint
+// snapshots and still takes the final one.
 func TestCrawlResultReusesCheckpointSnapshot(t *testing.T) {
 	g := paperGraph(t)
 	scfg := stream.Config{K: g.NumCategories(), Star: true, N: float64(g.N()), Replicates: uncert.Config{B: 20, Seed: 4}}
@@ -225,6 +227,19 @@ func TestCrawlResultReusesCheckpointSnapshot(t *testing.T) {
 			t.Fatalf("shards=%d: result snapshot seq %d, draws %d, draws_since %d; want 3, 600, 200 with CIs",
 				shards, snap.Seq, snap.Draws, snap.Converge.DrawsSince)
 		}
+		// Concurrent readers at the crawl's final generation get the last
+		// checkpoint's snapshot: the generation computed exactly one.
+		var readers sync.WaitGroup
+		for r := 0; r < 8; r++ {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				if got, err := acc.Snapshot(); err != nil || got != snap {
+					t.Errorf("shards=%d: a reader after the crawl got another snapshot (%v)", shards, err)
+				}
+			}()
+		}
+		readers.Wait()
 	}
 	c, err := Start(g, nil, Config{Walkers: 2, Star: true, N: float64(g.N()), Seed: 4, MaxDraws: 600, CheckEvery: 200})
 	if err != nil {

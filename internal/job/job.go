@@ -1,6 +1,6 @@
 // Package job is the multi-tenant layer of the serving daemon: a named Job
 // owns one accumulator (single-lock, epoch-merged, or an adopted read-only
-// pool), its snapshot cache, its crawl slot and its durable checkpoint file;
+// pool), its read caches, its crawl slot and its durable checkpoint file;
 // a Registry owns the collection — create, look up, delete, restore on
 // restart, and checkpoint on a timer. The HTTP facade routes
 // /jobs/{job}/... to a Job and aliases the legacy un-prefixed routes to the
@@ -172,9 +172,9 @@ func ParseSizeMethod(s string) (core.SizeMethod, error) {
 }
 
 // Job is one tenant: an accumulator plus everything the serving layer keeps
-// per stream — category names, the generation-keyed snapshot cache, the
-// crawl slot (one crawl at a time PER JOB; different jobs crawl
-// concurrently), and the durable checkpoint state.
+// per stream — category names, the read caches, the crawl slot (one crawl
+// at a time PER JOB; different jobs crawl concurrently), and the durable
+// checkpoint state.
 type Job struct {
 	spec    Spec
 	acc     stream.Ingester
@@ -187,12 +187,12 @@ type Job struct {
 	localMu sync.Mutex
 	idle    []*stream.Local
 
-	// snapMu guards the generation-keyed snapshot cache: read-heavy polling
-	// between ingests costs one O(K²) estimate total, not one per request.
-	snapMu    sync.Mutex
-	cached    *stream.Snapshot
-	cachedCG  *catgraph.Graph
-	cachedGen uint64
+	// The read caches, one entry each (see read.go): the published
+	// snapshot's category graph and /estimate body, and the current
+	// generation's /sums body.
+	graph    memo[*stream.Snapshot, *catgraph.Graph]
+	estimate memo[estimateKey, []byte]
+	sums     memo[uint64, *sumsBody]
 
 	// crawlMu guards the job's crawl slot.
 	crawlMu sync.Mutex
@@ -234,29 +234,6 @@ func (j *Job) Names() []string { return j.names }
 // Created returns when the job object was built in this process (restores
 // count as creations — the stream's age lives in its generation).
 func (j *Job) Created() time.Time { return j.created }
-
-// Snapshot returns the current estimate and its category-graph view, cached
-// on the accumulator's monotone ingest generation. Reading Gen before the
-// snapshot keeps the key conservative: a record racing the snapshot is
-// re-estimated on the next request rather than ever being missed.
-func (j *Job) Snapshot() (*stream.Snapshot, *catgraph.Graph, error) {
-	j.snapMu.Lock()
-	defer j.snapMu.Unlock()
-	gen := j.acc.Gen()
-	if j.cached != nil && j.cachedGen == gen {
-		return j.cached, j.cachedCG, nil
-	}
-	snap, err := j.acc.Snapshot()
-	if err != nil {
-		return nil, nil, err
-	}
-	cg, err := catgraph.FromEstimate(snap.Result, j.names)
-	if err != nil {
-		return nil, nil, err
-	}
-	j.cached, j.cachedCG, j.cachedGen = snap, cg, gen
-	return snap, cg, nil
-}
 
 // TakeLocal borrows an idle writer-private local of the job's epoch-merged
 // accumulator, growing the pool on demand, so a binary ingest request

@@ -307,11 +307,11 @@ func (ea *EpochAccumulator) IngestBatch(recs []sample.NodeObservation) (int, err
 	return len(recs), nil
 }
 
-// Snapshot computes the current estimate from the published view in
-// O(K² + pairs). It sees exactly the flushed epochs — see the
-// flush-visibility contract.
+// Snapshot returns the estimate of the published view at the current
+// generation (see Accumulator.Snapshot). It sees exactly the flushed epochs
+// — see the flush-visibility contract.
 func (ea *EpochAccumulator) Snapshot() (*Snapshot, error) {
-	return ea.snapshot(ea.cfg, ea.Distinct)
+	return ea.snapshot(ea.cfg, ea.gen.Load(), ea.cutLocked)
 }
 
 // localNode is one node's epoch-private state: the draw count of this

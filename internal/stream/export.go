@@ -49,8 +49,8 @@ func (a *Accumulator) Export() (*State, error) {
 	return a.export(a.cfg, a.cutLocked)
 }
 
-// cutLocked fills the generation and distinct count of an export cut; the
-// caller holds a.mu.
+// cutLocked fills the generation and distinct count of a snapshot or export
+// cut; the caller holds a.mu.
 func (a *Accumulator) cutLocked(st *State) {
 	st.Gen, st.Distinct = a.gen.Load(), int64(a.dir.len())
 }
@@ -64,7 +64,11 @@ func (a *Accumulator) cutLocked(st *State) {
 // the flush-visibility contract of Snapshot. Distinct is informational (see
 // State.Distinct).
 func (ea *EpochAccumulator) Export() (*State, error) {
-	return ea.export(ea.cfg, func(st *State) {
-		st.Gen, st.Distinct = ea.gen.Load(), int64(ea.dir.len())
-	})
+	return ea.export(ea.cfg, ea.cutLocked)
+}
+
+// cutLocked fills the generation and distinct count of a snapshot or export
+// cut; the caller holds ea.mu.
+func (ea *EpochAccumulator) cutLocked(st *State) {
+	st.Gen, st.Distinct = ea.gen.Load(), int64(ea.dir.len())
 }

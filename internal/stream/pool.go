@@ -30,13 +30,13 @@ var ErrReadOnly = errors.New("stream: pool is read-only (it merges worker export
 // rebuild runs once per coordinator poll interval, not per request.
 //
 // Pool is safe for concurrent use: Rebuild swaps the published view under a
-// mutex, and snapshots are cached by the server layer off the generation,
-// which advances once per Rebuild.
+// mutex and advances the generation, which the published snapshot is keyed
+// on, once per Rebuild.
 type Pool struct {
 	cfg Config
 
-	// gen advances once per Rebuild — the snapshot cache key, exactly like
-	// the per-record generation of the live accumulators.
+	// gen advances once per Rebuild, under view.mu — the snapshot key,
+	// exactly like the per-record generation of the live accumulators.
 	gen atomic.Uint64
 
 	// view is the merged state Rebuild swaps in; its replicates (nil
@@ -116,21 +116,23 @@ func (p *Pool) Rebuild(states []*State) error {
 			}
 		}
 	}
-	// snapMu guards the convergence baseline (see view).
+	// snapMu guards the published snapshot, which is the convergence
+	// baseline (see view). The generation advances inside the same
+	// critical section as the swap, so a cut's Gen names exactly its state.
 	p.snapMu.Lock()
 	p.mu.Lock()
-	if sums.Draws < p.lastDraws {
+	if p.snap != nil && sums.Draws < float64(p.snap.Draws) {
 		// The merged view shrank (a worker went stale, or restarted empty):
 		// a delta against the old baseline would be negative, so restart
 		// convergence tracking as after a restore.
-		p.lastSizes, p.lastW, p.lastDraws = nil, nil, 0
+		p.snap = nil
 	}
 	p.sums, p.reps = sums, reps
 	p.psi1, p.psiInv, p.collisions = psi1, psiInv, collisions
 	p.distinct = distinct
+	p.gen.Add(1)
 	p.mu.Unlock()
 	p.snapMu.Unlock()
-	p.gen.Add(1)
 	return nil
 }
 
@@ -179,7 +181,7 @@ func (p *Pool) IngestBatch(recs []sample.NodeObservation) (int, error) { return 
 // the last Rebuild carried replicates, so /estimate?ci= on a coordinator
 // serves exact merged-replicate CIs.
 func (p *Pool) Snapshot() (*Snapshot, error) {
-	return p.snapshot(p.cfg, func() int { return int(p.distinct) })
+	return p.snapshot(p.cfg, p.gen.Load(), p.cutLocked)
 }
 
 // Export implements Ingester: the merged view as a State of its own, which
@@ -190,7 +192,11 @@ func (p *Pool) Snapshot() (*Snapshot, error) {
 // Rebuild that changes the bootstrap configuration in between makes the
 // export retry with a matching destination.
 func (p *Pool) Export() (*State, error) {
-	return p.export(p.cfg, func(st *State) {
-		st.Gen, st.Distinct = p.gen.Load(), p.distinct
-	})
+	return p.export(p.cfg, p.cutLocked)
+}
+
+// cutLocked fills the generation and distinct count of a snapshot or export
+// cut; the caller holds p.mu.
+func (p *Pool) cutLocked(st *State) {
+	st.Gen, st.Distinct = p.gen.Load(), p.distinct
 }

@@ -127,7 +127,8 @@ type Ingester interface {
 	// so concurrent readers may see a prefix of a batch in flight; see
 	// EpochAccumulator.IngestBatch for what concurrent writers change.
 	IngestBatch(recs []sample.NodeObservation) (int, error)
-	// Snapshot computes the current estimate in O(K² + pairs).
+	// Snapshot returns the estimate at the current generation, computed in
+	// O(K² + pairs) once per generation and shared by every caller at it.
 	Snapshot() (*Snapshot, error)
 	// Export returns a consistent cut of the accumulator's sufficient
 	// statistics — primary sums, collision scalars, bootstrap replicates
@@ -512,7 +513,9 @@ func contains(xs []int32, x int32) bool {
 
 // Convergence quantifies how much the estimate moved between consecutive
 // snapshots — the stopping signal of a live crawl (§6's sample-size sweeps
-// ask exactly this question offline).
+// ask exactly this question offline). Snapshots are computed once per
+// generation, so "previous" is the snapshot of the last generation anyone
+// read, not the caller's own last read.
 type Convergence struct {
 	// DrawsSince is the number of draws ingested since the previous
 	// snapshot (equal to Draws on the first snapshot).
@@ -526,9 +529,13 @@ type Convergence struct {
 }
 
 // Snapshot is a self-contained estimate of the category graph at one point
-// in the stream. It shares no mutable state with the accumulator.
+// in the stream. It shares no mutable state with the accumulator, and it is
+// shared by every reader at its generation, so callers must not modify it.
 type Snapshot struct {
-	// Seq numbers the snapshots of one accumulator from 1.
+	// Gen is the ingest generation of the cut it estimates.
+	Gen uint64
+	// Seq numbers the computed snapshots of one accumulator from 1: equal
+	// Seq means the same snapshot, and Seq rises with Gen.
 	Seq int64
 	// Draws and Distinct describe the sample consumed so far.
 	Draws    int
@@ -554,32 +561,31 @@ func (s *Snapshot) Sizes() []float64 { return s.Result.Sizes }
 // Weights returns the estimated pair weights (convenience accessor).
 func (s *Snapshot) Weights() *core.PairWeights { return s.Result.Weights }
 
-// Snapshot computes the current estimate from the running sums in
-// O(K² + pairs) and advances the convergence baseline. It fails on an empty
-// accumulator and propagates estimator errors (e.g. a star size method on an
-// induced stream).
+// Snapshot returns the estimate at the current generation: the published
+// one when the generation has not moved since it was computed, otherwise a
+// new one computed from the running sums in O(K² + pairs), which becomes
+// the convergence baseline. It fails on an empty accumulator and propagates
+// estimator errors (e.g. a star size method on an induced stream).
 func (a *Accumulator) Snapshot() (*Snapshot, error) {
-	return a.snapshot(a.cfg, a.Distinct)
+	return a.snapshot(a.cfg, a.gen.Load(), a.cutLocked)
 }
 
-// convergeFrom compares an estimate against the previous snapshot's sizes
-// and weights (nil on the first snapshot, or after a reset baseline).
-func convergeFrom(res *core.Result, lastSizes []float64, lastW *core.PairWeights, drawsSince int) Convergence {
-	c := Convergence{DrawsSince: drawsSince}
-	if lastSizes == nil {
-		c.SizeDelta = math.Inf(1)
-		c.WeightDelta = math.Inf(1)
-		return c
+// convergeFrom compares an estimate over draws draws against the previous
+// published snapshot (nil on the first snapshot, or after a reset baseline).
+func convergeFrom(res *core.Result, draws int, prev *Snapshot) Convergence {
+	if prev == nil {
+		return Convergence{DrawsSince: draws, SizeDelta: math.Inf(1), WeightDelta: math.Inf(1)}
 	}
+	c := Convergence{DrawsSince: draws - prev.Draws}
 	for i, s := range res.Sizes {
-		if d := math.Abs(s-lastSizes[i]) / res.N; d > c.SizeDelta {
+		if d := math.Abs(s-prev.Result.Sizes[i]) / res.N; d > c.SizeDelta {
 			c.SizeDelta = d
 		}
 	}
 	// The pair set only grows, so iterating the new weights covers the
 	// union; pairs NaN in either snapshot are skipped.
 	res.Weights.ForEach(func(x, y int32, w float64) {
-		old := lastW.Get(x, y)
+		old := prev.Result.Weights.Get(x, y)
 		if math.IsNaN(w) || math.IsNaN(old) {
 			return
 		}

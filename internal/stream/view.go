@@ -30,17 +30,17 @@ type view struct {
 	// Collision statistics for the §4.3 population-size estimator.
 	psi1, psiInv, collisions float64
 
-	// snapMu serializes snapshots. It guards the fields below: the cut the
-	// snapshot estimates from, reused across snapshots, and the convergence
-	// baseline. Lock order: snapMu before mu.
+	// snapMu serializes snapshot computations. It guards the fields below:
+	// the cut the snapshot estimates from, reused across snapshots, and the
+	// published snapshot. Lock order: snapMu before mu.
 	snapMu sync.Mutex
 	cut    State
-	// Convergence baseline: the previous snapshot's estimate (nil sizes
-	// before the first snapshot, or after the baseline was reset).
-	lastSizes []float64
-	lastW     *core.PairWeights
-	lastDraws float64
-	seq       int64
+	// snap is the published snapshot, the estimate of the cut at generation
+	// snap.Gen: every read at that generation shares it, and it is the
+	// convergence baseline of the next one (nil before the first snapshot,
+	// or after the baseline was reset).
+	snap *Snapshot
+	seq  int64
 }
 
 // init validates the configuration's identity parameters and allocates an
@@ -64,48 +64,55 @@ func (v *view) init(cfg Config) error {
 	return nil
 }
 
-// snapshot computes the estimate from the view in O(K² + pairs) and
-// advances the convergence baseline. cfg supplies the estimation options;
-// distinct is read under mu. The view is copied into the reused cut under
-// one read lock, and the primary and replicate estimates run on the copy
-// with mu released, so writers wait only for the copy.
-func (v *view) snapshot(cfg Config, distinct func() int) (*Snapshot, error) {
-	defer mSnapshotSec.ObserveSince(time.Now())
+// snapshot returns the estimate of the view at generation gen or later, in
+// O(K² + pairs) when it must compute one. gen is the Ingester's generation,
+// read by the caller before the call; cut fills the cut's Gen and Distinct
+// under the view's read lock, as for export. A published snapshot whose
+// generation is at least gen is returned as is — it includes every record
+// acknowledged before gen was read — so concurrent readers, and a crawl
+// checkpoint, at one generation share one snapshot: a reader that queued on
+// snapMu behind a computation gets its result. Otherwise the view is copied
+// into the reused cut under one read lock, the primary and replicate
+// estimates run on the copy with mu released (writers wait only for the
+// copy), and the result is published and becomes the convergence baseline.
+func (v *view) snapshot(cfg Config, gen uint64, cut func(*State)) (*Snapshot, error) {
 	v.snapMu.Lock()
 	defer v.snapMu.Unlock()
-	cut := &v.cut
-	var nDistinct int
-	if err := v.copyTo(cut, func(*State) { nDistinct = distinct() }); err != nil {
+	if v.snap != nil && v.snap.Gen >= gen {
+		return v.snap, nil
+	}
+	defer mSnapshotSec.ObserveSince(time.Now())
+	c := &v.cut
+	if err := v.copyTo(c, cut); err != nil {
 		return nil, err
 	}
-	if cut.Sums.Draws == 0 {
+	if c.Sums.Draws == 0 {
 		return nil, fmt.Errorf("stream: empty accumulator (no draws ingested or merged yet)")
 	}
 	opts := core.Options{N: cfg.N, Size: cfg.Size}
-	res, err := cut.Sums.Estimate(opts)
+	res, err := c.Sums.Estimate(opts)
 	if err != nil {
 		return nil, err
 	}
-	within, err := cut.Sums.WithinWeights(res.Sizes)
+	within, err := c.Sums.WithinWeights(res.Sizes)
 	if err != nil {
 		return nil, err
 	}
 	v.seq++
 	snap := &Snapshot{
+		Gen:         c.Gen,
 		Seq:         v.seq,
-		Draws:       int(cut.Sums.Draws),
-		Distinct:    nDistinct,
+		Draws:       int(c.Sums.Draws),
+		Distinct:    int(c.Distinct),
 		Result:      res,
 		Within:      within,
-		PopEstimate: core.PopulationSizeFromSums(cut.Sums.Draws, cut.Psi1, cut.PsiInv, cut.Collisions),
-		Converge:    convergeFrom(res, v.lastSizes, v.lastW, int(cut.Sums.Draws-v.lastDraws)),
+		PopEstimate: core.PopulationSizeFromSums(c.Sums.Draws, c.Psi1, c.PsiInv, c.Collisions),
+		Converge:    convergeFrom(res, int(c.Sums.Draws), v.snap),
 	}
-	if cut.Reps != nil {
-		snap.Boot = cut.Reps.Snapshot(opts)
+	if c.Reps != nil {
+		snap.Boot = c.Reps.Snapshot(opts)
 	}
-	v.lastSizes = append([]float64(nil), res.Sizes...)
-	v.lastW = res.Weights
-	v.lastDraws = cut.Sums.Draws
+	v.snap = snap
 	return snap, nil
 }
 
@@ -173,8 +180,8 @@ func (v *view) copyTo(st *State, cut func(*State)) error {
 }
 
 // restore adopts a validated State's sums, replicates and collision scalars
-// into a freshly initialized view. The convergence baseline stays empty, so
-// the first snapshot after a restore reports +Inf deltas.
+// into a freshly initialized view. No snapshot is published yet, so the
+// first snapshot after a restore reports +Inf deltas.
 func (v *view) restore(st *State) error {
 	if err := v.sums.CopyFrom(st.Sums); err != nil {
 		return err
