@@ -13,7 +13,8 @@ import (
 
 // TestReadsBesideBatchWriter runs one writer sending 2,000-record batches
 // against concurrent Snapshot and Export readers on an accumulator with
-// bootstrap replicates. Batches publish in chunks, so a read may see part
+// bootstrap replicates, for star and induced streams. Batches publish in
+// chunks (one record per hold in the induced stream), so a read may see part
 // of a batch in flight, but never less than what was acknowledged before
 // the read began nor more than what had been sent when it ended. Exports
 // are consistent cuts (one draw per record, so the sums' draws equal the
@@ -22,12 +23,21 @@ import (
 // equal draws, a new Seq comes with more draws and a later generation, and
 // no convergence delta is negative.
 func TestReadsBesideBatchWriter(t *testing.T) {
+	for _, sc := range []struct {
+		name string
+		star bool
+	}{{"star", true}, {"induced", false}} {
+		t.Run(sc.name, func(t *testing.T) { readsBesideBatchWriter(t, sc.star) })
+	}
+}
+
+func readsBesideBatchWriter(t *testing.T, star bool) {
 	g := testGraph(t)
 	s, err := sample.UIS{}.Sample(randx.New(31), g, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	so, err := sample.NewStreamObserver(g, true)
+	so, err := sample.NewStreamObserver(g, star)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +46,7 @@ func TestReadsBesideBatchWriter(t *testing.T) {
 		batch[i] = so.Observe(v, s.Weight(i))
 	}
 	acc, err := NewAccumulator(Config{
-		K: g.NumCategories(), Star: true, N: float64(g.N()),
+		K: g.NumCategories(), Star: star, N: float64(g.N()),
 		Replicates: uncert.Config{B: 16, Seed: 3},
 	})
 	if err != nil {
@@ -128,10 +138,20 @@ func TestReadsBesideBatchWriter(t *testing.T) {
 			t.Fatalf("snapshot seq %d saw %d draws at gen %d after seq %d saw %d at gen %d", b.Seq, b.Draws, b.Gen, a.Seq, a.Draws, a.Gen)
 		}
 	}
+	// In the induced stream the writer releases the lock after every
+	// record, so reads land inside what would have been a batchChunk-record
+	// chunk.
+	inside := 0
 	for _, snap := range snaps {
 		if snap.Gen != uint64(snap.Draws) {
 			t.Fatalf("snapshot seq %d: gen %d for %d draws", snap.Seq, snap.Gen, snap.Draws)
 		}
+		if (snap.Gen-1)%uint64(len(batch))%batchChunk != 0 {
+			inside++
+		}
+	}
+	if !star && distinct >= 100 && inside == 0 {
+		t.Fatalf("none of %d snapshots fell inside a %d-record chunk: the writer holds the lock per chunk", distinct, batchChunk)
 	}
 	final, err := acc.Snapshot()
 	if err != nil {

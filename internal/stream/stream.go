@@ -18,18 +18,19 @@
 // may race freely across goroutines, and each Snapshot is an immutable
 // value once returned. A snapshot holds the lock only to copy the
 // sufficient statistics and estimates from the copy, and batches release
-// the lock every batchChunk records, so a read beside a writer waits for at
-// most one chunk. Ingest throughput, however, is bounded by one mutex;
-// for multi-core ingest the EpochAccumulator gives each writer a private
-// Local that touches no shared state per record and publishes whole epochs
-// of records through a short two-phase merge (core.Sums.Merge /
-// uncert.Replicates.Merge) — no locks on the hot path at all, amortized
-// O(1) shared work per record, and snapshots identical to the single-lock
-// path to ≤ 1e-9. The epoch design is exact for the star scenario, where
-// records are per-node self-contained; see NewEpochAccumulator for why
-// induced streams stay on the single-lock Accumulator. The architecture
-// comment in epoch.go derives the merge's exactness and the
-// flush-visibility contract.
+// the lock every batchChunk records (every record in induced streams with
+// bootstrap replicates on), so a read beside a writer waits for at most one
+// chunk. Ingest
+// throughput, however, is bounded by one mutex; for multi-core ingest the
+// EpochAccumulator gives each writer a private Local that touches no shared
+// state per record and publishes whole epochs of records through a short
+// two-phase merge (core.Sums.Merge / uncert.Replicates.Merge) — no locks on
+// the hot path at all, amortized O(1) shared work per record, and snapshots
+// identical to the single-lock path to ≤ 1e-9. The epoch design is exact
+// for the star scenario, where records are per-node self-contained; see
+// NewEpochAccumulator for why induced streams stay on the single-lock
+// Accumulator. The architecture comment in epoch.go derives the merge's
+// exactness and the flush-visibility contract.
 package stream
 
 import (
@@ -84,7 +85,7 @@ type nodeState struct {
 	// row is 1 + the number of the node's packed bootstrap weight row in
 	// the accumulator's row arena, or 0 before the row is built. Only
 	// induced accumulators with replicates build rows, on the node's first
-	// use as the far endpoint of a replayed edge.
+	// draw or first use as the far endpoint of a replayed edge.
 	row uint32
 	id  int32
 
@@ -123,9 +124,10 @@ type Ingester interface {
 	// IngestBatch folds a batch in order, stopping at the first invalid
 	// record; it returns how many leading records were applied — the retry
 	// index for the caller. Neither engine applies a batch atomically: the
-	// single-lock Accumulator publishes it in chunks of batchChunk records,
-	// so concurrent readers may see a prefix of a batch in flight; see
-	// EpochAccumulator.IngestBatch for what concurrent writers change.
+	// single-lock Accumulator publishes it in chunks (batchChunk records, or
+	// one induced record with replicates on), so concurrent readers may see
+	// a prefix of a batch in flight; see EpochAccumulator.IngestBatch for what
+	// concurrent writers change.
 	IngestBatch(recs []sample.NodeObservation) (int, error)
 	// Snapshot returns the estimate at the current generation, computed in
 	// O(K² + pairs) once per generation and shared by every caller at it.
@@ -151,9 +153,11 @@ type Accumulator struct {
 	// (uncert.FillRow), so replaying an edge reads its far endpoint's
 	// weights instead of hashing them.
 	rows rowArena
-	// newPeers is ingestLocked's reused buffer for a record's newly
-	// observed peers (dense indices), guarded like the node states.
+	// newPeers and edges are ingestLocked's reused buffers for a record's
+	// newly observed peers (dense indices) and its replicate edge replay,
+	// guarded like the node states.
 	newPeers []int32
+	edges    []uncert.PeerEdge
 
 	// gen advances once per successfully applied record, inside the
 	// critical section, so an Ingest call that returned has published its
@@ -233,7 +237,11 @@ func (a *Accumulator) Ingest(rec sample.NodeObservation) error {
 // batchChunk is the most records IngestBatch applies per hold of the
 // accumulator lock. Readers queued behind a batch get the lock between
 // chunks, so a snapshot or export beside a writer waits for at most one
-// chunk (tens of microseconds with replicates on) instead of a whole batch.
+// chunk. Induced records with replicates on cost microseconds each (≈ 10–20
+// µs at B = 200, which made a chunk ≈ 0.5 ms) and are timed one by one, so
+// IngestBatch holds the lock for one of them at a time. Star records with
+// replicates keep the chunks: at ≈ 3 µs or less per record, the extra lock
+// round trips have not been measured to pay.
 const batchChunk = 32
 
 // IngestBatch folds a batch of observations in order, stopping at the first
@@ -243,14 +251,18 @@ const batchChunk = 32
 // after fixing the offending record recs[n] (or recs[n+1:] after discarding
 // it) — resending the whole batch double-ingests the prefix.
 //
-// The batch is applied in chunks of batchChunk records, one critical section
-// each, so a reader (Snapshot, Export, a checkpoint) may see a prefix of a
-// batch that has not returned yet; every record of a returned batch is
-// visible to reads that start after it returned.
+// The batch is applied in chunks of batchChunk records (one record in
+// induced streams with replicates on), one critical section each, so a reader (Snapshot, Export,
+// a checkpoint) may see a prefix of a batch that has not returned yet;
+// every record of a returned batch is visible to reads that start after it
+// returned.
 func (a *Accumulator) IngestBatch(recs []sample.NodeObservation) (int, error) {
-	for lo := 0; lo < len(recs); lo += batchChunk {
-		chunk := recs[lo:min(lo+batchChunk, len(recs))]
-		if i, err := a.ingestChunk(chunk); err != nil {
+	chunk := batchChunk
+	if a.reps != nil && !a.cfg.Star {
+		chunk = 1
+	}
+	for lo := 0; lo < len(recs); lo += chunk {
+		if i, err := a.ingestChunk(recs[lo:min(lo+chunk, len(recs))]); err != nil {
 			return lo + i, err
 		}
 	}
@@ -407,6 +419,9 @@ func (a *Accumulator) ingestLocked(rec sample.NodeObservation) error {
 		sd := up.clone()
 		ns.star = &sd
 	}
+	if a.reps != nil && !a.cfg.Star {
+		a.reps.LoadRow(rec.Node, a.rowOf(ns))
+	}
 	prev := ns.mult
 	ns.mult++
 	a.sums.AddNode(ns.cat, ns.weight, 1, prev)
@@ -431,13 +446,14 @@ func (a *Accumulator) ingestLocked(rec sample.NodeObservation) error {
 	}
 	// Induced: a re-draw raises this node's multiplicity, which raises the
 	// mass of every incident observed edge by m_peer/(w·w_peer)…
+	edges := a.edges[:0]
 	if prev > 0 {
 		for _, p := range ns.peers {
 			ps := a.dir.at(p)
 			mass := ps.mult / (ns.weight * ps.weight)
 			a.sums.AddEdgeMass(ns.cat, ps.cat, mass)
 			if a.reps != nil {
-				a.reps.AddEdgeMass(rec.Node, ps.id, ns.cat, ps.cat, a.rowOf(ps), mass)
+				edges = a.queueEdge(edges, ns, ps, mass)
 			}
 		}
 	}
@@ -449,11 +465,26 @@ func (a *Accumulator) ingestLocked(rec sample.NodeObservation) error {
 		mass := ns.mult * ps.mult / (ns.weight * ps.weight)
 		a.sums.AddEdgeMass(ns.cat, ps.cat, mass)
 		if a.reps != nil {
-			a.reps.AddEdgeMass(rec.Node, ps.id, ns.cat, ps.cat, a.rowOf(ps), mass)
+			edges = a.queueEdge(edges, ns, ps, mass)
 		}
+	}
+	// The replicates replay the record's edges grouped by peer category.
+	if a.reps != nil {
+		a.reps.AddPeerMass(rec.Node, ns.cat, edges)
+		a.edges = edges
 	}
 	a.gen.Add(1)
 	return nil
+}
+
+// queueEdge appends the replicate replay of the edge from ns to peer ps
+// with primary mass mass, unless it adds nothing: an edge with an
+// uncategorized endpoint builds no row.
+func (a *Accumulator) queueEdge(edges []uncert.PeerEdge, ns, ps *nodeState, mass float64) []uncert.PeerEdge {
+	if ns.cat == graph.None || ps.cat == graph.None {
+		return edges
+	}
+	return append(edges, uncert.PeerEdge{Node: ps.id, Cat: ps.cat, Row: a.rowOf(ps), Mass: mass})
 }
 
 // rowOf returns ns's packed bootstrap weight row, building it on first use.

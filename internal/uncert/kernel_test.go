@@ -153,7 +153,18 @@ func (o *sparseOracle) AddStar(node, cat int32, weight, count, deg float64, nbrC
 	}
 }
 
-func (o *sparseOracle) AddEdgeMass(nodeA, nodeB, catA, catB int32, _ []uint64, mass float64) {
+// LoadRow is a no-op: the oracle hashes every weight it reads.
+func (o *sparseOracle) LoadRow(int32, []uint64) {}
+
+// AddPeerMass replays the record's edges one at a time, each scaled per
+// replicate by c_a·(mass·c_p), hashing the peer's weights.
+func (o *sparseOracle) AddPeerMass(node, cat int32, edges []PeerEdge) {
+	for _, e := range edges {
+		o.addEdgeMass(node, cat, e.Node, e.Cat, e.Mass)
+	}
+}
+
+func (o *sparseOracle) addEdgeMass(nodeA, catA, nodeB, catB int32, mass float64) {
 	if catA == graph.None || catB == graph.None {
 		return
 	}
@@ -172,7 +183,7 @@ func (o *sparseOracle) AddEdgeMass(nodeA, nodeB, catA, catB int32, _ []uint64, m
 		tgt[b] += mass * float64(poissonK(hb, int(b)))
 	}
 	for j, b := range o.big {
-		tgt[b] += mass * o.bigVal[j] * float64(poissonK(hb, int(b)))
+		tgt[b] += o.bigVal[j] * (mass * float64(poissonK(hb, int(b))))
 	}
 }
 
@@ -180,7 +191,19 @@ func (o *sparseOracle) AddEdgeMass(nodeA, nodeB, catA, catB int32, _ []uint64, m
 type replicateKernel interface {
 	AddDraws(node, cat int32, weight, count, prev float64)
 	AddStar(node, cat int32, weight, count, deg float64, nbrCat []int32, nbrCnt []float64)
-	AddEdgeMass(nodeA, nodeB, catA, catB int32, rowB []uint64, mass float64)
+	LoadRow(node int32, row []uint64)
+	AddPeerMass(node, cat int32, edges []PeerEdge)
+}
+
+// perEdge drives a Replicates with one AddPeerMass call per edge, so each
+// group holds one peer and the kernel computes every edge's term as the
+// oracle does, c_a·(mass·c_p), bit for bit.
+type perEdge struct{ *Replicates }
+
+func (k perEdge) AddPeerMass(node, cat int32, edges []PeerEdge) {
+	for i := range edges {
+		k.Replicates.AddPeerMass(node, cat, edges[i:i+1])
+	}
 }
 
 // kernelNode is the per-node state of a generated stream.
@@ -194,7 +217,7 @@ type kernelNode struct {
 	nbrCat  []int32
 	nbrCnt  []float64
 	edgesTo []int    // indices of observed induced neighbors
-	row     []uint64 // packed weight row, built on first use as a peer
+	row     []uint64 // packed weight row, built on first draw or use as a peer
 }
 
 // kernelNodes draws n nodes with ids around zero (negative ids included), a
@@ -266,39 +289,55 @@ func feedStarStream(kr replicateKernel, seed uint64, k, steps int) {
 	}
 }
 
-// feedInducedStream drives kernel with an induced stream: each draw folds in
-// the node, and every edge to an observed neighbor adds edge mass — on the
-// first draw for newly visible edges, on re-draws for all observed ones. The
-// neighbor's packed weight row under cfg rides along with each edge.
+// feedInducedStream drives kernel with an induced stream shaped like the
+// accumulator's calls: each draw loads the node's packed weight row and
+// folds the node in, then replays one AddPeerMass per record — on a re-draw
+// every observed edge at the peer's multiplicity, plus, on the first draw
+// and on some re-draws, newly visible edges at their full product mass.
+// Every seventh node's row carries forced escape nibbles (weights ≥ 15 are
+// too rare to meet by chance), so the kernel must recompute them on either
+// endpoint.
 func feedInducedStream(kr replicateKernel, cfg Config, seed uint64, k, steps int) {
 	r := randx.New(seed)
 	nodes := kernelNodes(r, 300, k)
+	rowOf := func(nd *kernelNode) []uint64 {
+		if nd.row == nil {
+			nd.row = make([]uint64, RowWords(cfg.B))
+			FillRow(cfg, nd.id, nd.row)
+			if nd.id%7 == 0 {
+				for _, b := range []int{0, cfg.B / 2, cfg.B - 1} {
+					nd.row[b/16] |= rowEscape << (4 * (b % 16))
+				}
+			}
+		}
+		return nd.row
+	}
+	var edges []PeerEdge
 	for step := 0; step < steps; step++ {
 		i := pick(r, len(nodes))
 		nd := &nodes[i]
 		prev := nd.mult
+		kr.LoadRow(nd.id, rowOf(nd))
 		kr.AddDraws(nd.id, nd.cat, nd.weight, 1, prev)
 		nd.mult++
-		if prev == 0 {
+		edges = edges[:0]
+		if prev > 0 {
+			for _, j := range nd.edgesTo {
+				p := &nodes[j]
+				edges = append(edges, PeerEdge{Node: p.id, Cat: p.cat, Row: rowOf(p), Mass: p.mult / (nd.weight * p.weight)})
+			}
+		}
+		if prev == 0 || r.IntN(4) == 0 {
 			for j := range nodes {
-				if j != i && nodes[j].mult > 0 && r.IntN(8) == 0 {
+				if j != i && nodes[j].mult > 0 && r.IntN(8) == 0 && !slices.Contains(nd.edgesTo, j) {
 					nd.edgesTo = append(nd.edgesTo, j)
 					nodes[j].edgesTo = append(nodes[j].edgesTo, i)
+					p := &nodes[j]
+					edges = append(edges, PeerEdge{Node: p.id, Cat: p.cat, Row: rowOf(p), Mass: nd.mult * p.mult / (nd.weight * p.weight)})
 				}
 			}
 		}
-		for _, j := range nd.edgesTo {
-			p := &nodes[j]
-			mass := p.mult / (nd.weight * p.weight)
-			if prev == 0 {
-				mass = nd.mult * p.mult / (nd.weight * p.weight)
-			}
-			if p.row == nil {
-				p.row = make([]uint64, RowWords(cfg.B))
-				FillRow(cfg, p.id, p.row)
-			}
-			kr.AddEdgeMass(nd.id, p.id, nd.cat, p.cat, p.row, mass)
-		}
+		kr.AddPeerMass(nd.id, nd.cat, edges)
 	}
 }
 
@@ -367,7 +406,7 @@ func TestKernelMatchesSparseOracle(t *testing.T) {
 				feedStarStream(got, uint64(B), k, 3000)
 				feedStarStream(oracle, uint64(B), k, 3000)
 			} else {
-				feedInducedStream(got, cfg, uint64(B), k, 1500)
+				feedInducedStream(perEdge{got}, cfg, uint64(B), k, 1500)
 				feedInducedStream(oracle, cfg, uint64(B), k, 1500)
 			}
 			requireSameReplicates(t, got, want)
@@ -375,9 +414,96 @@ func TestKernelMatchesSparseOracle(t *testing.T) {
 	}
 }
 
+// peerCoverage counts what the induced stream fed to AddPeerMass exercised.
+type peerCoverage struct {
+	replicateKernel
+	multiCat, nonePeer, noneNode, escPeer, escNode int
+}
+
+func (c *peerCoverage) LoadRow(node int32, row []uint64) {
+	if hasEscape(row) {
+		c.escNode++
+	}
+	c.replicateKernel.LoadRow(node, row)
+}
+
+// hasEscape reports whether row holds an escape nibble.
+func hasEscape(row []uint64) bool {
+	for _, x := range row {
+		if escapeBits(x) != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+func (c *peerCoverage) AddPeerMass(node, cat int32, edges []PeerEdge) {
+	cats := map[int32]bool{}
+	for _, e := range edges {
+		cats[e.Cat] = true
+		if hasEscape(e.Row) {
+			c.escPeer++
+		}
+	}
+	if len(cats) > 1 {
+		c.multiCat++
+	}
+	if cats[graph.None] {
+		c.nonePeer++
+	}
+	if cat == graph.None && len(edges) > 0 {
+		c.noneNode++
+	}
+	c.replicateKernel.AddPeerMass(node, cat, edges)
+}
+
+// TestPeerFoldMatchesPerEdge feeds induced streams through AddPeerMass one
+// record at a time, grouped by peer category, and through the per-edge
+// oracle, and requires every replicate vector to agree within 1e-12
+// relative, with the same pairs created in the same order and the same
+// dirty categories and pairs. The streams hold uncategorized endpoints,
+// records whose peers span several categories, re-draws that replay old
+// edges and add new ones in one record, and forced escape nibbles on drawn
+// nodes and on peers; B = 7, 200 and 257 leave a partial last row word.
+func TestPeerFoldMatchesPerEdge(t *testing.T) {
+	const k = 5
+	for _, B := range []int{1, 7, 16, 200, 257} {
+		cfg := Config{B: B, Seed: uint64(B)*13 + 1}
+		got, err := NewReplicates(k, false, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := NewReplicates(k, false, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cov := &peerCoverage{replicateKernel: got}
+		feedInducedStream(cov, cfg, uint64(B)+100, k, 1500)
+		feedInducedStream(&sparseOracle{rs: want}, cfg, uint64(B)+100, k, 1500)
+		what := fmt.Sprintf("B=%d", B)
+		if cov.multiCat == 0 || cov.nonePeer == 0 || cov.noneNode == 0 || cov.escPeer == 0 || cov.escNode == 0 {
+			t.Fatalf("%s: stream coverage %+v", what, *cov)
+		}
+		compareFolded(t, what, got, want, 1e-12, true)
+		pairKeys := func(rs *Replicates) [][2]int32 {
+			var keys [][2]int32
+			for _, p := range rs.pairs {
+				keys = append(keys, p.key)
+			}
+			return keys
+		}
+		if g, w := pairKeys(got), pairKeys(want); !slices.Equal(g, w) {
+			t.Fatalf("%s: pairs %v, per-edge %v", what, g, w)
+		}
+		if !slices.Equal(got.dirtyCats, want.dirtyCats) || !slices.Equal(got.dirtyPairs, want.dirtyPairs) {
+			t.Fatalf("%s: dirty categories %v and pairs %v, per-edge %v and %v", what, got.dirtyCats, got.dirtyPairs, want.dirtyCats, want.dirtyPairs)
+		}
+	}
+}
+
 // TestWeightRowMatchesPoissonK checks the expanded weight row of many nodes
-// against poissonK: the dense weights, the nonzero index list, and the
-// bound on the largest weight, with the far tail (weights ≥ 4) exercised.
+// against poissonK: the dense weights and the bound on the largest weight,
+// with the far tail (weights ≥ 4) exercised.
 func TestWeightRowMatchesPoissonK(t *testing.T) {
 	const B = 300
 	rs, err := NewReplicates(1, true, Config{B: B, Seed: 99})
@@ -385,27 +511,19 @@ func TestWeightRowMatchesPoissonK(t *testing.T) {
 		t.Fatal(err)
 	}
 	tail := 0
-	var want []int32
 	for node := int32(-5000); node < 7000; node++ {
 		rs.weightRow(node)
 		hn := nodeHash(99, node)
-		want = want[:0]
 		var mx uint64
 		for b := 0; b < B; b++ {
 			c := poissonK(hn, b)
 			if uint64(rs.w[b]) != c {
 				t.Fatalf("node %d rep %d: row weight %d, poissonK %d", node, b, rs.w[b], c)
 			}
-			if c > 0 {
-				want = append(want, int32(b))
-			}
 			if c >= 4 {
 				tail++
 			}
 			mx = max(mx, c)
-		}
-		if nz := rs.nonzero(); !slices.Equal(nz, want) {
-			t.Fatalf("node %d: nonzero list %v, want %v", node, nz, want)
 		}
 		if uint64(rs.wMax) < mx || rs.wMax > 31 {
 			t.Fatalf("node %d: weight bound %d, largest weight %d", node, rs.wMax, mx)
@@ -417,9 +535,9 @@ func TestWeightRowMatchesPoissonK(t *testing.T) {
 }
 
 // TestFillRowMatchesPoissonK packs the weight rows of many nodes and checks
-// every nibble, and every weight AddEdgeMass unpacks from the row, against
-// poissonK, with the far tail (weights ≥ 4) exercised. B = 300 leaves a
-// partial last word, whose padding nibbles must stay zero.
+// every nibble, every weight LoadRow unpacks from the row, and the weight
+// bound, against poissonK, with the far tail (weights ≥ 4) exercised. B =
+// 300 leaves a partial last word, whose padding nibbles must stay zero.
 func TestFillRowMatchesPoissonK(t *testing.T) {
 	cfg := Config{B: 300, Seed: 99}
 	rs, err := NewReplicates(1, false, cfg)
@@ -430,8 +548,10 @@ func TestFillRowMatchesPoissonK(t *testing.T) {
 	tail := 0
 	for node := int32(-5000); node < 7000; node++ {
 		FillRow(cfg, node, row)
-		rs.unpackRow(node, row)
+		rs.LoadRow(node, row)
 		hn := nodeHash(cfg.Seed, node)
+		w := rs.w[:cap(rs.w)]
+		var mx uint64
 		for b := 0; b < 16*len(row); b++ {
 			var want uint64
 			if b < cfg.B {
@@ -440,12 +560,16 @@ func TestFillRowMatchesPoissonK(t *testing.T) {
 			if nib := row[b/16] >> (4 * (b % 16)) & 15; nib != min(want, rowEscape) {
 				t.Fatalf("node %d rep %d: nibble %d, poissonK %d", node, b, nib, want)
 			}
-			if uint64(rs.pw[b]) != want {
-				t.Fatalf("node %d rep %d: unpacked weight %d, poissonK %d", node, b, rs.pw[b], want)
+			if uint64(w[b]) != want {
+				t.Fatalf("node %d rep %d: unpacked weight %d, poissonK %d", node, b, w[b], want)
 			}
 			if want >= 4 {
 				tail++
 			}
+			mx = max(mx, want)
+		}
+		if uint64(rs.wMax) < mx || rs.wMax > 31 {
+			t.Fatalf("node %d: weight bound %d, largest weight %d", node, rs.wMax, mx)
 		}
 	}
 	if tail == 0 {
@@ -453,17 +577,21 @@ func TestFillRowMatchesPoissonK(t *testing.T) {
 	}
 }
 
-// TestRowEscapeRecomputed forces escape nibbles into a packed row — weights
-// ≥ 15 are too rare to meet by chance — and checks that the unpacked weights
-// and the edge mass replayed from the row are those of poissonK, not 15.
+// TestRowEscapeRecomputed forces escape nibbles into packed rows — weights
+// ≥ 15 are too rare to meet by chance — and checks that the weights LoadRow
+// unpacks and the edge mass AddPeerMass replays from them are those of
+// poissonK, not 15, on either endpoint of the edge.
 func TestRowEscapeRecomputed(t *testing.T) {
 	cfg := Config{B: 40, Seed: 3}
 	const nodeA, nodeB = 7, 11
-	row := make([]uint64, RowWords(cfg.B))
-	FillRow(cfg, nodeB, row)
-	forced := append([]uint64(nil), row...)
-	for _, b := range []int{0, 5, 15, 16, 39} {
-		forced[b/16] |= rowEscape << (4 * (b % 16))
+	var rows, forced [2][]uint64
+	for i, node := range []int32{nodeA, nodeB} {
+		rows[i] = make([]uint64, RowWords(cfg.B))
+		FillRow(cfg, node, rows[i])
+		forced[i] = append([]uint64(nil), rows[i]...)
+		for _, b := range []int{0, 5, 15, 16, 39} {
+			forced[i][b/16] |= rowEscape << (4 * (b % 16))
+		}
 	}
 	want, err := NewReplicates(2, false, cfg)
 	if err != nil {
@@ -473,13 +601,55 @@ func TestRowEscapeRecomputed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want.AddEdgeMass(nodeA, nodeB, 0, 1, row, 0.75)
-	got.AddEdgeMass(nodeA, nodeB, 0, 1, forced, 0.75)
-	hn := nodeHash(cfg.Seed, nodeB)
+	want.LoadRow(nodeA, rows[0])
+	want.AddPeerMass(nodeA, 0, []PeerEdge{{Node: nodeB, Cat: 1, Row: rows[1], Mass: 0.75}})
+	got.LoadRow(nodeA, forced[0])
+	hn := nodeHash(cfg.Seed, nodeA)
 	for b := 0; b < cfg.B; b++ {
-		if c := poissonK(hn, b); uint64(got.pw[b]) != c {
-			t.Fatalf("rep %d: unpacked weight %d, poissonK %d", b, got.pw[b], c)
+		if c := poissonK(hn, b); uint64(got.w[b]) != c {
+			t.Fatalf("rep %d: unpacked weight %d, poissonK %d", b, got.w[b], c)
 		}
 	}
+	got.AddPeerMass(nodeA, 0, []PeerEdge{{Node: nodeB, Cat: 1, Row: forced[1], Mass: 0.75}})
 	requireSameReplicates(t, got, want)
+}
+
+// BenchmarkReplicatePeerFold times the replicate half of one paper-graph-
+// shaped induced re-draw at B = 200: the drawn node's row is loaded and its
+// 24 peers, 8 in each of 3 categories (its own among them), replay their
+// edge mass. "fold" is one AddPeerMass call, grouped by peer category;
+// "peredge" replays the same edges one call per edge. Two drawn nodes take
+// turns, so every op unpacks a row.
+func BenchmarkReplicatePeerFold(b *testing.B) {
+	cfg := Config{B: 200, Seed: 1}
+	r := randx.New(1)
+	var drawn [2]PeerEdge
+	for i := range drawn {
+		drawn[i] = PeerEdge{Node: int32(1000 + i), Cat: 0, Row: make([]uint64, RowWords(cfg.B))}
+		FillRow(cfg, drawn[i].Node, drawn[i].Row)
+	}
+	edges := make([]PeerEdge, 24)
+	for i := range edges {
+		e := &edges[i]
+		e.Node, e.Cat, e.Mass = int32(i), int32(i%3), 0.5+r.Float64()
+		e.Row = make([]uint64, RowWords(cfg.B))
+		FillRow(cfg, e.Node, e.Row)
+	}
+	for _, mode := range []string{"fold", "peredge"} {
+		b.Run(mode, func(b *testing.B) {
+			rs, err := NewReplicates(3, false, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var kr replicateKernel = rs
+			if mode == "peredge" {
+				kr = perEdge{rs}
+			}
+			for i := 0; b.Loop(); i++ {
+				d := &drawn[i&1]
+				kr.LoadRow(d.Node, d.Row)
+				kr.AddPeerMass(d.Node, d.Cat, edges)
+			}
+		})
+	}
 }

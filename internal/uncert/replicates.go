@@ -30,16 +30,17 @@ import (
 // replicate update for one field then walks a contiguous vector rather than
 // hopping across B heap objects, which is what used to make B=200 ingest
 // ~50× the base path. Each node's B Poisson weights are expanded once into
-// a dense uint8 row plus the ascending list of its nonzero indices. The
+// a dense uint8 row (weightRow, or LoadRow from the node's packed row). The
 // per-node updates (draws, star terms) make one straight-line pass over the
 // row: an increment depends on the replicate only through its integer
 // weight c, so each call tabulates it for c = 0…max (entry 0 exactly zero)
 // and replicate b adds its table entry. There is no per-replicate branch:
 // a sparse walk split by weight 0 / 1 / ≥2 mispredicts on most indices.
-// Induced edge mass is nonzero only where both endpoints resampled, so it
-// walks the drawn node's nonzero indices; the other endpoint's weights come
-// from its packed row (FillRow), which the caller builds once per node and
-// keeps, so no weight is hashed per edge.
+// Induced edge mass is replayed once per record (AddPeerMass): the edges
+// are grouped by peer category, each group's peer weights are summed
+// straight from the peers' packed rows (FillRow, which the caller builds
+// once per node and keeps, so no weight is hashed per edge), and the sum
+// is credited to the group's pair once, scaled by the drawn node's row.
 //
 // Epoch flushes credit many nodes at once through a ReplicateFold, which
 // writes each categorized node's terms to its category's rows only and
@@ -84,21 +85,21 @@ type Replicates struct {
 	// One-node weight row: ingest touches the same node several times per
 	// record (draw + star terms, or the drawn endpoint of every incident
 	// edge), and the B hash evaluations dominate the replicate update cost,
-	// so the node's weights are expanded once (weightRow). w is the dense
-	// row of integer weights and wMax an upper bound on the largest weight
-	// (the bitwise OR of the row), which bounds the per-weight term tables.
-	// nz, the indices of the nonzero entries in ascending order, is built
-	// only when induced edge mass asks for it (nonzero, nzValid).
-	wNode   int32
-	wValid  bool
-	w       []uint8
-	nz      []int32
-	nzValid bool
-	wMax    uint8
+	// so the node's weights are expanded once (weightRow), or unpacked from
+	// its packed row (LoadRow). w is the dense row of integer weights, its
+	// capacity padded to whole row words, and wMax an upper bound on the
+	// largest weight (the bitwise OR of the row), which bounds the
+	// per-weight term tables.
+	wNode  int32
+	wValid bool
+	w      []uint8
+	wMax   uint8
 
-	// pw is the scratch row AddEdgeMass unpacks an induced edge's other
-	// endpoint into: its weights by replicate, padded to whole row words.
-	pw []uint8
+	// peerCats groups an induced record's edges by peer category, and
+	// peerSum (padded like w) sums one group's peer weights; AddPeerMass
+	// builds both on first use, so star replicates never hold them.
+	peerCats *core.CatGroups
+	peerSum  []float64
 
 	// arena is the ReservePairs backing store: pre-allocated B-vectors for
 	// pairs not materialized yet, so CopyFrom under a publish mutex can hand
@@ -133,9 +134,7 @@ func NewReplicates(k int, star bool, cfg Config) (*Replicates, error) {
 		withinNum: make([]float64, k*B),
 		pairIdx:   make(map[[2]int32]int32),
 		dirty:     make([]bool, k),
-		w:         make([]uint8, B),
-		nz:        make([]int32, 0, B),
-		pw:        make([]uint8, 16*RowWords(B)),
+		w:         make([]uint8, B, 16*RowWords(B)),
 	}
 	if star {
 		rs.degNum = make([]float64, B)
@@ -170,47 +169,35 @@ func (rs *Replicates) markAll() {
 }
 
 // weightRow expands node's replicate weights into the one-node row: the
-// dense weights w and the bound wMax. Weights 0–3 are classified without
-// branches — (t_j−1−x)>>63 is 1 iff x ≥ t_j, so the three terms count the
-// thresholds at or below x. The rare weights ≥ 4 (≈1.9%) take poissonK's
-// loop. Consecutive calls with the same node are free.
+// dense weights w and the bound wMax. Consecutive calls with the same node
+// are free.
 func (rs *Replicates) weightRow(node int32) {
 	if rs.wValid && rs.wNode == node {
 		return
 	}
-	hn := nodeHash(rs.cfg.Seed, node)
+	rs.wMax = uint8(expandWeights(nodeHash(rs.cfg.Seed, node), 0, rs.w))
+	rs.wNode, rs.wValid = node, true
+}
+
+// expandWeights writes the weights of replicates first, first+1, … of the
+// node with hash hn into w and returns their bitwise OR. Weights 0–3 are
+// classified without branches — (t_j−1−x)>>63 is 1 iff x ≥ t_j, so the
+// three terms count the thresholds at or below x. The rare weights ≥ 4
+// (≈1.9%) take poissonK's loop.
+func expandWeights(hn uint64, first int, w []uint8) uint64 {
 	t0, t1, t2, t3 := poissonThresh[0]-1, poissonThresh[1]-1, poissonThresh[2]-1, poissonThresh[3]
-	w := rs.w
 	var mx uint64
-	for b := range w {
+	for j := range w {
+		b := first + j
 		x := mix64(hn+uint64(b)) >> 11
 		k := (t0-x)>>63 + (t1-x)>>63 + (t2-x)>>63
 		if x >= t3 {
 			k = poissonK(hn, b)
 		}
-		w[b] = uint8(k)
+		w[j] = uint8(k)
 		mx |= k
 	}
-	rs.wMax = uint8(mx)
-	rs.wNode, rs.wValid, rs.nzValid = node, true, false
-}
-
-// nonzero returns the ascending indices of the current weight row's
-// nonzero weights, compacted without branches: every index is written and
-// the length advances only past nonzero weights. Only induced edge mass
-// walks them, so they are built on its first call per row rather than by
-// weightRow, which star ingest and the epoch fold call per node.
-func (rs *Replicates) nonzero() []int32 {
-	if !rs.nzValid {
-		nz := rs.nz[:len(rs.w)]
-		n := 0
-		for b, k := range rs.w {
-			nz[n] = int32(b)
-			n += int((0 - uint64(k)) >> 63)
-		}
-		rs.nz, rs.nzValid = nz[:n], true
-	}
-	return rs.nz
+	return mx
 }
 
 // pairRow is one category pair's replicate numerators. dirty marks that
@@ -410,33 +397,71 @@ func RowWords(B int) int { return (B + 15) / 16 }
 // edges many times build it once and keep it.
 func FillRow(cfg Config, node int32, row []uint64) {
 	hn := nodeHash(cfg.Seed, node)
-	clear(row)
-	for b := 0; b < cfg.B; b++ {
-		row[b>>4] |= min(poissonK(hn, b), rowEscape) << (uint(b&15) * 4)
+	var w [16]uint8
+	for i := range row {
+		n := min(16, cfg.B-16*i)
+		expandWeights(hn, 16*i, w[:n])
+		var x uint64
+		for j, k := range w[:n] {
+			x |= uint64(min(k, rowEscape)) << (4 * j)
+		}
+		row[i] = x
 	}
 }
 
-// unpackRow expands nodeB's packed row into the scratch row pw, a word at
-// a time: each half word's eight nibbles are spread to eight bytes with
-// three shift-and-mask steps. A word holding an escape nibble has those
-// replicates' weights recomputed.
-func (rs *Replicates) unpackRow(nodeB int32, row []uint64) {
-	pw := rs.pw
-	row = row[:len(pw)/16]
+// escapeBits returns the word's escape nibbles: bit 4j is set iff all four
+// bits of nibble j are.
+func escapeBits(x uint64) uint64 {
+	return x & (x >> 1) & (x >> 2) & (x >> 3) & nibbleLows
+}
+
+// nibbleLows has the low bit of every nibble set.
+const nibbleLows = 0x1111111111111111
+
+// escapes calls fn with every replicate whose nibble in row is rowEscape.
+func escapes(row []uint64, fn func(b int)) {
 	for i, x := range row {
-		binary.LittleEndian.PutUint64(pw[16*i:], spreadNibbles(x&0xffffffff))
-		binary.LittleEndian.PutUint64(pw[16*i+8:], spreadNibbles(x>>32))
-		// Bit 4j of esc is set iff all four bits of nibble j are.
-		esc := x & (x >> 1) & (x >> 2) & (x >> 3) & 0x1111111111111111
-		if esc == 0 {
-			continue
-		}
-		hb := nodeHash(rs.cfg.Seed, nodeB)
-		for ; esc != 0; esc &= esc - 1 {
-			b := 16*i + bits.TrailingZeros64(esc)/4
-			pw[b] = uint8(poissonK(hb, b))
+		for esc := escapeBits(x); esc != 0; esc &= esc - 1 {
+			fn(16*i + bits.TrailingZeros64(esc)/4)
 		}
 	}
+}
+
+// LoadRow makes node's packed row (FillRow) the one-node weight row, so
+// node's following updates — AddDraws, AddPeerMass — read its weights
+// instead of hashing them. The row is unpacked a word at a time: each half
+// word's eight nibbles are spread to eight bytes with three shift-and-mask
+// steps, and the weight bound is the OR of the nibbles. The words' escape
+// nibbles are ORed together on the way, and only a row that holds one is
+// walked again to recompute them. Consecutive calls with the same node are
+// free.
+func (rs *Replicates) LoadRow(node int32, row []uint64) {
+	if rs.wValid && rs.wNode == node {
+		return
+	}
+	w := rs.w[:cap(rs.w)]
+	row = row[:len(w)/16]
+	var or, esc uint64
+	for i, x := range row {
+		binary.LittleEndian.PutUint64(w[16*i:], spreadNibbles(x&0xffffffff))
+		binary.LittleEndian.PutUint64(w[16*i+8:], spreadNibbles(x>>32))
+		or |= x
+		esc |= escapeBits(x)
+	}
+	or |= or >> 32
+	or |= or >> 16
+	or |= or >> 8
+	mx := (or | or>>4) & 15
+	if esc != 0 {
+		hn := nodeHash(rs.cfg.Seed, node)
+		escapes(row, func(b int) {
+			k := poissonK(hn, b)
+			w[b] = uint8(k)
+			mx |= k
+		})
+	}
+	rs.wMax = uint8(mx)
+	rs.wNode, rs.wValid = node, true
 }
 
 // spreadNibbles moves nibble j of the low 32 bits of x to byte j.
@@ -446,33 +471,106 @@ func spreadNibbles(x uint64) uint64 {
 	return (x | x<<4) & 0x0f0f0f0f0f0f0f0f
 }
 
-// AddEdgeMass mirrors Sums.AddEdgeMass for an induced-scenario edge-mass
-// increment between nodes a and b: every primary increment is a product of
-// the two endpoint multiplicities' changes, so replicate r scales it by
-// c_a(r)·c_b(r) — nonzero only where BOTH endpoints resampled, so the pass
-// runs over endpoint a's nonzero replicates. rowB is endpoint b's packed
-// weight row (FillRow); it is unpacked into the scratch row first. Pass the
-// node whose record is being ingested as nodeA: its dense row stays cached
-// across all of its incident edges. Weights are converted to float from
-// bytes — an unsigned 64-bit conversion costs a fix-up sequence on amd64.
-func (rs *Replicates) AddEdgeMass(nodeA, nodeB, catA, catB int32, rowB []uint64, mass float64) {
-	if catA == graph.None || catB == graph.None {
+// PeerEdge is one induced edge that a record replays, seen from the drawn
+// node: the far endpoint (its id, category and packed weight row) and the
+// primary edge-mass increment, as passed to Sums.AddEdgeMass.
+type PeerEdge struct {
+	Node, Cat int32
+	Row       []uint64
+	Mass      float64
+}
+
+// AddPeerMass mirrors Sums.AddEdgeMass for every edge one induced record
+// replays between node (of category cat) and its peers. Every primary
+// increment is a product of the two endpoint multiplicities' changes, so
+// replicate b scales edge (a, p)'s mass by c_a(b)·c_p(b). The edges are
+// grouped by the peer's category (core.CatGroups, in first-seen order, so
+// pairs are created in the order per-edge replay creates them), and each
+// group of category C costs one replicate pass per peer plus one per group:
+// its peers' Σ_p mass_p·c_p(b) is summed into scratch straight from their
+// packed rows, a table lookup per nibble, and the (cat, C) target then gets
+// c_a(b) times that sum, with one pair lookup per group. The result equals
+// per-edge replay up to float reassociation, with the same dirty categories
+// and pairs. Escape nibbles read 0 from the table and are added exactly for
+// the peers whose rows hold one. Edges with an uncategorized endpoint
+// add nothing. Load node's row first (LoadRow) to spare hashing its weights.
+func (rs *Replicates) AddPeerMass(node, cat int32, edges []PeerEdge) {
+	if cat == graph.None || len(edges) == 0 {
 		return
 	}
-	rs.weightRow(nodeA)
-	rs.unpackRow(nodeB, rowB)
-	var tgt []float64
-	if catA == catB {
-		rs.mark(catA)
-		off := int(catA) * rs.cfg.B
-		tgt = rs.withinNum[off : off+rs.cfg.B]
-	} else {
-		tgt = rs.pairVec(catA, catB)
+	rs.weightRow(node)
+	if rs.peerCats == nil {
+		rs.peerCats = core.NewCatGroups(rs.k)
+		rs.peerSum = make([]float64, cap(rs.w))
 	}
-	w := rs.w
-	pw, tgt := rs.pw[:len(w)], tgt[:len(w)]
-	for _, b := range rs.nonzero() {
-		tgt[b] += mass * float64(w[b]) * float64(pw[b])
+	for i := range edges {
+		rs.peerCats.Add(edges[i].Cat)
+	}
+	B := rs.cfg.B
+	rs.peerCats.Each(func(pc int32, items []int32) {
+		if pc == graph.None {
+			return
+		}
+		sum := rs.peerSum
+		for _, i := range items {
+			rs.addPeerRow(sum, &edges[i])
+		}
+		var tgt []float64
+		if pc == cat {
+			rs.mark(cat)
+			off := int(cat) * B
+			tgt = rs.withinNum[off : off+B]
+		} else {
+			tgt = rs.pairVec(cat, pc)
+		}
+		w := rs.w
+		sum, tgt = sum[:len(w)], tgt[:len(w)]
+		for b, k := range w {
+			tgt[b] += float64(k) * sum[b]
+			sum[b] = 0
+		}
+	})
+}
+
+// addPeerRow adds e.Mass·c_p(b) to sum[b] for every replicate b, reading
+// the peer's weights c_p from its packed row through a table of the mass's
+// multiples. sum is padded to whole row words; padding nibbles are zero and
+// add +0. Escape nibbles add 0 from the table; the words' escape bits are
+// ORed together on the way, and only a row that holds one is walked again
+// to add their exact weights. A word's 16 nibbles are unrolled by hand: as
+// a 16-step loop the kernel took nearly twice as long
+// (BenchmarkReplicatePeerFold).
+func (rs *Replicates) addPeerRow(sum []float64, e *PeerEdge) {
+	var tab [16]float64 // tab[rowEscape] stays 0
+	for c := 1; c < rowEscape; c++ {
+		tab[c] = e.Mass * float64(c)
+	}
+	row := e.Row[:len(sum)/16]
+	var esc uint64
+	for i, x := range row {
+		y := x & (x >> 1)
+		esc |= y & (y >> 2) // escapeBits before its mask
+		s := (*[16]float64)(sum[16*i:])
+		s[0] += tab[x&15]
+		s[1] += tab[x>>4&15]
+		s[2] += tab[x>>8&15]
+		s[3] += tab[x>>12&15]
+		s[4] += tab[x>>16&15]
+		s[5] += tab[x>>20&15]
+		s[6] += tab[x>>24&15]
+		s[7] += tab[x>>28&15]
+		s[8] += tab[x>>32&15]
+		s[9] += tab[x>>36&15]
+		s[10] += tab[x>>40&15]
+		s[11] += tab[x>>44&15]
+		s[12] += tab[x>>48&15]
+		s[13] += tab[x>>52&15]
+		s[14] += tab[x>>56&15]
+		s[15] += tab[x>>60]
+	}
+	if esc&nibbleLows != 0 {
+		hn := nodeHash(rs.cfg.Seed, e.Node)
+		escapes(row, func(b int) { sum[b] += e.Mass * float64(poissonK(hn, b)) })
 	}
 }
 
