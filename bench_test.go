@@ -590,15 +590,18 @@ func BenchmarkStreamIngestBootstrapSparse(b *testing.B) {
 // multi-walk pooling: folding P independently accumulated walk sums into
 // one estimate, O(P·K² + pairs).
 func BenchmarkSumsMerge(b *testing.B) {
-	recs, _, g := streamBenchRecords(b, 50_000)
+	_, s, g := streamBenchRecords(b, 50_000)
 	const parts = 8
 	sums := make([]*core.Sums, parts)
 	for p := range sums {
-		o := &sample.Observation{K: g.NumCategories(), Star: true}
-		for i := p; i < len(recs); i += parts {
-			if err := o.Append(recs[i]); err != nil {
-				b.Fatal(err)
-			}
+		part := &sample.Sample{}
+		for i := p; i < s.Len(); i += parts {
+			part.Nodes = append(part.Nodes, s.Nodes[i])
+			part.Weights = append(part.Weights, s.Weight(i))
+		}
+		o, err := sample.ObserveStar(g, part)
+		if err != nil {
+			b.Fatal(err)
 		}
 		sums[p] = core.SumsFromObservation(o)
 	}

@@ -118,6 +118,29 @@ func TestBadInputs(t *testing.T) {
 	}
 }
 
+// TestEstimateRejectsBadSample checks that a sample naming a node outside
+// the graph makes estimate return an error naming the draw, not panic.
+func TestEstimateRejectsBadSample(t *testing.T) {
+	dir := t.TempDir()
+	gp := filepath.Join(dir, "g.txt")
+	cp := filepath.Join(dir, "c.txt")
+	sp := filepath.Join(dir, "s.tsv")
+	if err := cmdGen([]string{"-model", "social", "-n", "300", "-meandeg", "6",
+		"-comms", "4", "-graph", gp, "-cats", cp, "-seed", "5"}); err != nil {
+		t.Fatalf("gen: %v", err)
+	}
+	if err := os.WriteFile(sp, []byte("1\t1\n999999\t1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, star := range []string{"-star", "-star=false"} {
+		err := cmdEstimate([]string{"-graph", gp, "-cats", cp, "-sample", sp, star,
+			"-out", filepath.Join(dir, "est.tsv")})
+		if err == nil || !strings.Contains(err.Error(), "draw 1 names node 999999") {
+			t.Fatalf("estimate %s: %v, want an error naming draw 1", star, err)
+		}
+	}
+}
+
 func TestEvalSubcommand(t *testing.T) {
 	dir := t.TempDir()
 	gp := filepath.Join(dir, "g.txt")

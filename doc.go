@@ -39,8 +39,9 @@
 // Because the estimators are design-based sums, estimation is naturally
 // incremental. NewAccumulator and NewStreamObserver expose the streaming
 // workflow: ingest nodes as a crawler visits them and snapshot the live
-// estimate in O(categories²) at any time (batch and streaming share one
-// code path and agree to within float reassociation error). The
+// estimate in O(categories²) at any time (batch and streaming agree on the
+// observation itself, node by node, and their estimates agree to within
+// float reassociation error). The
 // cmd/topoestd daemon serves this over HTTP — multi-tenant: one daemon
 // hosts many named jobs (internal/job), each an independent stream with
 // its own accumulator, bootstrap configuration and crawl slot, addressed

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -129,7 +130,7 @@ func TestSumsMergeMatchesPooledStar(t *testing.T) {
 
 // TestSumsMergeInducedDisjoint checks the documented induced contract: sums
 // over disjoint node sets compose exactly (a hash partition never splits a
-// node), verified against appending all records into one observation.
+// node), verified against observing the concatenated crawl.
 func TestSumsMergeInducedDisjoint(t *testing.T) {
 	g := fig1(t)
 	// Two crawls over disjoint, non-adjacent node sets ({7,8} and {3,4}:
@@ -138,17 +139,9 @@ func TestSumsMergeInducedDisjoint(t *testing.T) {
 	crawlLeft := []int32{7, 8, 7}
 	crawlRight := []int32{3, 4, 4}
 	observe := func(crawls ...[]int32) *sample.Observation {
-		so, err := sample.NewStreamObserver(g, false)
+		o, err := sample.ObserveInduced(g, &sample.Sample{Nodes: slices.Concat(crawls...)})
 		if err != nil {
 			t.Fatal(err)
-		}
-		o := so.NewObservation()
-		for _, crawl := range crawls {
-			for _, v := range crawl {
-				if err := o.Append(so.Observe(v, 1)); err != nil {
-					t.Fatal(err)
-				}
-			}
 		}
 		return o
 	}

@@ -2,6 +2,7 @@ package sample
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -17,6 +18,10 @@ import (
 // contains the same node multiple times, we count any corresponding sampled
 // edges multiple times as well", §4.2.1) while keeping estimation linear in
 // the observed data.
+//
+// ObserveStar and ObserveInduced build it from a sample, and
+// MergeObservations pools star observations; callers may also fill the
+// fields directly.
 type Observation struct {
 	// K is the number of categories in the partition.
 	K int
@@ -41,11 +46,6 @@ type Observation struct {
 	// Induced scenario only: the edges of G[S], as index pairs (i, j) into
 	// the distinct-node arrays with i < j.
 	Edges [][2]int32
-
-	// idx maps node id → distinct-node index; edges dedups reported
-	// induced edges. Both are maintained by Append.
-	idx   map[int32]int32
-	edges map[[2]int32]bool
 }
 
 // ObserveInduced performs induced subgraph sampling (§3.2.1): the categories
@@ -61,21 +61,89 @@ func ObserveStar(src graph.Source, s *Sample) (*Observation, error) {
 	return observeStream(src, s, true)
 }
 
-// observeStream builds the batch observation by replaying the sample through
-// the incremental API — the same code path a live crawler drives, so batch
-// and streaming estimation provably observe identical data.
+// builder aggregates draws into an Observation, one distinct-node entry per
+// node in order of first draw.
+type builder struct {
+	*Observation
+	idx map[int32]int32 // node id → distinct-node index
+}
+
+func newBuilder(k int, star bool) *builder {
+	b := &builder{Observation: &Observation{K: k, Star: star}, idx: make(map[int32]int32)}
+	if star {
+		b.NbrOff = []int32{0}
+	}
+	return b
+}
+
+// add credits mult draws of node v and returns its distinct-node index;
+// fresh reports that v was new, entered with category cat and weight w.
+func (b *builder) add(v, cat int32, w, mult float64) (j int32, fresh bool) {
+	j, ok := b.idx[v]
+	if !ok {
+		j = int32(len(b.Nodes))
+		b.idx[v] = j
+		b.Nodes = append(b.Nodes, v)
+		b.Mult = append(b.Mult, 0)
+		b.Weight = append(b.Weight, w)
+		b.Cat = append(b.Cat, cat)
+	}
+	b.Mult[j] += mult
+	return j, !ok
+}
+
+// addStar records the star data of the node add just entered.
+func (b *builder) addStar(deg float64, nbrCat []int32, nbrCnt []float64) {
+	b.Deg = append(b.Deg, deg)
+	b.NbrCat = append(b.NbrCat, nbrCat...)
+	b.NbrCnt = append(b.NbrCnt, nbrCnt...)
+	b.NbrOff = append(b.NbrOff, int32(len(b.NbrCat)))
+}
+
+// observeStream builds the batch observation from the StreamObserver's
+// records, which carry a node's star data on its first draw only and each
+// induced edge once, reported by the endpoint drawn second; so a first draw
+// enters the node with its data and edges, and a re-draw only raises its
+// multiplicity. The checks left are those on input from outside the
+// program: the sample itself (StreamObserver.CheckSample), a weight
+// constant across re-draws (0 inherits it), and the graph's category of
+// each node. Batch and stream agree on the resulting node table by test
+// (TestBatchStreamNodeTableParity in internal/stream), not by sharing
+// code: the stream's record check lives in internal/stream.
 func observeStream(src graph.Source, s *Sample, star bool) (*Observation, error) {
 	so, err := NewStreamObserver(src, star)
 	if err != nil {
 		return nil, err
 	}
-	o := so.NewObservation()
+	if err := so.CheckSample(s); err != nil {
+		return nil, err
+	}
+	b := newBuilder(so.K(), star)
 	for i, v := range s.Nodes {
-		if err := o.Append(so.Observe(v, s.Weight(i))); err != nil {
-			return nil, err
+		rec := so.Observe(v, s.Weight(i))
+		w := rec.Weight
+		if w == 0 {
+			w = 1
+		}
+		j, fresh := b.add(v, rec.Cat, w, 1)
+		if !fresh {
+			if rec.Weight != 0 && w != b.Weight[j] {
+				return nil, fmt.Errorf("sample: draw %d re-draws node %d with sampling weight %g, conflicting with its first draw (weight %g)", i, v, w, b.Weight[j])
+			}
+			continue
+		}
+		if rec.Cat != graph.None && (rec.Cat < 0 || int(rec.Cat) >= b.K) {
+			return nil, fmt.Errorf("sample: node %d has category %d outside [0,%d)", v, rec.Cat, b.K)
+		}
+		if star {
+			b.addStar(rec.Deg, rec.NbrCat, rec.NbrCnt)
+		}
+		for _, p := range rec.Peers {
+			b.Edges = append(b.Edges, [2]int32{b.idx[p], j})
 		}
 	}
-	return o, nil
+	b.Draws = s.Len()
+	return b.Observation, nil
 }
 
 // MergeObservations pools the star observations of independent crawls into
@@ -93,21 +161,11 @@ func observeStream(src graph.Source, s *Sample, star bool) (*Observation, error)
 // undercount the cut. MergeObservations rejects them — pool the samples
 // with Merge and re-observe instead.
 func MergeObservations(obs ...*Observation) (*Observation, error) {
-	if len(obs) == 0 {
-		return nil, fmt.Errorf("sample: no observations to merge")
-	}
-	first := -1
-	for i, o := range obs {
-		if o != nil {
-			first = i
-			break
-		}
-	}
+	first := slices.IndexFunc(obs, func(o *Observation) bool { return o != nil })
 	if first < 0 {
 		return nil, fmt.Errorf("sample: no observations to merge")
 	}
-	out := &Observation{K: obs[first].K, Star: true, idx: make(map[int32]int32)}
-	out.NbrOff = []int32{0}
+	b := newBuilder(obs[first].K, true)
 	for wi, o := range obs {
 		if o == nil {
 			// Tolerate nil inputs as no-ops, matching Sums.Merge and
@@ -117,44 +175,30 @@ func MergeObservations(obs ...*Observation) (*Observation, error) {
 		if !o.Star {
 			return nil, fmt.Errorf("sample: observation %d is induced; induced crawls never see cross-crawl edges of the pooled G[S] — pool the samples with Merge and re-observe instead", wi)
 		}
-		if o.K != out.K {
-			return nil, fmt.Errorf("sample: observation %d has %d categories, want %d", wi, o.K, out.K)
+		if o.K != b.K {
+			return nil, fmt.Errorf("sample: observation %d has %d categories, want %d", wi, o.K, b.K)
 		}
 		for i, v := range o.Nodes {
-			j, ok := out.idx[v]
-			if !ok {
-				j = int32(len(out.Nodes))
-				out.idx[v] = j
-				out.Nodes = append(out.Nodes, v)
-				out.Mult = append(out.Mult, 0)
-				out.Weight = append(out.Weight, o.Weight[i])
-				out.Cat = append(out.Cat, o.Cat[i])
-				lo, hi := o.NbrOff[i], o.NbrOff[i+1]
-				out.Deg = append(out.Deg, o.Deg[i])
-				out.NbrCat = append(out.NbrCat, o.NbrCat[lo:hi]...)
-				out.NbrCnt = append(out.NbrCnt, o.NbrCnt[lo:hi]...)
-				out.NbrOff = append(out.NbrOff, int32(len(out.NbrCat)))
-			} else {
-				if out.Cat[j] != o.Cat[i] {
-					return nil, fmt.Errorf("sample: node %d has category %d in observation %d but %d earlier", v, o.Cat[i], wi, out.Cat[j])
-				}
-				if out.Weight[j] != o.Weight[i] {
-					return nil, fmt.Errorf("sample: node %d has weight %g in observation %d but %g earlier", v, o.Weight[i], wi, out.Weight[j])
-				}
-				// Partial observations of the node's star upgrade each
-				// other (late star data, late counts, explicit degree over
-				// a derived lower bound); contradictions are rejected.
-				// Stored data is already canonical on both sides.
-				lo, hi := o.NbrOff[i], o.NbrOff[i+1]
-				if err := out.reconcileStar(j, o.Deg[i], o.NbrCat[lo:hi], o.NbrCnt[lo:hi]); err != nil {
-					return nil, fmt.Errorf("sample: observation %d: %w", wi, err)
-				}
+			j, fresh := b.add(v, o.Cat[i], o.Weight[i], o.Mult[i])
+			lo, hi := o.NbrOff[i], o.NbrOff[i+1]
+			if fresh {
+				b.addStar(o.Deg[i], o.NbrCat[lo:hi], o.NbrCnt[lo:hi])
+				continue
 			}
-			out.Mult[j] += o.Mult[i]
+			if b.Cat[j] != o.Cat[i] {
+				return nil, fmt.Errorf("sample: node %d has category %d in observation %d but %d earlier", v, o.Cat[i], wi, b.Cat[j])
+			}
+			if b.Weight[j] != o.Weight[i] {
+				return nil, fmt.Errorf("sample: node %d has weight %g in observation %d but %g earlier", v, o.Weight[i], wi, b.Weight[j])
+			}
+			blo, bhi := b.NbrOff[j], b.NbrOff[j+1]
+			if b.Deg[j] != o.Deg[i] || !slices.Equal(b.NbrCat[blo:bhi], o.NbrCat[lo:hi]) || !slices.Equal(b.NbrCnt[blo:bhi], o.NbrCnt[lo:hi]) {
+				return nil, fmt.Errorf("sample: node %d has star data in observation %d differing from an earlier observation", v, wi)
+			}
 		}
-		out.Draws += o.Draws
+		b.Draws += o.Draws
 	}
-	return out, nil
+	return b.Observation, nil
 }
 
 // NbrCount returns star draw i's neighbor count in category c (0 if none).

@@ -44,7 +44,9 @@ func (s *Sample) Prefix(n int) *Sample {
 	}
 	p := &Sample{Nodes: s.Nodes[:n]}
 	if s.Weights != nil {
-		p.Weights = s.Weights[:n]
+		// A Weights shorter than Nodes stays short in the prefix, for
+		// StreamObserver.CheckSample to reject.
+		p.Weights = s.Weights[:min(n, len(s.Weights))]
 	}
 	return p
 }

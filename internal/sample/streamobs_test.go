@@ -1,7 +1,6 @@
 package sample
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/graph"
@@ -10,7 +9,7 @@ import (
 
 // streamTestGraph builds a small categorized graph: a 6-cycle with a chord,
 // categories {0,0,1,1,2,None}.
-func streamTestGraph(t *testing.T) *graph.Graph {
+func streamTestGraph(t testing.TB) *graph.Graph {
 	t.Helper()
 	b := graph.NewBuilder(6)
 	for i := 0; i < 6; i++ {
@@ -27,35 +26,6 @@ func streamTestGraph(t *testing.T) *graph.Graph {
 	return g
 }
 
-// TestAppendAggregatesDraws checks the multiset invariants Append maintains:
-// repeated draws aggregate into multiplicities against the first weight, and
-// Draws counts every draw.
-func TestAppendAggregatesDraws(t *testing.T) {
-	g := streamTestGraph(t)
-	so, err := NewStreamObserver(g, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := so.NewObservation()
-	for _, v := range []int32{2, 2, 0, 2, 5} {
-		if err := o.Append(so.Observe(v, float64(v)+1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if o.Draws != 5 {
-		t.Fatalf("Draws = %d, want 5", o.Draws)
-	}
-	if len(o.Nodes) != 3 {
-		t.Fatalf("distinct nodes = %d, want 3", len(o.Nodes))
-	}
-	if o.Mult[0] != 3 || o.Weight[0] != 3 || o.Cat[0] != 1 {
-		t.Fatalf("node 2 state: mult=%g w=%g cat=%d", o.Mult[0], o.Weight[0], o.Cat[0])
-	}
-	if o.Cat[2] != graph.None {
-		t.Fatalf("node 5 should be uncategorized, got %d", o.Cat[2])
-	}
-}
-
 // TestStreamObserverInducedEdgesOnce checks that each edge of G[S] is
 // reported exactly once, by its second-observed endpoint, and that re-draws
 // carry no peers.
@@ -65,14 +35,15 @@ func TestStreamObserverInducedEdgesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := so.NewObservation()
+	seq := []int32{0, 1, 0, 3, 1}
 	edges := 0
-	for _, v := range []int32{0, 1, 0, 3, 1} {
+	for _, v := range seq {
 		rec := so.Observe(v, 1)
 		edges += len(rec.Peers)
-		if err := o.Append(rec); err != nil {
-			t.Fatal(err)
-		}
+	}
+	o, err := ObserveInduced(g, &Sample{Nodes: seq})
+	if err != nil {
+		t.Fatal(err)
 	}
 	// Observed subgraph on {0,1,3}: edges {0,1} and {0,3} (the chord).
 	if edges != 2 || len(o.Edges) != 2 {
@@ -160,237 +131,6 @@ func TestObserveMatchesBatchOnRandomSample(t *testing.T) {
 	}
 }
 
-// TestAppendRejectsBadRecords exercises the validation paths and checks
-// that a rejected record leaves the observation untouched.
-func TestAppendRejectsBadRecords(t *testing.T) {
-	o := &Observation{K: 3}
-	if err := o.Append(NodeObservation{Node: 1, Cat: 7}); err == nil {
-		t.Fatal("expected error for out-of-range category")
-	}
-	if err := o.Append(NodeObservation{Node: 1, Cat: 0, Peers: []int32{9}}); err == nil {
-		t.Fatal("expected error for unknown peer")
-	}
-	if o.Draws != 0 || len(o.Nodes) != 0 {
-		t.Fatalf("rejected records mutated state: draws=%d nodes=%d", o.Draws, len(o.Nodes))
-	}
-	// Scenario-mismatched fields are rejected loudly, matching the
-	// streaming accumulator, instead of silently dropped.
-	if err := o.Append(NodeObservation{Node: 1, Cat: 0, Deg: 3, NbrCat: []int32{1}, NbrCnt: []float64{3}}); err == nil {
-		t.Fatal("expected error for star fields in an induced observation")
-	}
-	star := &Observation{K: 3, Star: true}
-	if err := star.Append(NodeObservation{Node: 1, Cat: 0, Peers: []int32{2}}); err == nil {
-		t.Fatal("expected error for induced peers in a star observation")
-	}
-	if err := star.Append(NodeObservation{Node: 1, Cat: 0, NbrCat: []int32{0}, NbrCnt: nil}); err == nil {
-		t.Fatal("expected error for mismatched neighbor arrays")
-	}
-	if err := star.Append(NodeObservation{Node: 1, Cat: 0, NbrCat: []int32{5}, NbrCnt: []float64{1}}); err == nil {
-		t.Fatal("expected error for out-of-range neighbor category")
-	}
-	if star.Draws != 0 || len(star.Nodes) != 0 || len(star.Deg) != 0 {
-		t.Fatal("rejected star records mutated state")
-	}
-	// After rejections, valid appends still leave consistent parallel
-	// arrays (this used to corrupt the CSR when validation ran too late).
-	if err := star.Append(NodeObservation{Node: 1, Cat: 0, Deg: 2, NbrCat: []int32{1}, NbrCnt: []float64{2}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := star.Append(NodeObservation{Node: 2, Cat: 1, Deg: 1, NbrCat: []int32{0}, NbrCnt: []float64{1}}); err != nil {
-		t.Fatal(err)
-	}
-	if len(star.NbrOff) != len(star.Nodes)+1 {
-		t.Fatalf("CSR misaligned: %d offsets for %d nodes", len(star.NbrOff), len(star.Nodes))
-	}
-	if got := star.NbrCount(1, 0); got != 1 {
-		t.Fatalf("NbrCount(1,0) = %g, want 1", got)
-	}
-}
-
-// TestAppendRejectsInvalidWeight is the weight-coercion regression test:
-// negative and NaN weights used to be silently coerced to 1; only weight 0
-// means 1.
-func TestAppendRejectsInvalidWeight(t *testing.T) {
-	o := &Observation{K: 2}
-	if err := o.Append(NodeObservation{Node: 1, Cat: 0, Weight: -2}); err == nil {
-		t.Fatal("expected error for negative weight")
-	}
-	if err := o.Append(NodeObservation{Node: 1, Cat: 0, Weight: math.NaN()}); err == nil {
-		t.Fatal("expected error for NaN weight")
-	}
-	if err := o.Append(NodeObservation{Node: 1, Cat: 0, Weight: math.Inf(1)}); err == nil {
-		t.Fatal("expected error for +Inf weight")
-	}
-	if o.Draws != 0 || len(o.Nodes) != 0 {
-		t.Fatal("rejected records mutated state")
-	}
-	if err := o.Append(NodeObservation{Node: 1, Cat: 0}); err != nil {
-		t.Fatalf("weight 0 (meaning 1) rejected: %v", err)
-	}
-	if o.Weight[0] != 1 {
-		t.Fatalf("weight 0 normalized to %g, want 1", o.Weight[0])
-	}
-}
-
-// TestAppendRejectsConflictingRedraw mirrors the streaming accumulator: a
-// re-draw whose category or weight contradicts the node's first observation
-// is a corrupt stream and must not be folded in silently.
-func TestAppendRejectsConflictingRedraw(t *testing.T) {
-	o := &Observation{K: 3}
-	if err := o.Append(NodeObservation{Node: 4, Cat: 1, Weight: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.Append(NodeObservation{Node: 4, Cat: 2, Weight: 3}); err == nil {
-		t.Fatal("expected error for conflicting category")
-	}
-	if err := o.Append(NodeObservation{Node: 4, Cat: 1, Weight: 7}); err == nil {
-		t.Fatal("expected error for conflicting weight")
-	}
-	if o.Draws != 1 || o.Mult[0] != 1 {
-		t.Fatalf("rejected re-draws mutated state: draws=%d mult=%g", o.Draws, o.Mult[0])
-	}
-	if err := o.Append(NodeObservation{Node: 4, Cat: 1, Weight: 3}); err != nil {
-		t.Fatalf("consistent re-draw rejected: %v", err)
-	}
-	// An omitted weight (0) on a re-draw inherits the recorded one.
-	if err := o.Append(NodeObservation{Node: 4, Cat: 1}); err != nil {
-		t.Fatalf("weight-omitted re-draw rejected: %v", err)
-	}
-	if o.Draws != 3 || o.Mult[0] != 3 || o.Weight[0] != 3 {
-		t.Fatalf("draws=%d mult=%g w=%g, want 3/3/3", o.Draws, o.Mult[0], o.Weight[0])
-	}
-	// Star data re-delivered for a known node must match the recorded
-	// constants; contradictions are rejected, identical copies pass.
-	star := &Observation{K: 3, Star: true}
-	info := NodeObservation{Node: 9, Cat: 0, Deg: 3, NbrCat: []int32{1, 2}, NbrCnt: []float64{1, 2}}
-	if err := star.Append(info); err != nil {
-		t.Fatal(err)
-	}
-	if err := star.Append(info); err != nil {
-		t.Fatalf("identical star re-delivery rejected: %v", err)
-	}
-	bad := info
-	bad.NbrCnt = []float64{2, 2}
-	if err := star.Append(bad); err == nil {
-		t.Fatal("expected error for conflicting neighbor counts on re-delivery")
-	}
-	if star.Draws != 2 || star.Mult[0] != 2 {
-		t.Fatalf("draws=%d mult=%g, want 2/2", star.Draws, star.Mult[0])
-	}
-}
-
-// TestAppendLateStarBackfill checks batch/stream parity for star info that
-// arrives only on a later draw of a node: Append backfills the CSR (as the
-// accumulator backfills its sums), so delivery order does not change the
-// observation.
-func TestAppendLateStarBackfill(t *testing.T) {
-	info1 := NodeObservation{Node: 5, Cat: 0, Deg: 3, NbrCat: []int32{1}, NbrCnt: []float64{3}}
-	info2 := NodeObservation{Node: 6, Cat: 1, Deg: 2, NbrCat: []int32{0, 1}, NbrCnt: []float64{1, 1}}
-	bare1 := NodeObservation{Node: 5, Cat: 0}
-	late := &Observation{K: 2, Star: true}
-	early := &Observation{K: 2, Star: true}
-	for _, rec := range []NodeObservation{bare1, info2, info1} { // info for 5 arrives last
-		if err := late.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, rec := range []NodeObservation{info1, info2, bare1} {
-		if err := early.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if late.Deg[0] != 3 || late.NbrCount(0, 1) != 3 || late.NbrCount(1, 0) != 1 {
-		t.Fatalf("backfill mangled the CSR: deg=%v off=%v cat=%v cnt=%v", late.Deg, late.NbrOff, late.NbrCat, late.NbrCnt)
-	}
-	for i := range early.Nodes {
-		if late.Deg[i] != early.Deg[i] || late.Mult[i] != early.Mult[i] ||
-			late.NbrOff[i+1]-late.NbrOff[i] != early.NbrOff[i+1]-early.NbrOff[i] {
-			t.Fatalf("late delivery diverged from early at node %d: %+v vs %+v", i, late, early)
-		}
-	}
-	// After the backfill, a larger explicit degree upgrades (the stored 3
-	// equals the counts sum, indistinguishable from a derived lower
-	// bound), while an explicit degree below the counts sum is a genuine
-	// contradiction and is rejected.
-	up := info1
-	up.Deg = 7
-	if err := late.Append(up); err != nil {
-		t.Fatalf("explicit-degree upgrade rejected: %v", err)
-	}
-	if late.Deg[0] != 7 {
-		t.Fatalf("Deg[0] = %g after upgrade, want 7", late.Deg[0])
-	}
-	bad := info1
-	bad.Deg = 2
-	if err := late.Append(bad); err == nil {
-		t.Fatal("expected error for explicit degree below the counts sum")
-	}
-}
-
-// TestAppendLateCountsOnlyBackfill is the batch/stream parity regression:
-// a node appended from a bare record whose counts-only star data arrives on
-// a later draw must be accepted and recorded (the accumulator's starSeen
-// backfill), not rejected against the placeholder degree 0.
-func TestAppendLateCountsOnlyBackfill(t *testing.T) {
-	o := &Observation{K: 2, Star: true}
-	if err := o.Append(NodeObservation{Node: 5, Cat: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.Append(NodeObservation{Node: 5, Cat: 0, NbrCat: []int32{1}, NbrCnt: []float64{3}}); err != nil {
-		t.Fatalf("late counts-only star data rejected: %v", err)
-	}
-	if o.Deg[0] != 3 || o.NbrCount(0, 1) != 3 || o.Mult[0] != 2 {
-		t.Fatalf("backfill wrong: deg=%g cnt=%g mult=%g", o.Deg[0], o.NbrCount(0, 1), o.Mult[0])
-	}
-}
-
-// TestAppendNormalizesOmittedDegree checks that a count-only record stores
-// the derived degree, matching the streaming accumulator's normalization so
-// batch and streaming estimates agree on such streams.
-func TestAppendNormalizesOmittedDegree(t *testing.T) {
-	o := &Observation{K: 2, Star: true}
-	if err := o.Append(NodeObservation{Node: 1, Cat: 0, NbrCat: []int32{1}, NbrCnt: []float64{5}}); err != nil {
-		t.Fatal(err)
-	}
-	if o.Deg[0] != 5 {
-		t.Fatalf("Deg[0] = %g, want the derived 5", o.Deg[0])
-	}
-}
-
-// TestCanonicalStarCounts checks the wire-order normalization: stored and
-// compared counts are sorted by category with duplicates aggregated, so
-// clients may emit the list in any order.
-func TestCanonicalStarCounts(t *testing.T) {
-	cat, cnt := CanonicalStarCounts([]int32{2, 0, 2, 1}, []float64{1, 4, 2, 3})
-	wantCat, wantCnt := []int32{0, 1, 2}, []float64{4, 3, 3}
-	for j := range wantCat {
-		if cat[j] != wantCat[j] || cnt[j] != wantCnt[j] {
-			t.Fatalf("canonical = %v/%v, want %v/%v", cat, cnt, wantCat, wantCnt)
-		}
-	}
-	// Zero-count entries carry no information and are dropped, so crawlers
-	// that do and don't enumerate empty categories compare equal.
-	if cat, cnt = CanonicalStarCounts([]int32{0, 1}, []float64{0, 3}); len(cat) != 1 || cat[0] != 1 || cnt[0] != 3 {
-		t.Fatalf("zero counts kept: %v/%v", cat, cnt)
-	}
-	in := []int32{0, 2}
-	if c, _ := CanonicalStarCounts(in, []float64{1, 2}); &c[0] != &in[0] {
-		t.Fatal("already-canonical input must be returned as-is")
-	}
-	// Append stores canonically and accepts an order-permuted re-delivery
-	// as identical data.
-	o := &Observation{K: 3, Star: true}
-	if err := o.Append(NodeObservation{Node: 1, Cat: 0, Deg: 5, NbrCat: []int32{2, 1}, NbrCnt: []float64{3, 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if o.NbrCat[0] != 1 || o.NbrCnt[0] != 2 || o.NbrCount(0, 2) != 3 {
-		t.Fatalf("stored CSR not canonical: %v/%v", o.NbrCat, o.NbrCnt)
-	}
-	if err := o.Append(NodeObservation{Node: 1, Cat: 0, Deg: 5, NbrCat: []int32{1, 2}, NbrCnt: []float64{2, 3}}); err != nil {
-		t.Fatalf("order-permuted re-delivery rejected: %v", err)
-	}
-}
-
 // TestMergeObservations checks the multi-crawl pooling helper: merging the
 // star observations of independent walks must reproduce observing the
 // concatenated sample, and the error paths must catch mismatched inputs.
@@ -446,86 +186,43 @@ func TestMergeObservations(t *testing.T) {
 	if _, err := MergeObservations(obs[0], &Observation{K: 99, Star: true}); err == nil {
 		t.Fatal("expected error for mismatched K")
 	}
-	conflict := &Observation{K: g.NumCategories(), Star: true}
-	if err := conflict.Append(NodeObservation{
-		Node: obs[0].Nodes[0], Cat: (obs[0].Cat[0] + 1) % int32(g.NumCategories()),
-		Weight: obs[0].Weight[0], Deg: obs[0].Deg[0],
-	}); err != nil {
-		t.Fatal(err)
+	// one builds a one-draw observation of the first walk's first node,
+	// with the given category, weight and star data.
+	one := func(cat int32, w, deg float64, nbrCat []int32, nbrCnt []float64) *Observation {
+		return &Observation{K: g.NumCategories(), Star: true, Draws: 1,
+			Nodes: []int32{obs[0].Nodes[0]}, Mult: []float64{1}, Weight: []float64{w}, Cat: []int32{cat},
+			Deg: []float64{deg}, NbrOff: []int32{0, int32(len(nbrCat))}, NbrCat: nbrCat, NbrCnt: nbrCnt}
 	}
-	if _, err := MergeObservations(obs[0], conflict); err == nil {
-		t.Fatal("expected error for conflicting category across crawls")
-	}
-	// Same category/weight/degree but perturbed neighbor counts must also
-	// be rejected — star data is a per-node constant on a static graph.
 	lo, hi := obs[0].NbrOff[0], obs[0].NbrOff[1]
 	if hi == lo {
 		t.Fatal("walk start unexpectedly has no categorized neighbors")
 	}
-	// Perturb a count downward so the record stays internally valid
-	// (counts sum ≤ degree) while contradicting the other crawl.
-	nc := append([]float64(nil), obs[0].NbrCnt[lo:hi]...)
-	nc[0]--
-	nbrConflict := &Observation{K: g.NumCategories(), Star: true}
-	if err := nbrConflict.Append(NodeObservation{
-		Node: obs[0].Nodes[0], Cat: obs[0].Cat[0], Weight: obs[0].Weight[0],
-		Deg: obs[0].Deg[0], NbrCat: append([]int32(nil), obs[0].NbrCat[lo:hi]...), NbrCnt: nc,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := MergeObservations(obs[0], nbrConflict); err == nil {
-		t.Fatal("expected error for conflicting neighbor counts across crawls")
-	}
-	// Mixed conventions: a crawl that saw the explicit degree supersedes
-	// one that could only derive the lower bound from counts — in either
-	// merge order.
-	full := &Observation{K: 3, Star: true}
-	if err := full.Append(NodeObservation{Node: 9, Cat: 0, Deg: 5, NbrCat: []int32{1}, NbrCnt: []float64{3}}); err != nil {
-		t.Fatal(err)
-	}
-	derived := &Observation{K: 3, Star: true}
-	if err := derived.Append(NodeObservation{Node: 9, Cat: 0, NbrCat: []int32{1}, NbrCnt: []float64{3}}); err != nil {
-		t.Fatal(err)
-	}
-	for _, pair := range [][2]*Observation{{full, derived}, {derived, full}} {
-		m, err := MergeObservations(pair[0], pair[1])
-		if err != nil {
-			t.Fatalf("mixed-convention merge rejected: %v", err)
+	cat, w, deg := obs[0].Cat[0], obs[0].Weight[0], obs[0].Deg[0]
+	nbrCat, nbrCnt := obs[0].NbrCat[lo:hi], obs[0].NbrCnt[lo:hi]
+	fewer := append([]float64(nil), nbrCnt...)
+	fewer[0]--
+	for name, o := range map[string]*Observation{
+		"category":        one((cat+1)%int32(g.NumCategories()), w, deg, nbrCat, nbrCnt),
+		"weight":          one(cat, w+1, deg, nbrCat, nbrCnt),
+		"neighbor counts": one(cat, w, deg, nbrCat, fewer),
+		// A counts-derived degree no longer upgrades to an explicit one:
+		// star data is a per-node constant, so it must be equal.
+		"degree": one(cat, w, deg+1, nbrCat, nbrCnt),
+	} {
+		if _, err := MergeObservations(obs[0], o); err == nil {
+			t.Fatalf("expected error for conflicting %s across crawls", name)
 		}
-		if m.Deg[0] != 5 || m.Mult[0] != 2 {
-			t.Fatalf("merged deg=%g mult=%g, want the explicit 5 with mult 2", m.Deg[0], m.Mult[0])
-		}
+	}
+	if m, err := MergeObservations(obs[0], one(cat, w, deg, nbrCat, nbrCnt)); err != nil || m.Mult[0] != obs[0].Mult[0]+1 {
+		t.Fatalf("merging equal star data: %v", err)
 	}
 	// Nil inputs are tolerated as no-ops (matching Sums.Merge); all-nil
 	// still errors.
-	m, err := MergeObservations(nil, full, nil)
-	if err != nil || m.Draws != 1 {
+	m, err := MergeObservations(nil, obs[0], nil)
+	if err != nil || m.Draws != obs[0].Draws {
 		t.Fatalf("nil-tolerant merge: %v (draws %d)", err, m.Draws)
 	}
 	if _, err := MergeObservations(nil, nil); err == nil {
 		t.Fatal("expected error merging only nil observations")
-	}
-}
-
-// TestAppendDedupsDuplicateEdgeReports checks that both-endpoint (or
-// repeated) edge reports fold into one stored edge, matching the streaming
-// accumulator's semantics.
-func TestAppendDedupsDuplicateEdgeReports(t *testing.T) {
-	o := &Observation{K: 2}
-	if err := o.Append(NodeObservation{Node: 1, Cat: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.Append(NodeObservation{Node: 2, Cat: 1, Peers: []int32{1, 1}}); err != nil {
-		t.Fatal(err)
-	}
-	// Re-draw of node 1 re-reporting the edge from its side.
-	if err := o.Append(NodeObservation{Node: 1, Cat: 0, Peers: []int32{2}}); err != nil {
-		t.Fatal(err)
-	}
-	if len(o.Edges) != 1 {
-		t.Fatalf("stored %d edges, want 1 (duplicates must fold)", len(o.Edges))
-	}
-	if o.Draws != 3 || o.Mult[0] != 2 {
-		t.Fatalf("draws=%d mult0=%g", o.Draws, o.Mult[0])
 	}
 }

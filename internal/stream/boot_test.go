@@ -80,15 +80,18 @@ func TestStreamingBootstrapMatchesOffline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		obs := so.NewObservation()
 		for i, v := range s.Nodes {
-			rec := so.Observe(v, s.Weight(i))
-			if err := acc.Ingest(rec); err != nil {
+			if err := acc.Ingest(so.Observe(v, s.Weight(i))); err != nil {
 				t.Fatal(err)
 			}
-			if err := obs.Append(rec); err != nil {
-				t.Fatal(err)
-			}
+		}
+		observe := sample.ObserveInduced
+		if star {
+			observe = sample.ObserveStar
+		}
+		obs, err := observe(g, s)
+		if err != nil {
+			t.Fatal(err)
 		}
 		snap, err := acc.Snapshot()
 		if err != nil {

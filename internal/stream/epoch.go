@@ -111,20 +111,60 @@ type starData struct {
 // canonical counts — into the view sd. Star data is recorded once per
 // distinct node, from the first record that carries any; crawlers may send
 // it on every record (concurrent crawlers feeding one stream), so a later
-// delivery must agree with the view (sample.ReconcileStarData) and may only
-// upgrade it: a larger explicit degree, or counts for a node recorded
-// without any. reconcile returns the upgraded data, or the zero starData
-// when the record adds nothing; a contradiction is an error. The result may
-// alias the arguments and sd.
+// delivery must agree with the view, comparing only what each side attests:
+// the neighbor-category counts when present, the degree when explicit. On a
+// static graph these are per-node constants, so a genuine mismatch means
+// corrupt or misrouted data and is an error. A delivery may only upgrade
+// the view: a counts-derived degree (see effectiveStarDegree) is only a
+// lower bound that a larger explicit degree supersedes, and counts arriving
+// for a node recorded without any are adopted. reconcile returns the
+// upgraded data, or the zero starData when the record adds nothing. The
+// result may alias the arguments and sd. Errors carry no package prefix —
+// callers wrap them.
 func (sd starData) reconcile(node int32, deg float64, nbrCat []int32, nbrCnt []float64) (starData, error) {
 	if !sd.seen {
-		return starData{seen: true, deg: sample.EffectiveStarDegree(deg, nbrCnt), nbrCat: nbrCat, nbrCnt: nbrCnt}, nil
+		return starData{seen: true, deg: effectiveStarDegree(deg, nbrCnt), nbrCat: nbrCat, nbrCnt: nbrCnt}, nil
 	}
-	d, ct, cn, err := sample.ReconcileStarData(node, deg, nbrCat, nbrCnt, sd.deg, sd.nbrCat, sd.nbrCnt)
-	if err != nil || (d == sd.deg && len(ct) == len(sd.nbrCat)) {
-		return starData{}, err
+	up := sd
+	switch {
+	case len(nbrCat) == 0:
+		// The record attests no counts.
+	case len(sd.nbrCat) == 0:
+		// Counts arrive for a node recorded without any — adopt them
+		// (consistency with the reconciled degree is checked below).
+		up.nbrCat, up.nbrCnt = nbrCat, nbrCnt
+	case len(nbrCat) != len(sd.nbrCat):
+		return starData{}, fmt.Errorf("node %d re-delivered %d neighbor categories, conflicting with its first observation (%d categories)",
+			node, len(nbrCat), len(sd.nbrCat))
+	default:
+		for j := range nbrCat {
+			if nbrCat[j] != sd.nbrCat[j] || nbrCnt[j] != sd.nbrCnt[j] {
+				return starData{}, fmt.Errorf("node %d re-delivered neighbor-category counts conflicting with its first observation", node)
+			}
+		}
 	}
-	return starData{seen: true, deg: d, nbrCat: ct, nbrCnt: cn}, nil
+	switch {
+	case deg == 0 || deg == sd.deg:
+	case deg > sd.deg && sd.deg == effectiveStarDegree(0, sd.nbrCnt):
+		// The stored degree equals its counts sum, which is
+		// indistinguishable from a counts-derived lower bound (the wire
+		// format carries no explicit-degree marker), so the record's larger
+		// explicit degree supersedes it — the information-maximizing
+		// resolution of an inherent ambiguity.
+		up.deg = deg
+	case deg < sd.deg && len(nbrCnt) > 0 && deg == effectiveStarDegree(0, nbrCnt):
+		// The record's degree is itself a counts-derived lower bound.
+	default:
+		return starData{}, fmt.Errorf("node %d re-delivered star data (deg %g) conflicting with its first observation (deg %g)", node, deg, sd.deg)
+	}
+	if len(sd.nbrCat) == 0 && len(up.nbrCat) > 0 && effectiveStarDegree(0, up.nbrCnt) > up.deg {
+		return starData{}, fmt.Errorf("node %d re-delivered neighbor counts summing to %g, exceeding its recorded degree %g",
+			node, effectiveStarDegree(0, up.nbrCnt), up.deg)
+	}
+	if up.deg == sd.deg && len(up.nbrCat) == len(sd.nbrCat) {
+		return starData{}, nil
+	}
+	return up, nil
 }
 
 // retro returns the star data owed to a node's earlier draws, which were

@@ -196,7 +196,7 @@ func validateFull(cfg Config, fs *FullState) error {
 // (categories ascending without repeats, no zero counts), and present only
 // if the node is marked as having received star data.
 func validateStarRecord(k int, nr *NodeRecord) error {
-	if err := sample.ValidateStarFields(k, sample.NodeObservation{Node: nr.Node, Deg: nr.Deg, NbrCat: nr.NbrCat, NbrCnt: nr.NbrCnt}); err != nil {
+	if err := validateStarFields(k, sample.NodeObservation{Node: nr.Node, Deg: nr.Deg, NbrCat: nr.NbrCat, NbrCnt: nr.NbrCnt}); err != nil {
 		return err
 	}
 	for j, c := range nr.NbrCat {

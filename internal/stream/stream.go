@@ -34,7 +34,9 @@
 package stream
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"sync/atomic"
 	"time"
 
@@ -343,10 +345,10 @@ func checkRecord(cfg *Config, rec sample.NodeObservation, known bool, cat int32,
 	if !carries {
 		return w, starData{}, nil
 	}
-	if err := sample.ValidateStarFields(cfg.K, rec); err != nil {
+	if err := validateStarFields(cfg.K, rec); err != nil {
 		return 0, starData{}, reject("bad_star", "stream: %w", err)
 	}
-	nbrCat, nbrCnt := sample.CanonicalStarCounts(rec.NbrCat, rec.NbrCnt)
+	nbrCat, nbrCnt := canonicalStarCounts(rec.NbrCat, rec.NbrCnt)
 	up, err := view.reconcile(rec.Node, rec.Deg, nbrCat, nbrCnt)
 	if err != nil {
 		return 0, starData{}, reject("star_conflict", "stream: %w", err)
@@ -357,6 +359,93 @@ func checkRecord(cfg *Config, rec sample.NodeObservation, known bool, cat int32,
 // carriesStar reports whether rec carries any star data.
 func carriesStar(rec sample.NodeObservation) bool {
 	return len(rec.NbrCat) > 0 || len(rec.NbrCnt) > 0 || rec.Deg != 0
+}
+
+// effectiveStarDegree returns the node degree a star record implies: the
+// explicit degree when given, else the sum of the reported neighbor counts
+// (tolerating clients that only report counts; uncategorized neighbors are
+// then invisible, as in a crawl of a partially labeled network).
+func effectiveStarDegree(deg float64, nbrCnt []float64) float64 {
+	if deg != 0 {
+		return deg
+	}
+	var s float64
+	for _, c := range nbrCnt {
+		s += c
+	}
+	return s
+}
+
+// canonicalStarCounts returns neighbor-category counts in canonical form:
+// sorted by category, duplicate categories aggregated, zero counts dropped.
+// Wire records may list categories in any order and may or may not
+// enumerate zero-count categories (e.g. a client building the list from map
+// iteration), so everything stored or compared goes through this first —
+// equality of canonical forms is then exactly semantic equality. The inputs
+// are never modified; already-canonical slices are returned as-is.
+func canonicalStarCounts(nbrCat []int32, nbrCnt []float64) ([]int32, []float64) {
+	canonical := true
+	for j := range nbrCat {
+		if nbrCnt[j] == 0 || (j > 0 && nbrCat[j] <= nbrCat[j-1]) {
+			canonical = false
+			break
+		}
+	}
+	if canonical {
+		return nbrCat, nbrCnt
+	}
+	ord := make([]int, len(nbrCat))
+	for i := range ord {
+		ord[i] = i
+	}
+	sort.Slice(ord, func(a, b int) bool { return nbrCat[ord[a]] < nbrCat[ord[b]] })
+	outCat := make([]int32, 0, len(nbrCat))
+	outCnt := make([]float64, 0, len(nbrCnt))
+	for _, i := range ord {
+		if n := len(outCat); n > 0 && outCat[n-1] == nbrCat[i] {
+			outCnt[n-1] += nbrCnt[i]
+		} else {
+			outCat = append(outCat, nbrCat[i])
+			outCnt = append(outCnt, nbrCnt[i])
+		}
+	}
+	w := 0
+	for i := range outCat {
+		if outCnt[i] != 0 {
+			outCat[w], outCnt[w] = outCat[i], outCnt[i]
+			w++
+		}
+	}
+	return outCat[:w], outCnt[:w]
+}
+
+// validateStarFields checks a record's star fields against a K-category
+// partition: matching array lengths, a finite non-negative degree, finite
+// non-negative counts over in-range categories, and an explicit degree not
+// below the counts sum (counts cover only categorized neighbors, so a
+// smaller degree is impossible on any graph). Errors carry no package
+// prefix — callers wrap them.
+func validateStarFields(k int, rec sample.NodeObservation) error {
+	if len(rec.NbrCat) != len(rec.NbrCnt) {
+		return fmt.Errorf("node %d has %d neighbor categories but %d counts", rec.Node, len(rec.NbrCat), len(rec.NbrCnt))
+	}
+	if !(rec.Deg >= 0) || math.IsInf(rec.Deg, 0) {
+		return fmt.Errorf("node %d has invalid degree %g", rec.Node, rec.Deg)
+	}
+	var sum float64
+	for j, c := range rec.NbrCat {
+		if c < 0 || int(c) >= k {
+			return fmt.Errorf("node %d has neighbor category %d outside [0,%d)", rec.Node, c, k)
+		}
+		if !(rec.NbrCnt[j] >= 0) || math.IsInf(rec.NbrCnt[j], 0) {
+			return fmt.Errorf("node %d has invalid neighbor count %g for category %d", rec.Node, rec.NbrCnt[j], c)
+		}
+		sum += rec.NbrCnt[j]
+	}
+	if rec.Deg > 0 && sum > rec.Deg {
+		return fmt.Errorf("node %d reports degree %g below its categorized-neighbor count sum %g", rec.Node, rec.Deg, sum)
+	}
+	return nil
 }
 
 func (a *Accumulator) ingestLocked(rec sample.NodeObservation) error {

@@ -1,7 +1,9 @@
 package stream
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -168,6 +170,97 @@ func TestStreamBatchParity(t *testing.T) {
 					}
 					if d := maxRelDiff(snap.Within, wantWithin); d > 1e-9 {
 						t.Fatalf("at %d draws: within mismatch %g", n, d)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestBatchStreamNodeTableParity pins the batch observation to the
+// accumulator's node table, exactly: UIS, WIS and RW samples with re-draws
+// go through ObserveStar/ObserveInduced and, record by record from a
+// StreamObserver, through an Accumulator. The two paths share no code, so
+// every distinct node must agree with no tolerance on multiplicity,
+// weight, category, degree and neighbor-category counts, and the induced
+// edge set must equal the peers ExportFull lists.
+func TestBatchStreamNodeTableParity(t *testing.T) {
+	g := testGraph(t)
+	for name, smp := range testSamplers(t, g) {
+		for _, star := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/star=%v", name, star), func(t *testing.T) {
+				s, err := smp.Sample(randx.New(13), g, 3000)
+				if err != nil {
+					t.Fatal(err)
+				}
+				observe := sample.ObserveInduced
+				if star {
+					observe = sample.ObserveStar
+				}
+				o, err := observe(g, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(o.Nodes) == s.Len() {
+					t.Fatal("sample has no re-draws")
+				}
+				so, err := sample.NewStreamObserver(g, star)
+				if err != nil {
+					t.Fatal(err)
+				}
+				acc, err := NewAccumulator(Config{K: g.NumCategories(), Star: star})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, v := range s.Nodes {
+					if err := acc.Ingest(so.Observe(v, s.Weight(i))); err != nil {
+						t.Fatal(err)
+					}
+				}
+				fs, err := acc.ExportFull()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(fs.Nodes) != len(o.Nodes) {
+					t.Fatalf("stream holds %d nodes, batch %d", len(fs.Nodes), len(o.Nodes))
+				}
+				idx := make(map[int32]int, len(o.Nodes))
+				for i, v := range o.Nodes {
+					idx[v] = i
+				}
+				streamEdges := map[[2]int32]int{}
+				for _, nr := range fs.Nodes {
+					i, ok := idx[nr.Node]
+					if !ok {
+						t.Fatalf("node %d is in the stream only", nr.Node)
+					}
+					if nr.Mult != o.Mult[i] || nr.Weight != o.Weight[i] || nr.Cat != o.Cat[i] {
+						t.Fatalf("node %d: stream mult/weight/cat %g/%g/%d, batch %g/%g/%d",
+							nr.Node, nr.Mult, nr.Weight, nr.Cat, o.Mult[i], o.Weight[i], o.Cat[i])
+					}
+					if star {
+						lo, hi := o.NbrOff[i], o.NbrOff[i+1]
+						if nr.Deg != o.Deg[i] || !slices.Equal(nr.NbrCat, o.NbrCat[lo:hi]) || !slices.Equal(nr.NbrCnt, o.NbrCnt[lo:hi]) {
+							t.Fatalf("node %d: stream star %g %v %v, batch %g %v %v",
+								nr.Node, nr.Deg, nr.NbrCat, nr.NbrCnt, o.Deg[i], o.NbrCat[lo:hi], o.NbrCnt[lo:hi])
+						}
+					}
+					for _, p := range nr.Peers {
+						streamEdges[[2]int32{min(nr.Node, p), max(nr.Node, p)}]++
+					}
+				}
+				for e, n := range streamEdges {
+					if n != 2 {
+						t.Fatalf("edge %v listed %d times in the stream's peers, want once per endpoint", e, n)
+					}
+				}
+				if len(o.Edges) != len(streamEdges) {
+					t.Fatalf("batch holds %d edges, stream %d", len(o.Edges), len(streamEdges))
+				}
+				for _, e := range o.Edges {
+					u, v := o.Nodes[e[0]], o.Nodes[e[1]]
+					if streamEdges[[2]int32{min(u, v), max(u, v)}] == 0 {
+						t.Fatalf("batch edge %d-%d is not among the stream's peers", u, v)
 					}
 				}
 			})
@@ -743,5 +836,46 @@ func TestIngestValidation(t *testing.T) {
 	// One edge between categories 0 and 1 with mult 1·2, rew 1 and 2.
 	if w := snap.Result.Weights.Get(0, 1); math.Abs(w-1) > 1e-12 {
 		t.Fatalf("duplicate edge report changed weight: %g", w)
+	}
+}
+
+// TestCanonicalStarCounts checks the wire-order normalization: stored and
+// compared counts are sorted by category with duplicates aggregated, so
+// clients may emit the list in any order.
+func TestCanonicalStarCounts(t *testing.T) {
+	cat, cnt := canonicalStarCounts([]int32{2, 0, 2, 1}, []float64{1, 4, 2, 3})
+	wantCat, wantCnt := []int32{0, 1, 2}, []float64{4, 3, 3}
+	for j := range wantCat {
+		if cat[j] != wantCat[j] || cnt[j] != wantCnt[j] {
+			t.Fatalf("canonical = %v/%v, want %v/%v", cat, cnt, wantCat, wantCnt)
+		}
+	}
+	// Zero-count entries carry no information and are dropped, so crawlers
+	// that do and don't enumerate empty categories compare equal.
+	if cat, cnt = canonicalStarCounts([]int32{0, 1}, []float64{0, 3}); len(cat) != 1 || cat[0] != 1 || cnt[0] != 3 {
+		t.Fatalf("zero counts kept: %v/%v", cat, cnt)
+	}
+	in := []int32{0, 2}
+	if c, _ := canonicalStarCounts(in, []float64{1, 2}); &c[0] != &in[0] {
+		t.Fatal("already-canonical input must be returned as-is")
+	}
+	// The accumulator stores canonically and accepts an order-permuted
+	// re-delivery as identical data.
+	acc, err := NewAccumulator(Config{K: 3, Star: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := acc.Ingest(sample.NodeObservation{Node: 1, Cat: 0, Deg: 5, NbrCat: []int32{2, 1}, NbrCnt: []float64{3, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := acc.Ingest(sample.NodeObservation{Node: 1, Cat: 0, Deg: 5, NbrCat: []int32{1, 2}, NbrCnt: []float64{2, 3}}); err != nil {
+		t.Fatalf("order-permuted re-delivery rejected: %v", err)
+	}
+	fs, err := acc.ExportFull()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nr := fs.Nodes[0]; !slices.Equal(nr.NbrCat, []int32{1, 2}) || !slices.Equal(nr.NbrCnt, []float64{2, 3}) || nr.Mult != 2 {
+		t.Fatalf("stored star data not canonical: %+v", nr)
 	}
 }

@@ -222,8 +222,7 @@ func streamReplay(t *testing.T, g *graph.Graph, s *sample.Sample, cfg Config) *R
 			w = 1
 		}
 		if _, ok := stars[v]; !ok {
-			cat, cnt := sample.CanonicalStarCounts(rec.NbrCat, rec.NbrCnt)
-			stars[v] = &starData{deg: sample.EffectiveStarDegree(rec.Deg, cnt), cat: cat, cnt: cnt}
+			stars[v] = &starData{deg: rec.Deg, cat: rec.NbrCat, cnt: rec.NbrCnt}
 		}
 		sd := stars[v]
 		prev := mult[v]

@@ -342,14 +342,17 @@ func NewStreamObserver(src Source, star bool) (*StreamObserver, error) {
 	return sample.NewStreamObserver(src, star)
 }
 
-// StreamSample replays a batch sample through an observer into an
-// accumulator (single-lock or sharded) — convenience for turning any
-// Sampler output into a stream. The observer and accumulator must agree on
-// the measurement scenario.
+// StreamSample replays a batch sample through an observer into any
+// StreamIngester — convenience for turning any Sampler output into a
+// stream. The observer and accumulator must agree on the measurement
+// scenario, and the sample must pass the observer's CheckSample.
 func StreamSample(acc StreamIngester, so *StreamObserver, s *Sample) error {
 	if so.Star() != acc.Config().Star {
 		return fmt.Errorf("repro: observer scenario (star=%v) does not match accumulator (star=%v)",
 			so.Star(), acc.Config().Star)
+	}
+	if err := so.CheckSample(s); err != nil {
+		return err
 	}
 	for i, v := range s.Nodes {
 		if err := acc.Ingest(so.Observe(v, s.Weight(i))); err != nil {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -176,6 +177,15 @@ func TestFacadeStreaming(t *testing.T) {
 	}
 	if cg.K() != g.NumCategories() {
 		t.Fatalf("category graph has %d categories", cg.K())
+	}
+	// A draw outside the graph is an error naming it, not a panic, on the
+	// facade's streaming entry points as on the batch ones.
+	bad := &Sample{Nodes: []int32{0, int32(g.N())}}
+	if err := StreamSample(acc, so, bad); err == nil || !strings.Contains(err.Error(), "draw 1 names node") {
+		t.Fatalf("StreamSample on an out-of-range draw: %v", err)
+	}
+	if _, err := StreamWithCI(StreamConfig{K: g.NumCategories(), Star: true}, so, s, bad); err == nil {
+		t.Fatal("StreamWithCI accepted an out-of-range draw")
 	}
 }
 
