@@ -981,24 +981,24 @@ func BenchmarkSamplerStudy(b *testing.B) {
 // BenchmarkCrawlWalkers measures the adaptive crawl controller end to end:
 // W concurrent walkers stream a fixed draw budget (no CI target, so every
 // configuration does identical estimation work) into an accumulator,
-// checkpointing on a fixed cadence. The 1-walker/1-shard row is the
-// serialized single-lock baseline; shards>1 builds an epoch-merged
-// accumulator, where each walker ingests into its own writer-local epoch,
-// and the 4/4 and 8/8 rows show how far walker parallelism carries once
-// ingest takes no shared lock (run with -cpu 4,8 on a multi-core machine).
+// checkpointing on a fixed cadence. Every row is a star crawl, so each
+// walker ingests into its own writer-local epoch of an epoch-merged
+// accumulator; the 1-walker row is the serial baseline, and the 4- and
+// 8-walker rows show how far walker parallelism carries once ingest takes
+// no shared lock (run with -cpu 4,8 on a multi-core machine).
 // Those rows run without bootstrap replicates. The bootstrap=100 row
 // mirrors topobench's crawl-budget workload — 2 RW walkers, burn-in 1000,
 // 10k draws, B=100, a checkpoint every 2000 draws — so it prices the
 // replicate kernel and the star observer on the crawl's per-draw path.
 func BenchmarkCrawlWalkers(b *testing.B) {
 	g := getPaperGraph(b)
-	for _, ws := range []struct{ walkers, shards, boot, burnIn, draws, check int }{
-		{1, 1, 0, 100, 20_000, 5000},
-		{4, 4, 0, 100, 20_000, 5000},
-		{8, 8, 0, 100, 20_000, 5000},
-		{2, 2, 100, 1000, 10_000, 2000},
+	for _, ws := range []struct{ walkers, boot, burnIn, draws, check int }{
+		{1, 0, 100, 20_000, 5000},
+		{4, 0, 100, 20_000, 5000},
+		{8, 0, 100, 20_000, 5000},
+		{2, 100, 1000, 10_000, 2000},
 	} {
-		name := fmt.Sprintf("walkers=%d/shards=%d", ws.walkers, ws.shards)
+		name := fmt.Sprintf("walkers=%d", ws.walkers)
 		if ws.boot > 0 {
 			name += fmt.Sprintf("/bootstrap=%d", ws.boot)
 		}
@@ -1018,8 +1018,7 @@ func BenchmarkCrawlWalkers(b *testing.B) {
 					acc = ea
 				}
 				c, err := crawl.Start(g, acc, crawl.Config{
-					Walkers: ws.walkers, Shards: ws.shards,
-					Star: true, N: float64(g.N()),
+					Walkers: ws.walkers, Star: true, N: float64(g.N()),
 					Seed: uint64(i + 1), BurnIn: ws.burnIn,
 					MaxDraws: ws.draws, CheckEvery: ws.check,
 				})

@@ -48,7 +48,6 @@ func TestRunRejectsInvalidFlags(t *testing.T) {
 
 	serve := []string{"-k", "3"}
 	crawlMode := []string{"-crawl"}
-	demo := []string{"-demo"}
 	merge := []string{"-k", "3", "-merge-from", "http://127.0.0.1:1"}
 	cases := []struct {
 		name string
@@ -65,9 +64,6 @@ func TestRunRejectsInvalidFlags(t *testing.T) {
 		{"serve/graph file without crawl", serve, []string{"-graph-file", "g.pack"}},
 		{"serve/qps without crawl", serve, []string{"-qps", "10"}},
 		{"serve/no categories", serve, []string{"-k", "0"}},
-		{"serve/zero shards", serve, []string{"-shards", "0"}},
-		{"serve/negative shards", serve, []string{"-shards", "-2"}},
-		{"serve/induced epoch", serve, []string{"-star=false", "-shards", "2"}},
 		{"serve/bad size", serve, []string{"-size", "bogus"}},
 		{"serve/bad log format", serve, []string{"-log-format", "xml"}},
 
@@ -76,17 +72,12 @@ func TestRunRejectsInvalidFlags(t *testing.T) {
 		{"crawl/negative query cost", crawlMode, []string{"-query-cost", "-1ms"}},
 		{"crawl/zero checkpoint interval", crawlMode, []string{"-checkpoint-interval", "0"}},
 		{"crawl/restore jobs without dir", crawlMode, []string{"-restore-jobs"}},
-		{"crawl/zero shards", crawlMode, []string{"-shards", "0"}},
-		{"crawl/induced epoch", crawlMode, []string{"-star=false", "-shards", "2"}},
 		{"crawl/bad crawl cats", crawlMode, []string{"-crawl-cats", "1,x"}},
 		{"crawl/missing graph file", crawlMode, []string{"-graph-file", "does-not-exist.pack"}},
-		{"demo/induced epoch", demo, []string{"-star=false", "-shards", "2"}},
-		{"demo/zero shards", demo, []string{"-shards", "0"}},
 
 		{"merge/with demo", merge, []string{"-demo"}},
 		{"merge/with crawl", merge, []string{"-crawl"}},
 		{"merge/with bootstrap", merge, []string{"-bootstrap", "5"}},
-		{"merge/with shards", merge, []string{"-shards", "2"}},
 		{"merge/with checkpoint dir", merge, []string{"-checkpoint-dir", t.TempDir()}},
 		{"merge/no categories", merge, []string{"-k", "0"}},
 		{"merge/zero interval", merge, []string{"-merge-interval", "0"}},

@@ -165,10 +165,10 @@ func FuzzStartCrawl(f *testing.F) {
 		if json.Unmarshal(body, &probe) == nil && (probe.MaxDraws > 1e4 || probe.BurnIn > 1e4 || probe.Thin > 100) {
 			t.Skip("crawl too long for a fuzz iteration")
 		}
-		acc, err := stream.NewAccumulator(stream.Config{
+		acc, err := stream.NewEpochAccumulator(stream.Config{
 			K: g.NumCategories(), Star: true, N: float64(g.N()),
 			Replicates: uncert.Config{B: 20, Seed: 1},
-		})
+		}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

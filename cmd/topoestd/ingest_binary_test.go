@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http/httptest"
 	"testing"
 
@@ -33,15 +32,17 @@ func obsRecs(lo, hi int) []sample.NodeObservation {
 
 // parityServer builds a full jobs-enabled server whose default job carries
 // bootstrap replicates, so /estimate?ci= exercises the replicate state too.
-func parityServer(t *testing.T, shards int) *server {
+// The scenario picks the engine: epoch-merged for star, single-lock for
+// induced.
+func parityServer(t *testing.T, star bool) *server {
 	t.Helper()
 	reg, err := job.NewRegistry("", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	def, err := reg.Create(job.Spec{
-		Name: job.DefaultName, K: 4, Star: true, N: 800,
-		Shards: shards, Bootstrap: 16, BootstrapSeed: 7,
+		Name: job.DefaultName, K: 4, Star: star, N: 800,
+		Bootstrap: 16, BootstrapSeed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -49,23 +50,46 @@ func parityServer(t *testing.T, shards int) *server {
 	return newServerWithJobs(reg, def)
 }
 
+// inducedRecs is the induced counterpart of obsRecs: the same nodes,
+// categories and weights, where each node's first draw reports the edge to
+// the node before it and re-draws carry no peers.
+func inducedRecs(lo, hi int) []sample.NodeObservation {
+	recs := make([]sample.NodeObservation, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		node := int32(i % 31)
+		rec := sample.NodeObservation{Node: node, Cat: node % 4, Weight: 1 + float64(node%6)/5}
+		if i < 31 && node > 0 {
+			rec.Peers = []int32{node - 1}
+		}
+		recs = append(recs, rec)
+	}
+	return recs
+}
+
 // TestBinaryIngestParity drives the same record stream through JSON and
 // TOPOREC1 ingest — on both the un-prefixed default routes and a named
-// /jobs/{name}/ tenant, over both accumulator designs — and requires the
-// served output to be bit-identical: /estimate with bootstrap confidence
-// intervals, and the /sums wire export. The encodings must be two spellings
-// of one ingest path, not two paths.
+// /jobs/{name}/ tenant, under both scenarios and so over both accumulator
+// designs — and requires the served output to be bit-identical: /estimate
+// with bootstrap confidence intervals, and the /sums wire export. The
+// encodings must be two spellings of one ingest path, not two paths.
 func TestBinaryIngestParity(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			jsrv, bsrv := parityServer(t, shards), parityServer(t, shards)
+	for _, tc := range []struct {
+		name string
+		star bool
+		recs func(lo, hi int) []sample.NodeObservation
+	}{
+		{"star", true, obsRecs},
+		{"induced", false, inducedRecs},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			jsrv, bsrv := parityServer(t, tc.star), parityServer(t, tc.star)
 			for _, s := range []*server{jsrv, bsrv} {
 				if w := do(t, s, "POST", "/jobs", `{"name":"teal"}`); w.Code != 201 {
 					t.Fatalf("create job: %d %s", w.Code, w.Body)
 				}
 			}
 			for lo := 0; lo < 120; lo += 40 {
-				recs := obsRecs(lo, lo+40)
+				recs := tc.recs(lo, lo+40)
 				jb, err := json.Marshal(recs)
 				if err != nil {
 					t.Fatal(err)
@@ -106,7 +130,7 @@ func TestBinaryIngestParity(t *testing.T) {
 // "index" mean the same thing in both — and the documented
 // drop-prefix-and-resend retry converges to the same state.
 func TestBinaryIngest422Parity(t *testing.T) {
-	jsrv, bsrv := parityServer(t, 1), parityServer(t, 1)
+	jsrv, bsrv := parityServer(t, true), parityServer(t, true)
 	recs := []sample.NodeObservation{httpObs(1), httpObs(2), {Node: 5, Cat: 9}, httpObs(3)}
 	jb, err := json.Marshal(recs)
 	if err != nil {
@@ -150,7 +174,7 @@ func TestBinaryIngest422Parity(t *testing.T) {
 // rejected whole before any record is applied, exactly like unparseable
 // JSON.
 func TestBinaryIngestMalformed(t *testing.T) {
-	srv := parityServer(t, 1)
+	srv := parityServer(t, true)
 	good, err := wire.EncodeRecords(obsRecs(0, 8))
 	if err != nil {
 		t.Fatal(err)

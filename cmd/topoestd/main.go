@@ -17,14 +17,11 @@
 //	-addr        listen address (default :8723)
 //	-k           number of categories (required unless -names or -demo)
 //	-names       comma-separated category names (sets -k)
-//	-star        measurement scenario: star (default) or induced (=false)
-//	-shards      ingest concurrency mode (the flag name survives from the
-//	             retired lock-sharded design): 1 = the single-lock
-//	             accumulator (default); > 1 builds the epoch-merged
+//	-star        measurement scenario: star (default) or induced (=false).
+//	             It also picks the engine: star jobs run the epoch-merged
 //	             accumulator, whose writers fill private local epochs and
 //	             fold them into the published view exactly at flush
-//	             (multi-core ingest, star scenario only); below 1 fails
-//	             startup
+//	             (multi-core ingest); induced jobs run the single-lock one
 //	-N           population size |V|; 0 = unknown → relative sizes, with the
 //	             §4.3 collision estimate of N reported alongside
 //	-size        size estimator: auto|induced|star|star-pooled
@@ -96,9 +93,9 @@
 //	POST   /jobs             create a job. Body: a job.Spec decoded onto
 //	                         the daemon's flag defaults, {"name":"eu-crawl"}
 //	                         plus optional overrides — "k", "names", "star",
-//	                         "n", "size", "shards", "bootstrap",
-//	                         "bootstrap_seed"; an explicit "k" drops the
-//	                         daemon's category names. With
+//	                         "n", "size", "bootstrap", "bootstrap_seed";
+//	                         an explicit "k" drops the daemon's category
+//	                         names ("shards" is accepted and ignored). With
 //	                         -checkpoint-dir, a job whose checkpoint file
 //	                         already exists resumes from it (the persisted
 //	                         identity — k, star, bootstrap — must match:
@@ -178,11 +175,11 @@
 // uncategorized. Star neighbor data may ride on every record of a node
 // (concurrent crawlers) — the first to arrive is recorded and identical
 // re-deliveries pass, but a record whose cat, explicit weight, or star
-// data contradicts the node's first observation is rejected. With
-// -shards > 1, POST /ingest validates and accumulates each batch in a
-// writer-private local epoch in record order and flushes the epoch into the
-// published estimate before responding, so an acknowledged record is
-// visible to the next /estimate on either accumulator.
+// data contradicts the node's first observation is rejected. A star job's
+// POST /ingest validates and accumulates each batch in a writer-private
+// local epoch in record order and flushes the epoch into the published
+// estimate before responding, so an acknowledged record is visible to the
+// next /estimate under either scenario.
 //
 // # Ingest error semantics and the retry-safe protocol
 //
@@ -290,7 +287,6 @@ func newCLI(fs *flag.FlagSet) *cli {
 	fs.IntVar(&s.K, "k", 0, "number of categories")
 	fs.StringVar(&c.names, "names", "", "comma-separated category names (sets -k)")
 	fs.BoolVar(&s.Star, "star", true, "star scenario (false = induced subgraph)")
-	fs.IntVar(&s.Shards, "shards", 1, "ingest concurrency: 1 = single-lock accumulator, >1 = epoch-merged multi-core ingest (star only)")
 	fs.Float64Var(&s.N, "N", 0, "population size |V| (0 = unknown, relative sizes)")
 	fs.StringVar(&s.Size, "size", "auto", "size estimator: auto|induced|star|star-pooled")
 	fs.IntVar(&s.Bootstrap, "bootstrap", 0, "streaming-bootstrap replicates for /estimate?ci= intervals (0 = off)")
@@ -364,15 +360,12 @@ func (c *cli) run() error {
 // validate rejects the flag combinations no mode can serve, before
 // anything is built. Single-value checks live with the value's type:
 // job.Spec validates the estimation flags, crawl.Config the -crawl-* ones.
-// -shards stays here because Spec reads an explicit 0 as "absent".
 func (c *cli) validate() error {
 	switch {
 	case c.qps < 0:
 		return fmt.Errorf("need -qps ≥ 0, got %g", c.qps)
 	case c.queryCost < 0:
 		return fmt.Errorf("need -query-cost ≥ 0, got %v", c.queryCost)
-	case c.spec.Shards < 1:
-		return fmt.Errorf("need -shards ≥ 1, got %d", c.spec.Shards)
 	case c.checkpointInterval <= 0:
 		return fmt.Errorf("need -checkpoint-interval > 0, got %v", c.checkpointInterval)
 	case c.checkpointMaxF < 0:
@@ -390,8 +383,6 @@ func (c *cli) validate() error {
 		return fmt.Errorf("-merge-from is a read-only coordinator; it cannot be combined with -demo or -crawl")
 	case c.spec.Bootstrap != 0:
 		return fmt.Errorf("-bootstrap has no effect on a coordinator: it adopts the workers' bootstrap configuration (drop the flag)")
-	case c.spec.Shards > 1:
-		return fmt.Errorf("-shards configures the ingest path; a coordinator does not ingest")
 	case c.checkpointDir != "":
 		return fmt.Errorf("-checkpoint-dir has no effect on a coordinator: its durable state lives on the workers it polls")
 	case c.mergeInterval <= 0 || c.mergeTimeout <= 0 || c.mergeMaxStale <= 0:
@@ -711,13 +702,8 @@ func newServer(acc stream.Ingester, names []string) *server {
 // adoptSpec reverse-engineers a job spec from a pre-built accumulator.
 func adoptSpec(acc stream.Ingester) job.Spec {
 	cfg := acc.Config()
-	shards := 1
-	if _, ok := acc.(*stream.EpochAccumulator); ok {
-		shards = 2
-	}
 	return job.Spec{
-		Name: job.DefaultName, K: cfg.K, Star: cfg.Star, N: cfg.N,
-		Size: cfg.Size.String(), Shards: shards,
+		Name: job.DefaultName, K: cfg.K, Star: cfg.Star, N: cfg.N, Size: cfg.Size.String(),
 		Bootstrap: cfg.Replicates.B, BootstrapSeed: cfg.Replicates.Seed,
 	}
 }

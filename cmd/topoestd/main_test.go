@@ -28,9 +28,19 @@ import (
 	"repro/internal/uncert"
 )
 
-func testServer(t *testing.T, k int, star bool, n float64) (*server, *stream.Accumulator) {
+// testServer builds a single-tenant server over the engine the daemon's
+// registry picks for the scenario: epoch-merged for star, single-lock for
+// induced.
+func testServer(t *testing.T, k int, star bool, n float64) (*server, stream.Ingester) {
 	t.Helper()
-	acc, err := stream.NewAccumulator(stream.Config{K: k, Star: star, N: n})
+	cfg := stream.Config{K: k, Star: star, N: n}
+	var acc stream.Ingester
+	var err error
+	if star {
+		acc, err = stream.NewEpochAccumulator(cfg, 0)
+	} else {
+		acc, err = stream.NewAccumulator(cfg)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,10 +278,10 @@ func TestIngestErrorReportsAppliedCount(t *testing.T) {
 	}
 }
 
-// TestEpochServer runs the HTTP surface over an EpochAccumulator: the
-// -shards > 1 path accumulates /ingest batches in writer-private epochs,
-// flushes them before responding, and the estimate matches the batch
-// pipeline.
+// TestEpochServer runs the HTTP surface over a star job, which the
+// registry builds epoch-merged: /ingest accumulates batches in
+// writer-private epochs, flushes them before responding, and the estimate
+// matches the batch pipeline.
 func TestEpochServer(t *testing.T) {
 	g := mustDemoGraph(t)
 	N := float64(g.N())
@@ -279,12 +289,12 @@ func TestEpochServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	def, err := reg.Create(job.Spec{Name: job.DefaultName, K: g.NumCategories(), Names: g.CategoryNames(), Star: true, N: N, Shards: 4})
+	def, err := reg.Create(job.Spec{Name: job.DefaultName, K: g.NumCategories(), Names: g.CategoryNames(), Star: true, N: N})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := def.Acc().(*stream.EpochAccumulator); !ok {
-		t.Fatalf("job with 4 shards has %T, want *stream.EpochAccumulator", def.Acc())
+		t.Fatalf("star job has %T, want *stream.EpochAccumulator", def.Acc())
 	}
 	srv := newServerWithJobs(reg, def)
 	s, err := sample.NewRW(200).Sample(randx.New(61), g, 3000)
@@ -857,10 +867,10 @@ func (s gatedSource) Neighbors(v int32) []int32 {
 func TestCrawlEndpoints(t *testing.T) {
 	g := mustDemoGraph(t)
 	N := float64(g.N())
-	acc, err := stream.NewAccumulator(stream.Config{
+	acc, err := stream.NewEpochAccumulator(stream.Config{
 		K: g.NumCategories(), Star: true, N: N,
 		Replicates: uncert.Config{B: 60, Seed: 3},
-	})
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1019,7 +1029,7 @@ func TestCrawlPackedRateLimited(t *testing.T) {
 	}
 
 	N := float64(g.N())
-	acc, err := stream.NewAccumulator(stream.Config{K: g.NumCategories(), Star: true, N: N})
+	acc, err := stream.NewEpochAccumulator(stream.Config{K: g.NumCategories(), Star: true, N: N}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1139,10 +1149,10 @@ func TestMetricsEndToEndPackedCrawl(t *testing.T) {
 	}
 
 	N := float64(g.N())
-	acc, err := stream.NewAccumulator(stream.Config{
+	acc, err := stream.NewEpochAccumulator(stream.Config{
 		K: g.NumCategories(), Star: true, N: N,
 		Replicates: uncert.Config{B: 50, Seed: 7},
-	})
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -433,7 +433,7 @@ func TestGracefulShutdownFlushesDeferredLocals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	def, err := reg.Create(job.Spec{Name: job.DefaultName, K: 3, Star: true, N: 50, Shards: 2})
+	def, err := reg.Create(job.Spec{Name: job.DefaultName, K: 3, Star: true, N: 50})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,9 @@
 // Package crawl closes the paper's "how much crawling is enough" loop: it
 // runs M concurrent walkers against a graph backend, streams their
-// observations into a single-lock or epoch-merged stream accumulator, and
-// stops adaptively when the confidence intervals of the targeted estimands
-// are tight enough — instead of the fixed budgets of §6's offline sweeps,
+// observations into a stream accumulator (epoch-merged under star
+// sampling, single-lock under induced), and stops adaptively when the
+// confidence intervals of the targeted estimands are tight enough —
+// instead of the fixed budgets of §6's offline sweeps,
 // the crawl's own uncertainty (internal/uncert) is the stopping signal.
 //
 // The controller advances in checkpointed rounds: every CheckEvery draws
@@ -12,11 +13,11 @@
 // bootstrap of the shared accumulator, or the between-walk replication
 // variance of the per-walker sufficient statistics — and stops as soon as
 // every target is met (ReasonTarget) or the MaxDraws budget is exhausted
-// (ReasonBudget). Between checkpoints the walkers run with no coordination
-// at all when the accumulator is epoch-merged — each walker ingests into a
-// writer-private stream.Local and flushes it at the round barrier, so the
-// checkpoint snapshot always sees every draw of every finished round — and
-// with no coordination beyond the accumulator's own lock otherwise. Both
+// (ReasonBudget). Between star checkpoints the walkers run with no
+// coordination at all — each walker ingests into a writer-private
+// stream.Local and flushes it at the round barrier, so the checkpoint
+// snapshot always sees every draw of every finished round; induced walkers
+// share one observer and the accumulator's lock. Both
 // stopping engines thus share one structure: per-walker private state,
 // folded at checkpoint boundaries (the bootstrap engine merges local
 // epochs into the shared accumulator; the replication engine pools
@@ -112,19 +113,12 @@ type Config struct {
 	// Seed is the master seed; walker i draws from randx.Derive(Seed, i).
 	Seed uint64 `json:"seed"`
 
-	// Star selects the measurement scenario. Under induced sampling the
-	// walkers share one observer (and the accumulator must be single-lock);
-	// under star sampling each walker observes independently and ingests
-	// through its own writer-local epoch.
+	// Star selects the measurement scenario and with it the accumulator.
+	// Under induced sampling the walkers share one observer and a
+	// single-lock accumulator; under star sampling each walker observes
+	// independently and ingests through its own stream.Local of an
+	// epoch-merged one.
 	Star bool `json:"-"`
-	// Shards > 1 builds an epoch-merged accumulator (star only): each
-	// walker then owns a stream.Local and the per-draw path touches no
-	// shared state. The exact value beyond 1 is irrelevant — the epoch
-	// design has no shard count — the field name survives from the retired
-	// hash-partitioned design. Ignored when an existing accumulator is
-	// passed to Start (pass an *stream.EpochAccumulator to get local
-	// ingest).
-	Shards int `json:"-"`
 	// N is the population size |V| (0 = unknown, relative sizes).
 	N float64 `json:"-"`
 	// Size selects the category-size estimator.
@@ -273,12 +267,13 @@ type Crawl struct {
 
 // Start validates the configuration and launches the crawl. acc is the
 // accumulator the walkers stream into; nil builds one from the
-// configuration (single-lock, or epoch-merged when cfg.Shards > 1, with
-// one stream.Local per walker flushed at round barriers). Passing an
+// configuration (epoch-merged under star, with one stream.Local per walker
+// flushed at round barriers; single-lock under induced). Passing an
 // existing accumulator lets a server keep serving live estimates from the
 // same statistics the crawl feeds — its scenario and category count must
-// match, and with EngineBootstrap and CI targets it must have bootstrap
-// replicates enabled.
+// match, a star crawl needs a *stream.EpochAccumulator, and with
+// EngineBootstrap and CI targets it must have bootstrap replicates
+// enabled.
 func Start(src graph.Source, acc stream.Ingester, cfg Config) (*Crawl, error) {
 	if isNilSource(src) || src.NumCategories() == 0 {
 		return nil, fmt.Errorf("crawl: need a categorized graph")
@@ -293,7 +288,7 @@ func Start(src graph.Source, acc stream.Ingester, cfg Config) (*Crawl, error) {
 			scfg.Replicates = cfg.Bootstrap
 		}
 		var err error
-		if cfg.Shards > 1 {
+		if cfg.Star {
 			acc, err = stream.NewEpochAccumulator(scfg, 0)
 		} else {
 			acc, err = stream.NewAccumulator(scfg)
@@ -324,6 +319,10 @@ func Start(src graph.Source, acc stream.Ingester, cfg Config) (*Crawl, error) {
 		if cfg.Engine == EngineBootstrap && targeted && !ac.Replicates.Enabled() {
 			return nil, fmt.Errorf("crawl: bootstrap stopping engine needs an accumulator with bootstrap replicates enabled")
 		}
+	}
+	ea, _ := acc.(*stream.EpochAccumulator)
+	if cfg.Star && ea == nil {
+		return nil, fmt.Errorf("crawl: a star crawl needs an epoch-merged accumulator, got %T", acc)
 	}
 	c := &Crawl{
 		cfg:        cfg,
@@ -373,11 +372,11 @@ func Start(src graph.Source, acc stream.Ingester, cfg Config) (*Crawl, error) {
 		}
 		c.walkers[i] = w
 	}
-	// Epoch-merged accumulator: each walker ingests through its own
-	// writer-local epoch — no shared state on the per-draw path — flushed
-	// at round barriers (walker.runRound), so every checkpoint snapshot
-	// sees all draws of finished rounds.
-	if ea, ok := acc.(*stream.EpochAccumulator); ok {
+	// Star: each walker ingests through its own writer-local epoch — no
+	// shared state on the per-draw path — flushed at round barriers
+	// (walker.runRound), so every checkpoint snapshot sees all draws of
+	// finished rounds.
+	if ea != nil {
 		for _, w := range c.walkers {
 			w.local = ea.NewLocal()
 		}
@@ -434,12 +433,6 @@ func normalize(cfg *Config, k int) error {
 	if (cfg.SizeTarget > 0 && cfg.SizeCats != nil && len(cfg.SizeCats) == 0) ||
 		(cfg.WithinTarget > 0 && cfg.WithinCats != nil && len(cfg.WithinCats) == 0) {
 		return fmt.Errorf("crawl: a CI target over an empty category list (nil means all categories)")
-	}
-	if cfg.Shards == 0 {
-		cfg.Shards = 1
-	}
-	if cfg.Shards > 1 && !cfg.Star {
-		return fmt.Errorf("crawl: epoch-merged (multi-writer) ingestion requires the star scenario")
 	}
 	if cfg.Engine == "" {
 		cfg.Engine = EngineBootstrap

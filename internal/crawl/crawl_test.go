@@ -42,7 +42,7 @@ func TestCrawlStopsOnTarget(t *testing.T) {
 		cfg  Config
 	}{
 		{"star/bootstrap", Config{
-			Walkers: 3, Star: true, Shards: 2, N: N, Seed: 5,
+			Walkers: 3, Star: true, N: N, Seed: 5,
 			Bootstrap:  uncert.Config{B: 80, Seed: 5},
 			SizeTarget: 180, SizeCats: []int{big},
 			MaxDraws: 60000, CheckEvery: 1500, BurnIn: 200,
@@ -199,11 +199,11 @@ func TestCrawlBudgetStop(t *testing.T) {
 // snapshots and still takes the final one.
 func TestCrawlResultReusesCheckpointSnapshot(t *testing.T) {
 	g := paperGraph(t)
-	scfg := stream.Config{K: g.NumCategories(), Star: true, N: float64(g.N()), Replicates: uncert.Config{B: 20, Seed: 4}}
-	for _, shards := range []int{1, 2} {
+	for _, star := range []bool{true, false} {
+		scfg := stream.Config{K: g.NumCategories(), Star: star, N: float64(g.N()), Replicates: uncert.Config{B: 20, Seed: 4}}
 		var acc stream.Ingester
 		var err error
-		if shards > 1 {
+		if star {
 			acc, err = stream.NewEpochAccumulator(scfg, 0)
 		} else {
 			acc, err = stream.NewAccumulator(scfg)
@@ -212,7 +212,7 @@ func TestCrawlResultReusesCheckpointSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 		c, err := Start(g, acc, Config{
-			Walkers: 2, Shards: shards, Star: true, N: float64(g.N()), Seed: 4,
+			Walkers: 2, Star: star, N: float64(g.N()), Seed: 4,
 			MaxDraws: 600, CheckEvery: 200,
 		})
 		if err != nil {
@@ -224,8 +224,8 @@ func TestCrawlResultReusesCheckpointSnapshot(t *testing.T) {
 		}
 		snap := res.Snapshot
 		if snap.Seq != 3 || snap.Draws != 600 || snap.Converge.DrawsSince != 200 || snap.Boot == nil {
-			t.Fatalf("shards=%d: result snapshot seq %d, draws %d, draws_since %d; want 3, 600, 200 with CIs",
-				shards, snap.Seq, snap.Draws, snap.Converge.DrawsSince)
+			t.Fatalf("star=%v: result snapshot seq %d, draws %d, draws_since %d; want 3, 600, 200 with CIs",
+				star, snap.Seq, snap.Draws, snap.Converge.DrawsSince)
 		}
 		// Concurrent readers at the crawl's final generation get the last
 		// checkpoint's snapshot: the generation computed exactly one.
@@ -235,7 +235,7 @@ func TestCrawlResultReusesCheckpointSnapshot(t *testing.T) {
 			go func() {
 				defer readers.Done()
 				if got, err := acc.Snapshot(); err != nil || got != snap {
-					t.Errorf("shards=%d: a reader after the crawl got another snapshot (%v)", shards, err)
+					t.Errorf("star=%v: a reader after the crawl got another snapshot (%v)", star, err)
 				}
 			}()
 		}
@@ -300,14 +300,14 @@ func TestCrawlRoundAllocationFair(t *testing.T) {
 // TestCrawlDeterminism pins the reproducibility contract: same seed and
 // configuration ⇒ identical total and per-walker draw counts, identical
 // stop reason, and estimates equal to float-reassociation error, across
-// both scenarios (star runs sharded walkers, induced runs the shared
-// observer) and both engines.
+// both scenarios (star walkers shard the stream across their own Locals,
+// induced ones share an observer) and both engines.
 func TestCrawlDeterminism(t *testing.T) {
 	g := paperGraph(t)
 	N := float64(g.N())
 	cfgs := map[string]Config{
 		"star/bootstrap/sharded": {
-			Walkers: 4, Star: true, Shards: 4, N: N, Seed: 21,
+			Walkers: 4, Star: true, N: N, Seed: 21,
 			Bootstrap:  uncert.Config{B: 50, Seed: 21},
 			SizeTarget: 200, SizeCats: []int{4},
 			MaxDraws: 40000, CheckEvery: 1200, BurnIn: 100,
@@ -356,7 +356,7 @@ func TestCrawlDeterminism(t *testing.T) {
 // streams into a caller-owned accumulator, which serves the same draws.
 func TestCrawlIntoExistingAccumulator(t *testing.T) {
 	g := paperGraph(t)
-	acc, err := stream.NewAccumulator(stream.Config{K: g.NumCategories(), Star: true, N: float64(g.N())})
+	acc, err := stream.NewEpochAccumulator(stream.Config{K: g.NumCategories(), Star: true, N: float64(g.N())}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,6 +392,10 @@ func TestCrawlValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	starSingle, err := stream.NewAccumulator(stream.Config{K: g.NumCategories(), Star: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	uncat, err := graph.NewBuilder(2).Build()
 	if err != nil {
 		t.Fatal(err)
@@ -409,9 +413,10 @@ func TestCrawlValidation(t *testing.T) {
 		"bad level":            {g, nil, Config{Level: 1.5, MaxDraws: 10}},
 		"bad engine":           {g, nil, Config{Engine: "magic", MaxDraws: 10}},
 		"replication needs ≥2": {g, nil, Config{Engine: EngineReplication, MaxDraws: 10}},
-		"sharded induced":      {g, nil, Config{Shards: 4, MaxDraws: 10}},
-		"unknown sampler":      {g, nil, Config{Sampler: "BFS", MaxDraws: 10}},
-		"WRW without weights":  {g, nil, Config{Sampler: SamplerWRW, MaxDraws: 10}},
+		"star crawl into a single-lock accumulator": {g, starSingle, Config{
+			Star: true, MaxDraws: 10}},
+		"unknown sampler":     {g, nil, Config{Sampler: "BFS", MaxDraws: 10}},
+		"WRW without weights": {g, nil, Config{Sampler: SamplerWRW, MaxDraws: 10}},
 		"target cat out of range": {g, nil, Config{
 			SizeTarget: 1, SizeCats: []int{99}, MaxDraws: 10}},
 		"negative target": {g, nil, Config{SizeTarget: -1, MaxDraws: 10}},

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -209,5 +210,45 @@ func TestCrawlStartNilSource(t *testing.T) {
 		if _, err := Start(src, nil, Config{MaxDraws: 100}); err == nil {
 			t.Fatalf("Start(%s) succeeded, want the categorized-graph error", name)
 		}
+	}
+}
+
+// catSource overrides one node's category, standing in for a .pack file
+// whose categories are read unvalidated.
+type catSource struct {
+	graph.Source
+	v, cat int32
+}
+
+func (c catSource) Category(u int32) int32 {
+	if u == c.v {
+		return c.cat
+	}
+	return c.Source.Category(u)
+}
+
+// TestCrawlRejectsBadNeighborCategory pins that a backend category outside
+// [−1, K) ends a star crawl with an error from Wait, not a panic in a
+// walker: the walker first observes a neighbor of the bad node, and the
+// record check rejects the bad category that record carries.
+func TestCrawlRejectsBadNeighborCategory(t *testing.T) {
+	b := graph.NewBuilder(6)
+	for i := int32(0); i < 6; i++ {
+		b.AddEdge(i, (i+1)%6)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.SetCategories([]int32{0, 0, 1, 1, 2, 2}, 3, nil); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Start(catSource{g, 5, 3}, nil, Config{Star: true, Seed: 1, MaxDraws: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "neighbor category 3 outside [0,3)"
+	if _, err := c.Wait(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Wait: %v, want an error containing %q", err, want)
 	}
 }

@@ -60,11 +60,10 @@ type walker struct {
 	// crawl-wide shared observer is used instead.
 	obs *sample.StreamObserver
 
-	// local is the walker's writer-private epoch when the shared
-	// accumulator is epoch-merged: draws accumulate here with no shared
-	// state touched, and runRound flushes at the round barrier so the
-	// checkpoint snapshot sees the whole round. Nil when the shared
-	// accumulator is single-lock.
+	// local is the walker's writer-private epoch under the star scenario:
+	// draws accumulate here with no shared state touched, and runRound
+	// flushes at the round barrier so the checkpoint snapshot sees the
+	// whole round. Nil under induced.
 	local *stream.Local
 
 	// priv is the walker's private accumulator under EngineReplication
@@ -110,14 +109,10 @@ func (w *walker) runRound(c *Crawl, n int) error {
 		} else {
 			// Star scenario: records are per-node self-contained, so the
 			// walker's own record serves the shared and the private
-			// accumulator alike. With an epoch-merged shared accumulator
-			// the draw goes to the walker's Local — private memory only.
+			// accumulator alike. The shared draw goes to the walker's
+			// Local — private memory only.
 			rec := w.obs.Observe(v, weight)
-			if w.local != nil {
-				if err := w.local.Ingest(rec); err != nil {
-					return fmt.Errorf("crawl: walker %d: %w", w.id, err)
-				}
-			} else if err := c.acc.Ingest(rec); err != nil {
+			if err := w.local.Ingest(rec); err != nil {
 				return fmt.Errorf("crawl: walker %d: %w", w.id, err)
 			}
 			if w.priv != nil {

@@ -1,10 +1,11 @@
 // Package job is the multi-tenant layer of the serving daemon: a named Job
-// owns one accumulator (single-lock, epoch-merged, or an adopted read-only
-// pool), its read caches, its crawl slot and its durable checkpoint file;
-// a Registry owns the collection — create, look up, delete, restore on
-// restart, and checkpoint on a timer. The HTTP facade routes
-// /jobs/{job}/... to a Job and aliases the legacy un-prefixed routes to the
-// "default" job, so a single-tenant deployment never notices the layer.
+// owns one accumulator (epoch-merged for star, single-lock for induced, or
+// an adopted read-only pool), its read caches, its crawl slot and its
+// durable checkpoint file; a Registry owns the collection — create, look
+// up, delete, restore on restart, and checkpoint on a timer. The HTTP
+// facade routes /jobs/{job}/... to a Job and aliases the legacy un-prefixed
+// routes to the "default" job, so a single-tenant deployment never notices
+// the layer.
 //
 // Durability. With a checkpoint directory configured, each job appends
 // wire-framed checkpoints (wire.AppendCheckpoint) of its complete resumable
@@ -62,8 +63,10 @@ func ValidName(s string) bool { return nameRe.MatchString(s) }
 // and the config payload persisted inside checkpoint frames. The identity
 // fields (K/Names-derived partition, Star, Bootstrap, BootstrapSeed) are
 // fixed for the life of the job's durable state: a restore under a different
-// identity is an error. The serving fields (N, Size, Shards) are
-// estimation- or execution-time choices and adopt the restart's values.
+// identity is an error. The serving fields (N, Size) are estimation-time
+// choices and adopt the restart's values. Shards is read by nothing: the
+// scenario picks the engine (Registry.build). It stays only because the
+// benchmark's trace replay still sets it.
 type Spec struct {
 	Name          string   `json:"name"`
 	K             int      `json:"k,omitempty"`
@@ -77,17 +80,13 @@ type Spec struct {
 }
 
 // normalize fills derived defaults in place: Names sets K, Size defaults to
-// auto, Shards to 1, and an enabled bootstrap gets the daemon's default
-// seed.
+// auto, and an enabled bootstrap gets the daemon's default seed.
 func (s *Spec) normalize() {
 	if len(s.Names) > 0 {
 		s.K = len(s.Names)
 	}
 	if s.Size == "" {
 		s.Size = "auto"
-	}
-	if s.Shards == 0 {
-		s.Shards = 1
 	}
 	if s.Bootstrap > 0 && s.BootstrapSeed == 0 {
 		s.BootstrapSeed = 1
@@ -112,9 +111,6 @@ func (s *Spec) validate() error {
 	}
 	if len(s.Names) > 0 && len(s.Names) != s.K {
 		return fmt.Errorf("job %q: %d names for %d categories", s.Name, len(s.Names), s.K)
-	}
-	if s.Shards < 1 {
-		return fmt.Errorf("job %q: need shards ≥ 1, got %d", s.Name, s.Shards)
 	}
 	if s.Bootstrap < 0 || s.Bootstrap > wire.MaxDim {
 		return fmt.Errorf("job %q: need 0 ≤ bootstrap ≤ %d, got %d", s.Name, wire.MaxDim, s.Bootstrap)

@@ -1,6 +1,7 @@
 package job
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"os"
@@ -33,17 +34,36 @@ func jobObs(i int) sample.NodeObservation {
 	return obs
 }
 
+// inducedObs is the induced counterpart of jobObs: the same nodes,
+// categories and weights, where a node's first draw reports its edges to
+// the two nodes before it and re-draws carry no peers.
+func inducedObs(i int) sample.NodeObservation {
+	node := int32(i % 31)
+	obs := sample.NodeObservation{Node: node, Cat: node % 4, Weight: 1 + float64(node%6)/5}
+	if i < 31 {
+		for p := max(node-2, 0); p < node; p++ {
+			obs.Peers = append(obs.Peers, p)
+		}
+	}
+	return obs
+}
+
 func ingestRange(t *testing.T, j *Job, lo, hi int) {
 	t.Helper()
+	ingestObs(t, j, jobObs, lo, hi)
+}
+
+func ingestObs(t *testing.T, j *Job, obs func(int) sample.NodeObservation, lo, hi int) {
+	t.Helper()
 	for i := lo; i < hi; i++ {
-		if err := j.Acc().Ingest(jobObs(i)); err != nil {
+		if err := j.Acc().Ingest(obs(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-func testSpec(name string, shards int) Spec {
-	return Spec{Name: name, K: 4, Star: true, N: 800, Shards: shards, Bootstrap: 24, BootstrapSeed: 7}
+func testSpec(name string) Spec {
+	return Spec{Name: name, K: 4, Star: true, N: 800, Bootstrap: 24, BootstrapSeed: 7}
 }
 
 func TestRegistryLifecycle(t *testing.T) {
@@ -58,11 +78,11 @@ func TestRegistryLifecycle(t *testing.T) {
 	if _, err := r.Create(Spec{Name: "nok", Star: true}); err == nil {
 		t.Error("created a job with no categories")
 	}
-	a, err := r.Create(testSpec("alpha", 1))
+	a, err := r.Create(testSpec("alpha"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Create(testSpec("alpha", 1)); !errors.Is(err, ErrExists) {
+	if _, err := r.Create(testSpec("alpha")); !errors.Is(err, ErrExists) {
 		t.Errorf("duplicate create: %v", err)
 	}
 	if _, err := r.Create(Spec{Name: "named", Names: []string{"x", "y", "z"}, Star: true}); err != nil {
@@ -116,19 +136,27 @@ func TestRegistryLifecycle(t *testing.T) {
 
 // TestRestartResume is the package-level durability contract: kill the
 // registry after a checkpoint, build a new one over the same directory, and
-// the job resumes — generation, estimates and bootstrap replicates — within
-// 1e-9 of a run that was never interrupted. Covered for the single-lock
-// design, the epoch design, and the cross-design restart (persisted under
-// shards=1, resumed under shards=4).
+// the job resumes — generation, estimates and bootstrap replicates and CIs
+// — within 1e-9 of a run that was never interrupted. Covered for the
+// single-lock engine (an induced job), the epoch engine (a star job), and
+// the cross-engine restart: a star checkpoint written by the single-lock
+// engine, as every star job's was before the scenario picked the engine,
+// resumes on the epoch engine.
 func TestRestartResume(t *testing.T) {
 	const cut, end = 150, 300
+	induced := testSpec("alpha")
+	induced.Star = false
 	cases := []struct {
-		name                 string
-		shardsOld, shardsNew int
+		name string
+		spec Spec
+		obs  func(int) sample.NodeObservation
+		// adopt: the first life checkpoints an adopted single-lock
+		// accumulator instead of a created job.
+		adopt bool
 	}{
-		{"single", 1, 1},
-		{"epoch", 4, 4},
-		{"cross", 1, 4},
+		{"single", induced, inducedObs, false},
+		{"epoch", testSpec("alpha"), jobObs, false},
+		{"cross", testSpec("alpha"), jobObs, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -139,11 +167,13 @@ func TestRestartResume(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bj, err := base.Create(testSpec("ref", tc.shardsNew))
+			ref := tc.spec
+			ref.Name = "ref"
+			bj, err := base.Create(ref)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ingestRange(t, bj, 0, end)
+			ingestObs(t, bj, tc.obs, 0, end)
 			want, _, err := bj.Snapshot()
 			if err != nil {
 				t.Fatal(err)
@@ -154,23 +184,28 @@ func TestRestartResume(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			j1, err := r1.Create(testSpec("alpha", tc.shardsOld))
-			if err != nil {
+			var j1 *Job
+			if tc.adopt {
+				j1 = adoptSingleLock(t, r1, tc.spec)
+			} else if j1, err = r1.Create(tc.spec); err != nil {
 				t.Fatal(err)
 			}
-			ingestRange(t, j1, 0, cut)
+			ingestObs(t, j1, tc.obs, 0, cut)
 			if err := r1.Shutdown(); err != nil {
 				t.Fatal(err)
 			}
 
-			// Second life: same directory, serving shard count of the case.
+			// Second life: same directory, the engine Create picks.
 			r2, err := NewRegistry(dir, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			j2, err := r2.Create(testSpec("alpha", tc.shardsNew))
+			j2, err := r2.Create(tc.spec)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if _, epoch := j2.Acc().(*stream.EpochAccumulator); epoch != tc.spec.Star {
+				t.Fatalf("resumed star=%v job on %T", tc.spec.Star, j2.Acc())
 			}
 			if gen := j2.Acc().Gen(); gen != cut {
 				t.Fatalf("restored gen = %d, want %d", gen, cut)
@@ -178,7 +213,7 @@ func TestRestartResume(t *testing.T) {
 			if ckGen, _ := j2.CheckpointStatus(); ckGen != cut {
 				t.Fatalf("restored checkpoint gen = %d, want %d", ckGen, cut)
 			}
-			ingestRange(t, j2, cut, end)
+			ingestObs(t, j2, tc.obs, cut, end)
 			got, _, err := j2.Snapshot()
 			if err != nil {
 				t.Fatal(err)
@@ -189,7 +224,7 @@ func TestRestartResume(t *testing.T) {
 					got.Draws, got.Distinct, want.Draws, want.Distinct)
 			}
 			close := func(a, b float64) bool {
-				if a == b {
+				if a == b || (math.IsNaN(a) && math.IsNaN(b)) {
 					return true
 				}
 				return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
@@ -202,17 +237,22 @@ func TestRestartResume(t *testing.T) {
 					t.Errorf("size[%d] %.17g vs %.17g", c, got.Result.Sizes[c], want.Result.Sizes[c])
 				}
 			}
-			if want.Boot != nil {
-				if got.Boot == nil {
-					t.Fatal("restored run lost its bootstrap replicates")
-				}
-				for c := range want.Boot.Sizes {
-					for b := range want.Boot.Sizes[c] {
-						gb, wb := got.Boot.Sizes[c][b], want.Boot.Sizes[c][b]
-						if math.IsNaN(gb) != math.IsNaN(wb) || (!math.IsNaN(wb) && !close(gb, wb)) {
-							t.Fatalf("boot size replicate [%d][%d] %.17g vs %.17g", c, b, gb, wb)
-						}
+			if got.Boot == nil || want.Boot == nil {
+				t.Fatal("a run lost its bootstrap replicates")
+			}
+			for c := range want.Boot.Sizes {
+				for b := range want.Boot.Sizes[c] {
+					if gb, wb := got.Boot.Sizes[c][b], want.Boot.Sizes[c][b]; !close(gb, wb) {
+						t.Fatalf("boot size replicate [%d][%d] %.17g vs %.17g", c, b, gb, wb)
 					}
+				}
+				gi, wi := got.Boot.SizeCI(c, 0.95), want.Boot.SizeCI(c, 0.95)
+				if !close(gi.Lo, wi.Lo) || !close(gi.Hi, wi.Hi) {
+					t.Errorf("size[%d] CI %v vs %v", c, gi, wi)
+				}
+				gi, wi = got.Boot.WithinCI(c, 0.95), want.Boot.WithinCI(c, 0.95)
+				if !close(gi.Lo, wi.Lo) || !close(gi.Hi, wi.Hi) {
+					t.Errorf("within[%d] CI %v vs %v", c, gi, wi)
 				}
 			}
 			if err := r2.Shutdown(); err != nil {
@@ -222,12 +262,37 @@ func TestRestartResume(t *testing.T) {
 	}
 }
 
+// adoptSingleLock registers a single-lock accumulator for spec as an
+// adopted job that checkpoints to the file a created job would use — the
+// state a star job wrote when the single-lock engine served star jobs.
+func adoptSingleLock(t *testing.T, r *Registry, spec Spec) *Job {
+	t.Helper()
+	spec.normalize()
+	cfg, err := spec.StreamConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc, err := stream.NewAccumulator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := r.Adopt(spec, acc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.ckptPath = r.checkpointPath(spec.Name)
+	if j.specJSON, err = json.Marshal(&spec); err != nil {
+		t.Fatal(err)
+	}
+	return j
+}
+
 // TestRestoreIdentityMismatch pins the compatibility rule: serving fields
 // may change across a restart, identity fields may not.
 func TestRestoreIdentityMismatch(t *testing.T) {
 	dir := t.TempDir()
 	r1, _ := NewRegistry(dir, 0, nil)
-	j, err := r1.Create(testSpec("alpha", 1))
+	j, err := r1.Create(testSpec("alpha"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,16 +302,16 @@ func TestRestoreIdentityMismatch(t *testing.T) {
 	}
 
 	bad := map[string]Spec{}
-	s := testSpec("alpha", 1)
+	s := testSpec("alpha")
 	s.K = 5
 	bad["k"] = s
-	s = testSpec("alpha", 1)
+	s = testSpec("alpha")
 	s.Star = false
 	bad["star"] = s
-	s = testSpec("alpha", 1)
+	s = testSpec("alpha")
 	s.Bootstrap = 0
 	bad["bootstrap-off"] = s
-	s = testSpec("alpha", 1)
+	s = testSpec("alpha")
 	s.BootstrapSeed = 99
 	bad["bootstrap-seed"] = s
 
@@ -258,7 +323,7 @@ func TestRestoreIdentityMismatch(t *testing.T) {
 	}
 
 	// Serving fields are free to change.
-	ok := testSpec("alpha", 1)
+	ok := testSpec("alpha")
 	ok.N = 123456
 	ok.Size = "star"
 	r, _ := NewRegistry(dir, 0, nil)
@@ -273,7 +338,7 @@ func TestRestoreIdentityMismatch(t *testing.T) {
 func TestTornTailTruncation(t *testing.T) {
 	dir := t.TempDir()
 	r1, _ := NewRegistry(dir, 0, nil)
-	j, err := r1.Create(testSpec("alpha", 1))
+	j, err := r1.Create(testSpec("alpha"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +362,7 @@ func TestTornTailTruncation(t *testing.T) {
 	f.Close()
 
 	r2, _ := NewRegistry(dir, 0, nil)
-	j2, err := r2.Create(testSpec("alpha", 1))
+	j2, err := r2.Create(testSpec("alpha"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +386,7 @@ func TestTornTailTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	r3, _ := NewRegistry(dir, 0, nil)
-	j3, err := r3.Create(testSpec("alpha", 1))
+	j3, err := r3.Create(testSpec("alpha"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +437,7 @@ func TestCheckpointAppendRollback(t *testing.T) {
 		t.Run(mode, func(t *testing.T) {
 			dir := t.TempDir()
 			r1, _ := NewRegistry(dir, 0, nil)
-			j, err := r1.Create(testSpec("alpha", 1))
+			j, err := r1.Create(testSpec("alpha"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -407,7 +472,7 @@ func TestCheckpointAppendRollback(t *testing.T) {
 				t.Fatalf("file holds %d intact frames and a %d-byte tail; want frames 100 and 300, no tail", frames, tail)
 			}
 			r2, _ := NewRegistry(dir, 0, nil)
-			j2, err := r2.Create(testSpec("alpha", 1))
+			j2, err := r2.Create(testSpec("alpha"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -419,18 +484,20 @@ func TestCheckpointAppendRollback(t *testing.T) {
 }
 
 // TestDeferredLocals covers the epoch job's pool of borrowed locals: a
-// single-lock job lends none, and a local's records are published when the
+// single-lock (induced) job lends none, and a local's records are published when the
 // local is returned, so the pool only ever holds empty locals and the final
 // checkpoint carries every record ingested through one.
 func TestDeferredLocals(t *testing.T) {
 	dir := t.TempDir()
 	r, _ := NewRegistry(dir, 0, nil)
-	j, err := r.Create(testSpec("alpha", 4))
+	j, err := r.Create(testSpec("alpha"))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	single, _ := r.Create(testSpec("solo", 1))
+	solo := testSpec("solo")
+	solo.Star = false
+	single, _ := r.Create(solo)
 	if single.TakeLocal() != nil {
 		t.Error("single-lock job handed out a local")
 	}
@@ -466,7 +533,7 @@ func TestDeferredLocals(t *testing.T) {
 		t.Fatal(err)
 	}
 	r2, _ := NewRegistry(dir, 0, nil)
-	j2, err := r2.Create(testSpec("alpha", 4))
+	j2, err := r2.Create(testSpec("alpha"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +550,7 @@ func TestPeriodicCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := r.Create(testSpec("alpha", 1))
+	j, err := r.Create(testSpec("alpha"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +597,7 @@ func TestCrawlSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, _ := NewRegistry("", 0, nil)
-	spec := Spec{Name: "a", K: g.NumCategories(), Star: true, N: float64(g.N()), Shards: 4}
+	spec := Spec{Name: "a", K: g.NumCategories(), Star: true, N: float64(g.N())}
 	a, err := r.Create(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -618,7 +685,7 @@ func TestCheckpointCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.SetMaxFrames(3)
-	j, err := r.Create(testSpec("alpha", 1))
+	j, err := r.Create(testSpec("alpha"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -680,7 +747,7 @@ func TestCheckpointCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := r2.Create(testSpec("alpha", 1))
+	j2, err := r2.Create(testSpec("alpha"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -711,8 +778,8 @@ func TestRestoreAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	specs := map[string]Spec{
-		"alpha": testSpec("alpha", 1),
-		"beta":  {Name: "beta", Names: []string{"w", "x", "y", "z"}, Star: true, Shards: 4, Bootstrap: 8, BootstrapSeed: 3},
+		"alpha": testSpec("alpha"),
+		"beta":  {Name: "beta", Names: []string{"w", "x", "y", "z"}, Star: true, Bootstrap: 8, BootstrapSeed: 3},
 	}
 	wantGen := map[string]uint64{"alpha": 90, "beta": 150}
 	for name, spec := range specs {
@@ -740,7 +807,7 @@ func TestRestoreAll(t *testing.T) {
 	}
 	// "alpha" is already registered (the daemon's default-create path);
 	// RestoreAll must only pick up what is missing.
-	if _, err := r2.Create(testSpec("alpha", 1)); err != nil {
+	if _, err := r2.Create(testSpec("alpha")); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := r2.RestoreAll()

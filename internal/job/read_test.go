@@ -79,7 +79,7 @@ func TestSumsGzipOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := r.Create(testSpec("sums", 1))
+	j, err := r.Create(testSpec("sums"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestEstimateBodyPerSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := r.Create(testSpec("est", 2))
+	j, err := r.Create(testSpec("est"))
 	if err != nil {
 		t.Fatal(err)
 	}

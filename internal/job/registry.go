@@ -108,7 +108,10 @@ func (r *Registry) Create(spec Spec) (*Job, error) {
 }
 
 // build constructs the job outside the map: accumulator (fresh or restored),
-// names, checkpoint bookkeeping.
+// names, checkpoint bookkeeping. The scenario picks the engine: epoch-merged
+// for star, whose records combine by plain addition, single-lock for
+// induced, whose edge masses couple two nodes. A star frame written by
+// either engine restores into either.
 func (r *Registry) build(spec Spec) (*Job, error) {
 	cfg, err := spec.StreamConfig()
 	if err != nil {
@@ -145,7 +148,7 @@ func (r *Registry) build(spec Spec) (*Job, error) {
 		if err := spec.identityMatches(&persisted); err != nil {
 			return nil, err
 		}
-		if spec.Shards > 1 {
+		if spec.Star {
 			j.epoch, err = stream.RestoreEpochAccumulator(cfg, 0, cp.State)
 			j.acc = j.epoch
 		} else {
@@ -156,7 +159,7 @@ func (r *Registry) build(spec Spec) (*Job, error) {
 		}
 		j.ckptGen = cp.Gen
 		r.logger.Info("job restored", "job", spec.Name, "gen", cp.Gen, "distinct", cp.State.State.Distinct)
-	} else if spec.Shards > 1 {
+	} else if spec.Star {
 		j.epoch, err = stream.NewEpochAccumulator(cfg, 0)
 		j.acc = j.epoch
 		if err != nil {

@@ -107,9 +107,10 @@ func (b *builder) addStar(deg float64, nbrCat []int32, nbrCnt []float64) {
 // multiplicity. The checks left are those on input from outside the
 // program: the sample itself (StreamObserver.CheckSample), a weight
 // constant across re-draws (0 inherits it), and the graph's category of
-// each node. Batch and stream agree on the resulting node table by test
-// (TestBatchStreamNodeTableParity in internal/stream), not by sharing
-// code: the stream's record check lives in internal/stream.
+// each node and, under star, of its neighbors. Batch and stream agree on
+// the resulting node table by test (TestBatchStreamNodeTableParity in
+// internal/stream), not by sharing code: the stream's record check lives
+// in internal/stream.
 func observeStream(src graph.Source, s *Sample, star bool) (*Observation, error) {
 	so, err := NewStreamObserver(src, star)
 	if err != nil {
@@ -136,6 +137,11 @@ func observeStream(src graph.Source, s *Sample, star bool) (*Observation, error)
 			return nil, fmt.Errorf("sample: node %d has category %d outside [0,%d)", v, rec.Cat, b.K)
 		}
 		if star {
+			for _, c := range rec.NbrCat {
+				if c < 0 || int(c) >= b.K {
+					return nil, fmt.Errorf("sample: node %d has neighbor category %d outside [0,%d)", v, c, b.K)
+				}
+			}
 			b.addStar(rec.Deg, rec.NbrCat, rec.NbrCnt)
 		}
 		for _, p := range rec.Peers {

@@ -42,6 +42,9 @@ func TestObserveRejectsBadSamples(t *testing.T) {
 		{"re-draw weight conflict", g, &Sample{Nodes: []int32{2, 0, 2}, Weights: []float64{3, 1, 4}}, false,
 			"draw 2 re-draws node 2 with sampling weight 4, conflicting with its first draw (weight 3)"},
 		{"category out of range", catSource{g, 5, 3}, &Sample{Nodes: []int32{5}}, false, "node 5 has category 3 outside [0,3)"},
+		// Star observes node 4's neighbor 5 first ("node 4 has neighbor
+		// category 3"); induced reaches node 5's own category.
+		{"neighbor category out of range", catSource{g, 5, 3}, &Sample{Nodes: []int32{4, 5}}, false, "category 3 outside [0,3)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

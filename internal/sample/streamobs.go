@@ -105,7 +105,11 @@ func (so *StreamObserver) seenNode(v int32) bool { return so.seen[v>>6]&(1<<(v&6
 // under the observer's scenario. Star records carry degree and neighbor
 // categories on the node's first observation (ascending, nil when no
 // neighbor is categorized); induced records list the edges to previously
-// observed nodes (each edge exactly once).
+// observed nodes (each edge exactly once). The backend's categories are
+// taken as they come (a .pack file's are not validated): a neighbor
+// category outside [−1, K) is appended to the star record, after the
+// valid ones with a count of 1, so that the consumer's record check
+// rejects the record.
 func (so *StreamObserver) Observe(v int32, weight float64) NodeObservation {
 	rec := NodeObservation{Node: v, Weight: weight, Cat: so.src.Category(v)}
 	if so.seenNode(v) {
@@ -115,8 +119,13 @@ func (so *StreamObserver) Observe(v int32, weight float64) NodeObservation {
 	if so.star {
 		rec.Deg = float64(so.src.Degree(v))
 		cats := so.cats[:0]
+		bad, hasBad := int32(0), false
 		for _, u := range so.src.Neighbors(v) {
-			if c := so.src.Category(u); c != graph.None {
+			switch c := so.src.Category(u); {
+			case c == graph.None:
+			case c < 0 || int(c) >= len(so.counts):
+				bad, hasBad = c, true
+			default:
 				if so.counts[c] == 0 {
 					cats = append(cats, c)
 				}
@@ -133,6 +142,10 @@ func (so *StreamObserver) Observe(v int32, weight float64) NodeObservation {
 			}
 		}
 		so.cats = cats
+		if hasBad {
+			rec.NbrCat = append(rec.NbrCat, bad)
+			rec.NbrCnt = append(rec.NbrCnt, 1)
+		}
 	} else {
 		for _, u := range so.src.Neighbors(v) {
 			if u != v && so.seenNode(u) {

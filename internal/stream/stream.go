@@ -241,9 +241,11 @@ func (a *Accumulator) Ingest(rec sample.NodeObservation) error {
 // chunks, so a snapshot or export beside a writer waits for at most one
 // chunk. Induced records with replicates on cost microseconds each (≈ 10–20
 // µs at B = 200, which made a chunk ≈ 0.5 ms) and are timed one by one, so
-// IngestBatch holds the lock for one of them at a time. Star records with
-// replicates keep the chunks: at ≈ 3 µs or less per record, the extra lock
-// round trips have not been measured to pay.
+// IngestBatch holds the lock for one of them at a time. Star records keep
+// the chunks: at ≈ 3 µs or less per record the extra lock round trips have
+// not been measured to pay. Star jobs and star crawls run epoch-merged, so
+// only direct users of this engine (the facade's StreamWithCI, reference
+// checks) send star batches here.
 const batchChunk = 32
 
 // IngestBatch folds a batch of observations in order, stopping at the first

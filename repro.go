@@ -488,7 +488,7 @@ func Crawl(src Source, cfg CrawlConfig) (*CrawlResult, error) {
 // the result). A non-nil acc streams into a caller-owned accumulator — the
 // topoestd wiring, where the daemon keeps serving /estimate from the same
 // statistics the crawl feeds; its scenario and category count must match
-// the configuration.
+// the configuration, and a star crawl needs an EpochAccumulator.
 func StartCrawl(src Source, acc StreamIngester, cfg CrawlConfig) (*CrawlJob, error) {
 	return crawl.Start(src, acc, cfg)
 }
