@@ -530,7 +530,7 @@ func BenchmarkStreamIngestLocal(b *testing.B) {
 					i := w * 7919
 					if ea != nil {
 						l := ea.NewLocal()
-						defer l.Close()
+						defer l.Flush()
 						for ; n > 0; n-- {
 							if err := l.Ingest(recs[i%len(recs)]); err != nil {
 								b.Error(err)
@@ -574,7 +574,7 @@ func BenchmarkStreamIngestBootstrapSparse(b *testing.B) {
 				b.Fatal(err)
 			}
 			l := ea.NewLocal()
-			defer l.Close()
+			defer l.Flush()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -704,7 +704,7 @@ func BenchmarkIngestDecode(b *testing.B) {
 			b.Fatal(err)
 		}
 		l := ea.NewLocal()
-		defer l.Close()
+		defer l.Flush()
 		b.SetBytes(int64(len(jsonBody)))
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -728,7 +728,7 @@ func BenchmarkIngestDecode(b *testing.B) {
 			b.Fatal(err)
 		}
 		l := ea.NewLocal()
-		defer l.Close()
+		defer l.Flush()
 		it, err := wire.NewRecordIter(binBody)
 		if err != nil {
 			b.Fatal(err)
@@ -786,7 +786,7 @@ func BenchmarkIngestDecodeBodies(b *testing.B) {
 		b.Fatal(err)
 	}
 	l := ea.NewLocal()
-	defer l.Close()
+	defer l.Flush()
 	it := new(wire.RecordIter)
 	var rec sample.NodeObservation
 	ingest := func(body []byte) {
@@ -841,7 +841,7 @@ func TestBinaryDecodeToLocalZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := ea.NewLocal()
-	defer l.Close()
+	defer l.Flush()
 	it, err := wire.NewRecordIter(body)
 	if err != nil {
 		t.Fatal(err)

@@ -41,8 +41,5 @@ type PaddedInt64 struct {
 // Load atomically loads the value.
 func (p *PaddedInt64) Load() int64 { return p.v.Load() }
 
-// Store atomically stores v.
-func (p *PaddedInt64) Store(v int64) { p.v.Store(v) }
-
 // Add atomically adds delta and returns the new value.
 func (p *PaddedInt64) Add(delta int64) int64 { return p.v.Add(delta) }

@@ -532,21 +532,21 @@ func (c *Crawl) run() {
 	close(c.done)
 }
 
-// closeLocals flushes and unregisters every walker's epoch local. Rounds
+// flushLocals flushes and releases every walker's epoch local. Rounds
 // already flush at their barrier, so at normal completion this publishes
-// nothing — it only detaches the locals from the pending-records gauge; on
-// an error path it also publishes whatever the aborted round ingested.
-func (c *Crawl) closeLocals() {
+// nothing; on an error path it publishes whatever the aborted round
+// ingested.
+func (c *Crawl) flushLocals() {
 	for _, w := range c.walkers {
 		if w.local != nil {
-			w.local.Close()
+			w.local.Flush()
 			w.local = nil
 		}
 	}
 }
 
 func (c *Crawl) crawl() (*Result, error) {
-	defer c.closeLocals()
+	defer c.flushLocals()
 	// Burn-in: every walker advances BurnIn transitions concurrently
 	// before the first recorded draw (burn-in steps do not count against
 	// the draw budget).

@@ -178,11 +178,6 @@ type Job struct {
 	names   []string
 	created time.Time
 
-	// localMu guards the pool of idle writer-private locals (epoch-merged
-	// accumulators only); see TakeLocal.
-	localMu sync.Mutex
-	idle    []*stream.Local
-
 	// The read caches, one entry each (see read.go): the published
 	// snapshot's category graph and /estimate body, and the current
 	// generation's /sums body.
@@ -221,9 +216,6 @@ func (j *Job) Spec() Spec { return j.spec }
 // Acc returns the job's accumulator.
 func (j *Job) Acc() stream.Ingester { return j.acc }
 
-// Epoch returns the accumulator's epoch-merged form, nil otherwise.
-func (j *Job) Epoch() *stream.EpochAccumulator { return j.epoch }
-
 // Names returns the job's category names (always K entries).
 func (j *Job) Names() []string { return j.names }
 
@@ -231,46 +223,23 @@ func (j *Job) Names() []string { return j.names }
 // count as creations — the stream's age lives in its generation).
 func (j *Job) Created() time.Time { return j.created }
 
-// TakeLocal borrows an idle writer-private local of the job's epoch-merged
-// accumulator, growing the pool on demand, so a binary ingest request
-// streams its records into a local without allocating an epoch. Returns nil
-// when the accumulator has no epoch form. The caller must return the local
-// with PutLocal.
+// TakeLocal borrows a writer-private local of the job's epoch-merged
+// accumulator (stream.EpochAccumulator.TakeLocal), so a binary ingest
+// request streams its records into a local without allocating an epoch.
+// Returns nil when the accumulator has no epoch form. The caller must
+// return the local with PutLocal.
 func (j *Job) TakeLocal() *stream.Local {
 	if j.epoch == nil {
 		return nil
 	}
-	j.localMu.Lock()
-	defer j.localMu.Unlock()
-	if n := len(j.idle); n > 0 {
-		l := j.idle[n-1]
-		j.idle = j.idle[:n-1]
-		return l
-	}
-	return j.epoch.NewLocal()
+	return j.epoch.TakeLocal()
 }
 
 // PutLocal publishes a borrowed local's epoch and returns the local to the
-// idle pool, so an idle local is always empty: whatever a request ingested
-// is visible once the request returns its local, and a checkpoint never
-// misses an acknowledged record.
-func (j *Job) PutLocal(l *stream.Local) {
-	l.Flush()
-	j.localMu.Lock()
-	j.idle = append(j.idle, l)
-	j.localMu.Unlock()
-}
-
-// closeLocals unregisters every idle local (job teardown).
-func (j *Job) closeLocals() {
-	j.localMu.Lock()
-	locals := j.idle
-	j.idle = nil
-	j.localMu.Unlock()
-	for _, l := range locals {
-		l.Close()
-	}
-}
+// accumulator's idle list: whatever a request ingested is visible once the
+// request returns its local, and a checkpoint never misses an acknowledged
+// record.
+func (j *Job) PutLocal(l *stream.Local) { j.epoch.PutLocal(l) }
 
 // StartCrawl launches a crawl streaming into this job's accumulator. The
 // crawl takes its scenario and size method from the accumulator, so a job

@@ -6,14 +6,18 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"repro/internal/crawl"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/randx"
 	"repro/internal/sample"
 	"repro/internal/stream"
@@ -539,6 +543,80 @@ func TestDeferredLocals(t *testing.T) {
 	}
 	if gen := j2.Acc().Gen(); gen != 100 {
 		t.Fatalf("restored gen = %d, want 100", gen)
+	}
+}
+
+// pendingGauge reads stream_local_pending_records off the default registry's
+// Prometheus exposition.
+func pendingGauge(t *testing.T) float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := obs.Default.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "stream_local_pending_records "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("exposition line %q: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatal("stream_local_pending_records is not exposed")
+	return 0
+}
+
+// TestPutLocalClearsPendingGauge checks that a borrowed local's unflushed
+// records show in stream_local_pending_records and leave it when PutLocal
+// publishes them.
+func TestPutLocalClearsPendingGauge(t *testing.T) {
+	r, _ := NewRegistry(t.TempDir(), 0, nil)
+	j, err := r.Create(testSpec("alpha"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := pendingGauge(t)
+	l := j.TakeLocal()
+	for i := 0; i < 130; i++ {
+		if err := l.Ingest(jobObs(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := pendingGauge(t) - base; got != 128 {
+		t.Fatalf("gauge rose by %g after 130 records, want 128", got)
+	}
+	j.PutLocal(l)
+	if got := pendingGauge(t) - base; got != 0 {
+		t.Fatalf("gauge is %g off its baseline after PutLocal", got)
+	}
+}
+
+// TestDeletedJobIsCollectable checks that deleting a job while a request
+// still holds one of its locals does not pin the job's accumulator: once
+// the request returns the local, the deleted stream is garbage.
+func TestDeletedJobIsCollectable(t *testing.T) {
+	r, _ := NewRegistry(t.TempDir(), 0, nil)
+	wp := func() weak.Pointer[stream.EpochAccumulator] {
+		j, err := r.Create(testSpec("doomed"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := j.TakeLocal()
+		ingestRange(t, j, 0, 10)
+		if err := l.Ingest(jobObs(10)); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Delete("doomed"); err != nil {
+			t.Fatal(err)
+		}
+		j.PutLocal(l)
+		return weak.Make(j.epoch)
+	}()
+	runtime.GC()
+	runtime.GC()
+	if wp.Value() != nil {
+		t.Fatal("a deleted job's accumulator is still live after its borrowed local was returned")
 	}
 }
 

@@ -329,7 +329,6 @@ func (r *Registry) Delete(name string) error {
 	delete(r.jobs, name)
 	r.mu.Unlock()
 
-	j.closeLocals()
 	j.closeCheckpoint()
 	if j.ckptPath != "" {
 		if err := os.Remove(j.ckptPath); err != nil && !os.IsNotExist(err) {

@@ -171,7 +171,7 @@ func TestEpochBootstrapMatchesSingle(t *testing.T) {
 				// Writer-local epochs with small flushes: replicate grids
 				// merge while other locals ingest.
 				l := epoch.NewLocal()
-				defer l.Close()
+				defer l.Flush()
 				for i := w; i < len(recs); i += workers {
 					if err := l.Ingest(recs[i]); err != nil {
 						t.Error(err)

@@ -61,7 +61,7 @@ func TestDirectoryConcurrentLocals(t *testing.T) {
 		go func(recs []sample.NodeObservation) {
 			defer wg.Done()
 			l := ea.NewLocal()
-			defer l.Close()
+			defer l.Flush()
 			for _, rec := range recs {
 				if err := l.Ingest(rec); err != nil {
 					t.Error(err)
@@ -207,7 +207,7 @@ func TestDirectoryHostileIDs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	l.Close()
+	l.Flush()
 	requireDirBounded(t, acc.dir, len(ids))
 	requireDirBounded(t, ea.dir, len(ids))
 	for _, v := range ids[:1000] {

@@ -73,6 +73,11 @@ import (
 // statistics behind sizes, weights and densities are unaffected, and the
 // view is exact whenever no flush is mid-flight.)
 //
+// Ownership. A Local registers nowhere. A long-lived writer (a crawl
+// walker) owns one from NewLocal; a short-lived one (an HTTP request, the
+// accumulator's own Ingest/IngestBatch) borrows one with TakeLocal and
+// hands it back, flushed, with PutLocal.
+//
 // Visibility contract: records become visible to Snapshot, Draws and Gen
 // when their epoch is FLUSHED, not when Ingest returns on a Local. The
 // EpochAccumulator's own Ingest/IngestBatch flush internally before
@@ -92,10 +97,22 @@ const epochStripes = 64
 // epoch's node map cache-resident.
 const defaultFlushEvery = 1024
 
-// pendingEvery is how many records a Local ingests between stores of its
-// pending-records mirror: an atomic store per record is a locked exchange
-// on amd64, paid only to feed a gauge.
+// pendingEvery is how many records a Local ingests between additions to
+// pendingRecords: a shared atomic add per record would be paid only to feed
+// a gauge.
 const pendingEvery = 64
+
+// pendingRecords backs the stream_local_pending_records gauge. A Local adds
+// pendingEvery at each pendingEvery-th record of its epoch and takes back
+// what it added at flush, so the gauge lags by at most pendingEvery−1
+// records per Local.
+var pendingRecords core.PaddedInt64
+
+func init() {
+	obs.NewGaugeFunc("stream_local_pending_records",
+		"Records accepted by epoch locals but not yet flushed into a published view (each local adds its count every 64 records and removes it at flush).",
+		func() float64 { return float64(pendingRecords.Load()) })
+}
 
 // starData is one node's reconciled star data: its (possibly counts-derived)
 // degree and canonical neighbor-category counts. seen marks that any star
@@ -244,10 +261,12 @@ type EpochAccumulator struct {
 	// publish phase merges into it under view.mu).
 	view
 
-	// pool recycles the internal Locals behind Ingest/IngestBatch so the
-	// compatibility path does not allocate an epoch (sums + replicate
-	// grids) per call.
-	pool sync.Pool
+	// idle holds the flushed Locals that PutLocal returned, for TakeLocal to
+	// lend again, so a borrower does not allocate an epoch's sums and
+	// replicate grids per call. It grows to the peak number of concurrent
+	// borrowers; idleMu guards it.
+	idleMu sync.Mutex
+	idle   []*Local
 }
 
 // NewEpochAccumulator returns an empty epoch-merged accumulator. The
@@ -269,7 +288,6 @@ func NewEpochAccumulator(cfg Config, flushEvery int) (*EpochAccumulator, error) 
 	if flushEvery == 0 {
 		ea.flushEvery = defaultFlushEvery
 	}
-	ea.pool.New = func() any { return ea.newLocal(false) }
 	return ea, nil
 }
 
@@ -301,26 +319,48 @@ func (ea *EpochAccumulator) starView(idx int32) starData {
 	return *sd
 }
 
-// Ingest folds one node observation through an internal Local and flushes
-// immediately, so the record is visible when the call returns — the
-// drop-in compatibility path for callers that need per-record acks. Bulk
-// writers should hold their own Local (NewLocal) instead and flush per
-// epoch. A record whose node lost a constants race against a concurrent
-// writer (first-writer-wins, as under the sharded design) is reported as a
-// redraw conflict.
-func (ea *EpochAccumulator) Ingest(rec sample.NodeObservation) error {
-	l := ea.pool.Get().(*Local)
-	defer ea.pool.Put(l)
-	if err := l.Ingest(rec); err != nil {
-		return err
+// TakeLocal lends an idle Local, or a new one when none is idle. It is
+// empty; the borrower ingests into it and hands it back with PutLocal.
+func (ea *EpochAccumulator) TakeLocal() *Local {
+	ea.idleMu.Lock()
+	if n := len(ea.idle); n > 0 {
+		l := ea.idle[n-1]
+		ea.idle = ea.idle[:n-1]
+		ea.idleMu.Unlock()
+		return l
 	}
-	if _, dropped := l.Flush(); dropped > 0 {
-		return fmt.Errorf("stream: node %d lost a first-writer race on its per-node constants (category/weight/star data) against a concurrent writer", rec.Node)
-	}
-	return nil
+	ea.idleMu.Unlock()
+	return ea.NewLocal()
 }
 
-// IngestBatch folds a batch in order through an internal Local — one epoch
+// PutLocal flushes a borrowed Local and returns it to the idle list, so an
+// idle Local is always empty: what the borrower ingested is published once
+// PutLocal returns. It reports what the flush applied and dropped.
+func (ea *EpochAccumulator) PutLocal(l *Local) (applied, dropped int) {
+	applied, dropped = l.Flush()
+	ea.idleMu.Lock()
+	ea.idle = append(ea.idle, l)
+	ea.idleMu.Unlock()
+	return applied, dropped
+}
+
+// Ingest folds one node observation through a borrowed Local and flushes
+// immediately, so the record is visible when the call returns — the
+// drop-in compatibility path for callers that need per-record acks. Bulk
+// writers should hold their own Local instead and flush per epoch. A record
+// whose node lost a constants race against a concurrent writer
+// (first-writer-wins, as under the sharded design) is reported as a redraw
+// conflict.
+func (ea *EpochAccumulator) Ingest(rec sample.NodeObservation) error {
+	l := ea.TakeLocal()
+	err := l.Ingest(rec)
+	if _, dropped := ea.PutLocal(l); dropped > 0 {
+		return fmt.Errorf("stream: node %d lost a first-writer race on its per-node constants (category/weight/star data) against a concurrent writer", rec.Node)
+	}
+	return err
+}
+
+// IngestBatch folds a batch in order through a borrowed Local — one epoch
 // per batch — stopping at the first invalid record and flushing what was
 // accepted. It returns how many leading records were accepted, which is the
 // retry index of the /ingest 422 protocol: recs[n] is the offender.
@@ -335,15 +375,13 @@ func (ea *EpochAccumulator) Ingest(rec sample.NodeObservation) error {
 // records. Conflicts a batch can see locally (against its own records or
 // the already-published directory) are still reported per index.
 func (ea *EpochAccumulator) IngestBatch(recs []sample.NodeObservation) (int, error) {
-	l := ea.pool.Get().(*Local)
-	defer ea.pool.Put(l)
+	l := ea.TakeLocal()
+	defer ea.PutLocal(l)
 	for i, rec := range recs {
 		if err := l.Ingest(rec); err != nil {
-			l.Flush()
 			return i, err
 		}
 	}
-	l.Flush()
 	return len(recs), nil
 }
 
@@ -465,13 +503,6 @@ type Local struct {
 	nodes []localNode
 	recs  int
 
-	// pending mirrors recs atomically for the stream_local_pending_records
-	// gauge (written only by the owning writer, read by the metrics
-	// scraper). It is stored every pendingEvery records and at flush, not
-	// per record, so the gauge lags by at most pendingEvery−1 records per
-	// Local.
-	pending core.PaddedInt64
-
 	// sums/reps/fold/repFold are the flush scratch: zeroed between epochs
 	// (Reset, Fold), so a steady-state flush allocates nothing. reps and
 	// repFold are nil without replicates.
@@ -479,39 +510,14 @@ type Local struct {
 	reps    *uncert.Replicates
 	fold    *core.StarFold
 	repFold *uncert.ReplicateFold
-
-	registered bool
-}
-
-// localRegistry tracks live registered Locals for the pending-records
-// gauge.
-var localRegistry = struct {
-	sync.Mutex
-	set map[*Local]struct{}
-}{set: make(map[*Local]struct{})}
-
-func init() {
-	obs.NewGaugeFunc("stream_local_pending_records",
-		"Records accepted by live epoch locals but not yet flushed into a published view (each local publishes its count every 64 records and at flush).",
-		func() float64 {
-			localRegistry.Lock()
-			defer localRegistry.Unlock()
-			var n int64
-			for l := range localRegistry.set {
-				n += l.pending.Load()
-			}
-			return float64(n)
-		})
 }
 
 // NewLocal returns a new writer-private Local. The caller owns it: one
-// goroutine ingests, and Flush (or Close, when done) publishes. Locals
-// auto-flush after the accumulator's flushEvery records as a safety valve.
+// goroutine ingests, and Flush publishes; a Local holds nothing outside
+// itself, so an owner done with it flushes and drops it. Locals auto-flush
+// after the accumulator's flushEvery records as a safety valve. A writer
+// that needs a Local only for a while borrows one instead (TakeLocal).
 func (ea *EpochAccumulator) NewLocal() *Local {
-	return ea.newLocal(true)
-}
-
-func (ea *EpochAccumulator) newLocal(register bool) *Local {
 	l := &Local{
 		ea:    ea,
 		epoch: epochIndex{gen: 1, seed: ea.dir.seed},
@@ -527,30 +533,11 @@ func (ea *EpochAccumulator) newLocal(register bool) *Local {
 		l.reps = reps
 		l.repFold = uncert.NewReplicateFold(ea.cfg.K)
 	}
-	if register {
-		l.registered = true
-		localRegistry.Lock()
-		localRegistry.set[l] = struct{}{}
-		localRegistry.Unlock()
-	}
 	return l
 }
 
 // Pending returns the number of accepted records not yet flushed.
 func (l *Local) Pending() int { return l.recs }
-
-// Close flushes the Local and removes it from the pending-records gauge.
-// The Local must not be used afterwards.
-func (l *Local) Close() (applied, dropped int) {
-	applied, dropped = l.Flush()
-	if l.registered {
-		localRegistry.Lock()
-		delete(localRegistry.set, l)
-		localRegistry.Unlock()
-		l.registered = false
-	}
-	return applied, dropped
-}
 
 // Ingest folds one node observation into the epoch. It runs the single-lock
 // accumulator's record check (checkRecord) against the node's constants and
@@ -613,7 +600,7 @@ func (l *Local) Ingest(rec sample.NodeObservation) error {
 	ln.count++
 	l.recs++
 	if l.recs%pendingEvery == 0 {
-		l.pending.Store(int64(l.recs))
+		pendingRecords.Add(pendingEvery)
 	}
 	if l.recs >= ea.flushEvery {
 		l.Flush()
@@ -714,8 +701,8 @@ func (l *Local) Flush() (applied, dropped int) {
 	}
 	l.epoch.next()
 	l.nodes = l.nodes[:0]
+	pendingRecords.Add(-int64(l.recs - l.recs%pendingEvery))
 	l.recs = 0
-	l.pending.Store(0)
 	mIngested.Add(int64(applied))
 	mFlushes.Inc()
 	t3 := time.Now()

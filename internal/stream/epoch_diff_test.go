@@ -275,7 +275,7 @@ func TestEpochDifferentialOracle(t *testing.T) {
 		}
 		compare()
 		for _, l := range locals {
-			l.Close()
+			l.Flush()
 		}
 	}
 	if got := mRejected.With("flush_conflict").Value() - conflicts0; got != int64(tally.flushConflictExpected) {

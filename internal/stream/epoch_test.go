@@ -3,9 +3,14 @@ package stream
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
+	"weak"
 
+	"repro/internal/obs"
 	"repro/internal/randx"
 	"repro/internal/sample"
 	"repro/internal/uncert"
@@ -74,7 +79,7 @@ func TestEpochMatchesSingleConcurrent(t *testing.T) {
 				// Writer-local epochs, flushed every 100 records and at
 				// the end (Close).
 				l := ea.NewLocal()
-				defer l.Close()
+				defer l.Flush()
 				for i := w; i < len(recs); i += workers {
 					if err := l.Ingest(recs[i]); err != nil {
 						t.Error(err)
@@ -275,7 +280,7 @@ func TestEpochLocalMatchesAccumulator(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if applied, dropped := l.Close(); dropped > 0 {
+	if applied, dropped := l.Flush(); dropped > 0 {
 		t.Fatalf("final flush dropped %d records (applied %d)", dropped, applied)
 	}
 	if ea.Draws() != acc.Draws() || ea.Distinct() != acc.Distinct() {
@@ -436,8 +441,8 @@ func TestGenMonotoneNonTorn(t *testing.T) {
 }
 
 // TestEpochFlushZeroPending checks the flush-boundary edge cases around
-// empty epochs: flushing a fresh Local, double-flushing, and closing an
-// already-flushed Local are all cheap no-ops that do not advance Gen.
+// empty epochs: flushing a fresh Local and double-flushing are cheap no-ops
+// that do not advance Gen.
 func TestEpochFlushZeroPending(t *testing.T) {
 	ea, err := NewEpochAccumulator(Config{K: 2, Star: true}, 0)
 	if err != nil {
@@ -466,9 +471,6 @@ func TestEpochFlushZeroPending(t *testing.T) {
 	// Double flush: nothing left.
 	if a, d := l.Flush(); a != 0 || d != 0 {
 		t.Fatalf("second flush applied/dropped = %d/%d", a, d)
-	}
-	if a, d := l.Close(); a != 0 || d != 0 {
-		t.Fatalf("close applied/dropped = %d/%d", a, d)
 	}
 	if ea.Gen() != 1 || ea.Draws() != 1 {
 		t.Fatalf("Gen/Draws = %d/%d, want 1/1", ea.Gen(), ea.Draws())
@@ -520,7 +522,7 @@ func TestEpochLateStarAcrossLocals(t *testing.T) {
 				if err := l.Ingest(rec); err != nil {
 					t.Fatalf("%s: local ingest: %v", name, err)
 				}
-				if _, dropped := l.Close(); dropped > 0 {
+				if _, dropped := l.Flush(); dropped > 0 {
 					t.Fatalf("%s: flush dropped %d records", name, dropped)
 				}
 			}
@@ -576,7 +578,7 @@ func TestEpochSnapshotDuringMerge(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			l := ea.NewLocal()
-			defer l.Close()
+			defer l.Flush()
 			for i := w; i < len(recs); i += workers {
 				if err := l.Ingest(recs[i]); err != nil {
 					t.Error(err)
@@ -632,5 +634,89 @@ func TestEpochSnapshotDuringMerge(t *testing.T) {
 	}
 	if ea.Draws() != len(recs) {
 		t.Fatalf("Draws() = %d, want %d", ea.Draws(), len(recs))
+	}
+}
+
+// pendingGauge reads stream_local_pending_records off the default registry's
+// Prometheus exposition.
+func pendingGauge(t *testing.T) float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := obs.Default.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "stream_local_pending_records "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("exposition line %q: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatal("stream_local_pending_records is not exposed")
+	return 0
+}
+
+// TestLocalPendingGauge checks the value of stream_local_pending_records: a
+// Local publishes its unflushed records every 64th record, and a flush —
+// its own, or the one closing ea.IngestBatch's borrowed Local — takes them
+// back out. Values are deltas against a baseline: the gauge is process-wide.
+func TestLocalPendingGauge(t *testing.T) {
+	ea, err := NewEpochAccumulator(Config{K: 2, Star: true}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := func(i int) sample.NodeObservation {
+		return sample.NodeObservation{Node: int32(i % 50), Cat: int32(i % 2)}
+	}
+	base := pendingGauge(t)
+	l := ea.NewLocal()
+	for i := 0; i < 130; i++ {
+		if err := l.Ingest(rec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := pendingGauge(t) - base; got != 128 {
+		t.Fatalf("gauge rose by %g after 130 records, want 128", got)
+	}
+	l.Flush()
+	if got := pendingGauge(t) - base; got != 0 {
+		t.Fatalf("gauge is %g off its baseline after Flush", got)
+	}
+	recs := make([]sample.NodeObservation, 200)
+	for i := range recs {
+		recs[i] = rec(i)
+	}
+	if n, err := ea.IngestBatch(recs); err != nil || n != len(recs) {
+		t.Fatalf("batch: n=%d err=%v", n, err)
+	}
+	if got := pendingGauge(t) - base; got != 0 {
+		t.Fatalf("gauge is %g off its baseline after IngestBatch", got)
+	}
+}
+
+// TestFlushedLocalsAreCollectable checks that a Local pins nothing once its
+// owner drops it: Locals that were flushed but never handed back anywhere
+// do not keep their accumulator alive.
+func TestFlushedLocalsAreCollectable(t *testing.T) {
+	wp := func() weak.Pointer[EpochAccumulator] {
+		ea, err := NewEpochAccumulator(Config{K: 3, Star: true, Replicates: uncert.Config{B: 4, Seed: 1}}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 8; i++ {
+			l := ea.NewLocal()
+			if err := l.Ingest(sample.NodeObservation{Node: int32(i), Cat: int32(i % 3)}); err != nil {
+				t.Fatal(err)
+			}
+			l.Flush()
+		}
+		return weak.Make(ea)
+	}()
+	runtime.GC()
+	runtime.GC()
+	if wp.Value() != nil {
+		t.Fatal("an accumulator whose flushed Locals were dropped is still live")
 	}
 }

@@ -402,7 +402,7 @@ func TestExportFullDuringConcurrentFlushes(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			l := ea.NewLocal()
-			defer l.Close()
+			defer l.Flush()
 			for i := 0; i < perWriter; i++ {
 				if err := l.Ingest(fullObs(i)); err != nil {
 					panic(fmt.Sprintf("writer %d record %d: %v", w, i, err))

@@ -239,7 +239,7 @@ func TestEveryPublishAdvancesGen(t *testing.T) {
 		ea, rec := newEpoch(), next(starRecs)
 		ea.Ingest(rec())
 		l := ea.NewLocal()
-		t.Cleanup(func() { l.Close() })
+		t.Cleanup(func() { l.Flush() })
 		paths = append(paths,
 			path{"epoch/Ingest", ea, func(t *testing.T) { must(t, ea.Ingest(rec())) }, 1},
 			path{"epoch/IngestBatch", ea, func(t *testing.T) { batch(t, ea, rec(), rec()) }, 2},

@@ -62,7 +62,7 @@ func TestRejectReasonsAgree(t *testing.T) {
 					t.Fatal(err)
 				}
 				l := eaL.NewLocal()
-				defer l.Close()
+				defer l.Flush()
 				paths = append(paths,
 					path{"EpochAccumulator", ea.Ingest, ea.Draws},
 					path{"Local", l.Ingest, l.Pending})

@@ -244,7 +244,7 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 			_ = l.Ingest(rec)
 			_ = ea.Ingest(rec)
 		}
-		l.Close()
+		l.Flush()
 		_, _ = ea.Snapshot()
 	})
 }

@@ -84,7 +84,9 @@ type (
 	EpochAccumulator = stream.EpochAccumulator
 	// LocalAccumulator is one writer's private epoch over an
 	// EpochAccumulator: Ingest touches only writer-owned memory, Flush
-	// publishes the epoch.
+	// publishes the epoch. It registers nowhere, so a writer done with one
+	// flushes it and drops it; a short-lived writer borrows one with
+	// EpochAccumulator.TakeLocal and hands it back, flushed, with PutLocal.
 	LocalAccumulator = stream.Local
 	// StreamIngester is the surface shared by Accumulator and
 	// EpochAccumulator.
