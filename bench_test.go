@@ -498,14 +498,13 @@ func BenchmarkStreamIngestLocal(b *testing.B) {
 			recs = sparse
 		}
 		b.Run(fmt.Sprintf("%s/writers=%d", impl, writers), func(b *testing.B) {
-			var acc stream.Ingester
+			var single *stream.Accumulator
 			var ea *stream.EpochAccumulator
 			var err error
 			if strings.HasPrefix(impl, "epoch") {
 				ea, err = stream.NewEpochAccumulator(cfg, 0)
-				acc = ea
 			} else {
-				acc, err = stream.NewAccumulator(cfg)
+				single, err = stream.NewAccumulator(cfg)
 			}
 			if err != nil {
 				b.Fatal(err)
@@ -541,7 +540,7 @@ func BenchmarkStreamIngestLocal(b *testing.B) {
 						return
 					}
 					for ; n > 0; n-- {
-						if err := acc.Ingest(recs[i%len(recs)]); err != nil {
+						if err := single.Ingest(recs[i%len(recs)]); err != nil {
 							b.Error(err)
 							return
 						}

@@ -78,7 +78,7 @@ func TestJobCreateStatus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ident.Acc().Ingest(httpObs(1)); err != nil {
+	if _, err := ident.Acc().IngestBatch([]sample.NodeObservation{httpObs(1)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := reg0.Shutdown(); err != nil {

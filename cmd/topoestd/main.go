@@ -961,16 +961,22 @@ var recordIterPool = sync.Pool{New: func() any { return new(wire.RecordIter) }}
 // scratch, which every ingest path copies before retaining. Epoch-merged
 // jobs ingest through a pooled writer-private local, which PutLocal flushes
 // before the response — the valid prefix a 422 acknowledges included — and
-// the single-lock accumulator takes records directly.
+// the single-lock accumulator takes each record as a one-record batch, so
+// the failing record's index stays exact.
 func ingestStream(j *job.Job, it *wire.RecordIter) (int, error) {
-	var rec sample.NodeObservation
-	ingest := j.Acc().Ingest
 	if l := j.TakeLocal(); l != nil {
 		defer j.PutLocal(l)
-		ingest = l.Ingest
+		var rec sample.NodeObservation
+		for i := 0; it.Next(&rec); i++ {
+			if err := l.Ingest(rec); err != nil {
+				return i, err
+			}
+		}
+		return it.Len(), nil
 	}
-	for i := 0; it.Next(&rec); i++ {
-		if err := ingest(rec); err != nil {
+	var one [1]sample.NodeObservation
+	for i := 0; it.Next(&one[0]); i++ {
+		if _, err := j.Acc().IngestBatch(one[:]); err != nil {
 			return i, err
 		}
 	}

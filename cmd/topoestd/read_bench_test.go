@@ -80,7 +80,8 @@ func benchRead(b *testing.B, path, acceptEncoding string) {
 			for i := 0; i < b.N; i++ {
 				if miss {
 					b.StopTimer()
-					if err := acc.Ingest(more[i%len(more)]); err != nil {
+					j := i % len(more)
+					if _, err := acc.IngestBatch(more[j : j+1]); err != nil {
 						b.Fatal(err)
 					}
 					b.StartTimer()

@@ -55,12 +55,14 @@
 // The sums are also mergeable, which is the paper's own multi-crawl
 // workflow (Table 2 pools 28 and 25 independent walks): estimate several
 // independent crawls as one pooled sample with MergeObservations (batch)
-// or StreamWalks (streaming), and scale ingest across cores with
-// NewEpochAccumulator: each writer accumulates draws in a private
-// LocalAccumulator — no shared state per record — and a periodic Flush
-// merges the epoch's sufficient statistics into the published view
+// or StreamWalks (streaming, one IngestBatch per walk), and scale ingest
+// across cores with NewEpochAccumulator: each writer accumulates draws in a
+// private LocalAccumulator — no shared state per record — and a periodic
+// Flush merges the epoch's sufficient statistics into the published view
 // exactly, so concurrent ingest matches the single-lock estimate to
-// ≤ 1e-9 (star scenario).
+// ≤ 1e-9 (star scenario). Every accumulator takes batches (IngestBatch);
+// a per-record writer holds a LocalAccumulator, and only the single-lock
+// Accumulator keeps a per-record Ingest of its own.
 //
 // # Uncertainty
 //

@@ -196,12 +196,6 @@ func (s *Sums) Merge(o *Sums) error {
 	return s.PairNum.Merge(o.PairNum)
 }
 
-// MergeInto folds s into dst — Merge with the argument roles swapped, so an
-// epoch-local accumulator can hand its statistics to the published sums in
-// the direction the call site reads naturally (local.MergeInto(shared)). It
-// allocates nothing beyond the pair-table entries dst has not seen yet.
-func (s *Sums) MergeInto(dst *Sums) error { return dst.Merge(s) }
-
 // Reset zeroes the sums in place for reuse, keeping every allocation (the
 // per-category slices and the pair table's map storage). Epoch-local
 // accumulators call this once per flush; without it each epoch would

@@ -250,9 +250,12 @@ type Crawl struct {
 	withinCats []int
 
 	// sharedObs (guarded by obsMu) is the crawl-wide observer of the
-	// induced scenario; nil under star, where observers are per-walker.
+	// induced scenario, and single is acc as the single-lock accumulator
+	// its records go into; both are nil under star, where observers are
+	// per-walker.
 	obsMu     sync.Mutex
 	sharedObs *sample.StreamObserver
+	single    *stream.Accumulator
 
 	walkers []*walker
 
@@ -271,9 +274,9 @@ type Crawl struct {
 // flushed at round barriers; single-lock under induced). Passing an
 // existing accumulator lets a server keep serving live estimates from the
 // same statistics the crawl feeds — its scenario and category count must
-// match, a star crawl needs a *stream.EpochAccumulator, and with
-// EngineBootstrap and CI targets it must have bootstrap replicates
-// enabled.
+// match, a star crawl needs a *stream.EpochAccumulator and an induced one a
+// *stream.Accumulator, and with EngineBootstrap and CI targets it must have
+// bootstrap replicates enabled.
 func Start(src graph.Source, acc stream.Ingester, cfg Config) (*Crawl, error) {
 	if isNilSource(src) || src.NumCategories() == 0 {
 		return nil, fmt.Errorf("crawl: need a categorized graph")
@@ -324,10 +327,15 @@ func Start(src graph.Source, acc stream.Ingester, cfg Config) (*Crawl, error) {
 	if cfg.Star && ea == nil {
 		return nil, fmt.Errorf("crawl: a star crawl needs an epoch-merged accumulator, got %T", acc)
 	}
+	single, _ := acc.(*stream.Accumulator)
+	if !cfg.Star && single == nil {
+		return nil, fmt.Errorf("crawl: an induced crawl needs a single-lock accumulator, got %T", acc)
+	}
 	c := &Crawl{
 		cfg:        cfg,
 		src:        src,
 		acc:        acc,
+		single:     single,
 		sizeCats:   catSet(cfg.SizeCats, src.NumCategories()),
 		withinCats: catSet(cfg.WithinCats, src.NumCategories()),
 		done:       make(chan struct{}),
@@ -669,7 +677,11 @@ func (c *Crawl) checkpoint(seq, draws int) (*Checkpoint, error) {
 	case EngineReplication:
 		sums := make([]*core.Sums, len(c.walkers))
 		for i, w := range c.walkers {
-			sums[i] = w.priv.SumsClone()
+			st, err := w.priv.Export()
+			if err != nil {
+				return nil, err
+			}
+			sums[i] = st.Sums
 		}
 		rep, err := uncert.ReplicationCI(sums, core.Options{N: c.cfg.N, Size: c.cfg.Size}, c.cfg.Level)
 		if err != nil {

@@ -396,6 +396,10 @@ func TestCrawlValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pool, err := stream.NewPool(stream.Config{K: g.NumCategories(), Star: false})
+	if err != nil {
+		t.Fatal(err)
+	}
 	uncat, err := graph.NewBuilder(2).Build()
 	if err != nil {
 		t.Fatal(err)
@@ -415,8 +419,9 @@ func TestCrawlValidation(t *testing.T) {
 		"replication needs ≥2": {g, nil, Config{Engine: EngineReplication, MaxDraws: 10}},
 		"star crawl into a single-lock accumulator": {g, starSingle, Config{
 			Star: true, MaxDraws: 10}},
-		"unknown sampler":     {g, nil, Config{Sampler: "BFS", MaxDraws: 10}},
-		"WRW without weights": {g, nil, Config{Sampler: SamplerWRW, MaxDraws: 10}},
+		"induced crawl into a pool": {g, pool, Config{MaxDraws: 10}},
+		"unknown sampler":           {g, nil, Config{Sampler: "BFS", MaxDraws: 10}},
+		"WRW without weights":       {g, nil, Config{Sampler: SamplerWRW, MaxDraws: 10}},
 		"target cat out of range": {g, nil, Config{
 			SizeTarget: 1, SizeCats: []int{99}, MaxDraws: 10}},
 		"negative target": {g, nil, Config{SizeTarget: -1, MaxDraws: 10}},

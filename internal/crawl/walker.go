@@ -96,7 +96,7 @@ func (w *walker) runRound(c *Crawl, n int) error {
 			// observation the replication engine pools.
 			c.obsMu.Lock()
 			rec := c.sharedObs.Observe(v, weight)
-			err := c.acc.Ingest(rec)
+			err := c.single.Ingest(rec)
 			c.obsMu.Unlock()
 			if err != nil {
 				return fmt.Errorf("crawl: walker %d: %w", w.id, err)

@@ -172,11 +172,10 @@ func ParseSizeMethod(s string) (core.SizeMethod, error) {
 // at a time PER JOB; different jobs crawl concurrently), and the durable
 // checkpoint state.
 type Job struct {
-	spec    Spec
-	acc     stream.Ingester
-	epoch   *stream.EpochAccumulator // non-nil iff acc is epoch-merged
-	names   []string
-	created time.Time
+	spec  Spec
+	acc   stream.Ingester
+	epoch *stream.EpochAccumulator // non-nil iff acc is epoch-merged
+	names []string
 
 	// The read caches, one entry each (see read.go): the published
 	// snapshot's category graph and /estimate body, and the current
@@ -218,10 +217,6 @@ func (j *Job) Acc() stream.Ingester { return j.acc }
 
 // Names returns the job's category names (always K entries).
 func (j *Job) Names() []string { return j.names }
-
-// Created returns when the job object was built in this process (restores
-// count as creations — the stream's age lives in its generation).
-func (j *Job) Created() time.Time { return j.created }
 
 // TakeLocal borrows a writer-private local of the job's epoch-merged
 // accumulator (stream.EpochAccumulator.TakeLocal), so a binary ingest

@@ -60,7 +60,7 @@ func ingestRange(t *testing.T, j *Job, lo, hi int) {
 func ingestObs(t *testing.T, j *Job, obs func(int) sample.NodeObservation, lo, hi int) {
 	t.Helper()
 	for i := lo; i < hi; i++ {
-		if err := j.Acc().Ingest(obs(i)); err != nil {
+		if _, err := j.Acc().IngestBatch([]sample.NodeObservation{obs(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -123,7 +123,6 @@ func (r *Registry) build(spec Spec) (*Job, error) {
 	}
 	j := &Job{
 		spec:     spec,
-		created:  time.Now(),
 		ckptPath: r.checkpointPath(spec.Name),
 		ckptMax:  r.maxFrames,
 		specJSON: specJSON,
@@ -278,7 +277,7 @@ func (r *Registry) Adopt(spec Spec, acc stream.Ingester, names []string) (*Job, 
 	if _, ok := r.jobs[spec.Name]; ok {
 		return nil, fmt.Errorf("%w: %q", ErrExists, spec.Name)
 	}
-	j := &Job{spec: spec, acc: acc, created: time.Now()}
+	j := &Job{spec: spec, acc: acc}
 	j.epoch, _ = acc.(*stream.EpochAccumulator)
 	if len(names) > 0 {
 		j.names = append([]string(nil), names...)

@@ -480,9 +480,6 @@ func NewCounter(name, help string) *Counter { return Default.NewCounter(name, he
 // NewFloatCounter registers a float counter on the Default registry.
 func NewFloatCounter(name, help string) *FloatCounter { return Default.NewFloatCounter(name, help) }
 
-// NewGauge registers a gauge on the Default registry.
-func NewGauge(name, help string) *Gauge { return Default.NewGauge(name, help) }
-
 // NewGaugeFunc registers a scrape-time gauge on the Default registry.
 func NewGaugeFunc(name, help string, fn func() float64) { Default.NewGaugeFunc(name, help, fn) }
 

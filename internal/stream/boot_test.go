@@ -125,7 +125,7 @@ func TestStreamingBootstrapMatchesOffline(t *testing.T) {
 
 // TestEpochBootstrapMatchesSingle is the acceptance test of the epoch
 // replicate path: concurrent ingestion through writer-local epochs (mixed
-// with the compatibility Ingest path) must produce replicate snapshots
+// with one-record IngestBatch calls) must produce replicate snapshots
 // identical (≤ 1e-9) to the single-lock accumulator fed the same records.
 // The replicate weights depend only on (Seed, node, replicate), and the
 // epoch merge batches each node's replicate update from its reserved
@@ -187,7 +187,7 @@ func TestEpochBootstrapMatchesSingle(t *testing.T) {
 				return
 			}
 			for i := w; i < len(recs); i += workers {
-				if err := epoch.Ingest(recs[i]); err != nil {
+				if _, err := epoch.IngestBatch(recs[i : i+1]); err != nil {
 					t.Error(err)
 					return
 				}

@@ -75,15 +75,16 @@ import (
 //
 // Ownership. A Local registers nowhere. A long-lived writer (a crawl
 // walker) owns one from NewLocal; a short-lived one (an HTTP request, the
-// accumulator's own Ingest/IngestBatch) borrows one with TakeLocal and
-// hands it back, flushed, with PutLocal.
+// accumulator's own IngestBatch) borrows one with TakeLocal and hands it
+// back, flushed, with PutLocal. The accumulator has no per-record Ingest of
+// its own: a record is either part of a batch or held in a writer's Local.
 //
-// Visibility contract: records become visible to Snapshot, Draws and Gen
-// when their epoch is FLUSHED, not when Ingest returns on a Local. The
-// EpochAccumulator's own Ingest/IngestBatch flush internally before
-// returning, so the Ingester-level contract — an acked record is included
-// in any snapshot taken after a Gen read that postdates the ack — is
-// unchanged from the single-lock accumulator.
+// Visibility contract: records become visible to Snapshot, Export, Draws
+// and Gen when their epoch is FLUSHED, not when Ingest returns on a Local.
+// The EpochAccumulator's own IngestBatch flushes before returning, so the
+// Ingester-level contract — an acked record is included in any snapshot
+// taken after a Gen read that postdates the ack — is unchanged from the
+// single-lock accumulator.
 
 // epochStripes is the number of stripe locks serializing the per-node
 // reservation and star reconcile (power of two; a node's stripe is its
@@ -224,12 +225,18 @@ type stripeLock struct {
 }
 
 // EpochAccumulator is the multi-core accumulator: writers ingest into
-// private Locals (NewLocal) and publish by flushing epochs, so the
-// per-record hot path touches no shared state at all. It implements
-// Ingester — its own Ingest/IngestBatch run an internal Local and flush
-// before returning, preserving the single-lock accumulator's ack-visibility
-// and batch-prefix semantics — and its snapshots equal a single-lock
+// private Locals (NewLocal, TakeLocal) and publish by flushing epochs, so
+// the per-record hot path touches no shared state at all. It implements
+// Ingester — its IngestBatch runs a borrowed Local and flushes before
+// returning, preserving the single-lock accumulator's ack-visibility and
+// batch-prefix semantics — and its snapshots equal a single-lock
 // accumulator's for the same records to ≤ 1e-9 (see the package tests).
+//
+// Its generation advances at flush, by the number of records the flush
+// applied, inside the critical section that merges them, so Snapshot and
+// Export see whole epochs: a flush is either fully in a cut or fully
+// outside it, and records sitting in unflushed Locals are in neither. A
+// cut's Distinct is informational (see State.Distinct).
 //
 // The epoch design requires the star scenario. Star records are per-node
 // self-contained (degree + neighbor-category counts), so epochs compose by
@@ -237,17 +244,10 @@ type stripeLock struct {
 // are cross-referential — an edge's mass couples the live multiplicities of
 // two nodes — so induced streams must use the single-lock Accumulator.
 type EpochAccumulator struct {
-	cfg        Config
 	flushEvery int
 
 	dir     *directory[sharedNode]
 	stripes [epochStripes]stripeLock
-
-	// gen is the ingest generation: advanced by each flush, by the number
-	// of records the flush applied, inside the published-view critical
-	// section. Padded: it is the one counter every flush and every
-	// /estimate cache probe touches.
-	gen core.PaddedUint64
 
 	// flushGate serializes flushes against ExportFull. Flushes hold it
 	// shared from their reserve phase through their publish phase (one
@@ -257,8 +257,8 @@ type EpochAccumulator struct {
 	flushGate sync.RWMutex
 
 	// view is the published state: the merged sums and replicates, the
-	// collision scalars, and the convergence baseline (Local.Flush's
-	// publish phase merges into it under view.mu).
+	// collision scalars, the generation and the convergence baseline
+	// (Local.Flush's publish phase merges into it under view.mu).
 	view
 
 	// idle holds the flushed Locals that PutLocal returned, for TakeLocal to
@@ -275,8 +275,8 @@ type EpochAccumulator struct {
 // 1024): larger epochs amortize the merge further, smaller ones publish
 // sooner.
 func NewEpochAccumulator(cfg Config, flushEvery int) (*EpochAccumulator, error) {
-	ea := &EpochAccumulator{cfg: cfg, flushEvery: flushEvery, dir: newDirectory[sharedNode]()}
-	if err := ea.init(cfg); err != nil {
+	ea := &EpochAccumulator{flushEvery: flushEvery, dir: newDirectory[sharedNode]()}
+	if err := ea.init(cfg, ea.dir); err != nil {
 		return nil, err
 	}
 	if !cfg.Star {
@@ -290,13 +290,6 @@ func NewEpochAccumulator(cfg Config, flushEvery int) (*EpochAccumulator, error) 
 	}
 	return ea, nil
 }
-
-// Config returns the accumulator's configuration.
-func (ea *EpochAccumulator) Config() Config { return ea.cfg }
-
-// Gen implements Ingester: the monotone ingest generation, advanced at
-// flush by the number of records the flush applied.
-func (ea *EpochAccumulator) Gen() uint64 { return ea.gen.Load() }
 
 // Draws returns the number of draws flushed into the published view so far.
 // Records sitting in an unflushed Local are not yet counted — the
@@ -344,22 +337,6 @@ func (ea *EpochAccumulator) PutLocal(l *Local) (applied, dropped int) {
 	return applied, dropped
 }
 
-// Ingest folds one node observation through a borrowed Local and flushes
-// immediately, so the record is visible when the call returns — the
-// drop-in compatibility path for callers that need per-record acks. Bulk
-// writers should hold their own Local instead and flush per epoch. A record
-// whose node lost a constants race against a concurrent writer
-// (first-writer-wins, as under the sharded design) is reported as a redraw
-// conflict.
-func (ea *EpochAccumulator) Ingest(rec sample.NodeObservation) error {
-	l := ea.TakeLocal()
-	err := l.Ingest(rec)
-	if _, dropped := ea.PutLocal(l); dropped > 0 {
-		return fmt.Errorf("stream: node %d lost a first-writer race on its per-node constants (category/weight/star data) against a concurrent writer", rec.Node)
-	}
-	return err
-}
-
 // IngestBatch folds a batch in order through a borrowed Local — one epoch
 // per batch — stopping at the first invalid record and flushing what was
 // accepted. It returns how many leading records were accepted, which is the
@@ -383,13 +360,6 @@ func (ea *EpochAccumulator) IngestBatch(recs []sample.NodeObservation) (int, err
 		}
 	}
 	return len(recs), nil
-}
-
-// Snapshot returns the estimate of the published view at the current
-// generation (see Accumulator.Snapshot). It sees exactly the flushed epochs
-// — see the flush-visibility contract.
-func (ea *EpochAccumulator) Snapshot() (*Snapshot, error) {
-	return ea.snapshot(ea.cfg, ea.gen.Load(), ea.cutLocked)
 }
 
 // localNode is one node's epoch-private state: the draw count of this

@@ -39,7 +39,7 @@ func TestEpochRequiresStar(t *testing.T) {
 // TestEpochMatchesSingleConcurrent is the tentpole property test: many
 // goroutines ingest interleaved shards of a star stream into one
 // EpochAccumulator — half through writer-owned Locals with periodic
-// flushes, half through the compatibility Ingest/IngestBatch path — while
+// flushes, half through one-record and 25-record IngestBatch calls — while
 // snapshotters poll; the final estimate, draw/distinct counts, and
 // population estimate must match the single-lock accumulator fed the same
 // records. Run under -race.
@@ -97,7 +97,7 @@ func TestEpochMatchesSingleConcurrent(t *testing.T) {
 			var batch []sample.NodeObservation
 			for i := w; i < len(recs); i += workers {
 				if i%7 == 0 {
-					if err := ea.Ingest(recs[i]); err != nil {
+					if _, err := ea.IngestBatch(recs[i : i+1]); err != nil {
 						t.Error(err)
 						return
 					}
@@ -220,7 +220,7 @@ func TestEpochConvergenceAndSeq(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, v := range s.Nodes[:2000] {
-		if err := ea.Ingest(so.Observe(v, s.Weight(i))); err != nil {
+		if err := ingestOne(ea, so.Observe(v, s.Weight(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -232,7 +232,7 @@ func TestEpochConvergenceAndSeq(t *testing.T) {
 		t.Fatalf("first epoch snapshot: %+v", first.Converge)
 	}
 	for i, v := range s.Nodes[2000:] {
-		if err := ea.Ingest(so.Observe(v, s.Weight(2000+i))); err != nil {
+		if err := ingestOne(ea, so.Observe(v, s.Weight(2000+i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -417,7 +417,7 @@ func TestGenMonotoneNonTorn(t *testing.T) {
 				defer writers.Done()
 				for v := int32(w * 100); v < int32(w*100+50); v++ {
 					rec := sample.NodeObservation{Node: v, Cat: v % 2, Deg: 1, NbrCat: []int32{0}, NbrCnt: []float64{1}}
-					if err := acc.Ingest(rec); err != nil {
+					if err := ingestOne(acc, rec); err != nil {
 						t.Errorf("%s: ingest: %v", name, err)
 						return
 					}
@@ -431,7 +431,7 @@ func TestGenMonotoneNonTorn(t *testing.T) {
 			t.Fatalf("%s: Gen=%d Draws=%d, want 200 each", name, acc.Gen(), acc.Draws())
 		}
 		// A rejected record must not advance the generation.
-		if err := acc.Ingest(sample.NodeObservation{Node: 1, Cat: 9}); err == nil {
+		if err := ingestOne(acc, sample.NodeObservation{Node: 1, Cat: 9}); err == nil {
 			t.Fatalf("%s: invalid record accepted", name)
 		}
 		if acc.Gen() != 200 {

@@ -38,37 +38,3 @@ type State struct {
 	// runs without replicates.
 	Reps *uncert.Replicates
 }
-
-// Export implements Ingester: a consistent cut of the accumulator's state,
-// with the (sums, collision scalars, replicates, generation) all describing
-// the same set of applied records. Exporting an empty accumulator succeeds —
-// the zero state merges as a no-op, which is exactly what a coordinator
-// wants from a worker that has not ingested yet. The copy is two-phase, so
-// concurrent ingest is stalled only for the flat byte moves (see view.export).
-func (a *Accumulator) Export() (*State, error) {
-	return a.export(a.cfg, a.cutLocked)
-}
-
-// cutLocked fills the generation and distinct count of a snapshot or export
-// cut; the caller holds a.mu.
-func (a *Accumulator) cutLocked(st *State) {
-	st.Gen, st.Distinct = a.gen.Load(), int64(a.dir.len())
-}
-
-// Export implements Ingester for the epoch-merged accumulator. The cut is
-// taken under the publish mutex: flushes advance the generation inside the
-// same critical section that merges their sums and replicates (see
-// Local.Flush's publish phase), so the exported (Sums, Reps, collision scalars, Gen)
-// are mutually consistent — a flush is either fully in the cut or fully
-// outside it. Records sitting in unflushed Locals are not exported, matching
-// the flush-visibility contract of Snapshot. Distinct is informational (see
-// State.Distinct).
-func (ea *EpochAccumulator) Export() (*State, error) {
-	return ea.export(ea.cfg, ea.cutLocked)
-}
-
-// cutLocked fills the generation and distinct count of a snapshot or export
-// cut; the caller holds ea.mu.
-func (ea *EpochAccumulator) cutLocked(st *State) {
-	st.Gen, st.Distinct = ea.gen.Load(), int64(ea.dir.len())
-}

@@ -36,8 +36,10 @@ func BenchmarkExportDuringIngest(b *testing.B) {
 				}
 				// Populate the pair tables and replicate grids so every
 				// export copies a realistic amount of state.
+				var one [1]sample.NodeObservation
 				for i := 0; i < 4000; i++ {
-					if err := acc.Ingest(benchObs(int32(i % 1000))); err != nil {
+					one[0] = benchObs(int32(i % 1000))
+					if _, err := acc.IngestBatch(one[:]); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -62,8 +64,9 @@ func BenchmarkExportDuringIngest(b *testing.B) {
 				lat := make([]time.Duration, b.N)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
+					one[0] = benchObs(int32(i % 1000))
 					t0 := time.Now()
-					if err := acc.Ingest(benchObs(int32(i % 1000))); err != nil {
+					if _, err := acc.IngestBatch(one[:]); err != nil {
 						b.Fatal(err)
 					}
 					lat[i] = time.Since(t0)

@@ -66,7 +66,7 @@ type FullExporter interface {
 // Export when only the mergeable statistics are needed.
 func (a *Accumulator) ExportFull() (*FullState, error) {
 	var nodes []NodeRecord
-	st, err := a.export(a.cfg, func(st *State) {
+	st, err := a.export(func(st *State) {
 		a.cutLocked(st)
 		nodes = make([]NodeRecord, a.dir.len())
 		for i := range nodes {

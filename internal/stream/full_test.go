@@ -35,7 +35,7 @@ func fullObs(i int) sample.NodeObservation {
 func mustIngest(t *testing.T, acc Ingester, lo, hi int) {
 	t.Helper()
 	for i := lo; i < hi; i++ {
-		if err := acc.Ingest(fullObs(i)); err != nil {
+		if err := ingestOne(acc, fullObs(i)); err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
 	}

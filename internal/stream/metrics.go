@@ -29,7 +29,7 @@ var (
 		"Per-record ingest latency when bootstrap replicates are enabled (includes the O(B) replicate update).",
 		obs.LatencyBuckets())
 	mFlushes = obs.NewCounter("stream_epoch_flushes_total",
-		"Epoch flushes published by writer-local accumulators (including the internal per-call epochs behind EpochAccumulator.Ingest/IngestBatch).")
+		"Epoch flushes published by writer-local accumulators (including the one-per-call epochs behind EpochAccumulator.IngestBatch and the TakeLocal/PutLocal borrowers).")
 	mFlushSec = obs.NewHistogram("stream_epoch_flush_seconds",
 		"Latency of publishing one epoch (reserve + batched statistics + merge).",
 		obs.LatencyBuckets())

@@ -3,14 +3,13 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/sample"
 	"repro/internal/uncert"
 )
 
-// ErrReadOnly is returned by the ingest methods of a Pool: a merge
+// ErrReadOnly is returned by the IngestBatch method of a Pool: a merge
 // coordinator estimates from worker exports and never accepts its own
 // records. Match with errors.Is to turn the sentinel into a protocol-level
 // redirect ("ingest on the workers").
@@ -31,20 +30,28 @@ var ErrReadOnly = errors.New("stream: pool is read-only (it merges worker export
 //
 // Pool is safe for concurrent use: Rebuild swaps the published view under a
 // mutex and advances the generation, which the published snapshot is keyed
-// on, once per Rebuild.
+// on, once per Rebuild, inside the same critical section. Snapshot serves
+// the same sequence the live accumulators run, including the bootstrap
+// snapshot when the last Rebuild carried replicates, so /estimate?ci= on a
+// coordinator serves exact merged-replicate CIs. Export returns the merged
+// view as a State of its own, which is what lets coordinators stack: a
+// higher tier pulls /sums from a coordinator exactly as the coordinator
+// pulls from its workers. The export is two-phase (see view.copyTo), so
+// /sums requests racing a Rebuild block it only for the flat byte moves,
+// and a Rebuild that changes the bootstrap configuration in between makes
+// the export retry with a matching destination.
 type Pool struct {
-	cfg Config
-
-	// gen advances once per Rebuild, under view.mu — the snapshot key,
-	// exactly like the per-record generation of the live accumulators.
-	gen atomic.Uint64
-
 	// view is the merged state Rebuild swaps in; its replicates (nil
 	// unless the last Rebuild carried them) fix the bootstrap configuration
-	// Config reports. distinct is guarded by view.mu.
+	// Config reports, and its node count is a nodeCount.
 	view
-	distinct int64
 }
+
+// nodeCount is a Pool's distinct-node count: the sum over the states of
+// its last Rebuild, replaced under view.mu.
+type nodeCount int64
+
+func (n nodeCount) len() int { return int(n) }
 
 // NewPool returns an empty coordinator pool. cfg fixes the partition,
 // scenario, population size and size method the coordinator estimates with;
@@ -53,8 +60,8 @@ type Pool struct {
 // agree for replicates to merge).
 func NewPool(cfg Config) (*Pool, error) {
 	cfg.Replicates = uncert.Config{}
-	p := &Pool{cfg: cfg}
-	if err := p.init(cfg); err != nil {
+	p := &Pool{}
+	if err := p.init(cfg, nodeCount(0)); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -129,7 +136,7 @@ func (p *Pool) Rebuild(states []*State) error {
 	}
 	p.sums, p.reps = sums, reps
 	p.psi1, p.psiInv, p.collisions = psi1, psiInv, collisions
-	p.distinct = distinct
+	p.nodes = nodeCount(distinct)
 	p.gen.Add(1)
 	p.mu.Unlock()
 	p.snapMu.Unlock()
@@ -163,40 +170,8 @@ func (p *Pool) Draws() int {
 func (p *Pool) Distinct() int {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return int(p.distinct)
+	return p.nodes.len()
 }
-
-// Gen implements Ingester: it advances once per Rebuild, so snapshot caches
-// keyed on it refresh exactly when the merged view changes.
-func (p *Pool) Gen() uint64 { return p.gen.Load() }
-
-// Ingest implements Ingester; a pool never accepts records.
-func (p *Pool) Ingest(rec sample.NodeObservation) error { return ErrReadOnly }
 
 // IngestBatch implements Ingester; a pool never accepts records.
 func (p *Pool) IngestBatch(recs []sample.NodeObservation) (int, error) { return 0, ErrReadOnly }
-
-// Snapshot computes the pooled estimate from the merged view — the same
-// sequence the live accumulators run, including the bootstrap snapshot when
-// the last Rebuild carried replicates, so /estimate?ci= on a coordinator
-// serves exact merged-replicate CIs.
-func (p *Pool) Snapshot() (*Snapshot, error) {
-	return p.snapshot(p.cfg, p.gen.Load(), p.cutLocked)
-}
-
-// Export implements Ingester: the merged view as a State of its own, which
-// is what lets coordinators stack — a higher tier can pull /sums from a
-// coordinator exactly as the coordinator pulls from its workers. Like the
-// live accumulators' exports the copy is two-phase (see view.export), so
-// /sums requests racing a Rebuild block it only for the flat byte moves; a
-// Rebuild that changes the bootstrap configuration in between makes the
-// export retry with a matching destination.
-func (p *Pool) Export() (*State, error) {
-	return p.export(p.cfg, p.cutLocked)
-}
-
-// cutLocked fills the generation and distinct count of a snapshot or export
-// cut; the caller holds p.mu.
-func (p *Pool) cutLocked(st *State) {
-	st.Gen, st.Distinct = p.gen.Load(), p.distinct
-}

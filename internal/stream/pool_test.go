@@ -199,9 +199,6 @@ func TestPoolIsReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Ingest(sample.NodeObservation{Node: 1}); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("Ingest returned %v, want ErrReadOnly", err)
-	}
 	if n, err := p.IngestBatch(make([]sample.NodeObservation, 2)); n != 0 || !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("IngestBatch returned (%d, %v), want (0, ErrReadOnly)", n, err)
 	}

@@ -64,7 +64,7 @@ func TestRejectReasonsAgree(t *testing.T) {
 				l := eaL.NewLocal()
 				defer l.Flush()
 				paths = append(paths,
-					path{"EpochAccumulator", ea.Ingest, ea.Draws},
+					path{"EpochAccumulator", func(rec sample.NodeObservation) error { return ingestOne(ea, rec) }, ea.Draws},
 					path{"Local", l.Ingest, l.Pending})
 			}
 			var want string

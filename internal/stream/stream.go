@@ -31,13 +31,17 @@
 // NewEpochAccumulator for why induced streams stay on the single-lock
 // Accumulator. The architecture comment in epoch.go derives the merge's
 // exactness and the flush-visibility contract.
+//
+// Every engine takes batches (Ingester.IngestBatch); a per-record writer
+// holds a Local of the epoch engine, or calls the single-lock
+// Accumulator's own Ingest, which an induced crawl needs to observe and
+// ingest one record under one lock.
 package stream
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -101,10 +105,11 @@ type nodeState struct {
 	peers []int32
 }
 
-// Ingester is the surface shared by the single-lock Accumulator and the
-// EpochAccumulator: everything a crawler (or the topoestd daemon) needs to
-// feed observations in and read live estimates out. Both implementations are
-// safe for concurrent use.
+// Ingester is the surface shared by the single-lock Accumulator, the
+// EpochAccumulator and the read-only Pool: everything a crawler (or the
+// topoestd daemon) needs to feed batches of observations in and read live
+// estimates out. The read half is implemented once, on the embedded view.
+// All implementations are safe for concurrent use.
 type Ingester interface {
 	// Config returns the accumulator's configuration.
 	Config() Config
@@ -115,14 +120,12 @@ type Ingester interface {
 	// Gen returns the monotone ingest generation: a single atomic counter
 	// that advances once per successfully applied record (at record apply
 	// for the Accumulator, at epoch flush for the EpochAccumulator, whose
-	// own Ingest/IngestBatch flush before returning) and can never tear.
-	// It is the cache key of choice for snapshot consumers: if a record's
-	// Ingest call returned before Gen was read, and a later Gen read
-	// returns the same value, then a Snapshot taken between the two reads
-	// includes that record.
+	// IngestBatch flushes before returning; once per Rebuild for a Pool)
+	// and can never tear. It is the cache key of choice for snapshot
+	// consumers: if an IngestBatch call returned before Gen was read, and
+	// a later Gen read returns the same value, then a Snapshot taken
+	// between the two reads includes the batch's records.
 	Gen() uint64
-	// Ingest folds one node observation into the running sums.
-	Ingest(rec sample.NodeObservation) error
 	// IngestBatch folds a batch in order, stopping at the first invalid
 	// record; it returns how many leading records were applied — the retry
 	// index for the caller. Neither engine applies a batch atomically: the
@@ -144,11 +147,13 @@ type Ingester interface {
 }
 
 // Accumulator ingests a stream of node observations and serves estimates.
+// Its generation advances once per applied record, inside the critical
+// section that applies it, so an Ingest call that returned has published
+// its increment (see Ingester.Gen).
 type Accumulator struct {
 	// view is the published state; its mutex also guards the node states
 	// and the rows, so a record is applied in one critical section.
 	view
-	cfg Config
 	// dir is the node directory; induced peer lists hold its dense indices.
 	dir *directory[nodeState]
 	// rows holds the packed bootstrap weight rows of induced nodes
@@ -160,24 +165,16 @@ type Accumulator struct {
 	// guarded like the node states.
 	newPeers []int32
 	edges    []uncert.PeerEdge
-
-	// gen advances once per successfully applied record, inside the
-	// critical section, so an Ingest call that returned has published its
-	// increment (see Ingester.Gen).
-	gen atomic.Uint64
 }
 
 // NewAccumulator returns an empty accumulator for the given configuration.
 func NewAccumulator(cfg Config) (*Accumulator, error) {
-	a := &Accumulator{cfg: cfg, dir: newDirectory[nodeState](), rows: newRowArena(cfg.Replicates.B)}
-	if err := a.init(cfg); err != nil {
+	a := &Accumulator{dir: newDirectory[nodeState](), rows: newRowArena(cfg.Replicates.B)}
+	if err := a.init(cfg, a.dir); err != nil {
 		return nil, err
 	}
 	return a, nil
 }
-
-// Config returns the accumulator's configuration.
-func (a *Accumulator) Config() Config { return a.cfg }
 
 // Draws returns the number of draws ingested so far.
 func (a *Accumulator) Draws() int {
@@ -189,32 +186,15 @@ func (a *Accumulator) Draws() int {
 // Distinct returns the number of distinct nodes observed so far.
 func (a *Accumulator) Distinct() int { return a.dir.len() }
 
-// Gen implements Ingester: the monotone ingest generation, readable without
-// the accumulator lock.
-func (a *Accumulator) Gen() uint64 { return a.gen.Load() }
-
-// SumsClone returns a deep copy of the primary sufficient statistics at a
-// consistent cut — the raw material of cross-accumulator engines such as
-// the between-walk replication variance of internal/uncert, which pools
-// one accumulator per walk.
-func (a *Accumulator) SumsClone() *core.Sums {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	s := core.NewSums(a.cfg.K, a.cfg.Star)
-	// Merging into a fresh sums of the same K and scenario cannot fail.
-	if err := s.Merge(a.sums); err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Ingest folds one node observation into the running sums in O(1 +
 // |record|) — where |record| is the number of neighbor categories (star) or
 // incident observed edges (induced re-draw). The record conventions are
 // those of sample.NodeObservation: weight 0 means 1, star neighbor data
 // rides on the first observation of a node, induced peers list each edge of
 // G[S] exactly once. Records that fail validation are rejected without
-// changing any state.
+// changing any state. Ingest is the single-lock engine's own method, not
+// part of Ingester: it lets an induced crawl walker observe and ingest one
+// record under one lock, so every peer a record cites is already applied.
 func (a *Accumulator) Ingest(rec sample.NodeObservation) error {
 	// Instrumentation cost on the hot path: one striped atomic add for an
 	// applied record. The latency histogram is only taken when bootstrap
@@ -682,15 +662,6 @@ func (s *Snapshot) Sizes() []float64 { return s.Result.Sizes }
 
 // Weights returns the estimated pair weights (convenience accessor).
 func (s *Snapshot) Weights() *core.PairWeights { return s.Result.Weights }
-
-// Snapshot returns the estimate at the current generation: the published
-// one when the generation has not moved since it was computed, otherwise a
-// new one computed from the running sums in O(K² + pairs), which becomes
-// the convergence baseline. It fails on an empty accumulator and propagates
-// estimator errors (e.g. a star size method on an induced stream).
-func (a *Accumulator) Snapshot() (*Snapshot, error) {
-	return a.snapshot(a.cfg, a.gen.Load(), a.cutLocked)
-}
 
 // convergeFrom compares an estimate over draws draws against the previous
 // published snapshot (nil on the first snapshot, or after a reset baseline).

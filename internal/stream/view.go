@@ -11,13 +11,24 @@ import (
 
 // view is the published state every Ingester serves estimates from: the
 // primary Hansen–Hurwitz sums, the bootstrap replicates, the §4.3 collision
-// scalars and the convergence baseline. Every estimate of the paper is a
-// ratio over these sufficient statistics, whether the draws arrived one at a
-// time (Accumulator), per epoch (EpochAccumulator) or as merged worker
-// exports (Pool); the three differ only in how they write the view, so the
-// read side — Snapshot, Export and restore — lives here once. Each Ingester
-// embeds a view by value, which keeps the hot paths' field accesses direct.
+// scalars, the ingest generation and the convergence baseline. Every
+// estimate of the paper is a ratio over these sufficient statistics, whether
+// the draws arrived one at a time (Accumulator), per epoch
+// (EpochAccumulator) or as merged worker exports (Pool); the three differ
+// only in how they write the view, so the read half of Ingester — Config,
+// Gen, Snapshot, Export — and restore live here once. Each Ingester embeds a
+// view by value, which keeps the hot paths' field accesses direct.
 type view struct {
+	cfg Config
+	// gen is the ingest generation (see Ingester.Gen). Writers advance it
+	// inside the critical section that publishes what it counts, so a cut
+	// taken under mu names exactly its state. Padded: every write and every
+	// /estimate cache probe touches it.
+	gen core.PaddedUint64
+	// nodes counts the distinct nodes of a cut: the engine's node
+	// directory, or the count a Pool merged at its last Rebuild.
+	nodes interface{ len() int }
+
 	// mu guards the published state below (and the Accumulator's node
 	// directory). Writers hold it exclusively; reads that only copy or
 	// count — the snapshot and export cuts, Draws, Distinct — share it.
@@ -44,14 +55,15 @@ type view struct {
 }
 
 // init validates the configuration's identity parameters and allocates an
-// empty view for it.
-func (v *view) init(cfg Config) error {
+// empty view for it; nodes counts the distinct nodes of its cuts.
+func (v *view) init(cfg Config, nodes interface{ len() int }) error {
 	if cfg.K < 1 {
 		return fmt.Errorf("stream: config needs K ≥ 1 categories, got %d", cfg.K)
 	}
 	if cfg.Replicates.B < 0 {
 		return fmt.Errorf("stream: config needs ≥ 0 bootstrap replicates, got %d", cfg.Replicates.B)
 	}
+	v.cfg, v.nodes = cfg, nodes
 	v.sums = core.NewSums(cfg.K, cfg.Star)
 	v.cut = State{K: cfg.K, Star: cfg.Star, Sums: core.NewSums(cfg.K, cfg.Star)}
 	if cfg.Replicates.Enabled() {
@@ -64,18 +76,26 @@ func (v *view) init(cfg Config) error {
 	return nil
 }
 
-// snapshot returns the estimate of the view at generation gen or later, in
-// O(K² + pairs) when it must compute one. gen is the Ingester's generation,
-// read by the caller before the call; cut fills the cut's Gen and Distinct
-// under the view's read lock, as for export. A published snapshot whose
-// generation is at least gen is returned as is — it includes every record
-// acknowledged before gen was read — so concurrent readers, and a crawl
+// Config returns the accumulator's configuration.
+func (v *view) Config() Config { return v.cfg }
+
+// Gen implements Ingester: the monotone ingest generation, readable without
+// any lock.
+func (v *view) Gen() uint64 { return v.gen.Load() }
+
+// Snapshot returns the estimate at the current generation, in O(K² +
+// pairs) when it must compute one, and fails on an empty view or on an
+// estimator error (e.g. a star size method on an induced stream). The
+// generation is read before anything else, and a published snapshot whose
+// generation is at least that is returned as is — it includes every record
+// acknowledged before the read — so concurrent readers, and a crawl
 // checkpoint, at one generation share one snapshot: a reader that queued on
 // snapMu behind a computation gets its result. Otherwise the view is copied
 // into the reused cut under one read lock, the primary and replicate
 // estimates run on the copy with mu released (writers wait only for the
 // copy), and the result is published and becomes the convergence baseline.
-func (v *view) snapshot(cfg Config, gen uint64, cut func(*State)) (*Snapshot, error) {
+func (v *view) Snapshot() (*Snapshot, error) {
+	gen := v.gen.Load()
 	v.snapMu.Lock()
 	defer v.snapMu.Unlock()
 	if v.snap != nil && v.snap.Gen >= gen {
@@ -83,13 +103,13 @@ func (v *view) snapshot(cfg Config, gen uint64, cut func(*State)) (*Snapshot, er
 	}
 	defer mSnapshotSec.ObserveSince(time.Now())
 	c := &v.cut
-	if err := v.copyTo(c, cut); err != nil {
+	if err := v.copyTo(c, v.cutLocked); err != nil {
 		return nil, err
 	}
 	if c.Sums.Draws == 0 {
 		return nil, fmt.Errorf("stream: empty accumulator (no draws ingested or merged yet)")
 	}
-	opts := core.Options{N: cfg.N, Size: cfg.Size}
+	opts := core.Options{N: v.cfg.N, Size: v.cfg.Size}
 	res, err := c.Sums.Estimate(opts)
 	if err != nil {
 		return nil, err
@@ -116,15 +136,29 @@ func (v *view) snapshot(cfg Config, gen uint64, cut func(*State)) (*Snapshot, er
 	return snap, nil
 }
 
+// Export implements Ingester: a consistent cut of the view, with the sums,
+// collision scalars, replicates and generation all describing the same set
+// of applied records. Exporting an empty view succeeds — the zero state
+// merges as a no-op, which is exactly what a coordinator wants from a
+// worker that has not ingested yet. The copy is two-phase (see copyTo), so
+// writers are stalled only for the flat byte moves.
+func (v *view) Export() (*State, error) { return v.export(v.cutLocked) }
+
 // export copies the view into a fresh State (see copyTo). cut runs under
 // the read lock of the copy and fills the State's Gen and Distinct (and may
 // copy anything else that must describe the same cut).
-func (v *view) export(cfg Config, cut func(*State)) (*State, error) {
-	st := &State{K: cfg.K, Star: cfg.Star, Sums: core.NewSums(cfg.K, cfg.Star)}
+func (v *view) export(cut func(*State)) (*State, error) {
+	st := &State{K: v.cfg.K, Star: v.cfg.Star, Sums: core.NewSums(v.cfg.K, v.cfg.Star)}
 	if err := v.copyTo(st, cut); err != nil {
 		return nil, err
 	}
 	return st, nil
+}
+
+// cutLocked fills the generation and distinct count of a snapshot or export
+// cut; the caller holds mu.
+func (v *view) cutLocked(st *State) {
+	st.Gen, st.Distinct = v.gen.Load(), int64(v.nodes.len())
 }
 
 // copyTo overwrites st — sums of the view's K and scenario — with the

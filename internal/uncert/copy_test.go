@@ -5,8 +5,9 @@ import (
 )
 
 // TestCopyFromMatchesClone pins the two-phase export's locked half to the
-// reference deep copy: CopyFrom into a fresh shell must reproduce exactly
-// the state Clone builds, including pair vectors and dirty tracking.
+// reference deep copy, a Merge into a fresh instance: CopyFrom into a fresh
+// shell must reproduce exactly the state that merge builds, including pair
+// vectors and dirty tracking.
 func TestCopyFromMatchesClone(t *testing.T) {
 	const k, B = 6, 40
 	src, err := NewReplicates(k, true, Config{B: B, Seed: 7})
@@ -19,7 +20,18 @@ func TestCopyFromMatchesClone(t *testing.T) {
 		src.AddStar(i, c, 1, 1, 4, []int32{(c + 1) % k, (c + 2) % k}, []float64{2, 1})
 	}
 
-	want := src.Clone()
+	clone := func() *Replicates {
+		t.Helper()
+		cp, err := NewReplicates(k, true, Config{B: B, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cp.Merge(src); err != nil {
+			t.Fatal(err)
+		}
+		return cp
+	}
+	want := clone()
 	got, err := NewReplicates(k, true, Config{B: B, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +80,7 @@ func TestCopyFromMatchesClone(t *testing.T) {
 	if err := got.CopyFrom(src); err != nil {
 		t.Fatal(err)
 	}
-	w2, g2 := src.Clone().Raw(), got.Raw()
+	w2, g2 := clone().Raw(), got.Raw()
 	for key, wv := range w2.Pairs {
 		gv := g2.Pairs[key]
 		for b := range wv {

@@ -36,7 +36,8 @@ type RawReplicates struct {
 // Raw returns the flat view of the replicate state. The returned slices
 // ALIAS the live state (the Pairs map is built per call) — the view is
 // read-only and valid only while the Replicates is not mutated; callers
-// needing a stable cut should Clone first.
+// needing a stable cut should copy first (CopyFrom, or Merge into a fresh
+// instance).
 func (rs *Replicates) Raw() *RawReplicates {
 	pairs := make(map[[2]int32][]float64, len(rs.pairs))
 	for _, p := range rs.pairs {
@@ -126,20 +127,4 @@ func NewReplicatesFromRaw(r *RawReplicates) (*Replicates, error) {
 	// "all touched" so Merge and Reset stay correct.
 	rs.markAll()
 	return rs, nil
-}
-
-// Clone returns a deep copy of the replicate state — a stable cut for
-// export while the original keeps accumulating. Implemented as a merge into
-// a fresh instance, so it shares the exactness argument of Merge.
-func (rs *Replicates) Clone() *Replicates {
-	cp, err := NewReplicates(rs.k, rs.star, rs.cfg)
-	if err != nil {
-		// rs was constructed through the same validation; its parameters
-		// cannot fail it.
-		panic(err)
-	}
-	if err := cp.Merge(rs); err != nil {
-		panic(err)
-	}
-	return cp
 }

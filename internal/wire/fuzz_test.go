@@ -242,7 +242,7 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 		for _, nr := range cp.State.Nodes {
 			rec := sample.NodeObservation{Node: nr.Node, Cat: nr.Cat}
 			_ = l.Ingest(rec)
-			_ = ea.Ingest(rec)
+			_, _ = ea.IngestBatch([]sample.NodeObservation{rec})
 		}
 		l.Flush()
 		_, _ = ea.Snapshot()

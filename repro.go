@@ -88,8 +88,11 @@ type (
 	// flushes it and drops it; a short-lived writer borrows one with
 	// EpochAccumulator.TakeLocal and hands it back, flushed, with PutLocal.
 	LocalAccumulator = stream.Local
-	// StreamIngester is the surface shared by Accumulator and
-	// EpochAccumulator.
+	// StreamIngester is the surface shared by Accumulator,
+	// EpochAccumulator and the read-only merge pool: batches in
+	// (IngestBatch), estimates and exports out. Per-record writers hold a
+	// LocalAccumulator, or call Accumulator.Ingest on the single-lock
+	// engine.
 	StreamIngester = stream.Ingester
 	// StreamSnapshot is a self-contained point-in-time estimate with
 	// convergence deltas.
@@ -356,12 +359,12 @@ func StreamSample(acc StreamIngester, so *StreamObserver, s *Sample) error {
 	if err := so.CheckSample(s); err != nil {
 		return err
 	}
+	recs := make([]sample.NodeObservation, len(s.Nodes))
 	for i, v := range s.Nodes {
-		if err := acc.Ingest(so.Observe(v, s.Weight(i))); err != nil {
-			return err
-		}
+		recs[i] = so.Observe(v, s.Weight(i))
 	}
-	return nil
+	_, err := acc.IngestBatch(recs)
+	return err
 }
 
 // StreamWalks replays several independent walks through one observer into
@@ -421,14 +424,21 @@ func EstimateWithCI(o *Observation, opts Options, bc UncertConfig) (*Result, *Bo
 // StreamWithCI replays one or more walks through an observer into a fresh
 // accumulator with the streaming bootstrap enabled and returns the final
 // snapshot, whose Boot field serves percentile CIs for every estimand — the
-// one-call streaming counterpart of EstimateWithCI. A zero cfg.Replicates.B
-// defaults to 200 replicates. The observer and configuration must agree on
-// the measurement scenario.
+// one-call streaming counterpart of EstimateWithCI. The scenario picks the
+// engine, as for a daemon job: star streams run epoch-merged, induced ones
+// single-lock. A zero cfg.Replicates.B defaults to 200 replicates. The
+// observer and configuration must agree on the measurement scenario.
 func StreamWithCI(cfg StreamConfig, so *StreamObserver, walks ...*Sample) (*StreamSnapshot, error) {
 	if cfg.Replicates.B == 0 {
 		cfg.Replicates.B = 200
 	}
-	acc, err := stream.NewAccumulator(cfg)
+	var acc StreamIngester
+	var err error
+	if cfg.Star {
+		acc, err = stream.NewEpochAccumulator(cfg, 0)
+	} else {
+		acc, err = stream.NewAccumulator(cfg)
+	}
 	if err != nil {
 		return nil, err
 	}

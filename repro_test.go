@@ -6,8 +6,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // TestFacadeEndToEnd runs the doc-comment quick-start flow on a reduced
@@ -285,6 +288,62 @@ func TestFacadeMultiWalkPooling(t *testing.T) {
 			}
 		}
 	})
+}
+
+// epochFlushes reads stream_epoch_flushes_total from the process-wide
+// metrics exposition.
+func epochFlushes(t *testing.T) float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := obs.Default.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "stream_epoch_flushes_total "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("exposition line %q: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatal("stream_epoch_flushes_total is not exposed")
+	return 0
+}
+
+// TestStreamWalksFlushesPerEpoch checks that replaying walks into an
+// epoch-merged accumulator hands it whole walks: each walk is one batch, so
+// the walks publish in at most one epoch per 1024 records plus one per walk,
+// not one flush per record.
+func TestStreamWalksFlushesPerEpoch(t *testing.T) {
+	g, err := GeneratePaperGraph(NewRand(61), 5, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nWalks, perWalk = 4, 3000
+	walks, err := Walks(NewRand(62), g, NewRW(300), nWalks, perWalk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc, err := NewEpochAccumulator(StreamConfig{K: g.NumCategories(), Star: true, N: float64(g.N())}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	so, err := NewStreamObserver(g, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := epochFlushes(t)
+	if err := StreamWalks(acc, so, walks...); err != nil {
+		t.Fatal(err)
+	}
+	flushes := epochFlushes(t) - before
+	if records := nWalks * perWalk; flushes > float64((records+1023)/1024+nWalks) {
+		t.Fatalf("%d records in %d walks took %g epoch flushes", records, nWalks, flushes)
+	}
+	if acc.Draws() != nWalks*perWalk {
+		t.Fatalf("draws = %d, want %d", acc.Draws(), nWalks*perWalk)
+	}
 }
 
 func TestFacadeExtensions(t *testing.T) {
