@@ -168,15 +168,6 @@ func WeightsInduced(o *sample.Observation) (*PairWeights, error) {
 	return SumsFromObservation(o).WeightsInduced()
 }
 
-// WeightInduced is the single-pair convenience form of WeightsInduced.
-func WeightInduced(o *sample.Observation, a, b int32) (float64, error) {
-	w, err := WeightsInduced(o)
-	if err != nil {
-		return 0, err
-	}
-	return w.Get(a, b), nil
-}
-
 // WeightsStar estimates all category edge weights under star sampling,
 // Eq. (9) (uniform) / Eq. (16) (weighted):
 //

@@ -115,10 +115,6 @@ func (b *Builder) AddEdge(u, v int32) {
 	b.vs = append(b.vs, v)
 }
 
-// EdgeCount returns the number of edges recorded so far (before
-// deduplication).
-func (b *Builder) EdgeCount() int { return len(b.us) }
-
 // Build assembles the CSR graph. It is safe to call Build once; the builder
 // must not be reused afterwards.
 func (b *Builder) Build() (*Graph, error) {

@@ -223,46 +223,113 @@ func TestRestartResume(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			if got.Draws != want.Draws || got.Distinct != want.Distinct {
-				t.Fatalf("draws/distinct: got %d/%d want %d/%d",
-					got.Draws, got.Distinct, want.Draws, want.Distinct)
-			}
-			close := func(a, b float64) bool {
-				if a == b || (math.IsNaN(a) && math.IsNaN(b)) {
-					return true
-				}
-				return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
-			}
-			if !close(got.PopEstimate, want.PopEstimate) {
-				t.Errorf("pop estimate %.17g vs %.17g", got.PopEstimate, want.PopEstimate)
-			}
-			for c := range want.Result.Sizes {
-				if !close(got.Result.Sizes[c], want.Result.Sizes[c]) {
-					t.Errorf("size[%d] %.17g vs %.17g", c, got.Result.Sizes[c], want.Result.Sizes[c])
-				}
-			}
-			if got.Boot == nil || want.Boot == nil {
-				t.Fatal("a run lost its bootstrap replicates")
-			}
-			for c := range want.Boot.Sizes {
-				for b := range want.Boot.Sizes[c] {
-					if gb, wb := got.Boot.Sizes[c][b], want.Boot.Sizes[c][b]; !close(gb, wb) {
-						t.Fatalf("boot size replicate [%d][%d] %.17g vs %.17g", c, b, gb, wb)
-					}
-				}
-				gi, wi := got.Boot.SizeCI(c, 0.95), want.Boot.SizeCI(c, 0.95)
-				if !close(gi.Lo, wi.Lo) || !close(gi.Hi, wi.Hi) {
-					t.Errorf("size[%d] CI %v vs %v", c, gi, wi)
-				}
-				gi, wi = got.Boot.WithinCI(c, 0.95), want.Boot.WithinCI(c, 0.95)
-				if !close(gi.Lo, wi.Lo) || !close(gi.Hi, wi.Hi) {
-					t.Errorf("within[%d] CI %v vs %v", c, gi, wi)
-				}
-			}
+			requireResumed(t, got, want)
 			if err := r2.Shutdown(); err != nil {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// requireResumed fails unless a resumed job's estimate matches the
+// never-interrupted run's within 1e-9 relative: draws and distinct nodes
+// exactly, N̂, sizes, every bootstrap size replicate, and the size and
+// within-density percentile CIs.
+func requireResumed(t *testing.T, got, want *stream.Snapshot) {
+	t.Helper()
+	if got.Draws != want.Draws || got.Distinct != want.Distinct {
+		t.Fatalf("draws/distinct: got %d/%d want %d/%d",
+			got.Draws, got.Distinct, want.Draws, want.Distinct)
+	}
+	close := func(a, b float64) bool {
+		if a == b || (math.IsNaN(a) && math.IsNaN(b)) {
+			return true
+		}
+		return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
+	}
+	if !close(got.PopEstimate, want.PopEstimate) {
+		t.Errorf("pop estimate %.17g vs %.17g", got.PopEstimate, want.PopEstimate)
+	}
+	for c := range want.Result.Sizes {
+		if !close(got.Result.Sizes[c], want.Result.Sizes[c]) {
+			t.Errorf("size[%d] %.17g vs %.17g", c, got.Result.Sizes[c], want.Result.Sizes[c])
+		}
+	}
+	if got.Boot == nil || want.Boot == nil {
+		t.Fatal("a run lost its bootstrap replicates")
+	}
+	for c := range want.Boot.Sizes {
+		for b := range want.Boot.Sizes[c] {
+			if gb, wb := got.Boot.Sizes[c][b], want.Boot.Sizes[c][b]; !close(gb, wb) {
+				t.Fatalf("boot size replicate [%d][%d] %.17g vs %.17g", c, b, gb, wb)
+			}
+		}
+		gi, wi := got.Boot.SizeCI(c, 0.95), want.Boot.SizeCI(c, 0.95)
+		if !close(gi.Lo, wi.Lo) || !close(gi.Hi, wi.Hi) {
+			t.Errorf("size[%d] CI %v vs %v", c, gi, wi)
+		}
+		gi, wi = got.Boot.WithinCI(c, 0.95), want.Boot.WithinCI(c, 0.95)
+		if !close(gi.Lo, wi.Lo) || !close(gi.Hi, wi.Hi) {
+			t.Errorf("within[%d] CI %v vs %v", c, gi, wi)
+		}
+	}
+}
+
+// TestRestoreSingleLockStarFrame restores a committed TOPOCKP1 frame that
+// the single-lock engine wrote for a star job (testdata/
+// single-lock-star.ckpt: jobObs records 0–149 under testSpec("alpha"),
+// B = 24, so nodes 0, 4, …, 28 took bare draws before their star data
+// arrived), as every star job's checkpoint was before the scenario picked
+// the engine. The frame must resume on the epoch engine at generation 150,
+// take records 150–299, and match a never-interrupted run within 1e-9,
+// bootstrap replicates and CIs included.
+func TestRestoreSingleLockStarFrame(t *testing.T) {
+	const cut, end = 150, 300
+	frame, err := os.ReadFile(filepath.Join("testdata", "single-lock-star.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "alpha.ckpt"), frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	base, err := NewRegistry("", 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bj, err := base.Create(testSpec("ref"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestObs(t, bj, jobObs, 0, end)
+	want, _, err := bj.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := NewRegistry(dir, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := r.Create(testSpec("alpha"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, epoch := j.Acc().(*stream.EpochAccumulator); !epoch {
+		t.Fatalf("the star job resumed on %T", j.Acc())
+	}
+	if gen := j.Acc().Gen(); gen != cut {
+		t.Fatalf("restored gen = %d, want %d", gen, cut)
+	}
+	ingestObs(t, j, jobObs, cut, end)
+	got, _, err := j.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireResumed(t, got, want)
+	if err := r.Shutdown(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"math"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -119,127 +118,6 @@ func TestStreamingBootstrapMatchesOffline(t *testing.T) {
 			if math.Abs(a.Lo-b.Lo) > 1e-6 || math.Abs(a.Hi-b.Hi) > 1e-6 {
 				t.Fatalf("star=%v: CI mismatch for category %d: %+v vs %+v", star, c, a, b)
 			}
-		}
-	}
-}
-
-// TestEpochBootstrapMatchesSingle is the acceptance test of the epoch
-// replicate path: concurrent ingestion through writer-local epochs (mixed
-// with one-record IngestBatch calls) must produce replicate snapshots
-// identical (≤ 1e-9) to the single-lock accumulator fed the same records.
-// The replicate weights depend only on (Seed, node, replicate), and the
-// epoch merge batches each node's replicate update from its reserved
-// multiplicity interval, so the telescoped sums match the per-record path
-// exactly. Run under -race.
-func TestEpochBootstrapMatchesSingle(t *testing.T) {
-	g := testGraph(t)
-	N := float64(g.N())
-	s, err := sample.UIS{}.Sample(randx.New(91), g, 6000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	so, err := sample.NewStreamObserver(g, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := make([]sample.NodeObservation, s.Len())
-	for i, v := range s.Nodes {
-		recs[i] = so.Observe(v, s.Weight(i))
-	}
-	cfg := Config{
-		K: g.NumCategories(), Star: true, N: N,
-		Replicates: uncert.Config{B: 20, Seed: 3},
-	}
-	single, err := NewAccumulator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := single.IngestBatch(recs); err != nil {
-		t.Fatal(err)
-	}
-	epoch, err := NewEpochAccumulator(cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const workers = 8
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			if w%2 == 0 {
-				// Writer-local epochs with small flushes: replicate grids
-				// merge while other locals ingest.
-				l := epoch.NewLocal()
-				defer l.Flush()
-				for i := w; i < len(recs); i += workers {
-					if err := l.Ingest(recs[i]); err != nil {
-						t.Error(err)
-						return
-					}
-					if l.Pending() >= 50 {
-						if _, dropped := l.Flush(); dropped > 0 {
-							t.Errorf("flush dropped %d records of a conflict-free stream", dropped)
-							return
-						}
-					}
-				}
-				return
-			}
-			for i := w; i < len(recs); i += workers {
-				if _, err := epoch.IngestBatch(recs[i : i+1]); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
-	}
-	// Snapshot concurrently with ingestion — replicate snapshots must stay
-	// internally consistent cuts (this is the -race exercise).
-	stop := make(chan struct{})
-	var snapWG sync.WaitGroup
-	snapWG.Add(1)
-	go func() {
-		defer snapWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if snap, err := epoch.Snapshot(); err == nil && snap.Boot == nil {
-				t.Error("mid-stream snapshot lost its bootstrap")
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	close(stop)
-	snapWG.Wait()
-	if t.Failed() {
-		return
-	}
-	want, err := single.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := epoch.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := bootMaxDiff(got.Boot.Sizes, want.Boot.Sizes); d > 1e-9 {
-		t.Fatalf("epoch replicate sizes differ by %g", d)
-	}
-	if d := bootMaxDiff(got.Boot.Within, want.Boot.Within); d > 1e-9 {
-		t.Fatalf("epoch replicate within differ by %g", d)
-	}
-	if d := maxRelDiff(got.Boot.Pop, want.Boot.Pop); d > 1e-9 {
-		t.Fatalf("epoch replicate pop estimates differ by %g", d)
-	}
-	for c := 0; c < g.NumCategories(); c++ {
-		a, b := got.Boot.SizeCI(c, 0.9), want.Boot.SizeCI(c, 0.9)
-		if math.Abs(a.Lo-b.Lo) > 1e-6 || math.Abs(a.Hi-b.Hi) > 1e-6 {
-			t.Fatalf("category %d: epoch CI %+v vs single %+v", c, a, b)
 		}
 	}
 }

@@ -68,7 +68,8 @@ func randomDiffTruth(r *rand.Rand, k, n int) []diffTruth {
 // must then get the same decision on both sides: rejected by Local.Ingest
 // exactly when the reference rejects it, or else accepted and dropped at
 // its flush as a flush_conflict. Flushed snapshots must agree to ≤ 1e-9,
-// their bootstrap replicates included.
+// their bootstrap replicates included, with each other and with the
+// node-table oracle.
 func TestEpochDifferentialOracle(t *testing.T) {
 	const k, n = 4, 24
 	var tally struct {
@@ -185,7 +186,10 @@ func TestEpochDifferentialOracle(t *testing.T) {
 			if d := maxRelDiff([]float64{got.PopEstimate}, []float64{want.PopEstimate}); d > 1e-9 {
 				t.Fatalf("seed %d: population estimate %g, reference %g", seed, got.PopEstimate, want.PopEstimate)
 			}
-			compareBoot(t, fmt.Sprintf("seed %d B=%d", seed, B), got.Boot, want.Boot, 1e-9)
+			what := fmt.Sprintf("seed %d B=%d", seed, B)
+			compareBoot(t, what, got.Boot, want.Boot, 1e-9)
+			checkOracle(t, what+" epoch", ea, 1e-9)
+			checkOracle(t, what+" single-lock", ref, 1e-9)
 			tally.compared++
 		}
 

@@ -36,138 +36,6 @@ func TestEpochRequiresStar(t *testing.T) {
 	}
 }
 
-// TestEpochMatchesSingleConcurrent is the tentpole property test: many
-// goroutines ingest interleaved shards of a star stream into one
-// EpochAccumulator — half through writer-owned Locals with periodic
-// flushes, half through one-record and 25-record IngestBatch calls — while
-// snapshotters poll; the final estimate, draw/distinct counts, and
-// population estimate must match the single-lock accumulator fed the same
-// records. Run under -race.
-func TestEpochMatchesSingleConcurrent(t *testing.T) {
-	g := testGraph(t)
-	N := float64(g.N())
-	s, err := sample.UIS{}.Sample(randx.New(77), g, 8000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := make([]sample.NodeObservation, s.Len())
-	for i, v := range s.Nodes {
-		so, err := sample.NewStreamObserver(g, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs[i] = so.Observe(v, s.Weight(i))
-	}
-	single, err := NewAccumulator(Config{K: g.NumCategories(), Star: true, N: N})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := single.IngestBatch(recs); err != nil {
-		t.Fatal(err)
-	}
-	ea, err := NewEpochAccumulator(Config{K: g.NumCategories(), Star: true, N: N}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const workers = 8
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			if w%2 == 0 {
-				// Writer-local epochs, flushed every 100 records and at
-				// the end (Close).
-				l := ea.NewLocal()
-				defer l.Flush()
-				for i := w; i < len(recs); i += workers {
-					if err := l.Ingest(recs[i]); err != nil {
-						t.Error(err)
-						return
-					}
-					if l.Pending() >= 100 {
-						if _, dropped := l.Flush(); dropped > 0 {
-							t.Errorf("flush dropped %d records of a conflict-free stream", dropped)
-							return
-						}
-					}
-				}
-				return
-			}
-			var batch []sample.NodeObservation
-			for i := w; i < len(recs); i += workers {
-				if i%7 == 0 {
-					if _, err := ea.IngestBatch(recs[i : i+1]); err != nil {
-						t.Error(err)
-						return
-					}
-					continue
-				}
-				batch = append(batch, recs[i])
-				if len(batch) == 25 {
-					if _, err := ea.IngestBatch(batch); err != nil {
-						t.Error(err)
-						return
-					}
-					batch = batch[:0]
-				}
-			}
-			if _, err := ea.IngestBatch(batch); err != nil {
-				t.Error(err)
-			}
-		}(w)
-	}
-	stop := make(chan struct{})
-	var snapWG sync.WaitGroup
-	snapWG.Add(1)
-	go func() {
-		defer snapWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if snap, err := ea.Snapshot(); err == nil {
-				if snap.Draws > len(recs) {
-					t.Errorf("snapshot draws %d exceeds stream length", snap.Draws)
-					return
-				}
-			}
-		}
-	}()
-	wg.Wait()
-	close(stop)
-	snapWG.Wait()
-	if t.Failed() {
-		return
-	}
-	if ea.Draws() != single.Draws() || ea.Distinct() != single.Distinct() {
-		t.Fatalf("epoch draws/distinct = %d/%d, single = %d/%d",
-			ea.Draws(), ea.Distinct(), single.Draws(), single.Distinct())
-	}
-	want, err := single.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ea.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := maxRelDiff(got.Result.Sizes, want.Result.Sizes); d > 1e-9 {
-		t.Fatalf("epoch size mismatch: %g", d)
-	}
-	if d := weightsMaxDiff(got.Result.Weights, want.Result.Weights); d > 1e-9 {
-		t.Fatalf("epoch weight mismatch: %g", d)
-	}
-	if d := maxRelDiff(got.Within, want.Within); d > 1e-9 {
-		t.Fatalf("epoch within mismatch: %g", d)
-	}
-	if d := math.Abs(got.PopEstimate-want.PopEstimate) / want.PopEstimate; d > 1e-9 {
-		t.Fatalf("epoch pop estimate %g, single %g", got.PopEstimate, want.PopEstimate)
-	}
-}
-
 // TestEpochBatchPrefixSemantics checks that the epoch IngestBatch keeps the
 // single-lock accumulator's retry contract: on error, exactly the leading
 // records before the offender are applied (one epoch, flushed on exit).
@@ -245,64 +113,6 @@ func TestEpochConvergenceAndSeq(t *testing.T) {
 	}
 	if math.IsInf(second.Converge.SizeDelta, 1) || second.Converge.SizeDelta < 0 {
 		t.Fatalf("second snapshot delta not finite: %+v", second.Converge)
-	}
-}
-
-// TestEpochLocalMatchesAccumulator pins the sequential one-writer case to
-// the single-lock accumulator: one Local with a small auto-flush threshold
-// (so the stream spans many epochs, exercising re-draws across epoch
-// boundaries) must reproduce the single-lock estimate to float-rounding.
-func TestEpochLocalMatchesAccumulator(t *testing.T) {
-	g := testGraph(t)
-	s, err := sample.NewRW(50).Sample(randx.New(8), g, 3000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	so, err := sample.NewStreamObserver(g, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ea, err := NewEpochAccumulator(Config{K: g.NumCategories(), Star: true, N: float64(g.N())}, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := ea.NewLocal()
-	acc, err := NewAccumulator(Config{K: g.NumCategories(), Star: true, N: float64(g.N())})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range s.Nodes {
-		rec := so.Observe(v, s.Weight(i))
-		if err := l.Ingest(rec); err != nil {
-			t.Fatal(err)
-		}
-		if err := acc.Ingest(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if applied, dropped := l.Flush(); dropped > 0 {
-		t.Fatalf("final flush dropped %d records (applied %d)", dropped, applied)
-	}
-	if ea.Draws() != acc.Draws() || ea.Distinct() != acc.Distinct() {
-		t.Fatalf("epoch draws/distinct = %d/%d, single = %d/%d",
-			ea.Draws(), ea.Distinct(), acc.Draws(), acc.Distinct())
-	}
-	got, err := ea.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := acc.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := maxRelDiff(got.Result.Sizes, want.Result.Sizes); d > 1e-9 {
-		t.Fatalf("local size mismatch: %g", d)
-	}
-	if d := weightsMaxDiff(got.Result.Weights, want.Result.Weights); d > 1e-9 {
-		t.Fatalf("local weight mismatch: %g", d)
-	}
-	if d := math.Abs(got.PopEstimate-want.PopEstimate) / want.PopEstimate; d > 1e-9 {
-		t.Fatalf("local pop estimate %g, single %g", got.PopEstimate, want.PopEstimate)
 	}
 }
 
@@ -482,8 +292,8 @@ func TestEpochFlushZeroPending(t *testing.T) {
 // backfilled when another local later flushes the node's star record, a
 // degree upgrade retrofits already-published draws, and star-less draws
 // flushed AFTER the directory learned the star data are credited with it.
-// Each variant must match a single-lock accumulator fed the same records,
-// without replicates and with B = 9.
+// Each variant must match the node-table oracle and a single-lock
+// accumulator fed the same records, without replicates and with B = 9.
 func TestEpochLateStarAcrossLocals(t *testing.T) {
 	bare := sample.NodeObservation{Node: 5, Cat: 0}
 	starred := sample.NodeObservation{Node: 5, Cat: 0, Deg: 3,
@@ -544,6 +354,8 @@ func TestEpochLateStarAcrossLocals(t *testing.T) {
 				t.Fatalf("%s: within mismatch %g", name, d)
 			}
 			compareBoot(t, name, got.Boot, want.Boot, 1e-12)
+			checkOracle(t, name+" epoch", ea, 1e-12)
+			checkOracle(t, name+" single-lock", single, 1e-12)
 		}
 	}
 }

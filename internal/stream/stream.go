@@ -165,6 +165,9 @@ type Accumulator struct {
 	// guarded like the node states.
 	newPeers []int32
 	edges    []uncert.PeerEdge
+	// repFold queues a star stream's replicate terms (nil unless star with
+	// replicates on); every critical section folds it before it unlocks.
+	repFold *uncert.ReplicateFold
 }
 
 // NewAccumulator returns an empty accumulator for the given configuration.
@@ -173,7 +176,19 @@ func NewAccumulator(cfg Config) (*Accumulator, error) {
 	if err := a.init(cfg, a.dir); err != nil {
 		return nil, err
 	}
+	if cfg.Star && a.reps != nil {
+		a.repFold = uncert.NewReplicateFold(cfg.K)
+	}
 	return a, nil
+}
+
+// unlock folds the star replicate terms the critical section queued and
+// releases the lock, so a reader never sees the replicates behind the sums.
+func (a *Accumulator) unlock() {
+	if a.repFold != nil {
+		a.repFold.Fold(a.reps)
+	}
+	a.mu.Unlock()
 }
 
 // Draws returns the number of draws ingested so far.
@@ -205,7 +220,7 @@ func (a *Accumulator) Ingest(rec sample.NodeObservation) error {
 		t0 = time.Now()
 	}
 	a.mu.Lock()
-	defer a.mu.Unlock()
+	defer a.unlock()
 	if err := a.ingestLocked(rec); err != nil {
 		return err
 	}
@@ -224,7 +239,7 @@ func (a *Accumulator) Ingest(rec sample.NodeObservation) error {
 // IngestBatch holds the lock for one of them at a time. Star records keep
 // the chunks: at ≈ 3 µs or less per record the extra lock round trips have
 // not been measured to pay. Star jobs and star crawls run epoch-merged, so
-// only direct users of this engine (the facade's StreamWithCI, reference
+// only direct users of this engine (the facade's NewAccumulator, reference
 // checks) send star batches here.
 const batchChunk = 32
 
@@ -257,7 +272,7 @@ func (a *Accumulator) IngestBatch(recs []sample.NodeObservation) (int, error) {
 // invalid record; it returns the number applied.
 func (a *Accumulator) ingestChunk(recs []sample.NodeObservation) (int, error) {
 	a.mu.Lock()
-	defer a.mu.Unlock()
+	defer a.unlock()
 	// With replicates on, each applied record's latency is observed as in
 	// Ingest; one clock read per record chains the records' intervals.
 	var t0 time.Time
@@ -479,19 +494,18 @@ func (a *Accumulator) ingestLocked(rec sample.NodeObservation) error {
 	// upgrade, adopted counts — is recorded, and the node's earlier draws,
 	// which were credited with the old view, are owed the difference, so
 	// the estimate matches the batch path regardless of delivery order.
+	// The owed term is taken from the stored clone, whose slices no record
+	// aliases: the replicate fold reads them when the critical section ends.
 	if up.seen {
-		if ns.mult > 0 {
-			owed := up.retro(view)
-			a.sums.AddStar(ns.cat, ns.weight, ns.mult, owed.deg, owed.nbrCat, owed.nbrCnt)
-			if a.reps != nil {
-				a.reps.AddStar(rec.Node, ns.cat, ns.weight, ns.mult, owed.deg, owed.nbrCat, owed.nbrCnt)
-			}
-		}
 		sd := up.clone()
 		ns.star = &sd
-	}
-	if a.reps != nil && !a.cfg.Star {
-		a.reps.LoadRow(rec.Node, a.rowOf(ns))
+		if ns.mult > 0 {
+			owed := sd.retro(view)
+			a.sums.AddStar(ns.cat, ns.weight, ns.mult, owed.deg, owed.nbrCat, owed.nbrCnt)
+			if a.repFold != nil {
+				a.repFold.AddStar(rec.Node, ns.cat, ns.weight, ns.mult, owed.deg, owed.nbrCat, owed.nbrCnt)
+			}
+		}
 	}
 	prev := ns.mult
 	ns.mult++
@@ -499,9 +513,6 @@ func (a *Accumulator) ingestLocked(rec sample.NodeObservation) error {
 	a.psi1 += ns.weight
 	a.psiInv += 1 / ns.weight
 	a.collisions += prev // the new draw collides with every earlier draw of this node
-	if a.reps != nil {
-		a.reps.AddDraw(rec.Node, ns.cat, ns.weight, prev)
-	}
 
 	if a.cfg.Star {
 		var sd starData
@@ -509,11 +520,16 @@ func (a *Accumulator) ingestLocked(rec sample.NodeObservation) error {
 			sd = *ns.star
 		}
 		a.sums.AddStar(ns.cat, ns.weight, 1, sd.deg, sd.nbrCat, sd.nbrCnt)
-		if a.reps != nil {
-			a.reps.AddStar(rec.Node, ns.cat, ns.weight, 1, sd.deg, sd.nbrCat, sd.nbrCnt)
+		if a.repFold != nil {
+			a.repFold.AddDraws(rec.Node, ns.cat, ns.weight, 1, prev)
+			a.repFold.AddStar(rec.Node, ns.cat, ns.weight, 1, sd.deg, sd.nbrCat, sd.nbrCnt)
 		}
 		a.gen.Add(1)
 		return nil
+	}
+	if a.reps != nil {
+		a.reps.LoadRow(rec.Node, a.rowOf(ns))
+		a.reps.AddDraw(rec.Node, ns.cat, ns.weight, prev)
 	}
 	// Induced: a re-draw raises this node's multiplicity, which raises the
 	// mass of every incident observed edge by m_peer/(w·w_peer)…

@@ -14,11 +14,13 @@ func TestCopyFromMatchesClone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	f := NewReplicateFold(k)
 	for i := int32(0); i < 200; i++ {
 		c := i % k
-		src.AddDraw(i, c, 1, float64(i%3))
-		src.AddStar(i, c, 1, 1, 4, []int32{(c + 1) % k, (c + 2) % k}, []float64{2, 1})
+		f.AddDraws(i, c, 1, 1, float64(i%3))
+		f.AddStar(i, c, 1, 1, 4, []int32{(c + 1) % k, (c + 2) % k}, []float64{2, 1})
 	}
+	f.Fold(src)
 
 	clone := func() *Replicates {
 		t.Helper()
@@ -76,7 +78,8 @@ func TestCopyFromMatchesClone(t *testing.T) {
 
 	// A second CopyFrom over a now-stale destination must still match
 	// (existing vectors reused, extra pairs zeroed).
-	src.AddStar(999, 0, 1, 1, 2, []int32{3}, []float64{2})
+	f.AddStar(999, 0, 1, 1, 2, []int32{3}, []float64{2})
+	f.Fold(src)
 	if err := got.CopyFrom(src); err != nil {
 		t.Fatal(err)
 	}

@@ -6,35 +6,38 @@ import (
 )
 
 // ReplicateFold credits the replicate terms of many nodes to a Replicates
-// by category row — the replicate counterpart of core.StarFold, used by
-// epoch flushes. Per node, AddDraws and AddStar write the scalar totals
-// (draws, totalRew, psiInv, rewSq, degNum) and every neighbor's nbrNum row
-// next to the category rows they are sums of. The fold instead groups the
-// queued terms by category (core.CatGroups) and lets a categorized node
-// write only its category's rows (drawsA, rew, rewSqA, rew2, degNumA, held
-// in B-length scratch while the category is folded), the psi1 and coll
-// vectors, and one directed (A, B) row per neighbor category B: about
-// 7 + n_cat replicate passes per node instead of 12 + 2·n_cat. Closing a
-// category then adds its rows to the grids and to the scalar totals, and
-// each directed row to nbrNum[B] and to withinNum[A] or the pair {A, B}.
-// Uncategorized nodes have no category row to sum, so they take the
-// per-node kernels.
+// by category row — the replicate counterpart of core.StarFold, and the
+// only kernel of star replicate terms: epoch flushes fold a whole epoch,
+// the single-lock engine one critical section's records. AddDraws writes
+// a node's scalar totals (draws, totalRew, psiInv, rewSq) next to the
+// category rows they are sums of, and a star term would write degNum and
+// every neighbor's nbrNum row likewise. The fold instead groups the queued
+// terms by category (core.CatGroups) and lets a node write only its
+// group's rows (drawsA, rew, rewSqA, rew2, degNumA, held in B-length
+// scratch while the group is folded), the psi1 and coll vectors, and one
+// directed (A, B) row per neighbor category B: about 7 + n_cat replicate
+// passes per node instead of 12 + 2·n_cat. Closing a group then adds its
+// rows to the scalar totals and each directed row to nbrNum[B]; a category
+// also adds its rows to its grids and each directed row to withinNum[A] or
+// the pair {A, B}. Uncategorized nodes form one more group, which has no
+// grid, within row or pair to write.
 //
-// Every term uses the per-node kernels' tables (drawTable, scale), so the
-// result equals per-node AddDraws/AddStar up to float reassociation, with
-// the same dirty categories and the same created pairs. The scratch is
-// 5·B floats, one B-row per distinct neighbor category of one category's
-// nodes, and an O(K) stamp array; a fold touches only what its queue
-// touched. A ReplicateFold is not safe for concurrent use.
+// Every term uses the tables of Replicates.AddDraws (drawTable, scale), so
+// the result equals a per-node credit of each term up to float
+// reassociation, with the same dirty categories and the same created
+// pairs; a fold of one term adds exactly what a per-node credit adds. The
+// scratch is 5·B floats, one B-row per distinct neighbor category of one
+// group's nodes, and an O(K) stamp array; a fold touches only what its
+// queue touched. A ReplicateFold is not safe for concurrent use.
 type ReplicateFold struct {
 	terms  []repTerm
 	groups *core.CatGroups
 
-	// own holds the current category's five rows, B floats each: drawsA,
+	// own holds the current group's five rows, B floats each: drawsA,
 	// rew, rewSqA, rew2, degNumA. dir holds its directed neighbor rows, row
 	// j (neighbor category dirCat[j]) at [j·B, (j+1)·B); slot[b] locates
 	// neighbor category b's row when its stamp is gen. Both are zero
-	// between categories.
+	// between groups.
 	own    []float64
 	dir    []float64
 	dirCat []int32
@@ -43,14 +46,14 @@ type ReplicateFold struct {
 }
 
 // dirSlot maps a neighbor category to its directed row in the current
-// category's fold.
+// group's fold.
 type dirSlot struct {
 	stamp uint32
 	row   int32
 }
 
-// repTerm is one queued AddDraws (star false) or AddStar (star true) call;
-// its category is queued in groups.
+// repTerm is one queued draw (star false) or star (star true) term; its
+// category is queued in groups.
 type repTerm struct {
 	node          int32
 	star          bool
@@ -71,8 +74,13 @@ func (f *ReplicateFold) AddDraws(node, cat int32, weight, count, prev float64) {
 	t.node, t.star, t.weight, t.count, t.prev = node, false, weight, count, prev
 }
 
-// AddStar queues Replicates.AddStar with the same arguments. The count
-// slices are read at Fold, not copied, so they must not change until then.
+// AddStar queues the star term of count draws of node, the replicate
+// mirror of core.Sums.AddStar: replicate b credits count·c star draws of
+// degree deg and neighbor counts nbrCnt over categories nbrCat, where
+// c = PoissonWeight(node, b). Like its core counterpart it is linear in
+// count and deg, so late-star backfills and degree retrofits queue their
+// owed terms here unchanged. The count slices are read at Fold, not
+// copied, so they must not change until then.
 func (f *ReplicateFold) AddStar(node, cat int32, weight, count, deg float64, nbrCat []int32, nbrCnt []float64) {
 	t := f.next(cat)
 	t.node, t.star, t.weight, t.count = node, true, weight, count
@@ -93,33 +101,21 @@ func (f *ReplicateFold) next(cat int32) *repTerm {
 }
 
 // Fold credits every queued term to rs, which must be over the fold's k
-// categories (and of the star scenario if any AddStar term is queued, as
-// Replicates.AddStar requires), and empties the queue. Grouping is
-// stable, so the terms of one node stay adjacent and share its weight row.
+// categories (and of the star scenario if any AddStar term is queued), and
+// empties the queue. Grouping is stable, so the terms of one node stay
+// adjacent and share its weight row.
 func (f *ReplicateFold) Fold(rs *Replicates) {
 	if B := rs.cfg.B; len(f.own) < 5*B {
 		f.own = make([]float64, 5*B)
 	}
-	f.groups.Each(func(cat int32, items []int32) {
-		if cat != graph.None {
-			f.foldCategory(rs, cat, items)
-			return
-		}
-		for _, i := range items {
-			t := &f.terms[i]
-			if t.star {
-				rs.AddStar(t.node, cat, t.weight, t.count, t.deg, t.nbrCat, t.nbrCnt)
-			} else {
-				rs.AddDraws(t.node, cat, t.weight, t.count, t.prev)
-			}
-		}
-	})
+	f.groups.Each(func(cat int32, items []int32) { f.foldGroup(rs, cat, items) })
 	clear(f.terms) // drop the references to the count slices
 	f.terms = f.terms[:0]
 }
 
-// foldCategory credits the terms items, all of category a, to rs.
-func (f *ReplicateFold) foldCategory(rs *Replicates, a int32, items []int32) {
+// foldGroup credits the terms items, all of category a (graph.None for
+// uncategorized nodes), to rs.
+func (f *ReplicateFold) foldGroup(rs *Replicates, a int32, items []int32) {
 	B := rs.cfg.B
 	f.gen++
 	if f.gen == 0 {
@@ -165,28 +161,41 @@ func (f *ReplicateFold) foldCategory(rs *Replicates, a int32, items []int32) {
 		}
 	}
 
-	// Close the category: its rows go to the grids and, summed, to the
-	// scalar totals; the scratch is zeroed on the way.
-	rs.mark(a)
-	off := int(a) * B
-	gDrawsA, gRew := rs.drawsA[off:][:B], rs.rew[off:][:B]
-	gRewSqA, gRew2 := rs.rewSqA[off:][:B], rs.rew2[off:][:B]
+	// Close the group: its rows go to the scalar totals and, for a
+	// category, to its grids in the same pass; the scratch is zeroed on the
+	// way.
 	draws, totalRew, psiInv, rewSq := rs.draws[:B], rs.totalRew[:B], rs.psiInv[:B], rs.rewSq[:B]
-	for b := range drawsA {
-		gDrawsA[b] += drawsA[b]
-		draws[b] += drawsA[b]
-		gRew[b] += rew[b]
-		totalRew[b] += rew[b]
-		psiInv[b] += rew[b]
-		gRewSqA[b] += rewSqA[b]
-		rewSq[b] += rewSqA[b]
-		gRew2[b] += rew2[b]
-	}
-	if rs.star {
-		gDegNumA, degNum := rs.degNumA[off:][:B], rs.degNum[:B]
-		for b, x := range degNumA {
-			gDegNumA[b] += x
-			degNum[b] += x
+	off := int(a) * B
+	if a == graph.None {
+		for b := range drawsA {
+			draws[b] += drawsA[b]
+			totalRew[b] += rew[b]
+			psiInv[b] += rew[b]
+			rewSq[b] += rewSqA[b]
+		}
+		if rs.star {
+			vecAdd(rs.degNum[:B], degNumA)
+		}
+	} else {
+		rs.mark(a)
+		gDrawsA, gRew := rs.drawsA[off:][:B], rs.rew[off:][:B]
+		gRewSqA, gRew2 := rs.rewSqA[off:][:B], rs.rew2[off:][:B]
+		for b := range drawsA {
+			gDrawsA[b] += drawsA[b]
+			draws[b] += drawsA[b]
+			gRew[b] += rew[b]
+			totalRew[b] += rew[b]
+			psiInv[b] += rew[b]
+			gRewSqA[b] += rewSqA[b]
+			rewSq[b] += rewSqA[b]
+			gRew2[b] += rew2[b]
+		}
+		if rs.star {
+			gDegNumA, degNum := rs.degNumA[off:][:B], rs.degNum[:B]
+			for b, x := range degNumA {
+				gDegNumA[b] += x
+				degNum[b] += x
+			}
 		}
 	}
 	clear(own)
@@ -194,6 +203,13 @@ func (f *ReplicateFold) foldCategory(rs *Replicates, a int32, items []int32) {
 		row := f.dir[j*B:][:B]
 		rs.mark(nb)
 		nbrNum := rs.nbrNum[int(nb)*B:][:B]
+		if a == graph.None {
+			for b, x := range row {
+				nbrNum[b] += x
+				row[b] = 0
+			}
+			continue
+		}
 		var tgt []float64
 		if nb == a {
 			tgt = rs.withinNum[off : off+B]
@@ -209,7 +225,7 @@ func (f *ReplicateFold) foldCategory(rs *Replicates, a int32, items []int32) {
 	}
 }
 
-// dirRow returns the current category's directed row toward neighbor
+// dirRow returns the current group's directed row toward neighbor
 // category nb, taking the next zero row of the slab on first touch.
 func (f *ReplicateFold) dirRow(nb int32, B int) []float64 {
 	s := &f.slot[nb]

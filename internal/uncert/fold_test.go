@@ -2,6 +2,7 @@ package uncert
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -119,12 +120,15 @@ func randomFoldEpoch(r *rand.Rand, nodes []foldNode, pool []int32, distinct int)
 	return calls
 }
 
-func perNodeReplicates(rs *Replicates, calls []foldCall) {
+// oracleReplicates credits calls to rs one term at a time through the
+// sparse oracle.
+func oracleReplicates(rs *Replicates, calls []foldCall) {
+	o := &sparseOracle{rs: rs}
 	for _, c := range calls {
 		if c.star {
-			rs.AddStar(c.node, c.cat, c.weight, c.count, c.deg, c.nbrCat, c.nbrCnt)
+			o.AddStar(c.node, c.cat, c.weight, c.count, c.deg, c.nbrCat, c.nbrCnt)
 		} else {
-			rs.AddDraws(c.node, c.cat, c.weight, c.count, c.prev)
+			o.AddDraws(c.node, c.cat, c.weight, c.count, c.prev)
 		}
 	}
 }
@@ -176,7 +180,7 @@ func compareFolded(t *testing.T, what string, got, want *Replicates, tol float64
 }
 
 // TestReplicateFoldMatchesPerNode checks the category-row fold against the
-// per-node AddDraws/AddStar kernels on random epochs (re-draws, late-star
+// sparse oracle's per-node terms on random epochs (re-draws, late-star
 // backfills, degree retrofits, uncategorized nodes, empty neighbor lists),
 // for a dense K = 3 and a sparse K = 2¹⁶: every replicate vector within
 // 1e-12 relative, the same created pairs and dirty categories, a refold
@@ -199,7 +203,7 @@ func TestReplicateFoldMatchesPerNode(t *testing.T) {
 				what := fmt.Sprintf("K=%d B=%d round %d", c.k, B, round)
 				calls := randomFoldEpoch(r, nodes, pool, 50+r.IntN(400))
 				want := mustReplicates(t, c.k, cfg)
-				perNodeReplicates(want, calls)
+				oracleReplicates(want, calls)
 				fresh := mustReplicates(t, c.k, cfg)
 				foldReplicates(NewReplicateFold(c.k), fresh, calls)
 				compareFolded(t, what, fresh, want, 1e-12, true)
@@ -264,9 +268,8 @@ func benchFoldEpochs(r *rand.Rand, k, n int) [][]foldCall {
 // BenchmarkReplicateFold times one crawl-shaped epoch's replicate credit
 // (920 distinct nodes with 5 neighbor categories each at B = 100, the
 // per-flush traffic of the crawl-budget workload) through the category-row
-// fold and through the per-node AddDraws/AddStar kernels. Each op credits
-// the next of 64 epochs into empty replicates, merges them into published
-// ones and resets them, as an epoch flush does. At K = 65536 the epochs
+// fold. Each op credits the next of 64 epochs into empty replicates,
+// merges them into published ones and resets them, as an epoch flush does. At K = 65536 the epochs
 // touch disjoint pairs, so the epoch's replicates hold zeroed vectors of
 // every pair earlier ops touched: the row costs what the K = 10 row costs
 // only if Merge and Reset walk just the epoch's own pairs.
@@ -275,21 +278,105 @@ func BenchmarkReplicateFold(b *testing.B) {
 		epochs := benchFoldEpochs(randx.New(1), k, 64)
 		cfg := Config{B: 100, Seed: 1}
 		rs, pub := mustReplicates(b, k, cfg), mustReplicates(b, k, cfg)
-		flush := func(b *testing.B, credit func(calls []foldCall)) {
+		b.Run(fmt.Sprintf("K=%d/fold", k), func(b *testing.B) {
+			f := NewReplicateFold(k)
 			for i := 0; b.Loop(); i++ {
-				credit(epochs[i%len(epochs)])
+				foldReplicates(f, rs, epochs[i%len(epochs)])
 				if err := pub.Merge(rs); err != nil {
 					b.Fatal(err)
 				}
 				rs.Reset()
 			}
-		}
-		b.Run(fmt.Sprintf("K=%d/fold", k), func(b *testing.B) {
-			f := NewReplicateFold(k)
-			flush(b, func(calls []foldCall) { foldReplicates(f, rs, calls) })
-		})
-		b.Run(fmt.Sprintf("K=%d/pernode", k), func(b *testing.B) {
-			flush(b, func(calls []foldCall) { perNodeReplicates(rs, calls) })
 		})
 	}
+}
+
+// decodeFoldCalls decodes fuzz input into a fold's replicate configuration
+// and calls: K ∈ [1, 70] and B ∈ [1, 64] from the first two bytes, a seed
+// from the third, then up to 256 terms of three bytes and more. A term
+// names one of 24 nodes (ids from −8, so nodes repeat and some are
+// negative), whose category (uncategorized one time in K+1) and weight
+// come from the node's first term. A draw term carries its count and
+// earlier multiplicity; a star term its count, degree and a sorted,
+// distinct neighbor list that may be empty or hold zero counts; an owed
+// term is a late-star backfill or degree retrofit of the node's earlier
+// multiplicity, with or without neighbor counts.
+func decodeFoldCalls(data []byte) (k int, cfg Config, calls []foldCall) {
+	if len(data) < 3 {
+		return 0, Config{}, nil
+	}
+	k, cfg = 1+int(data[0])%70, Config{B: 1 + int(data[1])%64, Seed: uint64(data[2])}
+	data = data[3:]
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		x := int(data[0])
+		data = data[1:]
+		return x
+	}
+	type node struct {
+		known  bool
+		cat    int32
+		weight float64
+		mult   float64
+	}
+	var nodes [24]node
+	for len(data) >= 3 && len(calls) < 256 {
+		kind, id := next()%3, next()%len(nodes)
+		nd := &nodes[id]
+		if !nd.known {
+			nd.known = true
+			nd.cat = int32(next()%(k+1)) - 1
+			nd.weight = 0.125 + float64(next())/16
+		}
+		c := foldCall{node: int32(id - 8), cat: nd.cat, weight: nd.weight}
+		switch kind {
+		case 0:
+			c.count, c.prev = float64(1+next()%4), nd.mult
+			nd.mult += c.count
+		default:
+			c.star, c.count = true, float64(1+next()%4)
+			if kind == 2 {
+				c.count = nd.mult
+			}
+			c.deg = float64(next() % 16)
+			seen := map[int32]bool{}
+			for range next() % (min(k, 8) + 1) {
+				seen[int32(next()%k)] = true
+			}
+			c.nbrCat = slices.Sorted(maps.Keys(seen))
+			for range c.nbrCat {
+				c.nbrCnt = append(c.nbrCnt, float64(next()%4))
+			}
+		}
+		calls = append(calls, c)
+	}
+	return k, cfg, calls
+}
+
+// FuzzReplicateFold folds decoded terms (see decodeFoldCalls) and requires
+// every replicate vector within 1e-12 relative of the sparse oracle's
+// per-term credit, with the same dirty categories and the same pairs.
+func FuzzReplicateFold(f *testing.F) {
+	f.Add([]byte{3, 7, 1, 0, 0, 1, 40, 1, 1, 1, 2, 3, 2, 0, 1, 2, 2, 0, 5, 3, 0, 1, 2, 1, 2, 3, 9, 0, 0, 2, 4})
+	f.Add([]byte{69, 63, 9, 1, 5, 70, 8, 2, 6, 5, 1, 2, 3, 0, 5, 3, 1, 6, 0, 8, 0, 2, 9, 1, 0, 1, 2, 0})
+	f.Add([]byte{0, 0, 0, 1, 3, 0, 3, 2, 1, 0, 0, 2, 3, 0, 5, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		k, cfg, calls := decodeFoldCalls(data)
+		if k == 0 {
+			return
+		}
+		got, want := mustReplicates(t, k, cfg), mustReplicates(t, k, cfg)
+		foldReplicates(NewReplicateFold(k), got, calls)
+		oracleReplicates(want, calls)
+		compareFolded(t, "fold", got, want, 1e-12, true)
+		if len(got.pairs) != len(want.pairs) {
+			t.Fatalf("fold created %d pairs, the oracle %d", len(got.pairs), len(want.pairs))
+		}
+		gp, wp := slices.Sorted(slices.Values(got.dirtyPairs)), slices.Sorted(slices.Values(want.dirtyPairs))
+		if !slices.Equal(gp, wp) {
+			t.Fatalf("dirty pairs %v, oracle %v", gp, wp)
+		}
+	})
 }

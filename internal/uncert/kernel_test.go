@@ -187,12 +187,30 @@ func (o *sparseOracle) addEdgeMass(nodeA, catA, nodeB, catB int32, mass float64)
 	}
 }
 
-// replicateKernel is the update surface both kernels share.
-type replicateKernel interface {
+// inducedKernel is the induced update surface both kernels share.
+type inducedKernel interface {
 	AddDraws(node, cat int32, weight, count, prev float64)
-	AddStar(node, cat int32, weight, count, deg float64, nbrCat []int32, nbrCnt []float64)
 	LoadRow(node int32, row []uint64)
 	AddPeerMass(node, cat int32, edges []PeerEdge)
+}
+
+// starKernel is the star update surface both kernels share.
+type starKernel interface {
+	AddDraws(node, cat int32, weight, count, prev float64)
+	AddStar(node, cat int32, weight, count, deg float64, nbrCat []int32, nbrCnt []float64)
+}
+
+// oneTermFold drives a Replicates with star terms through one-term folds:
+// a fold of one term adds exactly what a per-node credit adds, so a star
+// stream stays bit-comparable with the oracle.
+type oneTermFold struct {
+	*Replicates
+	f *ReplicateFold
+}
+
+func (k oneTermFold) AddStar(node, cat int32, weight, count, deg float64, nbrCat []int32, nbrCnt []float64) {
+	k.f.AddStar(node, cat, weight, count, deg, nbrCat, nbrCnt)
+	k.f.Fold(k.Replicates)
 }
 
 // perEdge drives a Replicates with one AddPeerMass call per edge, so each
@@ -246,7 +264,7 @@ func pick(r *rand.Rand, n int) int { return r.IntN(r.IntN(n) + 1) }
 // is known, late-star backfill of the earlier multiplicity, and degree
 // retrofits whose deltas may be negative. One node is a hub whose
 // neighbors span every category.
-func feedStarStream(kr replicateKernel, seed uint64, k, steps int) {
+func feedStarStream(kr starKernel, seed uint64, k, steps int) {
 	r := randx.New(seed)
 	nodes := kernelNodes(r, 400, k)
 	for step := 0; step < steps; step++ {
@@ -297,7 +315,7 @@ func feedStarStream(kr replicateKernel, seed uint64, k, steps int) {
 // Every seventh node's row carries forced escape nibbles (weights ≥ 15 are
 // too rare to meet by chance), so the kernel must recompute them on either
 // endpoint.
-func feedInducedStream(kr replicateKernel, cfg Config, seed uint64, k, steps int) {
+func feedInducedStream(kr inducedKernel, cfg Config, seed uint64, k, steps int) {
 	r := randx.New(seed)
 	nodes := kernelNodes(r, 300, k)
 	rowOf := func(nd *kernelNode) []uint64 {
@@ -386,8 +404,8 @@ func requireSameReplicates(t *testing.T, got, want *Replicates) {
 }
 
 // TestKernelMatchesSparseOracle feeds identical star and induced streams
-// through the dense-row kernel and the sparse oracle and requires every
-// replicate value to agree bit for bit.
+// through the dense-row kernels (star terms in one-term folds) and the
+// sparse oracle and requires every replicate value to agree bit for bit.
 func TestKernelMatchesSparseOracle(t *testing.T) {
 	const k = 70 // the star hub spans ≥ 64 categories
 	for _, B := range []int{1, 7, 64, 100, 200, 257, 1000} {
@@ -403,7 +421,7 @@ func TestKernelMatchesSparseOracle(t *testing.T) {
 			}
 			oracle := &sparseOracle{rs: want}
 			if star {
-				feedStarStream(got, uint64(B), k, 3000)
+				feedStarStream(oneTermFold{got, NewReplicateFold(k)}, uint64(B), k, 3000)
 				feedStarStream(oracle, uint64(B), k, 3000)
 			} else {
 				feedInducedStream(perEdge{got}, cfg, uint64(B), k, 1500)
@@ -416,7 +434,7 @@ func TestKernelMatchesSparseOracle(t *testing.T) {
 
 // peerCoverage counts what the induced stream fed to AddPeerMass exercised.
 type peerCoverage struct {
-	replicateKernel
+	inducedKernel
 	multiCat, nonePeer, noneNode, escPeer, escNode int
 }
 
@@ -424,7 +442,7 @@ func (c *peerCoverage) LoadRow(node int32, row []uint64) {
 	if hasEscape(row) {
 		c.escNode++
 	}
-	c.replicateKernel.LoadRow(node, row)
+	c.inducedKernel.LoadRow(node, row)
 }
 
 // hasEscape reports whether row holds an escape nibble.
@@ -454,7 +472,7 @@ func (c *peerCoverage) AddPeerMass(node, cat int32, edges []PeerEdge) {
 	if cat == graph.None && len(edges) > 0 {
 		c.noneNode++
 	}
-	c.replicateKernel.AddPeerMass(node, cat, edges)
+	c.inducedKernel.AddPeerMass(node, cat, edges)
 }
 
 // TestPeerFoldMatchesPerEdge feeds induced streams through AddPeerMass one
@@ -477,7 +495,7 @@ func TestPeerFoldMatchesPerEdge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cov := &peerCoverage{replicateKernel: got}
+		cov := &peerCoverage{inducedKernel: got}
 		feedInducedStream(cov, cfg, uint64(B)+100, k, 1500)
 		feedInducedStream(&sparseOracle{rs: want}, cfg, uint64(B)+100, k, 1500)
 		what := fmt.Sprintf("B=%d", B)
@@ -641,7 +659,7 @@ func BenchmarkReplicatePeerFold(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var kr replicateKernel = rs
+			var kr inducedKernel = rs
 			if mode == "peredge" {
 				kr = perEdge{rs}
 			}

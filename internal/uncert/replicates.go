@@ -30,11 +30,11 @@ import (
 // replicate update for one field then walks a contiguous vector rather than
 // hopping across B heap objects, which is what used to make B=200 ingest
 // ~50× the base path. Each node's B Poisson weights are expanded once into
-// a dense uint8 row (weightRow, or LoadRow from the node's packed row). The
-// per-node updates (draws, star terms) make one straight-line pass over the
-// row: an increment depends on the replicate only through its integer
-// weight c, so each call tabulates it for c = 0…max (entry 0 exactly zero)
-// and replicate b adds its table entry. There is no per-replicate branch:
+// a dense uint8 row (weightRow, or LoadRow from the node's packed row). A
+// node's draw and star terms make one straight-line pass over the row: an
+// increment depends on the replicate only through its integer weight c, so
+// each term is tabulated for c = 0…max (entry 0 exactly zero) and
+// replicate b adds its table entry. There is no per-replicate branch:
 // a sparse walk split by weight 0 / 1 / ≥2 mispredicts on most indices.
 // Induced edge mass is replayed once per record (AddPeerMass): the edges
 // are grouped by peer category, each group's peer weights are summed
@@ -42,11 +42,13 @@ import (
 // once per node and keeps, so no weight is hashed per edge), and the sum
 // is credited to the group's pair once, scaled by the drawn node's row.
 //
-// Epoch flushes credit many nodes at once through a ReplicateFold, which
-// writes each categorized node's terms to its category's rows only and
-// derives the scalar totals and nbrNum from those rows once per category
-// (fold.go); the per-node calls below remain the single-lock engine's
-// kernels and the fold's formulas, through the shared term tables.
+// Star terms are credited only through a ReplicateFold (fold.go), which
+// writes each node's terms to its category's rows (uncategorized nodes
+// form one more group) and derives the scalar totals and nbrNum from those
+// rows once per group; epoch flushes fold
+// an epoch, the single-lock engine the records of one critical section.
+// AddDraw/AddDraws remain the induced engine's per-record draw kernel, and
+// drawTable and scale are the term tables both share.
 //
 // Replicates is not safe for concurrent use; internal/stream drives it under
 // the accumulator lock (or inside a writer-private epoch local).
@@ -326,58 +328,6 @@ func (rs *Replicates) drawTable(tab *[32]drawTerms, weight, count, prev float64)
 func (rs *Replicates) scale(vt *[32]float64, v float64) {
 	for k := 1; k <= int(rs.wMax); k++ {
 		vt[k] = v * float64(k)
-	}
-}
-
-// AddStar mirrors Sums.AddStar: count primary draws' worth of star terms for
-// node scale to count·c in replicate b. Like its core counterpart it is
-// linear in count and deg, so the accumulator's late-star backfill and
-// degree-retrofit calls replay here unchanged. Loops run neighbor-outer,
-// replicate-inner, so each neighbor's update walks contiguous grid rows: its
-// nbrNum row and its within/pair target in the same pass.
-func (rs *Replicates) AddStar(node, cat int32, weight, count, deg float64, nbrCat []int32, nbrCnt []float64) {
-	rs.weightRow(node)
-	w := rs.w
-	B := len(w)
-	var tt, vt [32]float64
-	rs.scale(&tt, count*deg/weight)
-	degNum := rs.degNum[:B]
-	if cat == graph.None {
-		for b, k := range w {
-			degNum[b] += tt[k&31]
-		}
-	} else {
-		rs.mark(cat)
-		off := int(cat) * B
-		degNumA := rs.degNumA[off : off+B]
-		for b, k := range w {
-			degNum[b] += tt[k&31]
-			degNumA[b] += tt[k&31]
-		}
-	}
-	for j, nb := range nbrCat {
-		rs.scale(&vt, count/weight*nbrCnt[j])
-		rs.mark(nb)
-		noff := int(nb) * B
-		nbrNum := rs.nbrNum[noff : noff+B]
-		if cat == graph.None {
-			for b, k := range w {
-				nbrNum[b] += vt[k&31]
-			}
-			continue
-		}
-		var tgt []float64
-		if nb == cat {
-			off := int(cat) * B
-			tgt = rs.withinNum[off : off+B]
-		} else {
-			tgt = rs.pairVec(cat, nb)
-		}
-		tgt = tgt[:B]
-		for b, k := range w {
-			nbrNum[b] += vt[k&31]
-			tgt[b] += vt[k&31]
-		}
 	}
 }
 
@@ -936,14 +886,6 @@ func (bs *BootSnapshot) WeightCI(a, b int32, level float64) Interval {
 		return percentile(v, level)
 	}
 	return Interval{0, 0}
-}
-
-// WeightSD returns the bootstrap standard error of the pair weight ŵ(a,b).
-func (bs *BootSnapshot) WeightSD(a, b int32) float64 {
-	if v, ok := bs.pairs[pairCanon(a, b)]; ok {
-		return sdFinite(v)
-	}
-	return 0
 }
 
 // WeightReplicates returns the replicate vector of pair {a,b} (nil when the

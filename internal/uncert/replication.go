@@ -29,7 +29,6 @@ type Replication struct {
 	Within  []Interval
 
 	weightCI map[[2]int32]Interval
-	weightSE map[[2]int32]float64
 }
 
 // WeightCI returns the between-walk interval of the pair weight ŵ(a,b).
@@ -40,10 +39,6 @@ func (r *Replication) WeightCI(a, b int32) Interval {
 	}
 	return Interval{0, 0}
 }
-
-// WeightSE returns the between-walk standard error of the pair weight
-// ŵ(a,b) (0 for pairs observed by no walk).
-func (r *Replication) WeightSE(a, b int32) float64 { return r.weightSE[pairCanon(a, b)] }
 
 // ReplicationCI computes the between-walk variance intervals of the pooled
 // estimate of m ≥ 2 independent walks, each summarized by its own
@@ -111,7 +106,6 @@ func ReplicationCI(walks []*core.Sums, opts core.Options, level float64) (*Repli
 		SizesSE:      make([]float64, k),
 		Within:       make([]Interval, k),
 		weightCI:     make(map[[2]int32]Interval, len(pairs)),
-		weightSE:     make(map[[2]int32]float64, len(pairs)),
 	}
 	for c := 0; c < k; c++ {
 		rep.Sizes[c], rep.SizesSE[c] = tInterval(pooled.Sizes[c], sizes[c], level)
@@ -126,7 +120,7 @@ func ReplicationCI(walks []*core.Sums, opts core.Options, level float64) (*Repli
 			}
 		}
 		center := pooled.Weights.Get(key[0], key[1])
-		rep.weightCI[key], rep.weightSE[key] = tInterval(center, vals, level)
+		rep.weightCI[key], _ = tInterval(center, vals, level)
 	}
 	return rep, nil
 }

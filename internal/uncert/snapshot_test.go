@@ -229,7 +229,7 @@ func TestSnapshotMatchesMapPath(t *testing.T) {
 			}
 			feed := func(seed uint64, steps int) {
 				if star {
-					feedStarStream(rs, seed, k, steps)
+					feedStarStream(oneTermFold{rs, NewReplicateFold(k)}, seed, k, steps)
 				} else {
 					feedInducedStream(rs, cfg, seed, k, steps)
 				}

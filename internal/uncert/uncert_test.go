@@ -215,6 +215,7 @@ func streamReplay(t *testing.T, g *graph.Graph, s *sample.Sample, cfg Config) *R
 		cnt []float64
 	}
 	stars := map[int32]*starData{}
+	f := NewReplicateFold(g.NumCategories())
 	for i, v := range s.Nodes {
 		rec := so.Observe(v, s.Weight(i))
 		w := rec.Weight
@@ -227,8 +228,9 @@ func streamReplay(t *testing.T, g *graph.Graph, s *sample.Sample, cfg Config) *R
 		sd := stars[v]
 		prev := mult[v]
 		mult[v]++
-		rs.AddDraw(v, rec.Cat, w, prev)
-		rs.AddStar(v, rec.Cat, w, 1, sd.deg, sd.cat, sd.cnt)
+		f.AddDraws(v, rec.Cat, w, 1, prev)
+		f.AddStar(v, rec.Cat, w, 1, sd.deg, sd.cat, sd.cnt)
+		f.Fold(rs)
 	}
 	return rs
 }
